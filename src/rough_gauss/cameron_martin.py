@@ -13,8 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import CovarianceKernel, gram_matrix
-from .variation_2d import EXACT_INTERVAL_CAP, GridFunction2D, rho_variation
+from .covariance import CovarianceKernel, fbm_cov
+from .variation_2d import (
+    EXACT_INTERVAL_CAP,
+    GridFunction2D,
+    _longest_path,
+    rho_variation,
+)
 
 __all__ = [
     "CMElement",
@@ -84,10 +89,7 @@ def pvar_1d(values, rho: float):
     if n < 2:
         return np.zeros(x.shape[:-1])[()]
     w = np.abs(x[..., None, :] - x[..., :, None]) ** rho
-    best = np.zeros(x.shape[:-1] + (n,))
-    for j in range(1, n):
-        best[..., j] = np.max(best[..., :j] + w[..., :j, j], axis=-1)
-    return best[..., n - 1][()] ** (1.0 / rho)
+    return _longest_path(w)[..., -1][()] ** (1.0 / rho)
 
 
 @dataclass(frozen=True)
@@ -166,8 +168,6 @@ def fbm_increment_response_check(H: float, levels=(1, 2, 3),
     not on the dyadic interval; the scan over levels confirms that and
     returns the worst case.
     """
-    from .covariance import fbm_cov
-
     if not 0.0 < H <= 0.5:
         raise ValueError("H must be in (0, 1/2]")
     kernel = fbm_cov(H)

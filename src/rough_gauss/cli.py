@@ -58,23 +58,6 @@ from .variation_2d import GridFunction2D, rho_variation, young_integral_2d
 
 OUT_DIR_ENV = "ROUGH_GAUSS_OUT"
 
-EXPERIMENT_NAMES = (
-    "lift",
-    "variation",
-    "young2d",
-    "level2-variance",
-    "level-bounds",
-    "dyadic-convergence",
-    "perturbation",
-    "fernique",
-    "young-wiener",
-    "weak-limit",
-    "cm-embedding",
-    "grr",
-    "chaos-ratio",
-    "coutin-qian",
-)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -110,9 +93,9 @@ class ExperimentConfig:
     out_prefix: str | None = None
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENT_NAMES:
+        if self.experiment not in EXPERIMENTS:
             raise ValueError(
-                f"unknown experiment {self.experiment!r}; know {sorted(EXPERIMENT_NAMES)}")
+                f"unknown experiment {self.experiment!r}; know {sorted(EXPERIMENTS)}")
         for name in ("levels", "epsilons", "h_ladder", "interval"):
             v = getattr(self, name)
             if v is not None and not isinstance(v, (int, float)):
@@ -657,11 +640,10 @@ def _resolve_out_dir(flag_value: str | None) -> Path:
     return Path(env) if env else Path("out")
 
 
-def _execute(cfg: ExperimentConfig, out_dir: Path) -> int:
-    t0 = time.monotonic()
-    outcome = EXPERIMENTS[cfg.experiment](cfg)
-    wall = time.monotonic() - t0
-    ok = all(c["ok"] for c in outcome["checks"])
+def _write_artifacts(out_dir: Path, prefix: str, cfg: ExperimentConfig,
+                     body: dict, columns, rows, wall: float) -> None:
+    """Write ``<prefix>report.json`` (common header plus ``body``),
+    ``<prefix>table.csv`` and the ``<prefix>run_meta.json`` sidecar."""
     # worker count cannot influence results, so it lives in the sidecar with
     # the wall clock; report bytes depend on the science parameters only
     echo = cfg.to_dict()
@@ -670,23 +652,30 @@ def _execute(cfg: ExperimentConfig, out_dir: Path) -> int:
         "schema_version": 1,
         "tool": {"name": "rough-gauss", "version": __version__},
         "experiment": cfg.experiment,
-        "seed": cfg.seed,
         "config": echo,
-        "checks": outcome["checks"],
-        "ok": ok,
-        "results": outcome["results"],
+        **body,
     }
-    prefix = _default(cfg.out_prefix, cfg.experiment) + "_"
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / f"{prefix}report.json").write_text(_dumps(report),
                                                   encoding="utf-8")
-    _write_csv(out_dir / f"{prefix}table.csv", outcome["columns"],
-               outcome["rows"])
+    _write_csv(out_dir / f"{prefix}table.csv", columns, rows)
     meta = {"experiment": cfg.experiment, "wall_clock_s": wall,
             "workers": cfg.workers,
             "artifacts": [f"{prefix}report.json", f"{prefix}table.csv"]}
     (out_dir / f"{prefix}run_meta.json").write_text(_dumps(meta),
                                                     encoding="utf-8")
+
+
+def _execute(cfg: ExperimentConfig, out_dir: Path) -> int:
+    t0 = time.monotonic()
+    outcome = EXPERIMENTS[cfg.experiment](cfg)
+    wall = time.monotonic() - t0
+    ok = all(c["ok"] for c in outcome["checks"])
+    prefix = _default(cfg.out_prefix, cfg.experiment) + "_"
+    body = {"seed": cfg.seed, "checks": outcome["checks"], "ok": ok,
+            "results": outcome["results"]}
+    _write_artifacts(out_dir, prefix, cfg, body, outcome["columns"],
+                     outcome["rows"], wall)
     for c in outcome["checks"]:
         detail = {k: v for k, v in c.items() if k not in ("name", "ok")}
         tail = f" {detail}" if detail else ""
@@ -800,27 +789,11 @@ def _run_table(args) -> int:
     wall = time.monotonic() - t0
     ok = all(r["ok"] for r in rows)
     out_dir = _resolve_out_dir(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     prefix = _default(base_cfg.out_prefix, experiment) + "_sweep_"
-    _write_csv(out_dir / f"{prefix}table.csv", SWEEP_COLUMNS, rows)
-    echo = base_cfg.to_dict()
-    echo.pop("workers")
-    report = {
-        "schema_version": 1,
-        "tool": {"name": "rough-gauss", "version": __version__},
-        "experiment": experiment,
-        "sweep": {"param": param, "values": values},
-        "config": echo,
-        "rows": rows,
-        "ok": ok,
-    }
-    (out_dir / f"{prefix}report.json").write_text(_dumps(report),
-                                                  encoding="utf-8")
-    meta = {"experiment": experiment, "wall_clock_s": wall,
-            "workers": base_cfg.workers,
-            "artifacts": [f"{prefix}report.json", f"{prefix}table.csv"]}
-    (out_dir / f"{prefix}run_meta.json").write_text(_dumps(meta),
-                                                    encoding="utf-8")
+    body = {"sweep": {"param": param, "values": values}, "rows": rows,
+            "ok": ok}
+    _write_artifacts(out_dir, prefix, base_cfg, body, SWEEP_COLUMNS, rows,
+                     wall)
     print(f"{'PASS' if ok else 'FAIL'}: {len(rows)} sweep rows in "
           f"{out_dir / (prefix + 'table.csv')}")
     return 0 if ok else 2

@@ -25,6 +25,7 @@ __all__ = [
     "bridge_cov",
     "martingale_cov",
     "gram_matrix",
+    "square_variation",
     "coutin_qian_check",
     "fbm_rhovar_bound_check",
     "piecewise_linear_cov",
@@ -164,6 +165,15 @@ def gram_matrix(k: CovarianceKernel, grid, check_psd: bool = True) -> np.ndarray
     return R
 
 
+def square_variation(k: CovarianceKernel, s: float, t: float, intervals: int,
+                     rho: float) -> float:
+    """Exact grid rho-variation of k over the square [s, t]^2, sampled with
+    ``intervals`` uniform intervals per side."""
+    g = np.linspace(s, t, intervals + 1)
+    return rho_variation(GridFunction2D(g, g, k.grid_eval(g, g)), rho,
+                         mode="exact", cap=intervals).value
+
+
 def coutin_qian_check(
     k: CovarianceKernel,
     H: float,
@@ -241,10 +251,7 @@ def fbm_rhovar_bound_check(
     rho = 1.0 / (2 * H)
     values, ratios = [], []
     for w in sizes:
-        g = np.linspace(0.0, w, grid_intervals + 1)
-        V = k.grid_eval(g, g)
-        gf = GridFunction2D(g, g, V)
-        val = rho_variation(gf, rho, mode="exact", cap=grid_intervals).value
+        val = square_variation(k, 0.0, w, grid_intervals, rho)
         values.append(val)
         ratios.append(val / w)
     h = 0.05

@@ -25,6 +25,7 @@ from .tensor_algebra import (
     tensor_mul,
     zero_tensor,
 )
+from .variation_2d import _longest_path
 
 __all__ = [
     "PiecewisePath",
@@ -171,26 +172,33 @@ class GroupPath:
         return self.values.batch_shape[:-1]
 
 
+def _chen_prefixes(increments: np.ndarray):
+    """Yield the Chen products exp(dx_1) (x) ... (x) exp(dx_k) for
+    k = 0, ..., m, the first being the identity.
+
+    ``increments`` has shape (..., m, d); every yielded GroupElement has
+    batch shape (...).
+    """
+    increments = np.asarray(increments, dtype=float)
+    d = increments.shape[-1]
+    z = zero_tensor(d, increments.shape[:-2])
+    cur = exp_trunc(z)
+    yield cur
+    for j in range(increments.shape[-2]):
+        seg = exp_trunc(
+            TruncatedTensor(d, z.level0, increments[..., j, :], z.level2, z.level3)
+        )
+        cur = tensor_mul(cur, seg)
+        yield cur
+
+
 def lift_increments(increments: np.ndarray) -> GroupElement:
     """Cumulative Chen product of segment exponentials.
 
     ``increments`` has shape (..., m, d); the result is a GroupElement with
     batch shape (..., m+1), starting at the identity.
     """
-    increments = np.asarray(increments, dtype=float)
-    batch = increments.shape[:-2]
-    m, d = increments.shape[-2], increments.shape[-1]
-    z = zero_tensor(d, batch)
-    steps = []
-    cur = exp_trunc(TruncatedTensor(d, z.level0, np.zeros(batch + (d,)), z.level2, z.level3))
-    steps.append(cur.tensor)
-    for j in range(m):
-        seg = exp_trunc(
-            TruncatedTensor(d, z.level0, increments[..., j, :], z.level2, z.level3)
-        )
-        cur = tensor_mul(cur, seg)
-        steps.append(cur.tensor)
-    return GroupElement(_stack(steps))
+    return GroupElement(_stack([g.tensor for g in _chen_prefixes(increments)]))
 
 
 def lift_s3(path: PiecewisePath) -> GroupPath:
@@ -310,33 +318,18 @@ def _pair_matrix(x: GroupPath, y: GroupPath | None) -> np.ndarray:
     return w
 
 
-def _pvar_dp(w: np.ndarray, p: float) -> np.ndarray:
-    """Longest-path DP for sup over sub-dissections of sum of w^p.
-
-    w is (..., n, n) with pair weights above the diagonal.  The objective is
-    additive over consecutive intervals, so best[j] = max_{i<j} best[i] +
-    w[i,j]^p is exact.
-    """
-    wp = w**p
-    n = w.shape[-1]
-    best = np.zeros(w.shape[:-2] + (n,))
-    for j in range(1, n):
-        best[..., j] = np.max(best[..., :j] + wp[..., :j, j], axis=-1)
-    return best[..., n - 1]
-
-
 def pvar_dist(x: GroupPath, y: GroupPath, p: float):
     """sup over sub-dissections D of (sum_i d(x_{t_i,t_{i+1}}, y_{t_i,t_{i+1}})^p)^{1/p}."""
     if p < 1.0:
         raise ValueError("p must be >= 1")
     _require_same_grid(x, y)
-    return _pvar_dp(_pair_matrix(x, y), p) ** (1.0 / p)
+    return _longest_path(_pair_matrix(x, y) ** p)[..., -1] ** (1.0 / p)
 
 
 def pvar_norm(x: GroupPath, p: float):
     if p < 1.0:
         raise ValueError("p must be >= 1")
-    return _pvar_dp(_pair_matrix(x, None), p) ** (1.0 / p)
+    return _longest_path(_pair_matrix(x, None) ** p)[..., -1] ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------

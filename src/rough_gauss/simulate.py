@@ -18,10 +18,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import CovarianceKernel, ProcessSpec, bm_cov, gram_matrix
+from .cameron_martin import pvar_1d
+from .covariance import (
+    CovarianceKernel,
+    ProcessSpec,
+    bm_cov,
+    fbm_cov,
+    gram_matrix,
+    square_variation,
+)
 from .path_lift import (
     GroupPath,
     PiecewisePath,
+    _chen_prefixes,
+    _check_times,
     _take,
     holder_dist,
     lift_increments,
@@ -30,14 +40,7 @@ from .path_lift import (
     pvar_norm,
     refine_path,
 )
-from .tensor_algebra import (
-    GroupElement,
-    TruncatedTensor,
-    exp_trunc,
-    hall_log_signature,
-    tensor_mul,
-    zero_tensor,
-)
+from .tensor_algebra import GroupElement, hall_log_signature
 from .variation_2d import (
     GridFunction2D,
     rho_variation,
@@ -95,8 +98,6 @@ class SampleEnsemble:
     samples: np.ndarray  # (n, d, |grid|)
     seed: int
     stream: int
-    factor_cache: tuple | None
-    derived: bool = False
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -121,13 +122,6 @@ class SampleEnsemble:
     def paths(self) -> PiecewisePath:
         # (n, d, m) -> (n, m, d) batch of piecewise-linear paths
         return PiecewisePath(self.grid, np.swapaxes(self.samples, -1, -2))
-
-
-def _check_sample_grid(grid: np.ndarray):
-    if grid.ndim != 1 or grid.size < 2:
-        raise ValueError("grid must be a 1-d array with at least 2 points")
-    if grid[0] != 0.0 or grid[-1] != 1.0 or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must increase strictly from 0 to 1")
 
 
 def _factor(kernel: CovarianceKernel, grid: np.ndarray) -> np.ndarray:
@@ -164,7 +158,7 @@ def sample(spec: ProcessSpec, grid, n: int, seed: int, stream: int = 0,
     if n < 1:
         raise ValueError("need n >= 1")
     grid = np.asarray(grid, dtype=float)
-    _check_sample_grid(grid)
+    _check_times(grid)
     m = grid.size
     d = spec.dim
     factors = tuple(_factor(k, grid) for k in spec.kernels)
@@ -185,7 +179,7 @@ def sample(spec: ProcessSpec, grid, n: int, seed: int, stream: int = 0,
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_chunk, starts))
-    return SampleEnsemble(spec, grid, out, seed, stream, factors)
+    return SampleEnsemble(spec, grid, out, seed, stream)
 
 
 def restrict_to(ens: SampleEnsemble, D) -> SampleEnsemble:
@@ -195,7 +189,7 @@ def restrict_to(ens: SampleEnsemble, D) -> SampleEnsemble:
     if np.any(pos >= ens.grid.size) or np.any(ens.grid[pos] != D):
         raise ValueError("D must be a subset of the ensemble grid")
     return SampleEnsemble(ens.spec, D, ens.samples[:, :, pos], ens.seed,
-                          ens.stream, None, derived=True)
+                          ens.stream)
 
 
 def lift_ensemble(ens: SampleEnsemble) -> GroupPath:
@@ -206,16 +200,9 @@ def lift_ensemble(ens: SampleEnsemble) -> GroupPath:
 def lift_endpoint(increments: np.ndarray):
     """Chen product of segment exponentials keeping only the final value;
     memory stays O(batch) instead of O(batch * grid)."""
-    increments = np.asarray(increments, dtype=float)
-    batch = increments.shape[:-2]
-    m, d = increments.shape[-2], increments.shape[-1]
-    z = zero_tensor(d, batch)
-    cur = exp_trunc(z).tensor
-    for j in range(m):
-        seg = exp_trunc(TruncatedTensor(
-            d, z.level0, increments[..., j, :], z.level2, z.level3))
-        cur = tensor_mul(cur, seg.tensor)
-    return cur
+    for cur in _chen_prefixes(increments):
+        pass
+    return cur.tensor
 
 
 def _interp_matrix(fine: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -246,11 +233,8 @@ def pl_covariance_gap_check(kernel: CovarianceKernel, D, fine_grid,
     gap = float(np.max(np.abs(K)))
     envelope = 0.0
     for a, b in zip(D[:-1], D[1:]):
-        cell = np.linspace(a, b, cell_intervals + 1)
-        var = rho_variation(
-            GridFunction2D(cell, cell, kernel.grid_eval(cell, cell)),
-            rho, mode="exact", cap=cell_intervals)
-        envelope = max(envelope, var.value)
+        envelope = max(envelope,
+                       square_variation(kernel, a, b, cell_intervals, rho))
     return {
         "kernel": kernel.name,
         "rho": rho,
@@ -364,10 +348,7 @@ def level_bounds_check(spec: ProcessSpec, rho: float | None = None,
         idx = int(round(t * (grid.size - 1)))
         incs = np.diff(np.swapaxes(ens.samples[:, :, : idx + 1], -1, -2), axis=-2)
         end = lift_endpoint(incs)
-        cell = np.linspace(0.0, t, cell_intervals + 1)
-        omega = rho_variation(
-            GridFunction2D(cell, cell, k0.grid_eval(cell, cell)),
-            rho, mode="exact", cap=cell_intervals).value ** rho
+        omega = square_variation(k0, 0.0, t, cell_intervals, rho) ** rho
         omegas.append(omega)
         sizes.append(t)
         for w, z in _word_moments(end, words).items():
@@ -447,7 +428,7 @@ def perturbation_continuity(spec: ProcessSpec, epsilons=(0.2, 0.1, 0.05),
     errs = []
     for eps in epsilons:
         pert = SampleEnsemble(spec, grid, ens_x.samples + eps * ens_w.samples,
-                              seed, ens_x.stream, None, derived=True)
+                              seed, ens_x.stream)
         dist = pvar_dist(lift_ensemble(pert), lift_x, p)
         est = mc_mean(np.asarray(dist) ** 2, seed)
         means.append(math.sqrt(est.value))
@@ -587,11 +568,8 @@ def young_wiener_check(f_eval, spec: ProcessSpec, q: float = 1.0,
         levels=1, f_eval=fft, g_eval=kernel.grid_eval)
 
     # certified on a coarse exact grid; grid-restricted variation
-    coarse = np.linspace(0.0, 1.0, 9)
-    rvar = rho_variation(
-        GridFunction2D(coarse, coarse, kernel.grid_eval(coarse, coarse)),
-        rho, mode="exact", cap=8).value
-    fvar = float(np.asarray(_pvar_scalar(fv, q)))
+    rvar = square_variation(kernel, 0.0, 1.0, 8, rho)
+    fvar = float(pvar_1d(fv, q))
     upper = young_constant(rho, q) * fvar ** 2 * rvar
     tol = 3.0 * est.stderr + band
     return {
@@ -614,19 +592,11 @@ def young_wiener_check(f_eval, spec: ProcessSpec, q: float = 1.0,
     }
 
 
-def _pvar_scalar(values: np.ndarray, q: float) -> float:
-    from .cameron_martin import pvar_1d
-
-    return float(pvar_1d(values, q))
-
-
 def weak_limit_fbm(h_ladder=(0.45, 0.48, 0.5), n: int = 10_000, seed: int = 0,
                    grid_level: int = 8, workers: int = 1) -> dict:
     """E|X^{1,2}_{0,1}|^2 along an H ladder increasing to 1/2, common
     normals across the ladder: the statistic approaches the Brownian value
     1/2 and the sup-norm kernel gap to min(s,t) shrinks."""
-    from .covariance import fbm_cov
-
     ladder = [float(H) for H in h_ladder]
     if any(b <= a for a, b in zip(ladder[:-1], ladder[1:])):
         raise ValueError("H ladder must increase")
@@ -681,10 +651,7 @@ def product_moment_surface_check(spec: ProcessSpec, n: int = 2_000,
     y = ens.samples[:, 1, :] - ens.samples[:, 1, :1]
     prod = x * y  # (n, m+1)
     k0 = spec.kernels[0]
-    cell = np.linspace(0.0, 1.0, 13)
-    omega = rho_variation(
-        GridFunction2D(cell, cell, k0.grid_eval(cell, cell)),
-        rho, mode="exact", cap=12).value ** rho
+    omega = square_variation(k0, 0.0, 1.0, 12, rho) ** rho
     rows = []
     for g in grid_intervals:
         step = m // g

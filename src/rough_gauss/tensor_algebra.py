@@ -212,6 +212,18 @@ def tensor_scale(c, a) -> TruncatedTensor:
     )
 
 
+def _powers(x1: np.ndarray, x2: np.ndarray):
+    """Truncated powers of x = x1 + x2 + x3 (no scalar part): x^2 has level
+    2 part sq2 and level 3 part sq3, x^3 has level 3 part cube3."""
+    sq2 = np.einsum("...i,...j->...ij", x1, x1)
+    sq3 = (
+        np.einsum("...i,...jk->...ijk", x1, x2)
+        + np.einsum("...ij,...k->...ijk", x2, x1)
+    )
+    cube3 = np.einsum("...i,...j,...k->...ijk", x1, x1, x1)
+    return sq2, sq3, cube3
+
+
 def group_inverse(g: GroupElement) -> GroupElement:
     """Inverse in the truncated algebra: for g = 1 + x the Neumann series
     1 - x + x^2 - x^3 terminates exactly at step 3."""
@@ -219,12 +231,7 @@ def group_inverse(g: GroupElement) -> GroupElement:
     if not np.all(t.level0 == 1.0):
         raise ValueError("inverse requires unit scalar part")
     x1, x2, x3 = t.level1, t.level2, t.level3
-    sq2 = np.einsum("...i,...j->...ij", x1, x1)
-    sq3 = (
-        np.einsum("...i,...jk->...ijk", x1, x2)
-        + np.einsum("...ij,...k->...ijk", x2, x1)
-    )
-    cube3 = np.einsum("...i,...j,...k->...ijk", x1, x1, x1)
+    sq2, sq3, cube3 = _powers(x1, x2)
     inv = TruncatedTensor(
         t.dim,
         np.ones(t.batch_shape),
@@ -241,18 +248,13 @@ def exp_trunc(x) -> GroupElement:
     if not np.all(t.level0 == 0.0):
         raise ValueError("exp requires zero scalar part")
     x1, x2, x3 = t.level1, t.level2, t.level3
-    s2_l2 = np.einsum("...i,...j->...ij", x1, x1)
-    s2_l3 = (
-        np.einsum("...i,...jk->...ijk", x1, x2)
-        + np.einsum("...ij,...k->...ijk", x2, x1)
-    )
-    s3_l3 = np.einsum("...i,...j,...k->...ijk", x1, x1, x1)
+    sq2, sq3, cube3 = _powers(x1, x2)
     out = TruncatedTensor(
         t.dim,
         np.ones(t.batch_shape),
         x1,
-        x2 + 0.5 * s2_l2,
-        x3 + 0.5 * s2_l3 + s3_l3 / 6.0,
+        x2 + 0.5 * sq2,
+        x3 + 0.5 * sq3 + cube3 / 6.0,
     )
     return GroupElement(out)
 
@@ -263,12 +265,7 @@ def log_trunc(g) -> TruncatedTensor:
     if not np.all(t.level0 == 1.0):
         raise ValueError("log requires unit scalar part")
     x1, x2, x3 = t.level1, t.level2, t.level3
-    sq2 = np.einsum("...i,...j->...ij", x1, x1)
-    sq3 = (
-        np.einsum("...i,...jk->...ijk", x1, x2)
-        + np.einsum("...ij,...k->...ijk", x2, x1)
-    )
-    cube3 = np.einsum("...i,...j,...k->...ijk", x1, x1, x1)
+    sq2, sq3, cube3 = _powers(x1, x2)
     return TruncatedTensor(
         t.dim,
         np.zeros(t.batch_shape),

@@ -12,6 +12,7 @@ comparison factor to the full two-axis sup.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -144,26 +145,28 @@ def _col_pair_weights(R: np.ndarray, rho: float) -> np.ndarray:
     return D.sum(axis=0)
 
 
-def _dp_last(B: np.ndarray) -> float:
-    """Longest-path value from first to last index with edge weights B."""
-    n = B.shape[0]
-    best = np.zeros(n)
+def _longest_path(W: np.ndarray) -> np.ndarray:
+    """best[..., j]: heaviest path from index 0 to j with edge weights
+    W[..., i, j] for i < j; leading axes are batch.
+
+    This is the sup over sub-dissections of an objective that is additive
+    over consecutive intervals, so best[j] = max_{i<j} best[i] + W[i, j]
+    is exact.
+    """
+    n = W.shape[-1]
+    best = np.zeros(W.shape[:-1])
     for j in range(1, n):
-        best[j] = np.max(best[:j] + B[:j, j])
-    return float(best[-1])
+        best[..., j] = (best[..., :j] + W[..., :j, j]).max(axis=-1)
+    return best
 
 
 def _dp_best_columns(B: np.ndarray) -> list:
-    n = B.shape[0]
-    best = np.zeros(n)
-    prev = np.zeros(n, dtype=int)
-    for j in range(1, n):
-        cand = best[:j] + B[:j, j]
-        prev[j] = int(np.argmax(cand))
-        best[j] = cand[prev[j]]
-    cols = [n - 1]
+    """Indices of a heaviest path from first to last index of B."""
+    best = _longest_path(B)
+    cols = [B.shape[0] - 1]
     while cols[-1] != 0:
-        cols.append(int(prev[cols[-1]]))
+        j = cols[-1]
+        cols.append(int(np.argmax(best[:j] + B[:j, j])))
     return cols[::-1]
 
 
@@ -173,7 +176,7 @@ def _row_diffs(V: np.ndarray, rows) -> np.ndarray:
 
 
 def _score_given_rows(V: np.ndarray, rows, rho: float) -> float:
-    return _dp_last(_col_pair_weights(_row_diffs(V, rows), rho))
+    return float(_longest_path(_col_pair_weights(_row_diffs(V, rows), rho))[-1])
 
 
 def _exact_sum(V: np.ndarray, rho: float, cap: int) -> float:
@@ -460,8 +463,6 @@ def write_grid_csv(f: GridFunction2D, file) -> None:
 
 
 def read_grid_csv(file) -> GridFunction2D:
-    import io as _io
-
     if hasattr(file, "read"):
         text = file.read()
     else:
@@ -469,5 +470,5 @@ def read_grid_csv(file) -> GridFunction2D:
             text = fh.read()
     lines = text.strip().splitlines()
     t_grid = np.array([float(x) for x in lines[0].split(",")[1:]])
-    body = np.loadtxt(_io.StringIO("\n".join(lines[1:])), delimiter=",", ndmin=2)
+    body = np.loadtxt(io.StringIO("\n".join(lines[1:])), delimiter=",", ndmin=2)
     return GridFunction2D(body[:, 0], t_grid, body[:, 1:])

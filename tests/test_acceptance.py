@@ -354,7 +354,8 @@ def test_14_reports_byte_identical_across_workers(tmp_path, capsys):
         for workers in ("1", "4"):
             out = tmp_path / f"{experiment}_w{workers}"
             rc = cli_main(["run", experiment, "--kernel", "bm", "--seed",
-                           "42", "--workers", workers, "--out-dir", str(out)])
+                           "42", "--workers", workers, "--out-dir", str(out),
+                           *extra])
             assert rc == 0
             blobs.append(
                 ((out / f"{experiment}_report.json").read_bytes(),

@@ -1,4 +1,5 @@
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from rough_gauss.variation_2d import (
     Control2D,
     GridFunction2D,
+    _dp_best_columns,
+    _longest_path,
     bilinear_eval,
     control_from_variation,
     read_grid_csv,
@@ -72,6 +75,34 @@ class TestRectIncrement:
     def test_off_grid_rejected(self):
         with pytest.raises(ValueError):
             rect_increment(min_cov(5), 0.0, 0.3, 0.0, 1.0)
+
+
+class TestLongestPath:
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_best_columns_is_heaviest_dissection(self, n):
+        rng = np.random.default_rng(n)
+        B = np.triu(rng.random((n, n)), k=1)
+        cols = _dp_best_columns(B)
+        assert cols[0] == 0 and cols[-1] == n - 1
+        assert all(a < b for a, b in zip(cols[:-1], cols[1:]))
+        total = 0.0
+        for a, b in zip(cols[:-1], cols[1:]):
+            total += B[a, b]
+        assert total == _longest_path(B)[-1]
+        best = 0.0
+        for inner in itertools.product([False, True], repeat=n - 2):
+            pts = [0] + [i + 1 for i in range(n - 2) if inner[i]] + [n - 1]
+            best = max(best, sum(B[a, b] for a, b in zip(pts[:-1], pts[1:])))
+        assert total == pytest.approx(best, rel=1e-12)
+
+    def test_batched_matches_per_element(self):
+        rng = np.random.default_rng(3)
+        W = rng.random((3, 4, 7, 7))
+        got = _longest_path(W)
+        assert got.shape == (3, 4, 7)
+        for i in range(3):
+            for j in range(4):
+                np.testing.assert_array_equal(got[i, j], _longest_path(W[i, j]))
 
 
 class TestRhoVariation:
