@@ -6,6 +6,10 @@ Wall-clock time lives only in the sidecar, so report and table bytes depend
 on nothing but the resolved config: same config and seed means identical
 files, at any worker count.
 
+Each experiment reads the config fields listed for it in ``FIELDS``.  Unset
+fields take the defaults of the library function they are forwarded to, and
+a config that sets a field its experiment does not read is rejected.
+
 Exit codes: 0 when every check passes, 2 when a check fails, 1 on config or
 runtime errors (in which case no artifacts are written).
 """
@@ -20,6 +24,7 @@ import math
 import os
 import sys
 import time
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -54,15 +59,21 @@ from .tensor_algebra import (
     homogeneous_norm,
     shuffle_residual,
 )
-from .variation_2d import GridFunction2D, rho_variation, young_integral_2d
+from .variation_2d import (EXACT_INTERVAL_CAP, GridFunction2D, rho_variation,
+                           young_integral_2d)
 
 OUT_DIR_ENV = "ROUGH_GAUSS_OUT"
+
+# fields every experiment accepts
+COMMON = ("experiment", "seed", "workers", "out_prefix")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved experiment parameters.  Unknown JSON fields are rejected and
-    the full resolved mapping is echoed into every report."""
+    """Resolved experiment parameters.  Numbers are coerced to their field's
+    type here and nowhere else; unknown fields, and fields the experiment
+    does not read, are rejected.  The full resolved mapping is echoed into
+    every report."""
 
     experiment: str
     kernel: str = "bm"
@@ -79,10 +90,10 @@ class ExperimentConfig:
     alpha: float | None = None
     H: float | None = None
     band: float | None = None
-    levels: tuple | None = None
-    epsilons: tuple | None = None
-    h_ladder: tuple | None = None
-    interval: tuple | None = None
+    levels: int | tuple[int, ...] | None = None
+    epsilons: tuple[float, ...] | None = None
+    h_ladder: tuple[float, ...] | None = None
+    interval: tuple[float, ...] | None = None
     elements: int | None = None
     nodes: int | None = None
     grid_intervals: int | None = None
@@ -96,46 +107,113 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise ValueError(
                 f"unknown experiment {self.experiment!r}; know {sorted(EXPERIMENTS)}")
-        for name in ("levels", "epsilons", "h_ladder", "interval"):
-            v = getattr(self, name)
-            if v is not None and not isinstance(v, (int, float)):
-                object.__setattr__(self, name, tuple(v))
-        if self.seed is None:
-            raise ValueError("an explicit seed is required")
+        for name, hint in typing.get_type_hints(type(self)).items():
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, _coerce(name, hint, value))
+        if self.seed is None or not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        extra = set(data) - known
+        extra = set(data) - {f.name for f in dataclasses.fields(cls)}
         if extra:
             raise ValueError(f"unknown config fields: {sorted(extra)}")
         if "experiment" not in data:
             raise ValueError("config needs an 'experiment' field")
-        return cls(**data)
+        cfg = cls(**data)
+        unread = set(data) - set(COMMON) - set(FIELDS[cfg.experiment])
+        if unread:
+            raise ValueError(f"{cfg.experiment} does not read config fields "
+                             f"{sorted(unread)}; it reads {sorted(FIELDS[cfg.experiment])}")
+        return cfg
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
+
+
+def _number(name: str, kind: type, value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"config field {name!r} needs a number, got {value!r}")
+    if kind is int:
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"config field {name!r} needs an integer, got {value!r}")
+        return int(value)
+    # false for nan, and exact for integers too large for a float
+    if not abs(value) <= sys.float_info.max:
+        raise ValueError(f"config field {name!r} needs a finite number, got {value!r}")
+    return float(value)
+
+
+def _coerce(name: str, hint, value):
+    """``value`` as the number, or tuple of numbers, that the field's
+    annotation ``hint`` declares; strings are checked by their readers."""
+    kinds = typing.get_args(hint) or (hint,)
+    items = [typing.get_args(k)[0] for k in kinds if typing.get_origin(k) is tuple]
+    if str in kinds:
+        return value
+    if items and isinstance(value, (list, tuple)):
+        if not value:
+            raise ValueError(f"config field {name!r} needs at least one value")
+        return tuple(_number(name, items[0], v) for v in value)
+    if int not in kinds and float not in kinds:
+        raise ValueError(f"config field {name!r} needs a list, got {value!r}")
+    return _number(name, int if int in kinds else float, value)
 
 
 def _default(value, fallback):
     return fallback if value is None else value
 
 
+def _kwargs(cfg: ExperimentConfig, **fallback) -> dict:
+    """The library keywords of the set fields ``cfg``'s experiment forwards,
+    over ``fallback``; unset fields keep the library defaults."""
+    given = {kw: getattr(cfg, name)
+             for name, kw in FIELDS[cfg.experiment].items()
+             if kw is not None and getattr(cfg, name) is not None}
+    return {**fallback, **given}
+
+
 def _spec(cfg: ExperimentConfig, default_dim: int = 2) -> ProcessSpec:
     k = kernel_from_config(cfg.kernel)
     if cfg.kernel2 is not None:
         return ProcessSpec((k, kernel_from_config(cfg.kernel2)))
-    return ProcessSpec((k,) * int(_default(cfg.dim, default_dim)))
+    return ProcessSpec((k,) * _default(cfg.dim, default_dim))
 
 
-def _default_p(kernel) -> float:
+def _default_p(spec: ProcessSpec) -> float:
     # above 2 for BM, above 1/H for the rougher kernels used here
-    return 2.5 if kernel.rho == 1.0 else 2.8
+    return 2.5 if spec.kernels[0].rho == 1.0 else 2.8
+
+
+def _sample(cfg: ExperimentConfig, grid_level: int, n: int):
+    grid = np.linspace(0.0, 1.0, 2 ** _default(cfg.grid_level, grid_level) + 1)
+    return sample(_spec(cfg), grid, _default(cfg.samples, n), cfg.seed,
+                  workers=cfg.workers)
 
 
 # ---------------------------------------------------------------------------
-# Experiment runners.  Each returns checks, a results payload, CSV rows and a
-# scalar summary used by generic parameter sweeps.
+# Experiment runners.  Each returns checks, a results payload, CSV columns and
+# rows, and a scalar summary used by generic parameter sweeps.
+
+
+def _outcome(checks, results, columns, rows, **primary) -> dict:
+    return {"checks": checks, "results": results, "columns": columns,
+            "rows": rows, "primary": primary}
+
+
+def _zip(columns: dict):
+    """CSV columns and rows from parallel per-row value lists."""
+    return list(columns), [dict(zip(columns, values))
+                           for values in zip(*columns.values(), strict=True)]
+
+
+def _check(name: str, rep: dict, ok: str, *details: str) -> dict:
+    return {"name": name, "ok": rep[ok], **{k: rep[k] for k in details}}
+
+
+def _ok(outcome: dict) -> bool:
+    return all(c["ok"] for c in outcome["checks"])
 
 
 def _run_lift(cfg: ExperimentConfig) -> dict:
@@ -146,70 +224,54 @@ def _run_lift(cfg: ExperimentConfig) -> dict:
     gp = lift_s3(path)
     residual = float(np.max(shuffle_residual(gp.values)))
     end = GroupElement(_take(gp.values.tensor, -1))
-    coords = hall_log_signature(end).coords
+    coords = np.asarray(hall_log_signature(end).coords)
     labels = hall_basis_labels(path.dim)
-    rows = [
-        {"coordinate": lab, "value": float(c)}
-        for lab, c in zip(labels, np.asarray(coords))
-    ]
     norm = float(homogeneous_norm(end))
-    return {
-        "checks": [{"name": "group_like", "ok": residual <= 1e-8,
-                    "residual": residual}],
-        "results": {
-            "n_times": path.n_times,
-            "dim": path.dim,
-            "endpoint_norm": norm,
-            "shuffle_residual": residual,
-            "signature_level1": np.asarray(end.tensor.level1).tolist(),
-            "signature_level2": np.asarray(end.tensor.level2).tolist(),
-            "signature_level3": np.asarray(end.tensor.level3).tolist(),
-            "hall_log_signature": dict(zip(labels, np.asarray(coords).tolist())),
-        },
-        "columns": ["coordinate", "value"],
-        "rows": rows,
-        "primary": {"estimate": norm},
+    results = {
+        "n_times": path.n_times,
+        "dim": path.dim,
+        "endpoint_norm": norm,
+        "shuffle_residual": residual,
+        **{f"signature_level{i}": np.asarray(level).tolist() for i, level
+           in enumerate((end.tensor.level1, end.tensor.level2,
+                         end.tensor.level3), start=1)},
+        "hall_log_signature": dict(zip(labels, coords.tolist())),
     }
+    return _outcome(
+        [{"name": "group_like", "ok": residual <= 1e-8, "residual": residual}],
+        results, *_zip({"coordinate": labels, "value": coords.tolist()}),
+        estimate=norm)
 
 
 def _run_variation(cfg: ExperimentConfig) -> dict:
     k = kernel_from_config(cfg.kernel)
-    intervals = int(_default(cfg.grid_intervals, 8))
-    rho = float(_default(cfg.rho, k.rho))
+    intervals = _default(cfg.grid_intervals, 8)
+    rho = _default(cfg.rho, k.rho)
     grid = np.linspace(0.0, 1.0, intervals + 1)
     f = GridFunction2D(grid, grid, k.eval(grid[:, None], grid[None, :]))
-    search = rho_variation(f, rho, mode="local-search", seed=cfg.seed)
-    rows = [{"mode": "local-search", "value": float(search.value),
-             "exact": False}]
+    search = float(rho_variation(f, rho, mode="local-search", seed=cfg.seed).value)
+    rows = [{"mode": "local-search", "value": search, "exact": False}]
     checks = []
     results = {"rho": rho, "grid_intervals": intervals,
-               "local_search_value": float(search.value)}
-    estimate = float(search.value)
-    if intervals <= 12 and cfg.mode != "local-search":
-        exact = rho_variation(f, rho, mode="exact")
-        rows.insert(0, {"mode": "exact", "value": float(exact.value),
-                        "exact": True})
-        checks.append({
-            "name": "search_below_exact",
-            "ok": bool(search.value <= exact.value * (1.0 + 1e-9)),
-            "exact": float(exact.value),
-            "local_search": float(search.value),
-        })
-        results["exact_value"] = float(exact.value)
-        estimate = float(exact.value)
-    return {"checks": checks, "results": results,
-            "columns": ["mode", "value", "exact"], "rows": rows,
-            "primary": {"estimate": estimate}}
+               "local_search_value": search}
+    if intervals <= EXACT_INTERVAL_CAP and cfg.mode != "local-search":
+        exact = float(rho_variation(f, rho, mode="exact").value)
+        rows.insert(0, {"mode": "exact", "value": exact, "exact": True})
+        checks.append({"name": "search_below_exact",
+                       "ok": bool(search <= exact * (1.0 + 1e-9)),
+                       "exact": exact, "local_search": search})
+        results["exact_value"] = exact
+    return _outcome(checks, results, ["mode", "value", "exact"], rows,
+                    estimate=results.get("exact_value", search))
 
 
 def _run_young2d(cfg: ExperimentConfig) -> dict:
     k1 = kernel_from_config(cfg.kernel)
     k2 = kernel_from_config(_default(cfg.kernel2, cfg.kernel))
-    intervals = int(_default(cfg.grid_intervals, 8))
-    levels = cfg.levels
-    if levels is not None and not isinstance(levels, (int, float)):
+    intervals = _default(cfg.grid_intervals, 8)
+    levels = _default(cfg.levels, 4)
+    if not isinstance(levels, int):
         raise ValueError("young2d expects an integer 'levels'")
-    levels = int(_default(levels, 4))
     grid = np.linspace(0.0, 1.0, intervals + 1)
     f = GridFunction2D(grid, grid, k1.eval(grid[:, None], grid[None, :]))
     g = GridFunction2D(grid, grid, k2.eval(grid[:, None], grid[None, :]))
@@ -218,156 +280,78 @@ def _run_young2d(cfg: ExperimentConfig) -> dict:
         f_eval=lambda S, T: k1.eval(S[:, None], T[None, :]),
         g_eval=lambda S, T: k2.eval(S[:, None], T[None, :]),
     )
-    rows = [
-        {"level": i, "value": float(v),
-         "diff": float(res.diffs[i - 1]) if i else None}
-        for i, v in enumerate(res.level_values)
-    ]
-    return {
-        "checks": [{"name": "refinement_converged", "ok": bool(res.converged)}],
-        "results": {"value": float(res.value), "levels": levels,
-                    "level_values": [float(v) for v in res.level_values],
-                    "converged": bool(res.converged)},
-        "columns": ["level", "value", "diff"],
-        "rows": rows,
-        "primary": {"estimate": float(res.value)},
-    }
+    values = [float(v) for v in res.level_values]
+    rows = [{"level": i, "value": v,
+             "diff": float(res.diffs[i - 1]) if i else None}
+            for i, v in enumerate(values)]
+    return _outcome(
+        [{"name": "refinement_converged", "ok": bool(res.converged)}],
+        {"value": float(res.value), "levels": levels, "level_values": values,
+         "converged": bool(res.converged)},
+        ["level", "value", "diff"], rows, estimate=float(res.value))
 
 
 def _run_level2_variance(cfg: ExperimentConfig) -> dict:
-    spec = _spec(cfg, default_dim=2)
-    rep = level2_variance_check(
-        spec,
-        interval=tuple(_default(cfg.interval, (0.0, 1.0))),
-        n=int(_default(cfg.samples, 10_000)),
-        seed=cfg.seed,
-        grid_level=int(_default(cfg.grid_level, 8)),
-        workers=cfg.workers,
-        band=float(_default(cfg.band, 0.01)),
-    )
+    rep = level2_variance_check(_spec(cfg), seed=cfg.seed,
+                                workers=cfg.workers, **_kwargs(cfg))
     mc = rep["mc"]
-    rows = [{"mc_value": mc["value"], "mc_stderr": mc["stderr"],
-             "young_value": rep["young_value"], "gap": rep["gap"],
-             "tolerance": rep["tolerance"], "ok": rep["ok"]}]
-    return {
-        "checks": [{"name": "mc_matches_young", "ok": rep["ok"],
-                    "gap": rep["gap"], "tolerance": rep["tolerance"]}],
-        "results": rep,
-        "columns": list(rows[0]),
-        "rows": rows,
-        "primary": {"estimate": mc["value"], "stderr": mc["stderr"],
-                    "band": rep["tolerance"]},
-    }
+    row = {"mc_value": mc["value"], "mc_stderr": mc["stderr"],
+           **{k: rep[k] for k in ("young_value", "gap", "tolerance", "ok")}}
+    return _outcome([_check("mc_matches_young", rep, "ok", "gap", "tolerance")],
+                    rep, list(row), [row], estimate=mc["value"],
+                    stderr=mc["stderr"], band=rep["tolerance"])
 
 
 def _run_level_bounds(cfg: ExperimentConfig) -> dict:
-    spec = _spec(cfg, default_dim=3)
-    rep = level_bounds_check(
-        spec,
-        rho=cfg.rho,
-        n=int(_default(cfg.samples, 2000)),
-        seed=cfg.seed,
-        grid_level=int(_default(cfg.grid_level, 6)),
-        workers=cfg.workers,
-    )
-    checks = []
-    rows = []
-    for word, info in rep["words"].items():
-        finite = bool(np.all(np.isfinite(info["envelope_constants"])))
-        shrinking = bool(info["log2_slope"] > 0.0)
-        checks.append({"name": f"word_{word}_bounded",
-                       "ok": finite and shrinking,
-                       "smallest_C": info["smallest_C"],
-                       "log2_slope": info["log2_slope"]})
-        rows.append({"word": word, "level": info["level"],
-                     "smallest_C": info["smallest_C"],
-                     "log2_slope": info["log2_slope"],
-                     "ok": finite and shrinking})
-    worst = max(info["smallest_C"] for info in rep["words"].values())
-    return {"checks": checks, "results": rep,
-            "columns": ["word", "level", "smallest_C", "log2_slope", "ok"],
-            "rows": rows, "primary": {"estimate": worst}}
+    rep = level_bounds_check(_spec(cfg, default_dim=3), seed=cfg.seed,
+                             workers=cfg.workers, **_kwargs(cfg))
+    rows = [{"word": word, "level": info["level"],
+             "smallest_C": info["smallest_C"], "log2_slope": info["log2_slope"],
+             "ok": bool(np.all(np.isfinite(info["envelope_constants"]))
+                        and info["log2_slope"] > 0.0)}
+            for word, info in rep["words"].items()]
+    checks = [_check(f"word_{row['word']}_bounded", row, "ok", "smallest_C",
+                     "log2_slope") for row in rows]
+    return _outcome(checks, rep, list(rows[0]), rows,
+                    estimate=max(row["smallest_C"] for row in rows))
 
 
 def _run_dyadic(cfg: ExperimentConfig) -> dict:
-    spec = _spec(cfg, default_dim=2)
-    rep = dyadic_convergence(
-        spec,
-        p=float(_default(cfg.p, _default_p(spec.kernels[0]))),
-        levels=tuple(_default(cfg.levels, (3, 4, 5, 6, 7))),
-        n=int(_default(cfg.samples, 200)),
-        seed=cfg.seed,
-        workers=cfg.workers,
-    )
-    rows = [
-        {"level": lev, "l2_mean": m, "stderr": e}
-        for lev, m, e in zip(rep["levels"], rep["l2_means"], rep["l2_stderrs"])
-    ]
-    return {
-        "checks": [{"name": "negative_log2_slope", "ok": rep["ok"],
-                    "log2_slope": rep["log2_slope"]}],
-        "results": rep,
-        "columns": ["level", "l2_mean", "stderr"],
-        "rows": rows,
-        "primary": {"estimate": rep["log2_slope"]},
-    }
+    spec = _spec(cfg)
+    rep = dyadic_convergence(spec, seed=cfg.seed, workers=cfg.workers,
+                             **_kwargs(cfg, p=_default_p(spec)))
+    return _outcome(
+        [_check("negative_log2_slope", rep, "ok", "log2_slope")], rep,
+        *_zip({"level": rep["levels"], "l2_mean": rep["l2_means"],
+               "stderr": rep["l2_stderrs"]}),
+        estimate=rep["log2_slope"])
 
 
 def _run_perturbation(cfg: ExperimentConfig) -> dict:
-    spec = _spec(cfg, default_dim=2)
-    rep = perturbation_continuity(
-        spec,
-        epsilons=tuple(_default(cfg.epsilons, (0.2, 0.1, 0.05))),
-        p=float(_default(cfg.p, _default_p(spec.kernels[0]))),
-        n=int(_default(cfg.samples, 400)),
-        seed=cfg.seed,
-        grid_level=int(_default(cfg.grid_level, 6)),
-        workers=cfg.workers,
-    )
-    rows = [
-        {"epsilon": e, "l2_mean": m, "stderr": s, "cov_gap": g}
-        for e, m, s, g in zip(rep["epsilons"], rep["l2_means"],
-                              rep["l2_stderrs"], rep["cov_gaps"])
-    ]
-    return {
-        "checks": [
-            {"name": "strictly_decreasing", "ok": rep["strictly_decreasing"]},
-            {"name": "positive_rate", "ok": bool(rep["theta_hat"] > 0.0),
-             "theta_hat": rep["theta_hat"]},
-        ],
-        "results": rep,
-        "columns": ["epsilon", "l2_mean", "stderr", "cov_gap"],
-        "rows": rows,
-        "primary": {"estimate": rep["theta_hat"]},
-    }
+    spec = _spec(cfg)
+    rep = perturbation_continuity(spec, seed=cfg.seed, workers=cfg.workers,
+                                  **_kwargs(cfg, p=_default_p(spec)))
+    return _outcome(
+        [_check("strictly_decreasing", rep, "strictly_decreasing"),
+         {"name": "positive_rate", "ok": bool(rep["theta_hat"] > 0.0),
+          "theta_hat": rep["theta_hat"]}],
+        rep,
+        *_zip({"epsilon": rep["epsilons"], "l2_mean": rep["l2_means"],
+               "stderr": rep["l2_stderrs"], "cov_gap": rep["cov_gaps"]}),
+        estimate=rep["theta_hat"])
 
 
 def _run_fernique(cfg: ExperimentConfig) -> dict:
-    spec = _spec(cfg, default_dim=2)
-    rep = fernique_tail(
-        spec,
-        p=float(_default(cfg.p, _default_p(spec.kernels[0]))),
-        n=int(_default(cfg.samples, 10_000)),
-        seed=cfg.seed,
-        grid_level=int(_default(cfg.grid_level, 5)),
-        workers=cfg.workers,
-    )
-    rows = [
-        {"tail_prob": p, "lambda": lam, "log_prob": lp}
-        for p, lam, lp in zip(rep["tail_probs"], rep["tail_lambdas"],
-                              rep["tail_log_probs"])
-    ]
-    return {
-        "checks": [
-            {"name": "gaussian_tail_slope", "ok": rep["tail_ok"],
-             "tail_slope": rep["tail_slope"], "eta_hat": rep["eta_hat"]},
-            {"name": "chaos_ratios", "ok": rep["chaos_ok"]},
-        ],
-        "results": rep,
-        "columns": ["tail_prob", "lambda", "log_prob"],
-        "rows": rows,
-        "primary": {"estimate": rep["eta_hat"]},
-    }
+    spec = _spec(cfg)
+    rep = fernique_tail(spec, seed=cfg.seed, workers=cfg.workers,
+                        **_kwargs(cfg, p=_default_p(spec)))
+    return _outcome(
+        [_check("gaussian_tail_slope", rep, "tail_ok", "tail_slope", "eta_hat"),
+         _check("chaos_ratios", rep, "chaos_ok")],
+        rep,
+        *_zip({"tail_prob": rep["tail_probs"], "lambda": rep["tail_lambdas"],
+               "log_prob": rep["tail_log_probs"]}),
+        estimate=rep["eta_hat"])
 
 
 _INTEGRANDS = {
@@ -380,192 +364,118 @@ def _run_young_wiener(cfg: ExperimentConfig) -> dict:
     name = _default(cfg.integrand, "linear")
     if name not in _INTEGRANDS:
         raise ValueError(f"unknown integrand {name!r}; know {sorted(_INTEGRANDS)}")
-    spec = _spec(cfg, default_dim=1)
-    rep = young_wiener_check(
-        _INTEGRANDS[name],
-        spec,
-        q=float(_default(cfg.q, 1.0)),
-        n=int(_default(cfg.samples, 10_000)),
-        seed=cfg.seed,
-        grid_level=int(_default(cfg.grid_level, 10)),
-        band=float(_default(cfg.band, 1e-3)),
-        workers=cfg.workers,
-    )
-    rows = [{"integrand": name, "mc_value": rep["mc"]["value"],
-             "mc_stderr": rep["mc"]["stderr"], "young_value": rep["young_value"],
-             "gap": rep["gap"], "tolerance": rep["tolerance"],
-             "upper_bound": rep["upper_bound"], "ok": rep["ok"]}]
-    return {
-        "checks": [
-            {"name": "isometry_band", "ok": rep["ok"], "gap": rep["gap"],
-             "tolerance": rep["tolerance"]},
-            {"name": "variation_upper_bound", "ok": rep["upper_ok"],
-             "upper_bound": rep["upper_bound"]},
-        ],
-        "results": {"integrand": name, **rep},
-        "columns": list(rows[0]),
-        "rows": rows,
-        "primary": {"estimate": rep["mc"]["value"],
-                    "stderr": rep["mc"]["stderr"], "band": rep["tolerance"]},
-    }
+    rep = young_wiener_check(_INTEGRANDS[name], _spec(cfg, default_dim=1),
+                             seed=cfg.seed, workers=cfg.workers,
+                             **_kwargs(cfg))
+    mc = rep["mc"]
+    row = {"integrand": name, "mc_value": mc["value"],
+           "mc_stderr": mc["stderr"],
+           **{k: rep[k] for k in ("young_value", "gap", "tolerance",
+                                  "upper_bound", "ok")}}
+    return _outcome(
+        [_check("isometry_band", rep, "ok", "gap", "tolerance"),
+         _check("variation_upper_bound", rep, "upper_ok", "upper_bound")],
+        {"integrand": name, **rep}, list(row), [row], estimate=mc["value"],
+        stderr=mc["stderr"], band=rep["tolerance"])
 
 
 def _run_weak_limit(cfg: ExperimentConfig) -> dict:
-    rep = weak_limit_fbm(
-        h_ladder=tuple(_default(cfg.h_ladder, (0.45, 0.48, 0.5))),
-        n=int(_default(cfg.samples, 10_000)),
-        seed=cfg.seed,
-        grid_level=int(_default(cfg.grid_level, 8)),
-        workers=cfg.workers,
-    )
-    rows = [
-        {"H": h, "estimate": st["value"], "stderr": st["stderr"],
-         "gap_to_half": g, "kernel_sup_gap": kg}
-        for h, st, g, kg in zip(rep["h_ladder"], rep["statistics"],
-                                rep["gaps_to_half"], rep["kernel_sup_gaps"])
-    ]
-    return {
-        "checks": [
-            {"name": "gaps_decreasing", "ok": rep["gaps_decreasing"]},
-            {"name": "kernel_gaps_decreasing",
-             "ok": rep["kernel_gaps_decreasing"]},
-        ],
-        "results": rep,
-        "columns": ["H", "estimate", "stderr", "gap_to_half", "kernel_sup_gap"],
-        "rows": rows,
-        "primary": {"estimate": rep["gaps_to_half"][-1],
-                    "stderr": rep["statistics"][-1]["stderr"]},
-    }
+    rep = weak_limit_fbm(seed=cfg.seed, workers=cfg.workers, **_kwargs(cfg))
+    stats = rep["statistics"]
+    return _outcome(
+        [_check("gaps_decreasing", rep, "gaps_decreasing"),
+         _check("kernel_gaps_decreasing", rep, "kernel_gaps_decreasing")],
+        rep,
+        *_zip({"H": rep["h_ladder"], "estimate": [s["value"] for s in stats],
+               "stderr": [s["stderr"] for s in stats],
+               "gap_to_half": rep["gaps_to_half"],
+               "kernel_sup_gap": rep["kernel_sup_gaps"]}),
+        estimate=rep["gaps_to_half"][-1], stderr=stats[-1]["stderr"])
 
 
 def _run_cm_embedding(cfg: ExperimentConfig) -> dict:
     k = kernel_from_config(cfg.kernel)
-    n_elements = int(_default(cfg.elements, 100))
-    n_nodes = int(_default(cfg.nodes, 4))
-    intervals = int(_default(cfg.grid_intervals, 16))
+    n_elements = _default(cfg.elements, 100)
+    n_nodes = _default(cfg.nodes, 4)
+    intervals = _default(cfg.grid_intervals, 16)
     rng = np.random.default_rng(cfg.seed)
     rows = []
-    violations = 0
-    min_slack = math.inf
     for i in range(n_elements):
         nodes = np.sort(rng.uniform(0.0, 1.0, n_nodes))
         weights = rng.standard_normal(n_nodes)
-        res = embedding_check(
-            CMElement(k, nodes, weights), rho=cfg.rho,
-            grid_intervals=intervals,
-        )
-        violations += not res.ok
-        min_slack = min(min_slack, res.slack)
+        res = embedding_check(CMElement(k, nodes, weights),
+                              grid_intervals=intervals, **_kwargs(cfg))
         rows.append({"element": i, "lhs": res.lhs, "rhs": res.rhs,
                      "slack": res.slack, "mode": res.mode, "ok": res.ok})
+    violations = sum(not row["ok"] for row in rows)
+    min_slack = min((row["slack"] for row in rows), default=math.inf)
     checks = [{"name": "variation_embedding", "ok": violations == 0,
                "violations": violations, "min_slack": min_slack}]
-    results = {"kernel": kernel_to_config(k), "elements": n_elements,
+    kcfg = kernel_to_config(k)
+    results = {"kernel": kcfg, "elements": n_elements,
                "nodes": n_nodes, "grid_intervals": intervals,
                "violations": violations, "min_slack": min_slack}
-    kcfg = kernel_to_config(k)
-    if kcfg.get("kernel") == "fbm" and kcfg.get("H", 1.0) <= 0.5:
+    if kcfg["kernel"] == "fbm" and kcfg["H"] <= 0.5:
         resp = fbm_increment_response_check(kcfg["H"])
         checks.append({"name": "increment_response_exact",
                        "ok": bool(resp["max_ratio"] <= 1.0 + 1e-9),
                        "max_ratio": resp["max_ratio"]})
         results["increment_response"] = resp
-    return {"checks": checks, "results": results,
-            "columns": ["element", "lhs", "rhs", "slack", "mode", "ok"],
-            "rows": rows, "primary": {"estimate": min_slack}}
+    return _outcome(checks, results,
+                    ["element", "lhs", "rhs", "slack", "mode", "ok"], rows,
+                    estimate=min_slack)
 
 
 def _run_grr(cfg: ExperimentConfig) -> dict:
-    spec = _spec(cfg, default_dim=2)
-    grid = np.linspace(0.0, 1.0, 2 ** int(_default(cfg.grid_level, 6)) + 1)
-    n = int(_default(cfg.samples, 200))
-    gp = lift_ensemble(sample(spec, grid, n, cfg.seed, workers=cfg.workers))
-    rep = grr_holder_check(
-        gp,
-        r=float(_default(cfg.r, 2.6)),
-        alpha=float(_default(cfg.alpha, 0.3)),
-        q=cfg.q,
-    )
-    rows = [{"n_checked": rep["n_checked"], "violations": rep["violations"],
-             "worst_ratio": rep["worst_ratio"], "min_slack": rep["slack"],
-             "ok": rep["ok"]}]
-    results = dict(rep)
-    results["stats"] = dataclasses.asdict(rep["stats"])
-    return {
-        "checks": [{"name": "holder_bound", "ok": rep["ok"],
-                    "violations": rep["violations"],
-                    "worst_ratio": rep["worst_ratio"]}],
-        "results": results,
-        "columns": list(rows[0]),
-        "rows": rows,
-        "primary": {"estimate": rep["worst_ratio"]},
-    }
+    gp = lift_ensemble(_sample(cfg, grid_level=6, n=200))
+    rep = grr_holder_check(gp, **_kwargs(cfg, r=2.6, alpha=0.3))
+    row = {"n_checked": rep["n_checked"], "violations": rep["violations"],
+           "worst_ratio": rep["worst_ratio"], "min_slack": rep["slack"],
+           "ok": rep["ok"]}
+    return _outcome(
+        [_check("holder_bound", rep, "ok", "violations", "worst_ratio")],
+        rep, list(row), [row], estimate=rep["worst_ratio"])
 
 
 def _run_chaos_ratio(cfg: ExperimentConfig) -> dict:
-    spec = _spec(cfg, default_dim=2)
-    grid = np.linspace(0.0, 1.0, 2 ** int(_default(cfg.grid_level, 5)) + 1)
-    n = int(_default(cfg.samples, 10_000))
-    ens = sample(spec, grid, n, cfg.seed, workers=cfg.workers)
+    ens = _sample(cfg, grid_level=5, n=10_000)
     end = lift_endpoint(np.diff(ens.samples.swapaxes(-1, -2), axis=-2))
-    coords = np.asarray(hall_log_signature(GroupElement(end)).coords)
-    labels = hall_basis_labels(spec.dim)
-    d = spec.dim
-    sizes = [d, (d * (d - 1)) // 2, (d ** 3 - d) // 3]
+    lie = hall_log_signature(GroupElement(end))
+    labels = iter(hall_basis_labels(lie.dim))
     rows = []
-    worst = 0.0
-    all_ok = True
-    idx = 0
-    for level, size in enumerate(sizes, start=1):
-        for _ in range(size):
-            rep = chaos_ratio_check(coords[:, idx], level)
-            for row in rep["rows"]:
-                ratio_over = row["ratio"] / row["bound"]
-                worst = max(worst, ratio_over)
-                all_ok = all_ok and row["ok"]
-                rows.append({"level": level, "coordinate": labels[idx],
-                             "q": row["q"], "ratio": row["ratio"],
-                             "band": row["band"], "bound": row["bound"],
-                             "ok": row["ok"]})
-            idx += 1
-    return {
-        "checks": [{"name": "moment_equivalence", "ok": all_ok,
-                    "worst_ratio_over_bound": worst}],
-        "results": {"n": n, "grid_points": grid.size, "rows": rows,
-                    "worst_ratio_over_bound": worst},
-        "columns": ["level", "coordinate", "q", "ratio", "band", "bound", "ok"],
-        "rows": rows,
-        "primary": {"estimate": worst},
-    }
+    for level, block in enumerate(lie.split(), start=1):
+        for coords, label in zip(np.asarray(block).T, labels):
+            for row in chaos_ratio_check(coords, level)["rows"]:
+                rows.append({"level": level, "coordinate": label,
+                             **{k: row[k] for k in ("q", "ratio", "band",
+                                                    "bound", "ok")}})
+    worst = max((row["ratio"] / row["bound"] for row in rows), default=0.0)
+    return _outcome(
+        [{"name": "moment_equivalence", "ok": all(row["ok"] for row in rows),
+          "worst_ratio_over_bound": worst}],
+        {"n": ens.samples.shape[0], "grid_points": ens.grid.size, "rows": rows,
+         "worst_ratio_over_bound": worst},
+        ["level", "coordinate", "q", "ratio", "band", "bound", "ok"], rows,
+        estimate=worst)
 
 
 def _run_coutin_qian(cfg: ExperimentConfig) -> dict:
     k = kernel_from_config(cfg.kernel)
     kcfg = kernel_to_config(k)
-    H = cfg.H
+    H = _default(cfg.H, {"fbm": kcfg.get("H"), "bm": 0.5}.get(kcfg["kernel"]))
     if H is None:
-        if kcfg.get("kernel") == "fbm":
-            H = kcfg["H"]
-        elif kcfg.get("kernel") == "bm":
-            H = 0.5
-        else:
-            raise ValueError("coutin-qian needs an 'H' for this kernel")
-    elif kcfg.get("kernel") in ("fbm", "bm"):
+        raise ValueError("coutin-qian needs an 'H' for this kernel")
+    if cfg.H is not None and kcfg["kernel"] in ("fbm", "bm"):
         # an explicit H (e.g. from a sweep) rebuilds the matching kernel
-        k = kernel_from_config("bm" if float(H) == 0.5 else f"fbm:H={float(H)!r}")
-    rep = coutin_qian_check(k, float(H), c_H=cfg.c_H)
+        k = kernel_from_config("bm" if H == 0.5 else f"fbm:H={H!r}")
+    rep = coutin_qian_check(k, H, **_kwargs(cfg))
     finite = bool(np.isfinite(rep["c_ass1"]) and np.isfinite(rep["c_ass2"]))
     ok = bool(rep["passes"]) if "passes" in rep else finite
-    rows = [{"H": rep["H"], "c_ass1": rep["c_ass1"], "c_ass2": rep["c_ass2"],
-             "ok": ok}]
-    return {
-        "checks": [{"name": "increment_conditions", "ok": ok,
-                    "c_ass1": rep["c_ass1"], "c_ass2": rep["c_ass2"]}],
-        "results": rep,
-        "columns": ["H", "c_ass1", "c_ass2", "ok"],
-        "rows": rows,
-        "primary": {"estimate": rep["c_ass1"]},
-    }
+    row = {"H": rep["H"], "c_ass1": rep["c_ass1"], "c_ass2": rep["c_ass2"],
+           "ok": ok}
+    return _outcome([{"name": "increment_conditions", "ok": ok,
+                      "c_ass1": rep["c_ass1"], "c_ass2": rep["c_ass2"]}],
+                    rep, list(row), [row], estimate=rep["c_ass1"])
 
 
 EXPERIMENTS = {
@@ -583,6 +493,36 @@ EXPERIMENTS = {
     "grr": _run_grr,
     "chaos-ratio": _run_chaos_ratio,
     "coutin-qian": _run_coutin_qian,
+}
+
+# The config fields each experiment reads, besides COMMON.  A field maps to
+# the library keyword it is forwarded as when set, or to None when the runner
+# reads it itself.  This one table drives the forwarded keywords, the
+# rejection of fields an experiment does not read, and what a sweep may vary.
+_PROCESS = {"kernel": None, "kernel2": None, "dim": None}
+_MC = {"samples": "n", "grid_level": "grid_level"}
+FIELDS = {
+    "lift": {"path": None},
+    "variation": {"kernel": None, "grid_intervals": None, "rho": None,
+                  "mode": None},
+    "young2d": {"kernel": None, "kernel2": None, "grid_intervals": None,
+                "levels": None},
+    "level2-variance": {**_PROCESS, **_MC, "interval": "interval",
+                        "band": "band"},
+    "level-bounds": {**_PROCESS, **_MC, "rho": "rho"},
+    "dyadic-convergence": {**_PROCESS, "samples": "n", "p": "p",
+                           "levels": "levels"},
+    "perturbation": {**_PROCESS, **_MC, "p": "p", "epsilons": "epsilons"},
+    "fernique": {**_PROCESS, **_MC, "p": "p"},
+    "young-wiener": {**_PROCESS, **_MC, "integrand": None, "q": "q",
+                     "band": "band"},
+    "weak-limit": {**_MC, "h_ladder": "h_ladder"},
+    "cm-embedding": {"kernel": None, "elements": None, "nodes": None,
+                     "grid_intervals": None, "rho": "rho"},
+    "grr": {**_PROCESS, "samples": None, "grid_level": None, "r": "r",
+            "alpha": "alpha", "q": "q"},
+    "chaos-ratio": {**_PROCESS, "samples": None, "grid_level": None},
+    "coutin-qian": {"kernel": None, "H": None, "c_H": "c_H"},
 }
 
 
@@ -648,13 +588,9 @@ def _write_artifacts(out_dir: Path, prefix: str, cfg: ExperimentConfig,
     # the wall clock; report bytes depend on the science parameters only
     echo = cfg.to_dict()
     echo.pop("workers")
-    report = {
-        "schema_version": 1,
-        "tool": {"name": "rough-gauss", "version": __version__},
-        "experiment": cfg.experiment,
-        "config": echo,
-        **body,
-    }
+    report = {"schema_version": 1,
+              "tool": {"name": "rough-gauss", "version": __version__},
+              "experiment": cfg.experiment, "config": echo, **body}
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / f"{prefix}report.json").write_text(_dumps(report),
                                                   encoding="utf-8")
@@ -670,7 +606,7 @@ def _execute(cfg: ExperimentConfig, out_dir: Path) -> int:
     t0 = time.monotonic()
     outcome = EXPERIMENTS[cfg.experiment](cfg)
     wall = time.monotonic() - t0
-    ok = all(c["ok"] for c in outcome["checks"])
+    ok = _ok(outcome)
     prefix = _default(cfg.out_prefix, cfg.experiment) + "_"
     body = {"seed": cfg.seed, "checks": outcome["checks"], "ok": ok,
             "results": outcome["results"]}
@@ -706,69 +642,58 @@ def _load_json(path: str) -> dict:
     return data
 
 
+def _flags(args) -> dict:
+    # each field flag's argparse dest is the config field it sets
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    return {k: v for k, v in vars(args).items() if k in fields and v is not None}
+
+
 def _config_from_args(args) -> ExperimentConfig:
     target = args.config
     if target.endswith(".json") or os.path.sep in target or os.path.exists(target):
         data = _load_json(target)
     else:
         data = {"experiment": target}
-    overrides = _parse_set(args.set)
-    for key, flag in (("kernel", args.kernel), ("kernel2", args.kernel2),
-                      ("grid_level", args.grid), ("samples", args.samples),
-                      ("seed", args.seed), ("workers", args.workers),
-                      ("path", args.path)):
-        if flag is not None:
-            overrides[key] = flag
-    data.update(overrides)
+    data.update({**_parse_set(args.set), **_flags(args)})
     return ExperimentConfig.from_dict(data)
 
 
 SWEEP_COLUMNS = ("param", "estimate", "stderr", "band", "ok")
 
+# A ladder sweep runs its experiment once over the whole list of values:
+# (experiment, sweep param) -> (list-valued config field, estimate column,
+# band column, label of a closing row with the run's primary estimate).  The
+# sweep param names the table column that carries each rung's value.
+_LADDERS = {
+    ("dyadic-convergence", "level"): ("levels", "l2_mean", None, "slope"),
+    ("weak-limit", "H"): ("h_ladder", "gap_to_half", None, None),
+    ("perturbation", "epsilon"): ("epsilons", "l2_mean", "cov_gap", None),
+}
 
-def _sweep_rows(experiment: str, param: str, values, base: dict,
-                workers: int) -> list:
-    rows = []
-    if experiment == "dyadic-convergence" and param == "level":
-        cfg = ExperimentConfig.from_dict({**base, "levels": list(values)})
-        out = EXPERIMENTS[experiment](cfg)
-        ok = all(c["ok"] for c in out["checks"])
-        for row in out["rows"]:
-            rows.append({"param": row["level"], "estimate": row["l2_mean"],
-                         "stderr": row["stderr"], "band": None, "ok": True})
-        rows.append({"param": "slope",
-                     "estimate": out["results"]["log2_slope"],
-                     "stderr": None, "band": None, "ok": ok})
-        return rows
-    if experiment == "weak-limit" and param == "H":
-        cfg = ExperimentConfig.from_dict({**base, "h_ladder": list(values)})
-        out = EXPERIMENTS[experiment](cfg)
-        ok = all(c["ok"] for c in out["checks"])
-        for row in out["rows"]:
-            rows.append({"param": row["H"], "estimate": row["gap_to_half"],
-                         "stderr": row["stderr"], "band": None, "ok": ok})
-        return rows
-    if experiment == "perturbation" and param == "epsilon":
-        cfg = ExperimentConfig.from_dict({**base, "epsilons": list(values)})
-        out = EXPERIMENTS[experiment](cfg)
-        ok = all(c["ok"] for c in out["checks"])
-        for row in out["rows"]:
-            rows.append({"param": row["epsilon"], "estimate": row["l2_mean"],
-                         "stderr": row["stderr"], "band": row["cov_gap"],
-                         "ok": ok})
-        return rows
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    if param not in known:
-        raise ValueError(f"cannot sweep unknown parameter {param!r}")
-    for value in values:
-        cfg = ExperimentConfig.from_dict({**base, param: value})
-        out = EXPERIMENTS[experiment](cfg)
-        primary = out["primary"]
-        rows.append({"param": value, "estimate": primary.get("estimate"),
-                     "stderr": primary.get("stderr"),
-                     "band": primary.get("band"),
-                     "ok": all(c["ok"] for c in out["checks"])})
-    return rows
+
+def _summary(param, outcome: dict) -> dict:
+    primary = outcome["primary"]
+    return {"param": param, "estimate": primary.get("estimate"),
+            "stderr": primary.get("stderr"), "band": primary.get("band"),
+            "ok": _ok(outcome)}
+
+
+def _run_config(data: dict) -> dict:
+    cfg = ExperimentConfig.from_dict(data)
+    return EXPERIMENTS[cfg.experiment](cfg)
+
+
+def _sweep_rows(experiment: str, param: str, values, base: dict) -> list:
+    ladder = _LADDERS.get((experiment, param))
+    if ladder is None:
+        return [_summary(v, _run_config({**base, param: v})) for v in values]
+    field, estimate, band, closing = ladder
+    out = _run_config({**base, field: values})
+    ok = _ok(out)
+    rows = [{"param": row[param], "estimate": row[estimate],
+             "stderr": row["stderr"], "band": row.get(band), "ok": ok}
+            for row in out["rows"]]
+    return rows + ([_summary(closing, out)] if closing else [])
 
 
 def _run_table(args) -> int:
@@ -778,14 +703,16 @@ def _run_table(args) -> int:
         raise ValueError("sweep config needs {'sweep': {'param':..., 'values': [...]}}")
     param = sweep["param"]
     values = list(sweep["values"])
-    if args.seed is not None:
-        data["seed"] = args.seed
-    if args.workers is not None:
-        data["workers"] = args.workers
+    data.update(_flags(args))
     base_cfg = ExperimentConfig.from_dict(dict(data))  # validates early
     experiment = base_cfg.experiment
+    sweepable = {*FIELDS[experiment], "seed",
+                 *(p for e, p in _LADDERS if e == experiment)}
+    if param not in sweepable:
+        raise ValueError(f"{experiment} cannot sweep {param!r}; "
+                         f"it can sweep {sorted(sweepable)}")
     t0 = time.monotonic()
-    rows = _sweep_rows(experiment, param, values, data, base_cfg.workers)
+    rows = _sweep_rows(experiment, param, values, data)
     wall = time.monotonic() - t0
     ok = all(r["ok"] for r in rows)
     out_dir = _resolve_out_dir(args.out_dir)
@@ -810,7 +737,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="config JSON path or bare experiment name")
     run_p.add_argument("--kernel")
     run_p.add_argument("--kernel2")
-    run_p.add_argument("--grid", type=int, help="dyadic grid level")
+    run_p.add_argument("--grid", dest="grid_level", type=int, metavar="LEVEL",
+                       help="dyadic grid level")
     run_p.add_argument("--samples", type=int)
     run_p.add_argument("--seed", type=int)
     run_p.add_argument("--workers", type=int)
@@ -833,8 +761,7 @@ def main(argv=None) -> int:
             cfg = _config_from_args(args)
             return _execute(cfg, _resolve_out_dir(args.out_dir))
         return _run_table(args)
-    except (ValueError, TypeError, OSError, KeyError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -459,17 +459,12 @@ def perturbation_continuity(spec: ProcessSpec, epsilons=(0.2, 0.1, 0.05),
 CHAOS_QS = (4, 6, 8)
 
 
-def _chaos_ratios(end, dim: int, seed: int) -> list:
+def _chaos_ratios(end, seed: int) -> list:
     """Empirical L^q/L^2 ratios of the Hall coordinates of log X_{0,1}
     against the hypercontractivity envelope (n+1)(q-1)^{n/2}."""
-    coords = hall_log_signature(end)
-    sizes = [dim, dim * (dim - 1) // 2, (dim ** 3 - dim) // 3]
     rows = []
-    offset = 0
-    for lvl, size in enumerate(sizes, start=1):
-        block = coords.coords[:, offset : offset + size]
-        offset += size
-        for k in range(size):
+    for lvl, block in enumerate(hall_log_signature(end).split(), start=1):
+        for k in range(block.shape[-1]):
             z = np.abs(block[:, k])
             l2 = math.sqrt(mc_mean(z ** 2, seed).value)
             if l2 < 1e-12:
@@ -503,7 +498,7 @@ def fernique_tail(spec: ProcessSpec, p: float, n: int = 10_000, seed: int = 0,
     logp = np.log(np.asarray(tail_probs, dtype=float))
     slope, intercept = np.polyfit(lam ** 2, logp, 1)
     end = GroupElement(_take(lifted.values.tensor, -1))
-    chaos = _chaos_ratios(end, spec.dim, seed)
+    chaos = _chaos_ratios(end, seed)
     return {
         "p": p,
         "norm_mean": mc_mean(norms, seed).to_dict(),

@@ -1,10 +1,29 @@
+import inspect
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rough_gauss.cli import ExperimentConfig, main
+from rough_gauss import cameron_martin, covariance, regularity, simulate
+from rough_gauss.cli import EXPERIMENTS, FIELDS, ExperimentConfig, _kwargs, main
 from rough_gauss.path_lift import PiecewisePath, write_path_csv
+
+CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+
+# the library function each experiment forwards its set fields to
+LIBRARY = {
+    "level2-variance": simulate.level2_variance_check,
+    "level-bounds": simulate.level_bounds_check,
+    "dyadic-convergence": simulate.dyadic_convergence,
+    "perturbation": simulate.perturbation_continuity,
+    "fernique": simulate.fernique_tail,
+    "young-wiener": simulate.young_wiener_check,
+    "weak-limit": simulate.weak_limit_fbm,
+    "cm-embedding": cameron_martin.embedding_check,
+    "grr": regularity.grr_holder_check,
+    "coutin-qian": covariance.coutin_qian_check,
+}
 
 
 def _run(*argv):
@@ -32,6 +51,70 @@ class TestConfig:
     def test_missing_experiment(self):
         with pytest.raises(ValueError, match="experiment"):
             ExperimentConfig.from_dict({"kernel": "bm"})
+
+    def test_seed_range(self):
+        for seed in (-1, 2 ** 64):
+            with pytest.raises(ValueError, match="seed"):
+                ExperimentConfig.from_dict({"experiment": "grr", "seed": seed})
+        cfg = ExperimentConfig.from_dict({"experiment": "grr", "seed": 2 ** 64 - 1})
+        assert cfg.seed == 2 ** 64 - 1
+
+    def test_integer_fields_reject_fractions(self):
+        with pytest.raises(ValueError, match="integer"):
+            ExperimentConfig.from_dict({"experiment": "grr", "samples": 2.7})
+        cfg = ExperimentConfig.from_dict({"experiment": "grr", "samples": 200.0})
+        assert cfg.samples == 200 and type(cfg.samples) is int
+
+    def test_numbers_coerced_to_field_types(self):
+        cfg = ExperimentConfig.from_dict(
+            {"experiment": "perturbation", "p": 3, "epsilons": [1, 0.5],
+             "grid_level": 4.0})
+        assert cfg.p == 3.0 and type(cfg.p) is float
+        assert cfg.epsilons == (1.0, 0.5)
+        assert all(type(e) is float for e in cfg.epsilons)
+        assert type(cfg.grid_level) is int
+        cfg = ExperimentConfig.from_dict(
+            {"experiment": "dyadic-convergence", "levels": [3.0, 4]})
+        assert cfg.levels == (3, 4) and all(type(v) is int for v in cfg.levels)
+
+    @pytest.mark.parametrize("field, value", [
+        ("samples", "many"), ("samples", True), ("samples", float("inf")),
+        ("p", float("nan")), ("p", 10 ** 400), ("p", [2.5]), ("epsilons", 0.1), ("epsilons", [0.1, "x"]),
+        ("epsilons", []),
+    ])
+    def test_non_numbers_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig.from_dict(
+                {"experiment": "perturbation", field: value})
+
+    def test_unread_fields_rejected(self):
+        with pytest.raises(ValueError, match=r"does not read .*'kernel'"):
+            ExperimentConfig.from_dict(
+                {"experiment": "weak-limit", "kernel": "fbm:H=0.2"})
+        # the dataclass default of an unread field is not a given key
+        cfg = ExperimentConfig.from_dict({"experiment": "weak-limit"})
+        assert cfg.to_dict()["kernel"] == "bm"
+
+    def test_only_set_fields_forwarded(self):
+        cfg = ExperimentConfig.from_dict({"experiment": "level2-variance"})
+        assert _kwargs(cfg) == {}
+        cfg = ExperimentConfig.from_dict(
+            {"experiment": "level2-variance", "samples": 50, "dim": 3})
+        assert _kwargs(cfg) == {"n": 50}
+        cfg = ExperimentConfig.from_dict({"experiment": "fernique", "p": 3.1})
+        assert _kwargs(cfg, p=2.5) == {"p": 3.1}
+
+    def test_fields_table_matches_experiments_and_library(self):
+        assert set(FIELDS) == set(EXPERIMENTS)
+        known = set(ExperimentConfig.__dataclass_fields__)
+        for experiment, fields in FIELDS.items():
+            assert set(fields) <= known, experiment
+            forwarded = {kw for kw in fields.values() if kw is not None}
+            if experiment not in LIBRARY:
+                assert not forwarded, experiment
+                continue
+            params = inspect.signature(LIBRARY[experiment]).parameters
+            assert forwarded <= set(params), experiment
 
 
 class TestRun:
@@ -72,6 +155,39 @@ class TestRun:
         cfg = tmp_path / "broken.json"
         cfg.write_text("{not json")
         assert _run("run", str(cfg), "--out-dir", str(tmp_path / "o")) == 1
+
+    def test_unread_fields_exit1_no_outputs(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = _run("run", "variation", "--set", "band=0.5", "--set", "H=0.3",
+                  "--set", "integrand=zzz", "--out-dir", str(out))
+        assert rc == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "does not read" in err
+        assert all(f"'{f}'" in err for f in ("band", "H", "integrand"))
+
+    def test_unread_kernel_flag_exit1(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = _run("run", "weak-limit", "--kernel", "fbm:H=0.2",
+                  "--out-dir", str(out))
+        assert rc == 1
+        assert not out.exists()
+        assert "'kernel'" in capsys.readouterr().err
+
+    def test_negative_seed_exit1(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = _run("run", "level2-variance", "--seed", "-1",
+                  "--out-dir", str(out))
+        assert rc == 1
+        assert not out.exists()
+        assert "seed must be an integer" in capsys.readouterr().err
+
+    def test_fractional_samples_exit1(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = _run("run", "grr", "--set", "samples=2.7", "--out-dir", str(out))
+        assert rc == 1
+        assert not out.exists()
+        assert "needs an integer" in capsys.readouterr().err
 
     def test_runtime_error_exit1_no_partial_outputs(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -149,6 +265,18 @@ class TestTable:
         assert lines[0] == "param,estimate,stderr,band,ok"
         assert len(lines) == 1 + 3 + 1
         assert lines[-1].startswith("slope,")
+        # every ladder row carries the run's verdict
+        assert {line.rsplit(",", 1)[1] for line in lines[1:]} == {"true"}
+
+    def test_empty_ladder_exit1(self, tmp_path, capsys):
+        cfg = self._sweep(tmp_path, {
+            "experiment": "weak-limit", "samples": 50, "grid_level": 3,
+            "sweep": {"param": "H", "values": []},
+        }, "wl_empty")
+        out = tmp_path / "out"
+        assert _run("table", str(cfg), "--out-dir", str(out)) == 1
+        assert not out.exists()
+        assert "'h_ladder' needs at least one value" in capsys.readouterr().err
 
     def test_weak_limit_sweep_monotone_column(self, tmp_path, capsys):
         cfg = self._sweep(tmp_path, {
@@ -161,6 +289,31 @@ class TestTable:
         lines = (tmp_path / "weak-limit_sweep_table.csv").read_text().splitlines()
         gaps = [float(line.split(",")[1]) for line in lines[1:]]
         assert gaps == sorted(gaps, reverse=True)
+
+    def test_perturbation_epsilon_ladder(self, tmp_path, capsys):
+        cfg = self._sweep(tmp_path, {
+            "experiment": "perturbation", "samples": 40, "seed": 0,
+            "grid_level": 3,
+            "sweep": {"param": "epsilon", "values": [0.2, 0.1]},
+        }, "pt")
+        rc = _run("table", str(cfg), "--out-dir", str(tmp_path))
+        assert rc == 0
+        rows = _read(tmp_path / "perturbation_sweep_report.json")["rows"]
+        assert [r["param"] for r in rows] == [0.2, 0.1]
+        # the band column carries the covariance gap eps^2 |R_W|_inf
+        assert [r["band"] for r in rows] == pytest.approx([0.04, 0.01])
+        assert all(r["ok"] for r in rows)
+
+    @pytest.mark.parametrize("values", [[0.1, 0.2, 0.3], []])
+    def test_unread_sweep_param_exit1(self, tmp_path, capsys, values):
+        cfg = self._sweep(tmp_path, {
+            "experiment": "coutin-qian", "kernel": "fbm:H=0.35",
+            "sweep": {"param": "band", "values": values},
+        }, "cqband")
+        out = tmp_path / "out"
+        assert _run("table", str(cfg), "--out-dir", str(out)) == 1
+        assert not out.exists()
+        assert "cannot sweep 'band'" in capsys.readouterr().err
 
     def test_empty_sweep_header_only(self, tmp_path, capsys):
         cfg = self._sweep(tmp_path, {
@@ -192,3 +345,17 @@ class TestTable:
     def test_missing_sweep_block(self, tmp_path, capsys):
         cfg = self._sweep(tmp_path, {"experiment": "grr"}, "nosweep")
         assert _run("table", str(cfg), "--out-dir", str(tmp_path)) == 1
+
+
+class TestShippedConfigs:
+    @pytest.mark.parametrize(
+        "path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+    def test_config_accepted(self, path):
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data.pop("sweep", None)
+        ExperimentConfig.from_dict(data)
+
+    def test_every_experiment_shipped(self):
+        shipped = {json.loads(p.read_text(encoding="utf-8"))["experiment"]
+                   for p in CONFIGS.glob("*.json")}
+        assert set(EXPERIMENTS) <= shipped

@@ -204,11 +204,18 @@ class TestPVariation:
                 x = lift_s3(random_path(rng, n, 2))
                 y = lift_s3(PiecewisePath(x.times, random_path(rng, n, 2).points))
                 t = x.times
-
-                def dist(i, j):
-                    return float(
+                # each pair distance once; the oracle looks them up for
+                # every dissection and every p
+                table = {
+                    (i, j): float(
                         cc_distance(increment(x, t[i], t[j]), increment(y, t[i], t[j]))
                     )
+                    for i in range(n)
+                    for j in range(i + 1, n)
+                }
+
+                def dist(i, j):
+                    return table[i, j]
 
                 for p in (1.0, 1.7, 2.5):
                     ref = oracles.pvar_enumeration(dist, n, p) ** (1 / p)
