@@ -88,8 +88,8 @@ def pvar_1d(values, rho: float):
     n = x.shape[-1]
     if n < 2:
         return np.zeros(x.shape[:-1])[()]
-    w = np.abs(x[..., None, :] - x[..., :, None]) ** rho
-    return _longest_path(w)[..., -1][()] ** (1.0 / rho)
+    rows = (np.abs(x[..., i + 1 :] - x[..., i, None]) ** rho for i in range(n - 1))
+    return _longest_path(rows)[..., -1][()] ** (1.0 / rho)
 
 
 @dataclass(frozen=True)

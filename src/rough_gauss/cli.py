@@ -398,6 +398,8 @@ def _run_cm_embedding(cfg: ExperimentConfig) -> dict:
     n_elements = _default(cfg.elements, 100)
     n_nodes = _default(cfg.nodes, 4)
     intervals = _default(cfg.grid_intervals, 16)
+    if n_elements < 1 or n_nodes < 1:
+        raise ValueError("cm-embedding needs elements >= 1 and nodes >= 1")
     rng = np.random.default_rng(cfg.seed)
     rows = []
     for i in range(n_elements):

@@ -240,67 +240,58 @@ def dist_inf(x: GroupPath, y: GroupPath):
     return np.max(d, axis=-1)
 
 
-def _pair_distance_rows(x: GroupPath, y: GroupPath | None, i: int):
-    """d(x_{t_i, t_j}, y_{t_i, t_j}) for all j > i, batched.
-
-    With y = None this is the increment norm row ||x_{t_i, t_j}||.
-    """
+def _pair_rows(x: GroupPath, y: GroupPath | None = None):
+    """Yield, for i = 0, ..., n-2, the batched row d(x_{t_i,t_j}, y_{t_i,t_j})
+    over j > i, or the increment norms ||x_{t_i,t_j}|| when y is None.  Every
+    pair metric reduces this stream, so its memory stays O(batch x grid)."""
     n = x.n_times
-    xs_inv = group_inverse(GroupElement(_take(x.values.tensor, i)))
-    tail = GroupElement(_take(x.values.tensor, slice(i + 1, n)))
-    # _take with None inserts a length-1 grid axis so the single inverse
-    # broadcasts against all later grid points at once
-    xi = GroupElement(_take(xs_inv.tensor, None))
-    incs_x = tensor_mul(xi, tail)
-    if y is None:
-        return homogeneous_norm(incs_x)
-    ys_inv = group_inverse(GroupElement(_take(y.values.tensor, i)))
-    yi = GroupElement(_take(ys_inv.tensor, None))
-    incs_y = tensor_mul(yi, GroupElement(_take(y.values.tensor, slice(i + 1, n))))
-    return homogeneous_norm(tensor_mul(group_inverse(incs_x), incs_y))
 
+    def incs(path, i):
+        inv = group_inverse(GroupElement(_take(path.values.tensor, i)))
+        tail = GroupElement(_take(path.values.tensor, slice(i + 1, n)))
+        # _take with None inserts a length-1 grid axis so the single inverse
+        # broadcasts against all later grid points at once
+        return tensor_mul(GroupElement(_take(inv.tensor, None)), tail)
 
-def _pairwise_reduce(x: GroupPath, y: GroupPath | None, weight, reduce_op):
-    """Scan all grid pairs s < t, combining ``weight(row, i)`` with a fixed
-    row order so results do not depend on any internal partitioning."""
-    n = x.n_times
-    out = None
     for i in range(n - 1):
-        w = weight(_pair_distance_rows(x, y, i), i)
-        row = np.max(w, axis=-1)
-        out = row if out is None else reduce_op(out, row)
+        inc = incs(x, i)
+        if y is not None:
+            inc = tensor_mul(group_inverse(inc), incs(y, i))
+        yield homogeneous_norm(inc)
+
+
+def _check_alpha(alpha: float):
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError("alpha must lie in (0, 1]")
+
+
+def _holder_sup(times: np.ndarray, rows, alpha: float):
+    """max over grid pairs s < t of d_{s,t} / (t-s)^alpha, where the i-th row
+    holds d_{t_i,t_j} for j > i; alpha = 0 is the plain max."""
+    out = None
+    for i, row in enumerate(rows):
+        top = np.max(row / (times[i + 1 :] - times[i]) ** alpha, axis=-1)
+        out = top if out is None else np.maximum(out, top)
     return out
 
 
 def dist_0(x: GroupPath, y: GroupPath):
     """max over grid pairs s < t of d(x_{s,t}, y_{s,t})."""
     _require_same_grid(x, y)
-    return _pairwise_reduce(x, y, lambda row, i: row, np.maximum)
+    return _holder_sup(x.times, _pair_rows(x, y), 0.0)
 
 
 def holder_dist(x: GroupPath, y: GroupPath, alpha: float):
     """sup over grid pairs of d(x_{s,t}, y_{s,t}) / (t-s)^alpha."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
+    _check_alpha(alpha)
     _require_same_grid(x, y)
-    times = x.times
-
-    def w(row, i):
-        dt = times[i + 1 :] - times[i]
-        return row / dt**alpha
-
-    return _pairwise_reduce(x, y, w, np.maximum)
-
-
-def _identity_path(like: GroupPath) -> GroupPath:
-    n = like.n_times
-    d = like.dim
-    incs = np.zeros(like.batch_shape + (n - 1, d))
-    return GroupPath(like.times, lift_increments(incs))
+    return _holder_sup(x.times, _pair_rows(x, y), alpha)
 
 
 def holder_norm(x: GroupPath, alpha: float):
-    return holder_dist(x, _identity_path(x), alpha)
+    """sup over grid pairs of ||x_{s,t}|| / (t-s)^alpha."""
+    _check_alpha(alpha)
+    return _holder_sup(x.times, _pair_rows(x), alpha)
 
 
 def path_inf_norm(x: GroupPath):
@@ -311,25 +302,28 @@ def path_inf_norm(x: GroupPath):
 def _pair_matrix(x: GroupPath, y: GroupPath | None) -> np.ndarray:
     """Full (..., n, n) matrix of pair distances (upper triangle; rest 0)."""
     n = x.n_times
-    batch = x.batch_shape
-    w = np.zeros(batch + (n, n))
-    for i in range(n - 1):
-        w[..., i, i + 1 :] = _pair_distance_rows(x, y, i)
+    w = np.zeros(x.batch_shape + (n, n))
+    for i, row in enumerate(_pair_rows(x, y)):
+        w[..., i, i + 1 :] = row
     return w
+
+
+def _pvar(rows, p: float):
+    """(sup over sub-dissections of the sum of pair values^p)^{1/p}."""
+    if p < 1.0:
+        raise ValueError("p must be >= 1")
+    return _longest_path(row ** p for row in rows)[..., -1] ** (1.0 / p)
 
 
 def pvar_dist(x: GroupPath, y: GroupPath, p: float):
     """sup over sub-dissections D of (sum_i d(x_{t_i,t_{i+1}}, y_{t_i,t_{i+1}})^p)^{1/p}."""
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
     _require_same_grid(x, y)
-    return _longest_path(_pair_matrix(x, y) ** p)[..., -1] ** (1.0 / p)
+    return _pvar(_pair_rows(x, y), p)
 
 
 def pvar_norm(x: GroupPath, p: float):
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
-    return _longest_path(_pair_matrix(x, None) ** p)[..., -1] ** (1.0 / p)
+    """sup over sub-dissections D of (sum_i ||x_{t_i,t_{i+1}}||^p)^{1/p}."""
+    return _pvar(_pair_rows(x), p)
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,12 @@ import numpy as np
 from .path_lift import (
     GroupPath,
     PiecewisePath,
+    _check_alpha,
+    _holder_sup,
     _pair_matrix,
     _require_same_grid,
-    holder_dist,
 )
+from .variation_2d import _upper_rows
 
 __all__ = [
     "BesovStats",
@@ -79,12 +81,9 @@ def besov_functional(obj, q: float, r: float):
 def path_holder_norm(obj, alpha: float):
     """Grid alpha-Holder norm under the object's metric (Euclidean for plain
     paths, homogeneous distance of increments for group paths)."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
+    _check_alpha(alpha)
     times, D = _distance_matrix(obj)
-    dt = times[None, :] - times[:, None]
-    iu = np.triu_indices(times.size, k=1)
-    return np.max(D[..., iu[0], iu[1]] / dt[iu] ** alpha, axis=-1)[()]
+    return _holder_sup(times, _upper_rows(D), alpha)[()]
 
 
 @dataclass(frozen=True)
@@ -105,14 +104,16 @@ def grr_holder_check(obj, r: float, alpha: float, q: float | None = None,
     """||f||_{alpha-Hol} <= (64/r) F^{1/q} with F the Besov double integral,
     for alpha < 1/r and q >= q0(r, alpha).  Batched paths are swept and the
     report carries the worst case."""
+    _check_alpha(alpha)
     q0 = q0_grr(r, alpha)
     q = q0 if q is None else float(q)
     if q < q0 * (1.0 - 1e-12):
         raise ValueError(f"need q >= q0 = {q0:.6g}")
     C = 64.0 / r
-    F = np.asarray(besov_functional(obj, q, r), dtype=float)
+    times, D = _distance_matrix(obj)
+    F = np.asarray(_besov_from_matrix(times, D, q, r), dtype=float)
     M = F ** (1.0 / q)
-    H = np.asarray(path_holder_norm(obj, alpha), dtype=float)
+    H = np.asarray(_holder_sup(times, _upper_rows(D), alpha), dtype=float)
     bound = C * M
     slack = bound - H
     ok = H <= bound * (1.0 + rtol) + 1e-15
@@ -145,6 +146,7 @@ def besov_distance_check(x: GroupPath, y: GroupPath, r: float, alpha: float,
     construction; the constant is calibrated by the caller, so with C = None
     only the required constant is reported.
     """
+    _check_alpha(alpha)
     _require_same_grid(x, y)
     q0 = q0_grr(r, alpha)
     q = q0 if q is None else float(q)
@@ -163,7 +165,7 @@ def besov_distance_check(x: GroupPath, y: GroupPath, r: float, alpha: float,
     }
     alpha_p = (alpha + 1.0 / r) / 2.0
     theta = (alpha_p - alpha) / (alpha_p * BESOV_N ** 2)
-    dist = float(np.asarray(holder_dist(x, y, alpha)))
+    dist = float(_holder_sup(times, _upper_rows(D), alpha))
     scale = delta ** theta * M
     # homogeneous-norm roundoff floor; identical paths read as ~1e-5
     c_required = dist / scale if scale > 0 else (0.0 if dist <= 1e-4 else np.inf)

@@ -418,6 +418,8 @@ def perturbation_continuity(spec: ProcessSpec, epsilons=(0.2, 0.1, 0.05),
     """L2 size of d_{p-var}(lift(X), lift(X + eps W)) along an epsilon ladder,
     W an independent copy coupled across the ladder; fits the exponent of the
     mean against |R_{X-Y}|_inf = eps^2 |R_W|_inf."""
+    if sum(e > 0.0 for e in epsilons) < 2:
+        raise ValueError("the epsilon ladder needs at least two positive rungs")
     grid = np.linspace(0.0, 1.0, 2 ** grid_level + 1)
     ens_x = sample(spec, grid, n, seed, stream=0, workers=workers)
     ens_w = sample(spec, grid, n, seed, stream=1, workers=workers)

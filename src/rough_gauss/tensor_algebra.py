@@ -24,7 +24,6 @@ __all__ = [
     "unit_tensor",
     "identity_element",
     "tensor_mul",
-    "tensor_add",
     "tensor_scale",
     "group_inverse",
     "exp_trunc",
@@ -185,19 +184,6 @@ def tensor_mul(a, b) -> TruncatedTensor | GroupElement:
     )
     out = TruncatedTensor(ta.dim, l0, l1, l2, l3)
     return GroupElement(out) if wrap else out
-
-
-def tensor_add(a, b) -> TruncatedTensor:
-    ta, tb = _as_tensor(a), _as_tensor(b)
-    if ta.dim != tb.dim:
-        raise ValueError("dimension mismatch")
-    return TruncatedTensor(
-        ta.dim,
-        ta.level0 + tb.level0,
-        ta.level1 + tb.level1,
-        ta.level2 + tb.level2,
-        ta.level3 + tb.level3,
-    )
 
 
 def tensor_scale(c, a) -> TruncatedTensor:

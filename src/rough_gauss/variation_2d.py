@@ -145,24 +145,36 @@ def _col_pair_weights(R: np.ndarray, rho: float) -> np.ndarray:
     return D.sum(axis=0)
 
 
-def _longest_path(W: np.ndarray) -> np.ndarray:
-    """best[..., j]: heaviest path from index 0 to j with edge weights
-    W[..., i, j] for i < j; leading axes are batch.
+def _upper_rows(W: np.ndarray):
+    """The rows W[..., i, i+1:], i = 0, ..., n-2, of an upper-triangular
+    weight matrix, in the order :func:`_longest_path` takes them."""
+    return (W[..., i, i + 1 :] for i in range(W.shape[-1] - 1))
+
+
+def _longest_path(rows) -> np.ndarray:
+    """best[..., j]: heaviest path from index 0 to j, where the i-th of the
+    rows holds the weights W[..., i, j] of the edges i -> j for j > i;
+    leading axes are batch.
 
     This is the sup over sub-dissections of an objective that is additive
     over consecutive intervals, so best[j] = max_{i<j} best[i] + W[i, j]
-    is exact.
+    is exact.  Rows are pushed forward as they arrive: once rows 0..i-1 are
+    in, best[..., i] is final, so callers can stream rows without forming W.
     """
-    n = W.shape[-1]
-    best = np.zeros(W.shape[:-1])
-    for j in range(1, n):
-        best[..., j] = (best[..., :j] + W[..., :j, j]).max(axis=-1)
+    rows = iter(rows)
+    first = next(rows)
+    best = np.empty(first.shape[:-1] + (first.shape[-1] + 1,))
+    best[..., 0] = 0.0
+    best[..., 1:] = first
+    for i, row in enumerate(rows, 1):
+        tail = best[..., i + 1 :]
+        np.maximum(tail, best[..., i, None] + row, out=tail)
     return best
 
 
 def _dp_best_columns(B: np.ndarray) -> list:
     """Indices of a heaviest path from first to last index of B."""
-    best = _longest_path(B)
+    best = _longest_path(_upper_rows(B))
     cols = [B.shape[0] - 1]
     while cols[-1] != 0:
         j = cols[-1]
@@ -176,7 +188,8 @@ def _row_diffs(V: np.ndarray, rows) -> np.ndarray:
 
 
 def _score_given_rows(V: np.ndarray, rows, rho: float) -> float:
-    return float(_longest_path(_col_pair_weights(_row_diffs(V, rows), rho))[-1])
+    W = _col_pair_weights(_row_diffs(V, rows), rho)
+    return float(_longest_path(_upper_rows(W))[-1])
 
 
 def _exact_sum(V: np.ndarray, rho: float, cap: int) -> float:

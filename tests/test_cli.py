@@ -189,6 +189,26 @@ class TestRun:
         assert not out.exists()
         assert "needs an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["elements", "nodes"])
+    def test_empty_cm_embedding_exit1(self, tmp_path, capsys, field):
+        # a check over no elements or no nodes would pass vacuously
+        out = tmp_path / "out"
+        rc = _run("run", "cm-embedding", "--set", f"{field}=0",
+                  "--out-dir", str(out))
+        assert rc == 1
+        assert not out.exists()
+        assert "elements >= 1 and nodes >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("epsilons", ["[0.1]", "[0.1, 0.0]"])
+    def test_one_rung_perturbation_ladder_exit1(self, tmp_path, capsys, epsilons):
+        # one positive rung cannot fit the rate exponent
+        out = tmp_path / "out"
+        rc = _run("run", "perturbation", "--set", f"epsilons={epsilons}",
+                  "--samples", "10", "--grid", "3", "--out-dir", str(out))
+        assert rc == 1
+        assert not out.exists()
+        assert "at least two positive rungs" in capsys.readouterr().err
+
     def test_runtime_error_exit1_no_partial_outputs(self, tmp_path, capsys):
         out = tmp_path / "out"
         rc = _run("run", "lift", "--path", str(tmp_path / "missing.csv"),

@@ -1,11 +1,11 @@
-"""Golden artifacts: report and table bytes of the shipped configs.
+"""Golden artifacts: report and table bytes of every shipped config.
 
 Each config under ``scripts/configs`` runs in a fresh interpreter with the
 arguments and the single-threaded BLAS the benchmark harness used to record
 ``perfbench/reference/<config>/``, and its report and table must match those
 bytes.  A multi-threaded BLAS sums matrix products in another order, which
-moves Monte Carlo reports in the last digits.  The slow Monte Carlo configs
-are left to the benchmark's self-check.
+moves Monte Carlo reports in the last digits.  dyadic_convergence runs at
+``--samples 8``, the size its reference was recorded at.
 """
 
 import json
@@ -20,18 +20,10 @@ ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "scripts" / "configs"
 REFERENCE = ROOT / "perfbench" / "reference"
 
-GOLDEN = (
-    "lift",
-    "variation",
-    "young2d",
-    "coutin_qian",
-    "grr",
-    "level_bounds",
-    "chaos_ratio",
-    "young_wiener",
-    "cm_embedding",
-    "dyadic_level_sweep",
-)
+GOLDEN = sorted(p.stem for p in CONFIGS.glob("*.json"))
+
+# extra CLI arguments each reference was recorded with
+EXTRA = {"dyadic_convergence": ("--samples", "8")}
 
 
 def _env() -> dict:
@@ -54,7 +46,7 @@ def test_artifacts_match_reference(name, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "rough_gauss.cli", command, str(config),
          "--out-dir", str(tmp_path), "--seed", str(data["seed"]),
-         "--workers", "1"],
+         "--workers", "1", *EXTRA.get(name, ())],
         cwd=ROOT, env=_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     expected = sorted(p.name for p in (REFERENCE / name).iterdir())

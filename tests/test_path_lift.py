@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from rough_gauss.path_lift import (
     GroupPath,
     PiecewisePath,
+    _pair_matrix,
     dist_0,
     dist_inf,
     holder_dist,
@@ -28,6 +30,7 @@ from rough_gauss.tensor_algebra import (
     homogeneous_norm,
     tensor_mul,
 )
+from rough_gauss.variation_2d import _longest_path, _upper_rows
 
 import oracles
 
@@ -321,3 +324,43 @@ class TestBatched:
         incs = rng.standard_normal((4, 5, 6, 2))
         g = lift_increments(incs)
         assert g.batch_shape == (4, 5, 7)
+
+
+class TestPairStream:
+    """Every metric reduces the one pair-distance stream; reducing the
+    filled matrix instead must give the same bits."""
+
+    def _pair(self, b=4, n=9, d=2):
+        rng = np.random.default_rng(23)
+        x = random_path(rng, n, d, (b,))
+        y = PiecewisePath(x.times, x.points + 0.3 * rng.standard_normal((b, n, d)))
+        return lift_s3(x), lift_s3(y)
+
+    def test_pvar_equals_dp_over_matrix(self):
+        x, y = self._pair()
+        p = 2.3
+        for got, M in ((pvar_dist(x, y, p), _pair_matrix(x, y)),
+                       (pvar_norm(x, p), _pair_matrix(x, None))):
+            want = _longest_path(_upper_rows(M ** p))[..., -1] ** (1.0 / p)
+            np.testing.assert_array_equal(got, want)
+
+    def test_dist0_is_matrix_max(self):
+        x, y = self._pair()
+        M = _pair_matrix(x, y)
+        iu = np.triu_indices(x.n_times, k=1)
+        np.testing.assert_array_equal(dist_0(x, y), np.max(M[..., iu[0], iu[1]], axis=-1))
+
+    def test_pvar_norm_memory_is_row_sized(self):
+        # the streamed DP holds O(batch x grid) at a time, so its traced peak
+        # stays well below one batch x n x n float64 pair matrix
+        rng = np.random.default_rng(5)
+        b, n = 20, 257
+        gp = lift_s3(random_path(rng, n, 2, (b,)))
+        matrix_bytes = b * n * n * 8
+        tracemalloc.start()
+        try:
+            pvar_norm(gp, 2.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < matrix_bytes / 2

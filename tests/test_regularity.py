@@ -4,7 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rough_gauss.covariance import ProcessSpec, bm_cov, fbm_cov
-from rough_gauss.path_lift import PiecewisePath, lift_increments, lift_s3
+from rough_gauss.path_lift import (
+    PiecewisePath,
+    holder_dist,
+    holder_norm,
+    lift_increments,
+    lift_s3,
+)
 from rough_gauss.regularity import (
     BesovStats,
     besov_distance_check,
@@ -101,6 +107,13 @@ class TestHolderNorm:
         # sup (t-s)^{1-alpha} is attained at the full interval
         assert path_holder_norm(line, 0.5) == pytest.approx(1.0, abs=1e-12)
 
+    def test_group_path_equals_path_lift_holder_norm(self):
+        rng = np.random.default_rng(8)
+        t = np.linspace(0.0, 1.0, 17)
+        gp = lift_s3(PiecewisePath(t, np.cumsum(rng.standard_normal((3, 17, 2)), axis=1)))
+        for a in (0.3, 0.5, 1.0):
+            np.testing.assert_array_equal(path_holder_norm(gp, a), holder_norm(gp, a))
+
     def test_invalid_alpha(self):
         _, line = _line(8)
         with pytest.raises(ValueError):
@@ -135,6 +148,15 @@ class TestGrrHolder:
         assert rep["n_checked"] == 100
         assert rep["worst_ratio"] < 1.0
 
+    def test_stats_equal_separate_calls(self):
+        # one distance matrix per path serves both sides of the inequality
+        spec = ProcessSpec((fbm_cov(0.4),) * 2)
+        gp = lift_ensemble(sample(spec, np.linspace(0, 1, 33), 5, seed=2))
+        rep = grr_holder_check(gp, r=2.6, alpha=0.3)
+        q = rep["q"]
+        assert rep["stats"].double_integral == np.max(besov_functional(gp, q, 2.6))
+        assert rep["stats"].holder_norm == np.max(path_holder_norm(gp, 0.3))
+
     def test_explicit_q_above_q0(self):
         _, line = _line(32)
         rep = grr_holder_check(line, r=1.0, alpha=0.5, q=6.0)
@@ -148,6 +170,8 @@ class TestGrrHolder:
             grr_holder_check(line, r=2.0, alpha=0.6)  # alpha >= 1/r
         with pytest.raises(ValueError):
             grr_holder_check(line, r=0.8, alpha=0.1)
+        with pytest.raises(ValueError):
+            grr_holder_check(line, r=1.0, alpha=0.0)  # Holder needs alpha > 0
 
     @settings(deadline=None, max_examples=40)
     @given(st.data())
@@ -200,6 +224,11 @@ class TestBesovDistance:
         judged = besov_distance_check(
             x, y, r=2.2, alpha=0.3, C=rep["c_required"] * 1.1)
         assert judged["ok"]
+
+    def test_distance_is_holder_dist(self):
+        x, y = self._pair(0.05)
+        rep = besov_distance_check(x, y, r=2.2, alpha=0.3)
+        assert rep["distance"] == float(holder_dist(x, y, 0.3))
 
     def test_theta_formula(self):
         x, y = self._pair(0.1)

@@ -235,9 +235,11 @@ class TestDyadicConvergence:
 
 class TestPerturbation:
     def test_zero_epsilon_distance_vanishes(self):
-        rep = perturbation_continuity(BM2, epsilons=(0.0,), p=2.5, n=30,
-                                      seed=7, grid_level=4)
-        assert rep["l2_means"][0] < 1e-3
+        # the zero rung rides on a valid ladder: each rung is computed on its
+        # own, and a ladder needs two positive rungs to fit the exponent
+        rep = perturbation_continuity(BM2, epsilons=(0.2, 0.1, 0.0), p=2.5,
+                                      n=30, seed=7, grid_level=4)
+        assert rep["l2_means"][-1] < 1e-3
 
     def test_ladder_decreasing_theta_positive(self):
         rep = perturbation_continuity(BM2, epsilons=(0.2, 0.1, 0.05), p=2.5,
