@@ -82,8 +82,8 @@ def cm_norm_sq(h: CMElement) -> float:
 def pvar_1d(values, rho: float):
     """Exact grid rho-variation of a scalar sequence by the longest-path
     dynamic program; leading axes are batch."""
-    if rho < 1.0:
-        raise ValueError("rho must be >= 1")
+    if not 1.0 <= rho < np.inf:
+        raise ValueError("rho must be finite and >= 1")
     x = np.asarray(values, dtype=float)
     n = x.shape[-1]
     if n < 2:
@@ -103,9 +103,7 @@ class EmbeddingResult:
 
 
 # The 2D variation of R over [s,t]^2 does not depend on the element, only on
-# the kernel and grid; batch checks reuse it.  cap: exact enumeration at
-# 2^4 intervals costs ~2^15 masks, affordable once per kernel.
-EMBED_EXACT_CAP = 16
+# the kernel and grid; batch checks reuse it.
 _RVAR_CACHE: dict = {}
 
 
@@ -121,9 +119,8 @@ def _r_variation(kernel: CovarianceKernel, s: float, t: float,
         return hit
     grid = np.linspace(s, t, grid_intervals + 1)
     R = GridFunction2D(grid, grid, kernel.grid_eval(grid, grid))
-    exact = grid_intervals <= EMBED_EXACT_CAP
-    var = rho_variation(R, rho, mode="exact" if exact else "local-search",
-                        cap=grid_intervals if exact else EXACT_INTERVAL_CAP)
+    exact = grid_intervals <= EXACT_INTERVAL_CAP
+    var = rho_variation(R, rho, mode="exact" if exact else "local-search")
     _RVAR_CACHE[key] = (var, exact)
     return var, exact
 
@@ -139,9 +136,9 @@ def embedding_check(
     shared uniform grid of the interval.
 
     Both sides are grid-restricted; the bound is dissection-wise, so the
-    restricted version is a theorem too.  Up to 2^4 intervals the 2D side is
-    the true grid sup (mode "exact"); beyond that the alternating lower bound
-    is used and only consistency is claimed.
+    restricted version is a theorem too.  Up to EXACT_INTERVAL_CAP (16)
+    intervals the 2D side is the true grid sup (mode "exact"); beyond that
+    the alternating lower bound is used and only consistency is claimed.
     """
     s, t = float(interval[0]), float(interval[1])
     if not 0.0 <= s < t <= 1.0:

@@ -168,10 +168,10 @@ def gram_matrix(k: CovarianceKernel, grid, check_psd: bool = True) -> np.ndarray
 def square_variation(k: CovarianceKernel, s: float, t: float, intervals: int,
                      rho: float) -> float:
     """Exact grid rho-variation of k over the square [s, t]^2, sampled with
-    ``intervals`` uniform intervals per side."""
+    ``intervals`` uniform intervals per side, at most EXACT_INTERVAL_CAP."""
     g = np.linspace(s, t, intervals + 1)
     return rho_variation(GridFunction2D(g, g, k.grid_eval(g, g)), rho,
-                         mode="exact", cap=intervals).value
+                         mode="exact").value
 
 
 def coutin_qian_check(

@@ -659,7 +659,7 @@ def product_moment_surface_check(spec: ProcessSpec, n: int = 2_000,
         edges_zero = bool(np.all(emp[0, :] == 0.0) and np.all(emp[:, 0] == 0.0))
         sgrid = grid[::step]
         var = rho_variation(GridFunction2D(sgrid, sgrid, emp), rho,
-                            mode="exact", cap=g).value ** rho
+                            mode="exact").value ** rho
         rows.append({
             "intervals": g,
             "edges_zero": edges_zero,

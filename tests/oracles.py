@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from rough_gauss.variation_2d import _score_given_rows
+
 # ---------------------------------------------------------------------------
 # Word-indexed truncated tensor algebra over Q.
 # An element is a dict mapping tuples of letters (length 0..3) to Fraction.
@@ -161,4 +163,23 @@ def rho_var_enumeration_2d(V, rho):
                         for u, v in zip(cols[:-1], cols[1:]):
                             s += abs(rect_increment_grid(V, a, b, u, v)) ** rho
                     best = max(best, s)
+    return best
+
+
+def exact_sum_by_mask(V, rho):
+    """Exact 2D rho-variation^rho by one column DP per row sub-dissection:
+    the per-mask loop that ``variation_2d._exact_sum`` batches, with the
+    same arithmetic, so the two agree bit for bit."""
+    if V.shape[0] > V.shape[1]:
+        V = V.T
+    m = V.shape[0]
+    inner = m - 2
+    best = 0.0
+    for mask in range(1 << inner):
+        rows = [0]
+        for b in range(inner):
+            if mask >> b & 1:
+                rows.append(b + 1)
+        rows.append(m - 1)
+        best = max(best, _score_given_rows(V, rows, rho))
     return best

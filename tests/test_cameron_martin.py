@@ -6,7 +6,6 @@ import pytest
 
 from rough_gauss.cameron_martin import (
     CMElement,
-    EMBED_EXACT_CAP,
     cm_eval,
     cm_inner,
     cm_norm_sq,
@@ -15,6 +14,7 @@ from rough_gauss.cameron_martin import (
     pvar_1d,
 )
 from rough_gauss.covariance import bm_cov, bridge_cov, fbm_cov, ou_cov
+from rough_gauss.variation_2d import EXACT_INTERVAL_CAP
 
 from oracles import pvar_enumeration
 
@@ -113,6 +113,11 @@ class TestPvar1D:
         with pytest.raises(ValueError):
             pvar_1d(np.array([0.0, 1.0]), 0.5)
 
+    @pytest.mark.parametrize("rho", [float("nan"), float("inf")])
+    def test_non_finite_rho_rejected(self, rho):
+        with pytest.raises(ValueError, match="finite"):
+            pvar_1d(np.array([0.0, 1.0, 0.5]), rho)
+
 
 class TestEmbedding:
     def test_zero_element_trivially_ok(self):
@@ -154,7 +159,7 @@ class TestEmbedding:
 
     def test_large_grid_reports_consistent(self):
         h = CMElement(bm_cov(), np.array([1.0]), np.array([1.0]))
-        res = embedding_check(h, (0.0, 1.0), grid_intervals=EMBED_EXACT_CAP * 2)
+        res = embedding_check(h, (0.0, 1.0), grid_intervals=EXACT_INTERVAL_CAP * 2)
         assert res.ok
         assert not res.exact
         assert res.mode == "consistent"

@@ -1,5 +1,6 @@
 import io
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from rough_gauss.variation_2d import (
     Control2D,
     GridFunction2D,
     _dp_best_columns,
+    _exact_sum,
     _longest_path,
     _upper_rows,
     bilinear_eval,
@@ -118,6 +120,37 @@ class TestRhoVariation:
                     got = rho_variation(f, rho, mode="exact")
                     assert got.exact and got.lower_bound
                     assert got.value == pytest.approx(ref, rel=1e-12)
+
+    def test_exact_sum_equals_per_mask_loop(self):
+        rng = np.random.default_rng(7)
+        shapes = [(2, 6), (6, 2), (3, 5), (5, 3), (7, 4), (4, 9), (8, 8)]
+        for shape in shapes:
+            V = rng.standard_normal(shape)
+            for rho in (1.0, 2.0, rng.uniform(1.0, 3.0)):
+                assert _exact_sum(V, rho) == oracles.exact_sum_by_mask(V, rho)
+
+    def test_exact_sum_equals_per_mask_loop_at_cap(self):
+        V = fbm_cov_grid(17, 0.4).values
+        assert _exact_sum(V, 1.25) == oracles.exact_sum_by_mask(V, 1.25)
+
+    def test_exact_sum_memory_is_block_bounded(self):
+        # the row-pair table plus one block of dissections, never all of them
+        grids = [(fbm_cov_grid(17, 0.4).values, 8e6),
+                 (np.random.default_rng(8).standard_normal((9, 200)), 20e6)]
+        for V, limit in grids:
+            tracemalloc.start()
+            try:
+                _exact_sum(V, 1.25)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < limit, V.shape
+
+    @pytest.mark.parametrize("mode", ["exact", "local-search", "common-subdivision"])
+    @pytest.mark.parametrize("rho", [float("nan"), float("inf")])
+    def test_non_finite_rho_rejected(self, mode, rho):
+        with pytest.raises(ValueError, match="finite"):
+            rho_variation(min_cov(5), rho, mode=mode)
 
     def test_min_kernel_rho1_is_one(self):
         for n in (5, 9):
