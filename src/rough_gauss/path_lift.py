@@ -18,12 +18,12 @@ import numpy as np
 from .tensor_algebra import (
     GroupElement,
     TruncatedTensor,
-    exp_trunc,
-    group_inverse,
+    _exp,
+    _inverse,
+    _mul,
+    _norm,
+    _shuffle_residual,
     homogeneous_norm,
-    shuffle_residual,
-    tensor_mul,
-    zero_tensor,
 )
 from .variation_2d import _longest_path
 
@@ -89,26 +89,13 @@ class PiecewisePath:
         return self.times.size
 
 
+def _index(levels, key):
+    """Index the trailing batch axis (the grid axis) of raw level arrays."""
+    return tuple(a[(..., key) + (slice(None),) * k] for k, a in enumerate(levels))
+
+
 def _take(t: TruncatedTensor, key) -> TruncatedTensor:
-    """Index the trailing batch axis (the grid axis) of a tensor batch."""
-    return TruncatedTensor(
-        t.dim,
-        t.level0[..., key],
-        t.level1[..., key, :],
-        t.level2[..., key, :, :],
-        t.level3[..., key, :, :, :],
-    )
-
-
-def _stack(tensors) -> TruncatedTensor:
-    d = tensors[0].dim
-    return TruncatedTensor(
-        d,
-        np.stack([t.level0 for t in tensors], axis=-1),
-        np.stack([t.level1 for t in tensors], axis=-2),
-        np.stack([t.level2 for t in tensors], axis=-3),
-        np.stack([t.level3 for t in tensors], axis=-4),
-    )
+    return TruncatedTensor(t.dim, *_index(t.levels(), key))
 
 
 @dataclass(frozen=True)
@@ -130,34 +117,19 @@ class GroupPath:
         bshape = self.values.batch_shape
         if len(bshape) < 1 or bshape[-1] != times.size:
             raise ValueError("values batch must end with the grid axis")
-        start = _take(self.values.tensor, 0)
-        if (
-            np.max(np.abs(start.level1)) > 1e-12
-            or np.max(np.abs(start.level2)) > 1e-12
-            or np.max(np.abs(start.level3)) > 1e-12
-        ):
+        levels = self.values.tensor.levels()
+        if any(np.max(np.abs(a)) > 1e-12 for a in _index(levels, 0)[1:]):
             raise ValueError("values[0] must be the identity")
-        res = shuffle_residual(self._subsample_for_validation())
-        if np.any(res > 1e-8):
+        # shuffle check on a deterministic subsample of at most 2048
+        # elements; a nan residual fails it
+        total = int(np.prod(bshape))
+        flat = tuple(a.reshape((total,) + a.shape[len(bshape):]) for a in levels)
+        if total > 2048:
+            flat = _index(flat, np.linspace(0, total - 1, 2048).astype(int))
+        if not np.all(_shuffle_residual(flat) <= 1e-8):
             raise ValueError("path values are not group-like")
         times.setflags(write=False)
         object.__setattr__(self, "times", times)
-
-    def _subsample_for_validation(self, cap: int = 2048) -> GroupElement:
-        t = self.values.tensor
-        total = int(np.prod(t.batch_shape))
-        d = t.dim
-        flat = TruncatedTensor(
-            d,
-            t.level0.reshape(total),
-            t.level1.reshape(total, d),
-            t.level2.reshape(total, d, d),
-            t.level3.reshape(total, d, d, d),
-        )
-        if total <= cap:
-            return GroupElement(flat)
-        idx = np.linspace(0, total - 1, cap).astype(int)
-        return GroupElement(_take(flat, idx))
 
     @property
     def dim(self) -> int:
@@ -173,22 +145,20 @@ class GroupPath:
 
 
 def _chen_prefixes(increments: np.ndarray):
-    """Yield the Chen products exp(dx_1) (x) ... (x) exp(dx_k) for
-    k = 0, ..., m, the first being the identity.
+    """Yield the raw levels of the Chen products exp(dx_1) (x) ... (x)
+    exp(dx_k) for k = 0, ..., m, the first being the identity.
 
-    ``increments`` has shape (..., m, d); every yielded GroupElement has
+    ``increments`` has shape (..., m, d); every yielded level tuple has
     batch shape (...).
     """
     increments = np.asarray(increments, dtype=float)
     d = increments.shape[-1]
-    z = zero_tensor(d, increments.shape[:-2])
-    cur = exp_trunc(z)
+    batch = increments.shape[:-2]
+    z0, z2, z3 = np.zeros(batch), np.zeros(batch + (d, d)), np.zeros(batch + (d, d, d))
+    cur = _exp((z0, np.zeros(batch + (d,)), z2, z3))
     yield cur
     for j in range(increments.shape[-2]):
-        seg = exp_trunc(
-            TruncatedTensor(d, z.level0, increments[..., j, :], z.level2, z.level3)
-        )
-        cur = tensor_mul(cur, seg)
+        cur = _mul(cur, _exp((z0, increments[..., j, :], z2, z3)))
         yield cur
 
 
@@ -198,7 +168,10 @@ def lift_increments(increments: np.ndarray) -> GroupElement:
     ``increments`` has shape (..., m, d); the result is a GroupElement with
     batch shape (..., m+1), starting at the identity.
     """
-    return GroupElement(_stack([g.tensor for g in _chen_prefixes(increments)]))
+    levels = zip(*_chen_prefixes(increments))
+    d = np.shape(increments)[-1]
+    return GroupElement(TruncatedTensor(
+        d, *(np.stack(a, axis=-1 - k) for k, a in enumerate(levels))))
 
 
 def lift_s3(path: PiecewisePath) -> GroupPath:
@@ -219,9 +192,9 @@ def increment(gp: GroupPath, s: float, t: float) -> GroupElement:
     i, j = _time_index(gp.times, s), _time_index(gp.times, t)
     if i > j:
         raise ValueError("need s <= t")
-    xs = GroupElement(_take(gp.values.tensor, i))
-    xt = GroupElement(_take(gp.values.tensor, j))
-    return tensor_mul(group_inverse(xs), xt)
+    levels = gp.values.tensor.levels()
+    inc = _mul(_inverse(_index(levels, i)), _index(levels, j))
+    return GroupElement(TruncatedTensor(gp.dim, *inc))
 
 
 def _require_same_grid(x: GroupPath, y: GroupPath):
@@ -234,9 +207,7 @@ def _require_same_grid(x: GroupPath, y: GroupPath):
 def dist_inf(x: GroupPath, y: GroupPath):
     """sup over grid times of the homogeneous distance d(x_t, y_t)."""
     _require_same_grid(x, y)
-    d = homogeneous_norm(
-        tensor_mul(group_inverse(x.values), y.values)
-    )
+    d = _norm(_mul(_inverse(x.values.tensor.levels()), y.values.tensor.levels()))
     return np.max(d, axis=-1)
 
 
@@ -247,17 +218,17 @@ def _pair_rows(x: GroupPath, y: GroupPath | None = None):
     n = x.n_times
 
     def incs(path, i):
-        inv = group_inverse(GroupElement(_take(path.values.tensor, i)))
-        tail = GroupElement(_take(path.values.tensor, slice(i + 1, n)))
-        # _take with None inserts a length-1 grid axis so the single inverse
-        # broadcasts against all later grid points at once
-        return tensor_mul(GroupElement(_take(inv.tensor, None)), tail)
+        levels = path.values.tensor.levels()
+        # indexing with None inserts a length-1 grid axis so the single
+        # inverse broadcasts against all later grid points at once
+        inv = _index(_inverse(_index(levels, i)), None)
+        return _mul(inv, _index(levels, slice(i + 1, n)))
 
     for i in range(n - 1):
         inc = incs(x, i)
         if y is not None:
-            inc = tensor_mul(group_inverse(inc), incs(y, i))
-        yield homogeneous_norm(inc)
+            inc = _mul(_inverse(inc), incs(y, i))
+        yield _norm(inc)
 
 
 def _check_alpha(alpha: float):
@@ -310,8 +281,8 @@ def _pair_matrix(x: GroupPath, y: GroupPath | None) -> np.ndarray:
 
 def _pvar(rows, p: float):
     """(sup over sub-dissections of the sum of pair values^p)^{1/p}."""
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
+    if not 1.0 <= p < np.inf:
+        raise ValueError("p must be finite and >= 1")
     return _longest_path(row ** p for row in rows)[..., -1] ** (1.0 / p)
 
 

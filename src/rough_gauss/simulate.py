@@ -40,7 +40,7 @@ from .path_lift import (
     pvar_norm,
     refine_path,
 )
-from .tensor_algebra import GroupElement, hall_log_signature
+from .tensor_algebra import GroupElement, TruncatedTensor, hall_log_signature
 from .variation_2d import (
     GridFunction2D,
     rho_variation,
@@ -202,7 +202,7 @@ def lift_endpoint(increments: np.ndarray):
     memory stays O(batch) instead of O(batch * grid)."""
     for cur in _chen_prefixes(increments):
         pass
-    return cur.tensor
+    return TruncatedTensor(cur[1].shape[-1], *cur)
 
 
 def _interp_matrix(fine: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -310,19 +310,6 @@ def level2_variance_check(spec: ProcessSpec, i: int = 0, j: int = 1,
     }
 
 
-def _word_moments(end, words):
-    out = {}
-    for w in words:
-        if len(w) == 1:
-            z = end.level1[:, w[0]]
-        elif len(w) == 2:
-            z = end.level2[:, w[0], w[1]]
-        else:
-            z = end.level3[:, w[0], w[1], w[2]]
-        out[w] = z
-    return out
-
-
 def level_bounds_check(spec: ProcessSpec, rho: float | None = None,
                        interval_levels=(1, 2, 3, 4), n: int = 2_000,
                        seed: int = 0, grid_level: int = 6,
@@ -351,7 +338,8 @@ def level_bounds_check(spec: ProcessSpec, rho: float | None = None,
         omega = square_variation(k0, 0.0, t, cell_intervals, rho) ** rho
         omegas.append(omega)
         sizes.append(t)
-        for w, z in _word_moments(end, words).items():
+        for w in words:
+            z = end.levels()[len(w)][(slice(None),) + w]
             rows[w].append(mc_mean(z ** 2, seed))
     report = {"rho": rho, "sizes": sizes, "omegas": omegas, "words": {},
               "n": n, "seed": seed, "grid_level": grid_level}

@@ -155,18 +155,21 @@ def _as_tensor(x) -> TruncatedTensor:
     raise TypeError(f"expected tensor-like value, got {type(x).__name__}")
 
 
-def tensor_mul(a, b) -> TruncatedTensor | GroupElement:
-    """Truncated tensor product a (x) b; drops everything beyond level 3.
+def _check_unit(x, what: str) -> TruncatedTensor:
+    t = _as_tensor(x)
+    if not np.all(t.level0 == 1.0):
+        raise ValueError(f"{what} requires unit scalar part")
+    return t
 
-    Batch shapes broadcast against each other.  Returns a GroupElement when
-    both factors are group elements (the group is closed under the product).
-    """
-    wrap = isinstance(a, GroupElement) and isinstance(b, GroupElement)
-    ta, tb = _as_tensor(a), _as_tensor(b)
-    if ta.dim != tb.dim:
-        raise ValueError("dimension mismatch in tensor product")
-    a0, a1, a2, a3 = ta.levels()
-    b0, b1, b2, b3 = tb.levels()
+
+# Raw kernels: level tuples (l0, l1, l2, l3) with the batch axes first, no
+# validation.  The public functions below check their inputs, call one of
+# these and wrap the result in a validated dataclass once.
+
+
+def _mul(a, b):
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
     s = a0[..., None]
     t = b0[..., None]
     l0 = a0 * b0
@@ -182,7 +185,84 @@ def tensor_mul(a, b) -> TruncatedTensor | GroupElement:
         + a2[..., :, :, None] * b1[..., None, None, :]
         + a3 * t[..., None, None]
     )
-    out = TruncatedTensor(ta.dim, l0, l1, l2, l3)
+    return l0, l1, l2, l3
+
+
+def _powers(x1: np.ndarray, x2: np.ndarray):
+    """Truncated powers of x = x1 + x2 + x3 (no scalar part): x^2 has level
+    2 part sq2 and level 3 part sq3, x^3 has level 3 part cube3."""
+    sq2 = np.einsum("...i,...j->...ij", x1, x1)
+    sq3 = (
+        np.einsum("...i,...jk->...ijk", x1, x2)
+        + np.einsum("...ij,...k->...ijk", x2, x1)
+    )
+    cube3 = np.einsum("...i,...j,...k->...ijk", x1, x1, x1)
+    return sq2, sq3, cube3
+
+
+def _inverse(g):
+    l0, x1, x2, x3 = g
+    sq2, sq3, cube3 = _powers(x1, x2)
+    return np.ones(l0.shape), -x1, -x2 + sq2, -x3 + sq3 - cube3
+
+
+def _exp(x):
+    l0, x1, x2, x3 = x
+    sq2, sq3, cube3 = _powers(x1, x2)
+    return np.ones(l0.shape), x1, x2 + 0.5 * sq2, x3 + 0.5 * sq3 + cube3 / 6.0
+
+
+def _log(g):
+    l0, x1, x2, x3 = g
+    sq2, sq3, cube3 = _powers(x1, x2)
+    return np.zeros(l0.shape), x1, x2 - 0.5 * sq2, x3 - 0.5 * sq3 + cube3 / 3.0
+
+
+def _level_fro(t):
+    l0, l1, l2, l3 = t
+    d = l1.shape[-1]
+    n1 = np.sqrt(np.sum(l1**2, axis=-1))
+    n2 = np.sqrt(np.sum(l2.reshape(l0.shape + (d * d,)) ** 2, axis=-1))
+    n3 = np.sqrt(np.sum(l3.reshape(l0.shape + (d**3,)) ** 2, axis=-1))
+    return n1, n2, n3
+
+
+def _raw_norm(t):
+    n1, n2, n3 = _level_fro(t)
+    return np.maximum(n1, np.maximum(n2 ** 0.5, n3 ** (1.0 / 3.0)))
+
+
+def _norm(g):
+    return np.maximum(_raw_norm(g), _raw_norm(_inverse(g)))
+
+
+def _shuffle_residual(g):
+    _, x1, x2, x3 = g
+    sym2 = 0.5 * (x2 + np.swapaxes(x2, -1, -2))
+    half_sq = 0.5 * np.einsum("...i,...j->...ij", x1, x1)
+    r2 = np.sqrt(np.sum((sym2 - half_sq) ** 2, axis=(-2, -1)))
+    lhs3 = np.einsum("...i,...jk->...ijk", x1, x2)
+    rhs3 = (
+        x3
+        + np.einsum("...jik->...ijk", x3)
+        + np.einsum("...jki->...ijk", x3)
+    )
+    r3 = np.sqrt(np.sum((lhs3 - rhs3) ** 2, axis=(-3, -2, -1)))
+    nrm = np.maximum(_raw_norm(g), 1.0)
+    return r2 / nrm**2 + r3 / nrm**3
+
+
+def tensor_mul(a, b) -> TruncatedTensor | GroupElement:
+    """Truncated tensor product a (x) b; drops everything beyond level 3.
+
+    Batch shapes broadcast against each other.  Returns a GroupElement when
+    both factors are group elements (the group is closed under the product).
+    """
+    wrap = isinstance(a, GroupElement) and isinstance(b, GroupElement)
+    ta, tb = _as_tensor(a), _as_tensor(b)
+    if ta.dim != tb.dim:
+        raise ValueError("dimension mismatch in tensor product")
+    out = TruncatedTensor(ta.dim, *_mul(ta.levels(), tb.levels()))
     return GroupElement(out) if wrap else out
 
 
@@ -198,34 +278,11 @@ def tensor_scale(c, a) -> TruncatedTensor:
     )
 
 
-def _powers(x1: np.ndarray, x2: np.ndarray):
-    """Truncated powers of x = x1 + x2 + x3 (no scalar part): x^2 has level
-    2 part sq2 and level 3 part sq3, x^3 has level 3 part cube3."""
-    sq2 = np.einsum("...i,...j->...ij", x1, x1)
-    sq3 = (
-        np.einsum("...i,...jk->...ijk", x1, x2)
-        + np.einsum("...ij,...k->...ijk", x2, x1)
-    )
-    cube3 = np.einsum("...i,...j,...k->...ijk", x1, x1, x1)
-    return sq2, sq3, cube3
-
-
 def group_inverse(g: GroupElement) -> GroupElement:
     """Inverse in the truncated algebra: for g = 1 + x the Neumann series
     1 - x + x^2 - x^3 terminates exactly at step 3."""
-    t = _as_tensor(g)
-    if not np.all(t.level0 == 1.0):
-        raise ValueError("inverse requires unit scalar part")
-    x1, x2, x3 = t.level1, t.level2, t.level3
-    sq2, sq3, cube3 = _powers(x1, x2)
-    inv = TruncatedTensor(
-        t.dim,
-        np.ones(t.batch_shape),
-        -x1,
-        -x2 + sq2,
-        -x3 + sq3 - cube3,
-    )
-    return GroupElement(inv)
+    t = _check_unit(g, "inverse")
+    return GroupElement(TruncatedTensor(t.dim, *_inverse(t.levels())))
 
 
 def exp_trunc(x) -> GroupElement:
@@ -233,32 +290,13 @@ def exp_trunc(x) -> GroupElement:
     t = _as_tensor(x)
     if not np.all(t.level0 == 0.0):
         raise ValueError("exp requires zero scalar part")
-    x1, x2, x3 = t.level1, t.level2, t.level3
-    sq2, sq3, cube3 = _powers(x1, x2)
-    out = TruncatedTensor(
-        t.dim,
-        np.ones(t.batch_shape),
-        x1,
-        x2 + 0.5 * sq2,
-        x3 + 0.5 * sq3 + cube3 / 6.0,
-    )
-    return GroupElement(out)
+    return GroupElement(TruncatedTensor(t.dim, *_exp(t.levels())))
 
 
 def log_trunc(g) -> TruncatedTensor:
     """log power series truncated at degree 3: x - x^2/2 + x^3/3, x = g - 1."""
-    t = _as_tensor(g)
-    if not np.all(t.level0 == 1.0):
-        raise ValueError("log requires unit scalar part")
-    x1, x2, x3 = t.level1, t.level2, t.level3
-    sq2, sq3, cube3 = _powers(x1, x2)
-    return TruncatedTensor(
-        t.dim,
-        np.zeros(t.batch_shape),
-        x1,
-        x2 - 0.5 * sq2,
-        x3 - 0.5 * sq3 + cube3 / 3.0,
-    )
+    t = _check_unit(g, "log")
+    return TruncatedTensor(t.dim, *_log(t.levels()))
 
 
 def dilate(lam, g: GroupElement) -> GroupElement:
@@ -275,19 +313,6 @@ def dilate(lam, g: GroupElement) -> GroupElement:
     return GroupElement(out)
 
 
-def _level_fro(t: TruncatedTensor):
-    d = t.dim
-    n1 = np.sqrt(np.sum(t.level1**2, axis=-1))
-    n2 = np.sqrt(np.sum(t.level2.reshape(t.batch_shape + (d * d,)) ** 2, axis=-1))
-    n3 = np.sqrt(np.sum(t.level3.reshape(t.batch_shape + (d**3,)) ** 2, axis=-1))
-    return n1, n2, n3
-
-
-def _raw_norm(t: TruncatedTensor):
-    n1, n2, n3 = _level_fro(t)
-    return np.maximum(n1, np.maximum(n2 ** 0.5, n3 ** (1.0 / 3.0)))
-
-
 def homogeneous_norm(g: GroupElement):
     """max(|pi1|, |pi2|^(1/2), |pi3|^(1/3)) with Frobenius level norms,
     symmetrized so that ||g|| = ||g^-1|| (take the max of both raw values).
@@ -295,16 +320,14 @@ def homogeneous_norm(g: GroupElement):
     Homogeneous under dilation and subadditive: ||g (x) h|| <= ||g|| + ||h||.
     Returns an array over the batch shape (0-d array for a single element).
     """
-    raw = _raw_norm(g.tensor)
-    raw_inv = _raw_norm(group_inverse(g).tensor)
-    return np.maximum(raw, raw_inv)
+    return _norm(g.tensor.levels())
 
 
 def cc_distance(g: GroupElement, h: GroupElement):
     """Homogeneous distance ||g^-1 (x) h||."""
     if g.dim != h.dim:
         raise ValueError("dimension mismatch")
-    return homogeneous_norm(tensor_mul(group_inverse(g), h))
+    return _norm(_mul(_inverse(g.tensor.levels()), h.tensor.levels()))
 
 
 def shuffle_residual(g: GroupElement):
@@ -315,20 +338,7 @@ def shuffle_residual(g: GroupElement):
     Residuals are scaled by max(1, raw norm)^level so the measure is
     dilation-insensitive for large elements and absolute for small ones.
     """
-    t = g.tensor
-    x1, x2, x3 = t.level1, t.level2, t.level3
-    sym2 = 0.5 * (x2 + np.swapaxes(x2, -1, -2))
-    half_sq = 0.5 * np.einsum("...i,...j->...ij", x1, x1)
-    r2 = np.sqrt(np.sum((sym2 - half_sq) ** 2, axis=(-2, -1)))
-    lhs3 = np.einsum("...i,...jk->...ijk", x1, x2)
-    rhs3 = (
-        x3
-        + np.einsum("...jik->...ijk", x3)
-        + np.einsum("...jki->...ijk", x3)
-    )
-    r3 = np.sqrt(np.sum((lhs3 - rhs3) ** 2, axis=(-3, -2, -1)))
-    nrm = np.maximum(_raw_norm(t), 1.0)
-    return r2 / nrm**2 + r3 / nrm**3
+    return _shuffle_residual(g.tensor.levels())
 
 
 def is_group_like(g: GroupElement, tol: float = 1e-10) -> bool:
@@ -502,7 +512,7 @@ def hall_log_signature(sig: GroupElement, tol: float = 1e-10) -> LieElement:
     Inputs failing the shuffle check at ``tol`` are rejected.
     """
     res = shuffle_residual(sig)
-    if np.any(res > tol):
+    if not np.all(res <= tol):
         raise ValueError(
             f"input is not group-like (shuffle residual {float(np.max(res)):.3e} > {tol:g})"
         )
@@ -561,7 +571,7 @@ def lie_level_norms(t: TruncatedTensor):
     Raw Frobenius norms satisfy the same estimates only up to sqrt(2) resp.
     sqrt(6), which is why this scaling is the natural one for step-3 bounds.
     """
-    n1, n2, n3 = _level_fro(t)
+    n1, n2, n3 = _level_fro(t.levels())
     return n1, n2 / np.sqrt(2.0), n3 / np.sqrt(6.0)
 
 

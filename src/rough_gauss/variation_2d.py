@@ -427,6 +427,8 @@ def young_integral_2d(
 
 def young_constant(p: float, q: float) -> float:
     """Uniform constant used in the Young bound: (1 + zeta(1/p + 1/q))^2."""
+    if not (1.0 <= p < np.inf and 1.0 <= q < np.inf):
+        raise ValueError("p and q must be finite and >= 1")
     theta = 1.0 / p + 1.0 / q
     if theta <= 1.0:
         raise ValueError("need 1/p + 1/q > 1")

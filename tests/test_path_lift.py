@@ -24,10 +24,14 @@ from rough_gauss.path_lift import (
     write_path_csv,
 )
 from rough_gauss.tensor_algebra import (
+    GroupElement,
+    TruncatedTensor,
     cc_distance,
+    exp_trunc,
     group_inverse,
     hall_log_signature,
     homogeneous_norm,
+    identity_element,
     tensor_mul,
 )
 from rough_gauss.variation_2d import _longest_path, _upper_rows
@@ -186,8 +190,12 @@ class TestMetrics:
     def test_invalid_parameters_rejected(self):
         rng = np.random.default_rng(10)
         x = lift_s3(random_path(rng, 6, 2))
-        with pytest.raises(ValueError):
-            pvar_norm(x, 0.5)
+        y = lift_s3(PiecewisePath(x.times, random_path(rng, 6, 2).points))
+        for p in (0.5, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                pvar_norm(x, p)
+            with pytest.raises(ValueError):
+                pvar_dist(x, y, p)
         with pytest.raises(ValueError):
             holder_norm(x, 1.5)
 
@@ -364,3 +372,58 @@ class TestPairStream:
         finally:
             tracemalloc.stop()
         assert peak < matrix_bytes / 2
+
+
+class TestOneImplementation:
+    """The Chen loop and the pair stream run the same raw kernels as the
+    public functions, so they agree bit for bit, not just to roundoff."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_lift_equals_public_fold(self, d):
+        rng = np.random.default_rng(31)
+        incs = rng.standard_normal((3, 6, d))
+        batch = incs.shape[:-2]
+        zeros = (np.zeros(batch), np.zeros(batch + (d, d)), np.zeros(batch + (d, d, d)))
+        cur = identity_element(d, batch)
+        want = [cur]
+        for j in range(incs.shape[-2]):
+            seg = TruncatedTensor(d, zeros[0], incs[..., j, :], zeros[1], zeros[2])
+            cur = tensor_mul(cur, exp_trunc(seg))
+            want.append(cur)
+        got = lift_increments(incs).tensor.levels()
+        for k, level in enumerate(got):
+            for j, w in enumerate(want):
+                assert np.all(level[(..., j) + (slice(None),) * k] == w.tensor.levels()[k])
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_pair_matrix_equals_public_distances(self, d):
+        rng = np.random.default_rng(32)
+        x = random_path(rng, 7, d, (3,))
+        y = PiecewisePath(x.times, x.points + 0.3 * rng.standard_normal(x.points.shape))
+        x, y = lift_s3(x), lift_s3(y)
+        mxy, mx = _pair_matrix(x, y), _pair_matrix(x, None)
+        t = x.times
+        for i in range(x.n_times):
+            for j in range(i + 1, x.n_times):
+                ix, iy = increment(x, t[i], t[j]), increment(y, t[i], t[j])
+                assert np.all(mxy[..., i, j] == cc_distance(ix, iy))
+                assert np.all(mx[..., i, j] == homogeneous_norm(ix))
+
+    def test_overflowing_lift_rejected(self):
+        pts = np.array([[0.0, 0.0], [1e110, 0.0], [1e110, 1e110]])
+        with pytest.raises(ValueError), np.errstate(over="ignore", invalid="ignore"):
+            lift_s3(PiecewisePath(np.array([0.0, 0.5, 1.0]), pts))
+
+    def test_nan_shuffle_residual_rejected(self):
+        # the levels (up to 1e270) are finite, but the shuffle residual
+        # squares them and overflows to nan; nan must fail the check
+        pts = 1e90 * np.array([[0.0, 0.0], [1.3, 0.7], [0.2, 1.9]])
+        path = PiecewisePath(np.array([0.0, 0.5, 1.0]), pts)
+        incs = np.diff(pts, axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            end = GroupElement(TruncatedTensor(
+                2, *(a[-1] for a in lift_increments(incs).tensor.levels())))
+            with pytest.raises(ValueError):
+                lift_s3(path)
+            with pytest.raises(ValueError):
+                hall_log_signature(end)

@@ -153,6 +153,11 @@ class TestLifts:
         est = mc_mean(area, 8)
         assert abs(est.value) <= 5 * est.stderr
 
+    def test_overflowing_endpoint_rejected(self):
+        incs = np.array([[[1e110, 0.0], [0.0, 1e110]]])
+        with pytest.raises(ValueError), np.errstate(over="ignore", invalid="ignore"):
+            lift_endpoint(incs)
+
     def test_empty_increments_lift_to_identity(self):
         end = lift_endpoint(np.zeros((5, 0, 2)))
         assert np.all(end.level1 == 0.0) and np.all(end.level2 == 0.0)

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rough_gauss import variation_2d
 from rough_gauss.variation_2d import (
     Control2D,
     GridFunction2D,
@@ -291,7 +292,19 @@ class TestYoungBound:
     def test_exponent_condition_enforced(self):
         with pytest.raises(ValueError):
             young_constant(2.5, 2.5)
+        for p, q in ((np.nan, 2.0), (2.0, np.nan)):
+            with pytest.raises(ValueError):
+                young_constant(p, q)
         assert young_constant(1.0, 1.0) == pytest.approx((1 + np.pi**2 / 6) ** 2)
+
+    def test_nan_exponent_rejected_before_integration(self, monkeypatch):
+        def no_integral(*args, **kwargs):
+            raise AssertionError("integral computed before the exponent check")
+
+        monkeypatch.setattr(variation_2d, "young_integral_2d", no_integral)
+        f = min_cov(5)
+        with pytest.raises(ValueError):
+            young_bound_check(f, f, 2.0, np.nan)
 
 
 class TestControl:
