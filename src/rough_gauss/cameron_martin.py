@@ -17,6 +17,7 @@ from .covariance import CovarianceKernel, fbm_cov
 from .variation_2d import (
     EXACT_INTERVAL_CAP,
     GridFunction2D,
+    _check_exponent,
     _longest_path,
     rho_variation,
 )
@@ -82,8 +83,7 @@ def cm_norm_sq(h: CMElement) -> float:
 def pvar_1d(values, rho: float):
     """Exact grid rho-variation of a scalar sequence by the longest-path
     dynamic program; leading axes are batch."""
-    if not 1.0 <= rho < np.inf:
-        raise ValueError("rho must be finite and >= 1")
+    _check_exponent(rho, "rho")
     x = np.asarray(values, dtype=float)
     n = x.shape[-1]
     if n < 2:

@@ -441,7 +441,7 @@ def _run_grr(cfg: ExperimentConfig) -> dict:
 
 def _run_chaos_ratio(cfg: ExperimentConfig) -> dict:
     ens = _sample(cfg, grid_level=5, n=10_000)
-    end = lift_endpoint(np.diff(ens.samples.swapaxes(-1, -2), axis=-2))
+    end = lift_endpoint(np.diff(ens.samples, axis=-2))
     lie = hall_log_signature(GroupElement(end))
     labels = iter(hall_basis_labels(lie.dim))
     rows = []
@@ -455,7 +455,7 @@ def _run_chaos_ratio(cfg: ExperimentConfig) -> dict:
     return _outcome(
         [{"name": "moment_equivalence", "ok": all(row["ok"] for row in rows),
           "worst_ratio_over_bound": worst}],
-        {"n": ens.samples.shape[0], "grid_points": ens.grid.size, "rows": rows,
+        {"n": ens.n, "grid_points": ens.grid.size, "rows": rows,
          "worst_ratio_over_bound": worst},
         ["level", "coordinate", "q", "ratio", "band", "bound", "ok"], rows,
         estimate=worst)

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .variation_2d import GridFunction2D, rho_variation
+from .variation_2d import GridFunction2D, _cell, _check_times, rho_variation
 
 __all__ = [
     "CovarianceKernel",
@@ -285,17 +285,12 @@ def piecewise_linear_cov(k: CovarianceKernel, D) -> CovarianceKernel:
     bilinear blend of R's rectangular increments over the cells of D x D.
     Agrees with R at D x D."""
     D = np.asarray(D, dtype=float)
-    if D.ndim != 1 or D.size < 2 or np.any(np.diff(D) <= 0) or D[0] != 0.0 or D[-1] != 1.0:
-        raise ValueError("D must be a dissection of [0, 1]")
+    _check_times(D)
     G = gram_matrix(k, D, check_psd=False)
 
     def ev(s, t):
-        s = np.asarray(s, dtype=float)
-        t = np.asarray(t, dtype=float)
-        i = np.clip(np.searchsorted(D, s, side="right") - 1, 0, D.size - 2)
-        j = np.clip(np.searchsorted(D, t, side="right") - 1, 0, D.size - 2)
-        a = (s - D[i]) / (D[i + 1] - D[i])
-        b = (t - D[j]) / (D[j + 1] - D[j])
+        i, a = _cell(D, np.asarray(s, dtype=float))
+        j, b = _cell(D, np.asarray(t, dtype=float))
         return (
             (1 - a) * (1 - b) * G[i, j]
             + (1 - a) * b * G[i, j + 1]

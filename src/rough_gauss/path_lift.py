@@ -25,7 +25,13 @@ from .tensor_algebra import (
     _shuffle_residual,
     homogeneous_norm,
 )
-from .variation_2d import _longest_path
+from .variation_2d import (
+    _cell,
+    _check_exponent,
+    _check_times,
+    _longest_path,
+    _positions,
+)
 
 __all__ = [
     "PiecewisePath",
@@ -45,15 +51,6 @@ __all__ = [
     "write_path_csv",
     "read_path_csv",
 ]
-
-
-def _check_times(times: np.ndarray):
-    if times.ndim != 1 or times.size < 2:
-        raise ValueError("need a 1-d grid with at least two times")
-    if times[0] != 0.0 or times[-1] != 1.0:
-        raise ValueError("grid must start at 0 and end at 1")
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("grid times must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -180,16 +177,9 @@ def lift_s3(path: PiecewisePath) -> GroupPath:
     return GroupPath(path.times, lift_increments(incs))
 
 
-def _time_index(times: np.ndarray, t: float) -> int:
-    i = int(np.searchsorted(times, t))
-    if i >= times.size or times[i] != t:
-        raise ValueError(f"time {t!r} is not on the grid")
-    return i
-
-
 def increment(gp: GroupPath, s: float, t: float) -> GroupElement:
     """Group increment x_s^{-1} (x) x_t for grid times s <= t."""
-    i, j = _time_index(gp.times, s), _time_index(gp.times, t)
+    i, j = _positions(gp.times, [s, t], "s, t")
     if i > j:
         raise ValueError("need s <= t")
     levels = gp.values.tensor.levels()
@@ -281,8 +271,7 @@ def _pair_matrix(x: GroupPath, y: GroupPath | None) -> np.ndarray:
 
 def _pvar(rows, p: float):
     """(sup over sub-dissections of the sum of pair values^p)^{1/p}."""
-    if not 1.0 <= p < np.inf:
-        raise ValueError("p must be finite and >= 1")
+    _check_exponent(p, "p")
     return _longest_path(row ** p for row in rows)[..., -1] ** (1.0 / p)
 
 
@@ -314,17 +303,15 @@ def refine_path(path: PiecewisePath, new_times: np.ndarray) -> PiecewisePath:
     here because the path is piecewise linear between its own breakpoints."""
     new_times = np.asarray(new_times, dtype=float)
     _check_times(new_times)
-    pos = np.searchsorted(new_times, path.times)
-    if np.any(pos >= new_times.size) or np.any(new_times[pos] != path.times):
-        raise ValueError("new grid must contain every existing breakpoint")
-    flat = path.points.reshape(-1, path.n_times, path.dim)
-    out = np.empty((flat.shape[0], new_times.size, path.dim))
-    for b in range(flat.shape[0]):
-        for k in range(path.dim):
-            out[b, :, k] = np.interp(new_times, path.times, flat[b, :, k])
+    pos = _positions(new_times, path.times, "breakpoints")
+    t, x = path.times, path.points
+    # slope * (t - t_i) + x_i on the cell [t_i, t_{i+1}) of each new time t
+    i, _ = _cell(t, new_times)
+    slope = np.diff(x, axis=-2) / np.diff(t)[:, None]
+    out = slope[..., i, :] * (new_times - t[i])[:, None] + x[..., i, :]
     # pin original breakpoints exactly, interpolation only fills new points
-    out[:, pos, :] = flat
-    return PiecewisePath(new_times, out.reshape(path.points.shape[:-2] + (new_times.size, path.dim)))
+    out[..., pos, :] = x
+    return PiecewisePath(new_times, out)
 
 
 def write_path_csv(path: PiecewisePath, file) -> None:

@@ -31,10 +31,8 @@ from .path_lift import (
     GroupPath,
     PiecewisePath,
     _chen_prefixes,
-    _check_times,
     _take,
     holder_dist,
-    lift_increments,
     lift_s3,
     pvar_dist,
     pvar_norm,
@@ -43,6 +41,9 @@ from .path_lift import (
 from .tensor_algebra import GroupElement, TruncatedTensor, hall_log_signature
 from .variation_2d import (
     GridFunction2D,
+    _cell,
+    _check_times,
+    _positions,
     rho_variation,
     young_constant,
     young_integral_2d,
@@ -93,19 +94,14 @@ def mc_mean(values, seed: int) -> MCEstimate:
 
 @dataclass(frozen=True)
 class SampleEnsemble:
-    spec: ProcessSpec
     grid: np.ndarray
-    samples: np.ndarray  # (n, d, |grid|)
-    seed: int
-    stream: int
+    samples: np.ndarray  # (n, |grid|, d), the layout of every path
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
         samples = np.asarray(self.samples, dtype=float)
-        if samples.ndim != 3 or samples.shape[1] != self.spec.dim:
-            raise ValueError("samples must have shape (n, d, |grid|)")
-        if samples.shape[2] != grid.size:
-            raise ValueError("sample length does not match grid")
+        if samples.ndim != 3 or samples.shape[1] != grid.size:
+            raise ValueError("samples must have shape (n, |grid|, d)")
         grid.setflags(write=False)
         samples.setflags(write=False)
         object.__setattr__(self, "grid", grid)
@@ -115,13 +111,8 @@ class SampleEnsemble:
     def n(self) -> int:
         return self.samples.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.samples.shape[1]
-
     def paths(self) -> PiecewisePath:
-        # (n, d, m) -> (n, m, d) batch of piecewise-linear paths
-        return PiecewisePath(self.grid, np.swapaxes(self.samples, -1, -2))
+        return PiecewisePath(self.grid, self.samples)
 
 
 def _factor(kernel: CovarianceKernel, grid: np.ndarray) -> np.ndarray:
@@ -162,7 +153,7 @@ def sample(spec: ProcessSpec, grid, n: int, seed: int, stream: int = 0,
     m = grid.size
     d = spec.dim
     factors = tuple(_factor(k, grid) for k in spec.kernels)
-    out = np.empty((n, d, m))
+    out = np.empty((n, m, d))
 
     def run_chunk(lo: int):
         hi = min(lo + CHUNK, n)
@@ -170,7 +161,7 @@ def sample(spec: ProcessSpec, grid, n: int, seed: int, stream: int = 0,
             Z = np.empty((hi - lo, m))
             for i in range(lo, hi):
                 Z[i - lo] = _normals(seed, stream, i, c, m)
-            out[lo:hi, c, :] = Z @ factors[c].T
+            out[lo:hi, :, c] = Z @ factors[c].T
 
     starts = range(0, n, CHUNK)
     if workers <= 1:
@@ -179,22 +170,18 @@ def sample(spec: ProcessSpec, grid, n: int, seed: int, stream: int = 0,
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_chunk, starts))
-    return SampleEnsemble(spec, grid, out, seed, stream)
+    return SampleEnsemble(grid, out)
 
 
 def restrict_to(ens: SampleEnsemble, D) -> SampleEnsemble:
     """The same sample paths on a sub-dissection: X^D_t = X_t for t in D."""
     D = np.asarray(D, dtype=float)
-    pos = np.searchsorted(ens.grid, D)
-    if np.any(pos >= ens.grid.size) or np.any(ens.grid[pos] != D):
-        raise ValueError("D must be a subset of the ensemble grid")
-    return SampleEnsemble(ens.spec, D, ens.samples[:, :, pos], ens.seed,
-                          ens.stream)
+    _check_times(D)
+    return SampleEnsemble(D, ens.samples[:, _positions(ens.grid, D, "D")])
 
 
 def lift_ensemble(ens: SampleEnsemble) -> GroupPath:
-    return GroupPath(ens.grid, lift_increments(np.diff(
-        np.swapaxes(ens.samples, -1, -2), axis=-2)))
+    return lift_s3(ens.paths())
 
 
 def lift_endpoint(increments: np.ndarray):
@@ -208,9 +195,7 @@ def lift_endpoint(increments: np.ndarray):
 def _interp_matrix(fine: np.ndarray, D: np.ndarray) -> np.ndarray:
     """W[a, j]: weight of node D[j] in the piecewise-linear value at fine[a]."""
     W = np.zeros((fine.size, D.size))
-    seg = np.clip(np.searchsorted(D, fine, side="right") - 1, 0, D.size - 2)
-    left, right = D[seg], D[seg + 1]
-    lam = (fine - left) / (right - left)
+    seg, lam = _cell(D, fine)
     rows = np.arange(fine.size)
     W[rows, seg] = 1.0 - lam
     W[rows, seg + 1] = lam
@@ -273,9 +258,7 @@ def level2_variance_check(spec: ProcessSpec, i: int = 0, j: int = 1,
                 "gap": 0.0, "ok": True, "grid_level": grid_level,
                 "components": [i, j], "interval": [s, t]}
     ens = sample(spec, grid, n, seed, workers=workers)
-    sub = ens.samples[:, (i, j), a : b + 1]
-    incs = np.diff(np.swapaxes(sub, -1, -2), axis=-2)
-    end = lift_endpoint(incs)
+    end = lift_endpoint(np.diff(ens.samples[:, a : b + 1, (i, j)], axis=-2))
     est = mc_mean(end.level2[:, 0, 1] ** 2, seed)
 
     base = np.linspace(s, t, 2 ** min(grid_level, 6) + 1)
@@ -323,6 +306,8 @@ def level_bounds_check(spec: ProcessSpec, rho: float | None = None,
     k0 = spec.kernels[0]
     if any(k.name != k0.name or k.params != k0.params for k in spec.kernels):
         raise ValueError("envelope assumes identical components")
+    if any(lev not in range(grid_level + 1) for lev in interval_levels):
+        raise ValueError(f"interval levels must lie in 0..grid_level={grid_level}")
     rho = float(spec.rho if rho is None else rho)
     grid = np.linspace(0.0, 1.0, 2 ** grid_level + 1)
     ens = sample(spec, grid, n, seed, workers=workers)
@@ -333,8 +318,7 @@ def level_bounds_check(spec: ProcessSpec, rho: float | None = None,
     for lev in interval_levels:
         t = 2.0 ** (-lev)
         idx = int(round(t * (grid.size - 1)))
-        incs = np.diff(np.swapaxes(ens.samples[:, :, : idx + 1], -1, -2), axis=-2)
-        end = lift_endpoint(incs)
+        end = lift_endpoint(np.diff(ens.samples[:, : idx + 1], axis=-2))
         omega = square_variation(k0, 0.0, t, cell_intervals, rho) ** rho
         omegas.append(omega)
         sizes.append(t)
@@ -417,8 +401,7 @@ def perturbation_continuity(spec: ProcessSpec, epsilons=(0.2, 0.1, 0.05),
     means = []
     errs = []
     for eps in epsilons:
-        pert = SampleEnsemble(spec, grid, ens_x.samples + eps * ens_w.samples,
-                              seed, ens_x.stream)
+        pert = SampleEnsemble(grid, ens_x.samples + eps * ens_w.samples)
         dist = pvar_dist(lift_ensemble(pert), lift_x, p)
         est = mc_mean(np.asarray(dist) ** 2, seed)
         means.append(math.sqrt(est.value))
@@ -525,7 +508,7 @@ def young_wiener_check(f_eval, spec: ProcessSpec, q: float = 1.0,
     grid = np.linspace(0.0, 1.0, 2 ** grid_level + 1)
     ens = sample(spec, grid, n, seed, workers=workers)
     fv = np.asarray(f_eval(grid), dtype=float)
-    integrals = np.diff(ens.samples[:, 0, :], axis=-1) @ fv[:-1]
+    integrals = np.diff(ens.samples[:, :, 0], axis=-1) @ fv[:-1]
     est = mc_mean(integrals ** 2, seed)
 
     base = np.linspace(0.0, 1.0, 2 ** min(grid_level, 9) + 1)
@@ -583,8 +566,8 @@ def weak_limit_fbm(h_ladder=(0.45, 0.48, 0.5), n: int = 10_000, seed: int = 0,
     normals across the ladder: the statistic approaches the Brownian value
     1/2 and the sup-norm kernel gap to min(s,t) shrinks."""
     ladder = [float(H) for H in h_ladder]
-    if any(b <= a for a, b in zip(ladder[:-1], ladder[1:])):
-        raise ValueError("H ladder must increase")
+    if ladder[-1] > 0.5 or any(b <= a for a, b in zip(ladder[:-1], ladder[1:])):
+        raise ValueError("H ladder must increase to at most 1/2")
     grid = np.linspace(0.0, 1.0, 2 ** grid_level + 1)
     kgrid = np.linspace(0.0, 1.0, 2 ** 6 + 1)
     bm_gram = bm_cov().grid_eval(kgrid, kgrid)
@@ -595,8 +578,7 @@ def weak_limit_fbm(h_ladder=(0.45, 0.48, 0.5), n: int = 10_000, seed: int = 0,
         kern = fbm_cov(H) if H < 0.5 else bm_cov()
         spec = ProcessSpec((kern, kern))
         ens = sample(spec, grid, n, seed, workers=workers)
-        incs = np.diff(np.swapaxes(ens.samples, -1, -2), axis=-2)
-        end = lift_endpoint(incs)
+        end = lift_endpoint(np.diff(ens.samples, axis=-2))
         est = mc_mean(end.level2[:, 0, 1] ** 2, seed)
         stats.append(est.to_dict())
         gaps.append(abs(est.value - 0.5))
@@ -632,8 +614,8 @@ def product_moment_surface_check(spec: ProcessSpec, n: int = 2_000,
     m = max(grid_intervals)
     grid = np.linspace(0.0, 1.0, m + 1)
     ens = sample(spec, grid, n, seed, workers=workers)
-    x = ens.samples[:, 0, :] - ens.samples[:, 0, :1]
-    y = ens.samples[:, 1, :] - ens.samples[:, 1, :1]
+    x = ens.samples[:, :, 0] - ens.samples[:, :1, 0]
+    y = ens.samples[:, :, 1] - ens.samples[:, :1, 1]
     prod = x * y  # (n, m+1)
     k0 = spec.kernels[0]
     omega = square_variation(k0, 0.0, 1.0, 12, rho) ** rho

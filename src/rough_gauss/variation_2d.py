@@ -42,11 +42,38 @@ EXACT_INTERVAL_CAP = 16
 _EXACT_BLOCK_BYTES = 1 << 21
 
 
+def _check_exponent(p: float, name: str):
+    if not 1.0 <= p < np.inf:
+        raise ValueError(f"{name} must be finite and >= 1")
+
+
 def _check_grid(g: np.ndarray, name: str):
     if g.ndim != 1 or g.size < 2:
         raise ValueError(f"{name} must be 1-d with at least two points")
-    if np.any(np.diff(g) <= 0):
+    if not np.all(np.diff(g) > 0):
         raise ValueError(f"{name} must be strictly increasing")
+
+
+def _check_times(times: np.ndarray):
+    """A dissection of [0, 1]: strictly increasing from 0 to 1."""
+    _check_grid(times, "grid")
+    if times[0] != 0.0 or times[-1] != 1.0:
+        raise ValueError("grid must start at 0 and end at 1")
+
+
+def _positions(grid: np.ndarray, values, what: str):
+    """Indices of ``values`` in ``grid``; every value must be a grid point."""
+    pos = np.minimum(np.searchsorted(grid, values), grid.size - 1)
+    if np.any(grid[pos] != values):
+        raise ValueError(f"{what} not on the grid: {values!r}")
+    return pos
+
+
+def _cell(grid: np.ndarray, x):
+    """The cell i of each x, grid[i] <= x < grid[i+1] clamped to the end
+    cells, and the fraction (x - grid[i]) / (grid[i+1] - grid[i])."""
+    i = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, grid.size - 2)
+    return i, (x - grid[i]) / (grid[i + 1] - grid[i])
 
 
 @dataclass(frozen=True)
@@ -109,20 +136,11 @@ class VariationResult:
     metadata: dict = field(default_factory=dict)
 
 
-def _grid_index(grid: np.ndarray, x: float, name: str) -> int:
-    i = int(np.searchsorted(grid, x))
-    if i >= grid.size or grid[i] != x:
-        raise ValueError(f"{name}={x!r} is not a grid point")
-    return i
-
-
 def rect_increment(f: GridFunction2D, s: float, t: float, u: float, v: float) -> float:
     """f(s,u) + f(t,v) - f(s,v) - f(t,u); for a covariance this is the
     increment correlation E(X_{s,t} X_{u,v})."""
-    a = _grid_index(f.s_grid, s, "s")
-    b = _grid_index(f.s_grid, t, "t")
-    c = _grid_index(f.t_grid, u, "u")
-    e = _grid_index(f.t_grid, v, "v")
+    a, b = _positions(f.s_grid, [s, t], "s, t")
+    c, e = _positions(f.t_grid, [u, v], "u, v")
     if b < a or e < c:
         raise ValueError("need s <= t and u <= v")
     V = f.values
@@ -133,10 +151,8 @@ def _restrict(f: GridFunction2D, rect):
     if rect is None:
         return f.values, f.s_grid, f.t_grid
     s, t, u, v = rect
-    a = _grid_index(f.s_grid, s, "s")
-    b = _grid_index(f.s_grid, t, "t")
-    c = _grid_index(f.t_grid, u, "u")
-    e = _grid_index(f.t_grid, v, "v")
+    a, b = _positions(f.s_grid, [s, t], "s, t")
+    c, e = _positions(f.t_grid, [u, v], "u, v")
     if b <= a or e <= c:
         raise ValueError("rectangle must be non-degenerate")
     return f.values[a : b + 1, c : e + 1], f.s_grid[a : b + 1], f.t_grid[c : e + 1]
@@ -300,8 +316,7 @@ def rho_variation(
       shared grid); metadata reports the factor bounding the full sup:
       sup^rho <= 3^(rho-1) * common^rho.
     """
-    if not 1.0 <= rho < np.inf:
-        raise ValueError("rho must be finite and >= 1")
+    _check_exponent(rho, "rho")
     V, sg, tg = _restrict(f, rect)
     if mode == "exact":
         s = _exact_sum(V, rho)
@@ -354,14 +369,8 @@ def rho_prime_limit_check(
 
 def bilinear_eval(f: GridFunction2D, S: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Bilinear interpolation of the stored grid at the product S x T."""
-    S = np.asarray(S, dtype=float)
-    T = np.asarray(T, dtype=float)
-    si = np.clip(np.searchsorted(f.s_grid, S, side="right") - 1, 0, f.s_grid.size - 2)
-    tj = np.clip(np.searchsorted(f.t_grid, T, side="right") - 1, 0, f.t_grid.size - 2)
-    ds = f.s_grid[si + 1] - f.s_grid[si]
-    dt = f.t_grid[tj + 1] - f.t_grid[tj]
-    a = (S - f.s_grid[si]) / ds
-    b = (T - f.t_grid[tj]) / dt
+    si, a = _cell(f.s_grid, np.asarray(S, dtype=float))
+    tj, b = _cell(f.t_grid, np.asarray(T, dtype=float))
     V = f.values
     return (
         (1 - a)[:, None] * (1 - b)[None, :] * V[np.ix_(si, tj)]
@@ -427,8 +436,8 @@ def young_integral_2d(
 
 def young_constant(p: float, q: float) -> float:
     """Uniform constant used in the Young bound: (1 + zeta(1/p + 1/q))^2."""
-    if not (1.0 <= p < np.inf and 1.0 <= q < np.inf):
-        raise ValueError("p and q must be finite and >= 1")
+    _check_exponent(p, "p")
+    _check_exponent(q, "q")
     theta = 1.0 / p + 1.0 / q
     if theta <= 1.0:
         raise ValueError("need 1/p + 1/q > 1")

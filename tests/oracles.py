@@ -127,6 +127,19 @@ def chen_signature_words(increments):
 # Enumeration oracles for variation functionals.
 
 
+def refine_path_interp(path, new_times):
+    """Points of ``path`` on the superset grid ``new_times``, one np.interp
+    call per (batch element, component), original breakpoints pinned."""
+    pos = np.searchsorted(new_times, path.times)
+    flat = path.points.reshape(-1, path.n_times, path.dim)
+    out = np.empty((flat.shape[0], new_times.size, path.dim))
+    for b in range(flat.shape[0]):
+        for k in range(path.dim):
+            out[b, :, k] = np.interp(new_times, path.times, flat[b, :, k])
+    out[:, pos, :] = flat
+    return out.reshape(path.points.shape[:-2] + (new_times.size, path.dim))
+
+
 def pvar_enumeration(dist, n, p):
     """Exact p-variation^p of points 0..n-1 under pairwise distance
     ``dist(i, j)`` by enumerating every dissection (2^(n-2) of them)."""

@@ -182,6 +182,17 @@ class TestRun:
         assert not out.exists()
         assert "seed must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("weak-limit", "--set", "h_ladder=[0.45,0.7]"), "at most 1/2"),
+        (("level-bounds", "--grid", "2"), "interval levels"),
+    ])
+    def test_invalid_ladder_exit1(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        rc = _run("run", *argv, "--out-dir", str(out))
+        assert rc == 1
+        assert not out.exists()
+        assert message in capsys.readouterr().err
+
     def test_fractional_samples_exit1(self, tmp_path, capsys):
         out = tmp_path / "out"
         rc = _run("run", "grr", "--set", "samples=2.7", "--out-dir", str(out))

@@ -34,7 +34,14 @@ from rough_gauss.tensor_algebra import (
     identity_element,
     tensor_mul,
 )
-from rough_gauss.variation_2d import _longest_path, _upper_rows
+from rough_gauss.simulate import SampleEnsemble, restrict_to
+from rough_gauss.variation_2d import (
+    GridFunction2D,
+    _longest_path,
+    _positions,
+    _upper_rows,
+    rect_increment,
+)
 
 import oracles
 
@@ -265,6 +272,14 @@ class TestRefineAndIO:
         assert float(cc_distance(end_p, end_q)) < 1e-4
         np.testing.assert_allclose(end_p.tensor.level3, end_q.tensor.level3, atol=1e-12)
 
+    @pytest.mark.parametrize("batch", [(), (2, 3)])
+    def test_refine_equals_interp_loop(self, batch):
+        rng = np.random.default_rng(17)
+        p = random_path(rng, 9, 3, batch)
+        grid = np.union1d(p.times, rng.uniform(size=20))
+        q = refine_path(p, grid)
+        assert np.array_equal(q.points, oracles.refine_path_interp(p, grid))
+
     def test_refine_requires_superset(self):
         rng = np.random.default_rng(15)
         p = random_path(rng, 5, 2)
@@ -297,6 +312,23 @@ class TestRefineAndIO:
             PiecewisePath(np.array([0.0, 0.5, 0.5, 1.0]), np.zeros((4, 1)))
         with pytest.raises(ValueError):
             PiecewisePath(np.array([0.0, 1.0]), np.zeros((3, 1)))
+
+
+class TestGridLookup:
+    @pytest.mark.parametrize("bad", [1.5, np.nan])
+    def test_off_grid_value_raises_value_error(self, bad):
+        p = random_path(np.random.default_rng(18), 5, 2)
+        with pytest.raises(ValueError):
+            _positions(p.times, bad, "x")
+        with pytest.raises(ValueError):
+            increment(lift_s3(p), 0.0, bad)
+        with pytest.raises(ValueError):
+            rect_increment(GridFunction2D(p.times, p.times, np.zeros((5, 5))),
+                           0.0, bad, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            restrict_to(SampleEnsemble(p.times, p.points[None]), [0.0, 0.5, bad])
+        with pytest.raises(ValueError):
+            refine_path(p, np.array([0.0, 0.5, bad]))
 
 
 class TestBatched:

@@ -202,8 +202,8 @@ class TestBesovDistance:
     def _pair(self, eps, seed=3, n=65):
         spec = _bm_spec()
         grid = np.linspace(0, 1, n)
-        x = sample(spec, grid, 1, seed=seed).samples.swapaxes(-1, -2)[0]
-        w = sample(spec, grid, 1, seed=seed, stream=1).samples.swapaxes(-1, -2)[0]
+        x = sample(spec, grid, 1, seed=seed).samples[0]
+        w = sample(spec, grid, 1, seed=seed, stream=1).samples[0]
         return (lift_s3(PiecewisePath(grid, x)),
                 lift_s3(PiecewisePath(grid, x + eps * w)))
 
@@ -287,7 +287,7 @@ class TestChaosRatios:
         spec = _bm_spec()
         grid = np.linspace(0, 1, 129)
         ens = sample(spec, grid, 4000, seed=21)
-        end = lift_endpoint(np.diff(ens.samples.swapaxes(-1, -2), axis=-2))
+        end = lift_endpoint(np.diff(ens.samples, axis=-2))
         area = hall_log_signature(GroupElement(end)).coords[..., 2]
         rep = chaos_ratio_check(area, 2, qs=(4,))
         assert rep["ok"]

@@ -1,11 +1,14 @@
 """Seeded Gaussian sampling, ensemble lifts, and the Monte Carlo checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from rough_gauss.covariance import ProcessSpec, bm_cov, fbm_cov, martingale_cov
-from rough_gauss.path_lift import holder_dist, pvar_norm
+from rough_gauss.path_lift import PiecewisePath, holder_dist, lift_s3, pvar_norm
 from rough_gauss.simulate import (
+    SampleEnsemble,
     dyadic_convergence,
     fernique_tail,
     level2_variance_check,
@@ -45,7 +48,7 @@ class TestSampling:
     def test_bm_endpoint_variance(self):
         n = 40_000
         ens = sample(ProcessSpec((bm_cov(),)), np.array([0.0, 1.0]), n, seed=3)
-        x1 = ens.samples[:, 0, 1]
+        x1 = ens.samples[:, 1, 0]
         est = mc_mean(x1 ** 2, 3)
         assert abs(est.value - 1.0) <= 5 * est.stderr
 
@@ -53,7 +56,7 @@ class TestSampling:
         n = 40_000
         k = fbm_cov(0.4)
         ens = sample(ProcessSpec((k,)), np.array([0.0, 0.5, 1.0]), n, seed=5)
-        x = ens.samples[:, 0, :]
+        x = ens.samples[:, :, 0]
         prod = (x[:, 1] - x[:, 0]) * (x[:, 2] - x[:, 1])
         est = mc_mean(prod, 5)
         want = float(k.eval(0.5, 1.0) - k.eval(0.5, 0.5)
@@ -64,7 +67,7 @@ class TestSampling:
     def test_components_independent(self):
         n = 40_000
         ens = sample(BM2, np.array([0.0, 1.0]), n, seed=7)
-        prod = ens.samples[:, 0, 1] * ens.samples[:, 1, 1]
+        prod = ens.samples[:, 1, 0] * ens.samples[:, 1, 1]
         est = mc_mean(prod, 7)
         assert abs(est.value) <= 5 * est.stderr
 
@@ -72,7 +75,7 @@ class TestSampling:
         n = 20_000
         g = grid(3)
         ens = sample(ProcessSpec((bm_cov(),)), g, n, seed=11)
-        x = ens.samples[:, 0, :]
+        x = ens.samples[:, :, 0]
         emp = x.T @ x / n
         G = bm_cov().grid_eval(g, g)
         band = 5.0 / np.sqrt(n) * np.max(np.abs(G))
@@ -102,12 +105,17 @@ class TestRestrictAndGap:
         ens = sample(BM2, grid(4), 12, seed=1)
         r = restrict_to(ens, np.array([0.0, 1.0]))
         assert r.samples.shape == (12, 2, 2)
-        assert np.array_equal(r.samples[..., -1], ens.samples[..., -1])
+        assert np.array_equal(r.samples[:, -1], ens.samples[:, -1])
 
     def test_non_subset_rejected(self):
         ens = sample(BM2, grid(3), 4, seed=1)
         with pytest.raises(ValueError):
             restrict_to(ens, np.array([0.0, 0.3, 1.0]))
+
+    def test_invalid_dissection_rejected(self):
+        ens = sample(BM2, grid(3), 4, seed=1)
+        with pytest.raises(ValueError):
+            restrict_to(ens, [1.0, 0.5, 0.5])
 
     def test_pl_gap_bm_exact(self):
         # BM: worst interpolation variance is h/4 at cell midpoints
@@ -121,6 +129,24 @@ class TestRestrictAndGap:
         assert rep["ok"] and rep["sup_gap"] > 0.0
 
 
+class TestLayout:
+    def test_samples_are_path_by_grid_by_component(self):
+        flat = martingale_cov(lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+                              name="flat")
+        ens = sample(ProcessSpec((bm_cov(), flat)), grid(3), 5, seed=2)
+        assert ens.samples.shape == (5, 9, 2)
+        assert np.all(ens.samples[..., 1] == 0.0)
+        assert np.any(ens.samples[..., 0] != 0.0)
+        assert [f.name for f in dataclasses.fields(SampleEnsemble)] == [
+            "grid", "samples"]
+
+    def test_lift_ensemble_is_lift_of_samples(self):
+        ens = sample(BM2, grid(4), 7, seed=6)
+        got = lift_ensemble(ens).values.tensor.levels()
+        want = lift_s3(PiecewisePath(ens.grid, ens.samples)).values.tensor.levels()
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 class TestLifts:
     def test_zero_kernel_gives_constant_lift(self):
         flat = martingale_cov(lambda t: np.zeros_like(np.asarray(t, dtype=float)),
@@ -132,22 +158,22 @@ class TestLifts:
 
     def test_scalar_lift_closed_form(self):
         ens = sample(ProcessSpec((bm_cov(),)), grid(4), 9, seed=4)
-        incs = np.diff(np.swapaxes(ens.samples, -1, -2), axis=-2)
+        incs = np.diff(ens.samples, axis=-2)
         end = lift_endpoint(incs)
-        total = ens.samples[:, 0, -1] - ens.samples[:, 0, 0]
+        total = ens.samples[:, -1, 0] - ens.samples[:, 0, 0]
         assert np.allclose(end.level2[:, 0, 0], total ** 2 / 2, rtol=1e-10, atol=1e-12)
         assert np.allclose(end.level3[:, 0, 0, 0], total ** 3 / 6, rtol=1e-10, atol=1e-12)
 
     def test_endpoint_matches_full_lift(self):
         ens = sample(BM2, grid(4), 7, seed=6)
-        incs = np.diff(np.swapaxes(ens.samples, -1, -2), axis=-2)
+        incs = np.diff(ens.samples, axis=-2)
         end = lift_endpoint(incs)
         full = lift_ensemble(ens)
         assert np.allclose(end.level3, full.values.tensor.level3[:, -1], atol=1e-14)
 
     def test_bm_area_mean_zero(self):
         ens = sample(BM2, grid(5), 4000, seed=8)
-        incs = np.diff(np.swapaxes(ens.samples, -1, -2), axis=-2)
+        incs = np.diff(ens.samples, axis=-2)
         end = lift_endpoint(incs)
         area = 0.5 * (end.level2[:, 0, 1] - end.level2[:, 1, 0])
         est = mc_mean(area, 8)
@@ -218,6 +244,11 @@ class TestLevelBounds:
     def test_requirements(self):
         with pytest.raises(ValueError):
             level_bounds_check(BM2, n=10)
+        # a level finer than the grid would lift zero increments
+        for levels in ((1, 2, 3), (-1, 1)):
+            with pytest.raises(ValueError, match="interval levels"):
+                level_bounds_check(ProcessSpec((bm_cov(),) * 3), n=10,
+                                   interval_levels=levels, grid_level=2)
         with pytest.raises(ValueError):
             level_bounds_check(ProcessSpec((bm_cov(), bm_cov(), fbm_cov(0.4))), n=10)
 
@@ -308,6 +339,11 @@ class TestWeakLimit:
     def test_ladder_must_increase(self):
         with pytest.raises(ValueError):
             weak_limit_fbm((0.48, 0.45), n=10)
+
+    def test_rung_above_half_rejected(self):
+        # such a rung used to be sampled as Brownian motion
+        with pytest.raises(ValueError, match="at most 1/2"):
+            weak_limit_fbm((0.45, 0.7), n=10)
 
 
 class TestProductSurface:
