@@ -7,10 +7,17 @@ p-variation) are computed exactly over the stored grid.
 
 Paths may carry leading batch dimensions on ``points``; all metrics then
 return arrays over the batch.  Serialization handles single paths only.
+
+Lifted values are stored batch-first like every public tensor.  The Chen
+loop and the pair-distance stream run the word-first raw kernels of
+``tensor_algebra`` instead: the Chen loop moves one increment step at a
+time to word-first layout, and the pair stream one block of about 1 MiB of
+levels, so no word-first copy of a whole ensemble is made.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,10 +26,12 @@ from .tensor_algebra import (
     GroupElement,
     TruncatedTensor,
     _exp,
+    _from_words,
     _inverse,
     _mul,
     _norm,
     _shuffle_residual,
+    _to_words,
     homogeneous_norm,
 )
 from .variation_2d import (
@@ -51,6 +60,13 @@ __all__ = [
     "write_path_csv",
     "read_path_csv",
 ]
+
+# level bytes of one word-first block of the pair stream (8 738 grid pairs
+# for d = 2): numpy loops stay long while a block's temporaries stay in a
+# per-core cache.  On a 2-core Xeon (4 MiB L2) holder_dist over 200 x 257
+# points took 2.5-3.2 s for blocks of 4 096 to 16 384 pairs and 3.9-5.1 s
+# for 32 768 or more.
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -123,7 +139,7 @@ class GroupPath:
         flat = tuple(a.reshape((total,) + a.shape[len(bshape):]) for a in levels)
         if total > 2048:
             flat = _index(flat, np.linspace(0, total - 1, 2048).astype(int))
-        if not np.all(_shuffle_residual(flat) <= 1e-8):
+        if not np.all(_shuffle_residual(_to_words(flat)) <= 1e-8):
             raise ValueError("path values are not group-like")
         times.setflags(write=False)
         object.__setattr__(self, "times", times)
@@ -142,20 +158,22 @@ class GroupPath:
 
 
 def _chen_prefixes(increments: np.ndarray):
-    """Yield the raw levels of the Chen products exp(dx_1) (x) ... (x)
-    exp(dx_k) for k = 0, ..., m, the first being the identity.
+    """Yield the word-first raw levels of the Chen products exp(dx_1) (x)
+    ... (x) exp(dx_k) for k = 0, ..., m, the first being the identity.
 
     ``increments`` has shape (..., m, d); every yielded level tuple has
-    batch shape (...).
+    batch shape (...).  Only one step's increments are moved to word-first
+    layout at a time.
     """
     increments = np.asarray(increments, dtype=float)
     d = increments.shape[-1]
     batch = increments.shape[:-2]
-    z0, z2, z3 = np.zeros(batch), np.zeros(batch + (d, d)), np.zeros(batch + (d, d, d))
-    cur = _exp((z0, np.zeros(batch + (d,)), z2, z3))
+    z0, z2, z3 = np.zeros(batch), np.zeros((d, d) + batch), np.zeros((d, d, d) + batch)
+    cur = _exp((z0, np.zeros((d,) + batch), z2, z3))
     yield cur
     for j in range(increments.shape[-2]):
-        cur = _mul(cur, _exp((z0, increments[..., j, :], z2, z3)))
+        dx = np.ascontiguousarray(np.moveaxis(increments[..., j, :], -1, 0))
+        cur = _mul(cur, _exp((z0, dx, z2, z3)))
         yield cur
 
 
@@ -165,10 +183,12 @@ def lift_increments(increments: np.ndarray) -> GroupElement:
     ``increments`` has shape (..., m, d); the result is a GroupElement with
     batch shape (..., m+1), starting at the identity.
     """
-    levels = zip(*_chen_prefixes(increments))
-    d = np.shape(increments)[-1]
-    return GroupElement(TruncatedTensor(
-        d, *(np.stack(a, axis=-1 - k) for k, a in enumerate(levels))))
+    *batch, m, d = np.shape(increments)
+    out = tuple(np.empty((*batch, m + 1) + (d,) * k) for k in range(4))
+    for j, cur in enumerate(_chen_prefixes(increments)):
+        for dst, src in zip(_to_words(_index(out, j)), cur):
+            dst[...] = src
+    return GroupElement(TruncatedTensor(d, *out))
 
 
 def lift_s3(path: PiecewisePath) -> GroupPath:
@@ -183,8 +203,8 @@ def increment(gp: GroupPath, s: float, t: float) -> GroupElement:
     if i > j:
         raise ValueError("need s <= t")
     levels = gp.values.tensor.levels()
-    inc = _mul(_inverse(_index(levels, i)), _index(levels, j))
-    return GroupElement(TruncatedTensor(gp.dim, *inc))
+    inc = _mul(_inverse(_to_words(_index(levels, i))), _to_words(_index(levels, j)))
+    return GroupElement(TruncatedTensor(gp.dim, *_from_words(inc)))
 
 
 def _require_same_grid(x: GroupPath, y: GroupPath):
@@ -194,11 +214,43 @@ def _require_same_grid(x: GroupPath, y: GroupPath):
         raise ValueError("dimension mismatch")
 
 
+def _flat(path: GroupPath):
+    """Batch-first levels of the path with the batch flattened: (B, n, ...)."""
+    return tuple(a.reshape((-1, path.n_times) + a.shape[a.ndim - k:])
+                 for k, a in enumerate(path.values.tensor.levels()))
+
+
+def _block(flat, rows: slice, cols: slice):
+    """Contiguous word-first copy of flat levels at [rows, cols], with the
+    (row, column) pairs on one trailing axis."""
+    return tuple(np.ascontiguousarray(w).reshape(w.shape[:k] + (-1,))
+                 for k, w in enumerate(_to_words(tuple(a[rows, cols] for a in flat))))
+
+
+def _blocked_rows(path: GroupPath, m: int, fn):
+    """(*batch, m) array whose batch rows lo:hi are fn(slice(lo, hi)), a flat
+    array of the (hi - lo) * m pairs, with about _BLOCK_BYTES of levels per
+    call."""
+    d = path.dim
+    pairs = _BLOCK_BYTES // (8 * (1 + d + d * d + d**3))
+    rows = int(np.prod(path.batch_shape))
+    out = np.empty((rows, m))
+    step = max(1, pairs // m)
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        out[lo:hi] = fn(slice(lo, hi)).reshape(hi - lo, m)
+    return out.reshape(path.batch_shape + (m,))
+
+
 def dist_inf(x: GroupPath, y: GroupPath):
     """sup over grid times of the homogeneous distance d(x_t, y_t)."""
     _require_same_grid(x, y)
-    d = _norm(_mul(_inverse(x.values.tensor.levels()), y.values.tensor.levels()))
-    return np.max(d, axis=-1)
+    fx, fy, every = _flat(x), _flat(y), slice(None)
+
+    def dist(rows):
+        return _norm(_mul(_inverse(_block(fx, rows, every)), _block(fy, rows, every)))
+
+    return np.max(_blocked_rows(x, x.n_times, dist), axis=-1)
 
 
 def _pair_rows(x: GroupPath, y: GroupPath | None = None):
@@ -206,19 +258,22 @@ def _pair_rows(x: GroupPath, y: GroupPath | None = None):
     over j > i, or the increment norms ||x_{t_i,t_j}|| when y is None.  Every
     pair metric reduces this stream, so its memory stays O(batch x grid)."""
     n = x.n_times
+    flats = [_flat(p) for p in (x, y) if p is not None]
 
-    def incs(path, i):
-        levels = path.values.tensor.levels()
-        # indexing with None inserts a length-1 grid axis so the single
-        # inverse broadcasts against all later grid points at once
-        inv = _index(_inverse(_index(levels, i)), None)
-        return _mul(inv, _index(levels, slice(i + 1, n)))
+    def incs(flat, i, rows):
+        # x_{t_i}^{-1} once per batch element, repeated along its n-1-i pairs
+        inv = _inverse(_block(flat, rows, slice(i, i + 1)))
+        inv = tuple(np.repeat(a, n - 1 - i, axis=-1) for a in inv)
+        return _mul(inv, _block(flat, rows, slice(i + 1, n)))
+
+    def norms(i, rows):
+        inc = incs(flats[0], i, rows)
+        if y is not None:
+            inc = _mul(_inverse(inc), incs(flats[1], i, rows))
+        return _norm(inc)
 
     for i in range(n - 1):
-        inc = incs(x, i)
-        if y is not None:
-            inc = _mul(_inverse(inc), incs(y, i))
-        yield _norm(inc)
+        yield _blocked_rows(x, n - 1 - i, functools.partial(norms, i))
 
 
 def _check_alpha(alpha: float):

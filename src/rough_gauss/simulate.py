@@ -38,7 +38,12 @@ from .path_lift import (
     pvar_norm,
     refine_path,
 )
-from .tensor_algebra import GroupElement, TruncatedTensor, hall_log_signature
+from .tensor_algebra import (
+    GroupElement,
+    TruncatedTensor,
+    _from_words,
+    hall_log_signature,
+)
 from .variation_2d import (
     GridFunction2D,
     _cell,
@@ -130,14 +135,6 @@ def _factor(kernel: CovarianceKernel, grid: np.ndarray) -> np.ndarray:
     return U * np.sqrt(np.clip(w, 0.0, None))
 
 
-def _normals(seed: int, stream: int, i: int, c: int, m: int) -> np.ndarray:
-    bits = np.random.Philox(
-        key=np.array([seed, 0], dtype=np.uint64),
-        counter=np.array([0, stream, i, c], dtype=np.uint64),
-    )
-    return np.random.Generator(bits).standard_normal(m)
-
-
 def sample(spec: ProcessSpec, grid, n: int, seed: int, stream: int = 0,
            workers: int = 1) -> SampleEnsemble:
     """n independent paths of the d-component process on the grid.
@@ -158,9 +155,18 @@ def sample(spec: ProcessSpec, grid, n: int, seed: int, stream: int = 0,
     def run_chunk(lo: int):
         hi = min(lo + CHUNK, n)
         for c in range(d):
+            # one generator per chunk and component: a fresh Philox state
+            # (empty buffer, no cached uint32) with its counter set to
+            # [0, stream, i, c] is the state of Philox(key, counter), so
+            # resetting it replaces a construction per row
+            bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+            gen = np.random.Generator(bits)
+            state = bits.state
             Z = np.empty((hi - lo, m))
             for i in range(lo, hi):
-                Z[i - lo] = _normals(seed, stream, i, c, m)
+                state["state"]["counter"][:] = (0, stream, i, c)
+                bits.state = state
+                gen.standard_normal(out=Z[i - lo])
             out[lo:hi, :, c] = Z @ factors[c].T
 
     starts = range(0, n, CHUNK)
@@ -189,7 +195,7 @@ def lift_endpoint(increments: np.ndarray):
     memory stays O(batch) instead of O(batch * grid)."""
     for cur in _chen_prefixes(increments):
         pass
-    return TruncatedTensor(cur[1].shape[-1], *cur)
+    return TruncatedTensor(np.shape(increments)[-1], *_from_words(cur))
 
 
 def _interp_matrix(fine: np.ndarray, D: np.ndarray) -> np.ndarray:

@@ -162,69 +162,126 @@ def _check_unit(x, what: str) -> TruncatedTensor:
     return t
 
 
-# Raw kernels: level tuples (l0, l1, l2, l3) with the batch axes first, no
-# validation.  The public functions below check their inputs, call one of
-# these and wrap the result in a validated dataclass once.
+# Raw kernels: level tuples (l0, l1, l2, l3) with the word axes first and
+# the batch axes last (l3[i, j, k, batch...]), so numpy's inner loops run
+# over the batch rather than over d, d^2 or d^3 words.  No validation.  The
+# public functions below check their inputs, move the axes once with
+# _to_words / _from_words, call one of these and wrap the result in a
+# validated dataclass once.  Each kernel keeps the per-element operation
+# order of the batch-first formulas it replaced, einsum's "+ 0" included,
+# so results are bit-identical to them (tests/oracles.py keeps copies).
+
+
+def _to_words(levels, ndim: int | None = None):
+    """Word-first views of batch-first levels.  ``ndim`` pads the batch with
+    leading length-1 axes, so operands of different batch rank broadcast
+    against each other batch axis by batch axis."""
+    pad = (None,) * (0 if ndim is None else ndim - np.ndim(levels[0]))
+    return tuple(
+        np.moveaxis(a[pad + (...,)], range(a.ndim + len(pad) - k, a.ndim + len(pad)), range(k))
+        for k, a in enumerate(levels)
+    )
+
+
+def _from_words(levels):
+    """C-ordered batch-first copies of word-first levels."""
+    return tuple(
+        np.asarray(np.moveaxis(a, range(k), range(np.ndim(a) - k, np.ndim(a))), order="C")
+        for k, a in enumerate(levels)
+    )
 
 
 def _mul(a, b):
     a0, a1, a2, a3 = a
     b0, b1, b2, b3 = b
-    s = a0[..., None]
-    t = b0[..., None]
     l0 = a0 * b0
-    l1 = s * b1 + a1 * t
-    l2 = (
-        s[..., None] * b2
-        + a1[..., :, None] * b1[..., None, :]
-        + a2 * t[..., None]
-    )
-    l3 = (
-        s[..., None, None] * b3
-        + a1[..., :, None, None] * b2[..., None, :, :]
-        + a2[..., :, :, None] * b1[..., None, None, :]
-        + a3 * t[..., None, None]
-    )
+    l1 = a0 * b1
+    l1 += a1 * b0
+    l2 = a0 * b2
+    l2 += a1[:, None] * b1[None, :]
+    l2 += a2 * b0
+    l3 = a0 * b3
+    l3 += a1[:, None, None] * b2[None, :, :]
+    l3 += a2[:, :, None] * b1[None, None, :]
+    l3 += a3 * b0
     return l0, l1, l2, l3
 
 
 def _powers(x1: np.ndarray, x2: np.ndarray):
     """Truncated powers of x = x1 + x2 + x3 (no scalar part): x^2 has level
     2 part sq2 and level 3 part sq3, x^3 has level 3 part cube3."""
-    sq2 = np.einsum("...i,...j->...ij", x1, x1)
-    sq3 = (
-        np.einsum("...i,...jk->...ijk", x1, x2)
-        + np.einsum("...ij,...k->...ijk", x2, x1)
-    )
-    cube3 = np.einsum("...i,...j,...k->...ijk", x1, x1, x1)
+    sq2 = np.einsum("i...,j...->ij...", x1, x1)
+    sq3 = np.einsum("i...,jk...->ijk...", x1, x2)
+    sq3 += np.einsum("ij...,k...->ijk...", x2, x1)
+    cube3 = np.einsum("i...,j...,k...->ijk...", x1, x1, x1)
     return sq2, sq3, cube3
 
 
 def _inverse(g):
     l0, x1, x2, x3 = g
     sq2, sq3, cube3 = _powers(x1, x2)
-    return np.ones(l0.shape), -x1, -x2 + sq2, -x3 + sq3 - cube3
+    sq2 -= x2
+    sq3 -= x3
+    sq3 -= cube3
+    return np.ones(np.shape(l0)), -x1, sq2, sq3
 
 
 def _exp(x):
     l0, x1, x2, x3 = x
     sq2, sq3, cube3 = _powers(x1, x2)
-    return np.ones(l0.shape), x1, x2 + 0.5 * sq2, x3 + 0.5 * sq3 + cube3 / 6.0
+    sq2 *= 0.5
+    sq2 += x2
+    sq3 *= 0.5
+    sq3 += x3
+    cube3 /= 6.0
+    sq3 += cube3
+    return np.ones(np.shape(l0)), x1, sq2, sq3
 
 
 def _log(g):
     l0, x1, x2, x3 = g
     sq2, sq3, cube3 = _powers(x1, x2)
-    return np.zeros(l0.shape), x1, x2 - 0.5 * sq2, x3 - 0.5 * sq3 + cube3 / 3.0
+    sq2 *= -0.5
+    sq2 += x2
+    sq3 *= -0.5
+    sq3 += x3
+    cube3 /= 3.0
+    sq3 += cube3
+    return np.zeros(np.shape(l0)), x1, sq2, sq3
+
+
+def _word_sum(t):
+    """Sum over the leading axis of t in the order of numpy's pairwise
+    add.reduce along a contiguous axis: in sequence below 8 terms, with 8
+    strided accumulators up to 128, and above that as two halves split at a
+    multiple of 8."""
+    n = len(t)
+    if n < 8:
+        res = t[0]
+        for term in t[1:]:
+            res = res + term
+        return res
+    if n <= 128:
+        stop = n - n % 8
+        r = t[:8]
+        for i in range(8, stop, 8):
+            r = r + t[i : i + 8]
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for term in t[stop:]:
+            res = res + term
+        return res
+    half = n // 2 - n // 2 % 8
+    return _word_sum(t[:half]) + _word_sum(t[half:])
+
+
+def _fro(a, k: int):
+    """Frobenius norm over the k leading word axes of a."""
+    words = int(np.prod(np.shape(a)[:k]))
+    return np.sqrt(_word_sum((a**2).reshape((words,) + np.shape(a)[k:])))
 
 
 def _level_fro(t):
-    l0, l1, l2, l3 = t
-    d = l1.shape[-1]
-    n1 = np.sqrt(np.sum(l1**2, axis=-1))
-    n2 = np.sqrt(np.sum(l2.reshape(l0.shape + (d * d,)) ** 2, axis=-1))
-    n3 = np.sqrt(np.sum(l3.reshape(l0.shape + (d**3,)) ** 2, axis=-1))
-    return n1, n2, n3
+    return tuple(_fro(a, k) for k, a in enumerate(t[1:], start=1))
 
 
 def _raw_norm(t):
@@ -238,16 +295,16 @@ def _norm(g):
 
 def _shuffle_residual(g):
     _, x1, x2, x3 = g
-    sym2 = 0.5 * (x2 + np.swapaxes(x2, -1, -2))
-    half_sq = 0.5 * np.einsum("...i,...j->...ij", x1, x1)
-    r2 = np.sqrt(np.sum((sym2 - half_sq) ** 2, axis=(-2, -1)))
-    lhs3 = np.einsum("...i,...jk->...ijk", x1, x2)
+    sym2 = 0.5 * (x2 + np.swapaxes(x2, 0, 1))
+    half_sq = 0.5 * np.einsum("i...,j...->ij...", x1, x1)
+    r2 = _fro(sym2 - half_sq, 2)
+    lhs3 = np.einsum("i...,jk...->ijk...", x1, x2)
     rhs3 = (
         x3
-        + np.einsum("...jik->...ijk", x3)
-        + np.einsum("...jki->...ijk", x3)
+        + np.einsum("jik...->ijk...", x3)
+        + np.einsum("jki...->ijk...", x3)
     )
-    r3 = np.sqrt(np.sum((lhs3 - rhs3) ** 2, axis=(-3, -2, -1)))
+    r3 = _fro(lhs3 - rhs3, 3)
     nrm = np.maximum(_raw_norm(g), 1.0)
     return r2 / nrm**2 + r3 / nrm**3
 
@@ -262,7 +319,9 @@ def tensor_mul(a, b) -> TruncatedTensor | GroupElement:
     ta, tb = _as_tensor(a), _as_tensor(b)
     if ta.dim != tb.dim:
         raise ValueError("dimension mismatch in tensor product")
-    out = TruncatedTensor(ta.dim, *_mul(ta.levels(), tb.levels()))
+    ndim = max(len(ta.batch_shape), len(tb.batch_shape))
+    out = _mul(_to_words(ta.levels(), ndim), _to_words(tb.levels(), ndim))
+    out = TruncatedTensor(ta.dim, *_from_words(out))
     return GroupElement(out) if wrap else out
 
 
@@ -282,7 +341,7 @@ def group_inverse(g: GroupElement) -> GroupElement:
     """Inverse in the truncated algebra: for g = 1 + x the Neumann series
     1 - x + x^2 - x^3 terminates exactly at step 3."""
     t = _check_unit(g, "inverse")
-    return GroupElement(TruncatedTensor(t.dim, *_inverse(t.levels())))
+    return GroupElement(TruncatedTensor(t.dim, *_from_words(_inverse(_to_words(t.levels())))))
 
 
 def exp_trunc(x) -> GroupElement:
@@ -290,13 +349,13 @@ def exp_trunc(x) -> GroupElement:
     t = _as_tensor(x)
     if not np.all(t.level0 == 0.0):
         raise ValueError("exp requires zero scalar part")
-    return GroupElement(TruncatedTensor(t.dim, *_exp(t.levels())))
+    return GroupElement(TruncatedTensor(t.dim, *_from_words(_exp(_to_words(t.levels())))))
 
 
 def log_trunc(g) -> TruncatedTensor:
     """log power series truncated at degree 3: x - x^2/2 + x^3/3, x = g - 1."""
     t = _check_unit(g, "log")
-    return TruncatedTensor(t.dim, *_log(t.levels()))
+    return TruncatedTensor(t.dim, *_from_words(_log(_to_words(t.levels()))))
 
 
 def dilate(lam, g: GroupElement) -> GroupElement:
@@ -320,14 +379,16 @@ def homogeneous_norm(g: GroupElement):
     Homogeneous under dilation and subadditive: ||g (x) h|| <= ||g|| + ||h||.
     Returns an array over the batch shape (0-d array for a single element).
     """
-    return _norm(g.tensor.levels())
+    return _norm(_to_words(g.tensor.levels()))
 
 
 def cc_distance(g: GroupElement, h: GroupElement):
     """Homogeneous distance ||g^-1 (x) h||."""
     if g.dim != h.dim:
         raise ValueError("dimension mismatch")
-    return _norm(_mul(_inverse(g.tensor.levels()), h.tensor.levels()))
+    ndim = max(len(g.batch_shape), len(h.batch_shape))
+    gw, hw = _to_words(g.tensor.levels(), ndim), _to_words(h.tensor.levels(), ndim)
+    return _norm(_mul(_inverse(gw), hw))
 
 
 def shuffle_residual(g: GroupElement):
@@ -338,7 +399,7 @@ def shuffle_residual(g: GroupElement):
     Residuals are scaled by max(1, raw norm)^level so the measure is
     dilation-insensitive for large elements and absolute for small ones.
     """
-    return _shuffle_residual(g.tensor.levels())
+    return _shuffle_residual(_to_words(g.tensor.levels()))
 
 
 def is_group_like(g: GroupElement, tol: float = 1e-10) -> bool:
@@ -571,7 +632,7 @@ def lie_level_norms(t: TruncatedTensor):
     Raw Frobenius norms satisfy the same estimates only up to sqrt(2) resp.
     sqrt(6), which is why this scaling is the natural one for step-3 bounds.
     """
-    n1, n2, n3 = _level_fro(t.levels())
+    n1, n2, n3 = _level_fro(_to_words(t.levels()))
     return n1, n2 / np.sqrt(2.0), n3 / np.sqrt(6.0)
 
 

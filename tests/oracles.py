@@ -124,6 +124,108 @@ def chen_signature_words(increments):
 
 
 # ---------------------------------------------------------------------------
+# Batch-first raw kernels on level tuples (batch axes first, word axes
+# last), written with plain numpy broadcasting, einsum and reductions.  The
+# word-first kernels of rough_gauss.tensor_algebra must reproduce them bit
+# for bit.
+
+
+def _mul(a, b):
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    s = a0[..., None]
+    t = b0[..., None]
+    l0 = a0 * b0
+    l1 = s * b1 + a1 * t
+    l2 = (
+        s[..., None] * b2
+        + a1[..., :, None] * b1[..., None, :]
+        + a2 * t[..., None]
+    )
+    l3 = (
+        s[..., None, None] * b3
+        + a1[..., :, None, None] * b2[..., None, :, :]
+        + a2[..., :, :, None] * b1[..., None, None, :]
+        + a3 * t[..., None, None]
+    )
+    return l0, l1, l2, l3
+
+
+def _powers(x1: np.ndarray, x2: np.ndarray):
+    """Truncated powers of x = x1 + x2 + x3 (no scalar part): x^2 has level
+    2 part sq2 and level 3 part sq3, x^3 has level 3 part cube3."""
+    sq2 = np.einsum("...i,...j->...ij", x1, x1)
+    sq3 = (
+        np.einsum("...i,...jk->...ijk", x1, x2)
+        + np.einsum("...ij,...k->...ijk", x2, x1)
+    )
+    cube3 = np.einsum("...i,...j,...k->...ijk", x1, x1, x1)
+    return sq2, sq3, cube3
+
+
+def _inverse(g):
+    l0, x1, x2, x3 = g
+    sq2, sq3, cube3 = _powers(x1, x2)
+    return np.ones(l0.shape), -x1, -x2 + sq2, -x3 + sq3 - cube3
+
+
+def _exp(x):
+    l0, x1, x2, x3 = x
+    sq2, sq3, cube3 = _powers(x1, x2)
+    return np.ones(l0.shape), x1, x2 + 0.5 * sq2, x3 + 0.5 * sq3 + cube3 / 6.0
+
+
+def _log(g):
+    l0, x1, x2, x3 = g
+    sq2, sq3, cube3 = _powers(x1, x2)
+    return np.zeros(l0.shape), x1, x2 - 0.5 * sq2, x3 - 0.5 * sq3 + cube3 / 3.0
+
+
+def _level_fro(t):
+    l0, l1, l2, l3 = t
+    d = l1.shape[-1]
+    n1 = np.sqrt(np.sum(l1**2, axis=-1))
+    n2 = np.sqrt(np.sum(l2.reshape(l0.shape + (d * d,)) ** 2, axis=-1))
+    n3 = np.sqrt(np.sum(l3.reshape(l0.shape + (d**3,)) ** 2, axis=-1))
+    return n1, n2, n3
+
+
+def _raw_norm(t):
+    n1, n2, n3 = _level_fro(t)
+    return np.maximum(n1, np.maximum(n2 ** 0.5, n3 ** (1.0 / 3.0)))
+
+
+def _norm(g):
+    return np.maximum(_raw_norm(g), _raw_norm(_inverse(g)))
+
+
+def _shuffle_residual(g):
+    _, x1, x2, x3 = g
+    sym2 = 0.5 * (x2 + np.swapaxes(x2, -1, -2))
+    half_sq = 0.5 * np.einsum("...i,...j->...ij", x1, x1)
+    r2 = np.sqrt(np.sum((sym2 - half_sq) ** 2, axis=(-2, -1)))
+    lhs3 = np.einsum("...i,...jk->...ijk", x1, x2)
+    rhs3 = (
+        x3
+        + np.einsum("...jik->...ijk", x3)
+        + np.einsum("...jki->...ijk", x3)
+    )
+    r3 = np.sqrt(np.sum((lhs3 - rhs3) ** 2, axis=(-3, -2, -1)))
+    nrm = np.maximum(_raw_norm(g), 1.0)
+    return r2 / nrm**2 + r3 / nrm**3
+
+
+def normals(seed: int, stream: int, i: int, c: int, m: int) -> np.ndarray:
+    """Normals for sample i, component c: one fresh Philox generator with
+    key [seed, 0] and counter [0, stream, i, c]."""
+    bits = np.random.Philox(
+        key=np.array([seed, 0], dtype=np.uint64),
+        counter=np.array([0, stream, i, c], dtype=np.uint64),
+    )
+    return np.random.Generator(bits).standard_normal(m)
+
+
+# ---------------------------------------------------------------------------
 # Enumeration oracles for variation functionals.
 
 

@@ -6,11 +6,9 @@ unit suites.
 """
 
 import itertools
-import json
 import time
 
 import numpy as np
-import pytest
 
 from rough_gauss.cameron_martin import CMElement, embedding_check, pvar_1d
 from rough_gauss.cli import main as cli_main
@@ -22,7 +20,7 @@ from rough_gauss.covariance import (
     fbm_rhovar_bound_check,
     ou_cov,
 )
-from rough_gauss.path_lift import PiecewisePath, _take, lift_s3
+from rough_gauss.path_lift import PiecewisePath, _take
 from rough_gauss.regularity import grr_holder_check
 from rough_gauss.simulate import (
     dyadic_convergence,

@@ -28,7 +28,6 @@ from rough_gauss.tensor_algebra import (
     TruncatedTensor,
     cc_distance,
     exp_trunc,
-    group_inverse,
     hall_log_signature,
     homogeneous_norm,
     identity_element,
@@ -404,6 +403,23 @@ class TestPairStream:
         finally:
             tracemalloc.stop()
         assert peak < matrix_bytes / 2
+
+    @pytest.mark.parametrize("metric", [
+        lambda gp: holder_norm(gp, 0.4), lambda gp: pvar_norm(gp, 2.5)],
+        ids=["holder_norm", "pvar_norm"])
+    def test_pair_stream_memory_is_block_sized(self, metric):
+        # the pair stream moves blocks of the batch to word-first layout, so
+        # its traced peak stays below the levels of the lifted path itself
+        rng = np.random.default_rng(6)
+        gp = lift_s3(random_path(rng, 33, 2, (4000,)))
+        level_bytes = sum(a.nbytes for a in gp.values.tensor.levels())
+        tracemalloc.start()
+        try:
+            metric(gp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < level_bytes
 
 
 class TestOneImplementation:

@@ -8,7 +8,6 @@ from rough_gauss.path_lift import (
     PiecewisePath,
     holder_dist,
     holder_norm,
-    lift_increments,
     lift_s3,
 )
 from rough_gauss.regularity import (

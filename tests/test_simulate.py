@@ -1,6 +1,7 @@
 """Seeded Gaussian sampling, ensemble lifts, and the Monte Carlo checks."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ import pytest
 from rough_gauss.covariance import ProcessSpec, bm_cov, fbm_cov, martingale_cov
 from rough_gauss.path_lift import PiecewisePath, holder_dist, lift_s3, pvar_norm
 from rough_gauss.simulate import (
+    CHUNK,
     SampleEnsemble,
+    _factor,
     dyadic_convergence,
     fernique_tail,
     level2_variance_check,
@@ -25,6 +28,8 @@ from rough_gauss.simulate import (
     young_wiener_check,
 )
 
+import oracles
+
 BM2 = ProcessSpec((bm_cov(), bm_cov()))
 
 
@@ -33,6 +38,21 @@ def grid(level):
 
 
 class TestSampling:
+    def test_equals_one_generator_per_row(self):
+        # resetting one Philox state per row draws the same normals as a
+        # fresh Philox(key, counter) per row, chunked into the same products
+        spec = ProcessSpec((bm_cov(), fbm_cov(0.3)))
+        g, n, seed, stream = grid(4), CHUNK + 44, 11, 3
+        want = np.empty((n, g.size, spec.dim))
+        for c, kernel in enumerate(spec.kernels):
+            factor = _factor(kernel, g)
+            for lo in range(0, n, CHUNK):
+                rows = range(lo, min(lo + CHUNK, n))
+                Z = np.stack([oracles.normals(seed, stream, i, c, g.size) for i in rows])
+                want[lo : lo + len(rows), :, c] = Z @ factor.T
+        got = sample(spec, g, n, seed=seed, stream=stream).samples
+        assert np.all(got == want)
+
     def test_seed_determinism_across_workers(self):
         a = sample(BM2, grid(5), 530, seed=9, workers=1)
         b = sample(BM2, grid(5), 530, seed=9, workers=4)
@@ -179,6 +199,18 @@ class TestLifts:
         est = mc_mean(area, 8)
         assert abs(est.value) <= 5 * est.stderr
 
+    def test_memory_is_batch_sized(self):
+        # the Chen loop moves one increment step at a time to word-first
+        # layout, so the traced peak stays below the increments themselves
+        incs = np.random.default_rng(2).standard_normal((2000, 256, 2))
+        tracemalloc.start()
+        try:
+            lift_endpoint(incs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < incs.nbytes
+
     def test_overflowing_endpoint_rejected(self):
         incs = np.array([[[1e110, 0.0], [0.0, 1e110]]])
         with pytest.raises(ValueError), np.errstate(over="ignore", invalid="ignore"):
@@ -260,8 +292,6 @@ class TestDyadicConvergence:
         assert all(a > b for a, b in zip(rep["l2_means"][:-1], rep["l2_means"][1:]))
 
     def test_reference_roundtrip_is_zero(self):
-        from rough_gauss.path_lift import refine_path
-
         ens = sample(BM2, grid(5), 10, seed=6)
         ref = lift_ensemble(ens)
         again = lift_ensemble(restrict_to(ens, ens.grid))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rough_gauss import tensor_algebra as ta
 from rough_gauss.tensor_algebra import (
     GroupElement,
     LieElement,
@@ -378,3 +379,71 @@ def test_scale_and_unit():
         exp_trunc(unit_tensor(2))
     with pytest.raises(ValueError):
         log_trunc(zero_tensor(2))
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.all(got == want)
+    # == treats -0.0 and 0.0 as equal; the bytes do not
+    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def random_levels(rng, d, batch, scalar):
+    """Levels with entries of magnitude 1e-8 to 1e8, random signs and a
+    share of signed zeros."""
+    out = [np.full(batch, scalar)]
+    for k in (1, 2, 3):
+        shape = batch + (d,) * k
+        a = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-8, 8, shape)
+        zeros = rng.uniform(size=shape) < 0.2
+        a[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+        out.append(a)
+    return tuple(out)
+
+
+@st.composite
+def level_cases(draw):
+    d = draw(st.sampled_from([1, 2, 3, 4, 6]))
+    batch = draw(st.sampled_from([(), (5,), (2, 3)]))
+    return d, batch, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+class TestWordFirstKernelsBitExact:
+    """The word-first kernels, reached through the _to_words/_from_words
+    boundary, reproduce the batch-first kernels in tests/oracles.py bit for
+    bit.  d = 6 has 216 level-3 words, past numpy's 128-term pairwise
+    block, so the recursive split of the Frobenius sum is exercised."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(level_cases(), st.booleans())
+    def test_mul(self, case, broadcast):
+        d, batch, rng = case
+        a = random_levels(rng, d, batch, 1.0)
+        b = random_levels(rng, d, batch[1:] if broadcast else batch, 1.0)
+        ndim = len(batch)
+        got = ta._from_words(ta._mul(ta._to_words(a, ndim), ta._to_words(b, ndim)))
+        for g, w in zip(got, oracles._mul(a, b)):
+            assert_same_bits(g, w)
+
+    @settings(max_examples=40, deadline=None)
+    @given(level_cases())
+    def test_inverse_exp_log(self, case):
+        d, batch, rng = case
+        g = random_levels(rng, d, batch, 1.0)
+        x = random_levels(rng, d, batch, 0.0)
+        for kernel, oracle, arg in ((ta._inverse, oracles._inverse, g),
+                                    (ta._exp, oracles._exp, x),
+                                    (ta._log, oracles._log, g)):
+            got = ta._from_words(kernel(ta._to_words(arg)))
+            for a, w in zip(got, oracle(arg)):
+                assert_same_bits(a, w)
+
+    @settings(max_examples=40, deadline=None)
+    @given(level_cases())
+    def test_norm_and_shuffle_residual(self, case):
+        d, batch, rng = case
+        g = random_levels(rng, d, batch, 1.0)
+        words = ta._to_words(g)
+        assert_same_bits(ta._norm(words), oracles._norm(g))
+        assert_same_bits(ta._shuffle_residual(words), oracles._shuffle_residual(g))
