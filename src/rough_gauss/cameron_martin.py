@@ -130,7 +130,6 @@ def embedding_check(
     interval=(0.0, 1.0),
     rho: float | None = None,
     grid_intervals: int = 16,
-    rtol: float = 1e-9,
 ) -> EmbeddingResult:
     """|h|_{rho-var;[s,t]} <= sqrt<h,h> sqrt(|R|_{rho-var;[s,t]^2}) on a
     shared uniform grid of the interval.
@@ -149,15 +148,15 @@ def embedding_check(
     var, exact = _r_variation(h.kernel, s, t, grid_intervals, rho)
     rhs = float(np.sqrt(cm_norm_sq(h)) * np.sqrt(var.value))
     slack = rhs - lhs
-    ok = lhs <= rhs + rtol * (1.0 + rhs)
+    ok = lhs <= rhs + 1e-9 * (1.0 + rhs)
     return EmbeddingResult(bool(ok), lhs, rhs, float(slack),
                            bool(exact), "exact" if exact else "consistent")
 
 
-def fbm_increment_response_check(H: float, levels=(1, 2, 3),
-                                 grid_intervals: int = 16) -> dict:
+def fbm_increment_response_check(H: float, levels=(1, 2, 3)) -> dict:
     """For fractional Brownian motion, h(u) = E(B_u (B_t - B_s)) restricted
-    to [s,t] has 1/(2H)-variation bounded by a constant times |t-s|^{2H}.
+    to [s,t] has 1/(2H)-variation bounded by a constant times |t-s|^{2H},
+    each [s,t] sampled with 16 uniform intervals.
 
     h is the finite-rank element with nodes (t, s), weights (1, -1).
     Stationary increments plus self-similarity make the ratio
@@ -169,6 +168,7 @@ def fbm_increment_response_check(H: float, levels=(1, 2, 3),
         raise ValueError("H must be in (0, 1/2]")
     kernel = fbm_cov(H)
     rho = 1.0 / (2.0 * H)
+    grid_intervals = 16
     ratios = {}
     for level in levels:
         n = 2 ** int(level)

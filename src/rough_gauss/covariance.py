@@ -178,10 +178,10 @@ def coutin_qian_check(
     k: CovarianceKernel,
     H: float,
     grid=None,
-    h_values=None,
     c_H: float | None = None,
 ) -> dict:
-    """Smallest constants over a grid scan for the two increment conditions:
+    """Smallest constants over a grid scan, with h = 2^-3 .. 2^-6 in (ass2),
+    for the two increment conditions:
 
       (ass1)  E(X_{s,t}^2) <= c |t-s|^{2H}
       (ass2)  |E(X_{s,s+h} X_{t,t+h})| <= c |t-s|^{2H-2} h^2   for h < t-s
@@ -192,8 +192,6 @@ def coutin_qian_check(
     if grid is None:
         grid = np.linspace(0.0, 1.0, 65)
     grid = np.asarray(grid, dtype=float)
-    if h_values is None:
-        h_values = [2.0**-k_ for k_ in range(3, 7)]
     R = k.grid_eval(grid, grid)
     diag = np.diag(R)
     # E(X_{s,t}^2) = R(t,t) + R(s,s) - 2 R(s,t)
@@ -203,7 +201,7 @@ def coutin_qian_check(
     c1 = float(np.max(sq[iu] / dt[iu] ** (2 * H)))
     c2 = 0.0
     worst = None
-    for h in h_values:
+    for h in (2.0**-3, 2.0**-4, 2.0**-5, 2.0**-6):
         s = grid[grid + h <= 1.0]
         if s.size < 2:
             continue

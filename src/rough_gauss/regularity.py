@@ -99,8 +99,7 @@ class BesovStats:
         object.__setattr__(self, "constants", tuple(self.constants))
 
 
-def grr_holder_check(obj, r: float, alpha: float, q: float | None = None,
-                     rtol: float = 1e-9) -> dict:
+def grr_holder_check(obj, r: float, alpha: float, q: float | None = None) -> dict:
     """||f||_{alpha-Hol} <= (64/r) F^{1/q} with F the Besov double integral,
     for alpha < 1/r and q >= q0(r, alpha).  Batched paths are swept and the
     report carries the worst case."""
@@ -116,7 +115,7 @@ def grr_holder_check(obj, r: float, alpha: float, q: float | None = None,
     H = np.asarray(_holder_sup(times, _upper_rows(D), alpha), dtype=float)
     bound = C * M
     slack = bound - H
-    ok = H <= bound * (1.0 + rtol) + 1e-15
+    ok = H <= bound * (1.0 + 1e-9) + 1e-15
     stats = BesovStats(float(np.max(F)), float(np.max(H)), (q0, C))
     return {
         "ok": bool(np.all(ok)),
@@ -136,10 +135,11 @@ BESOV_N = 3  # group nilpotency degree entering theta
 
 
 def besov_distance_check(x: GroupPath, y: GroupPath, r: float, alpha: float,
-                         q: float | None = None, delta: float | None = None,
-                         M: float | None = None, C: float | None = None) -> dict:
+                         delta: float | None = None, M: float | None = None,
+                         C: float | None = None) -> dict:
     """Two-path Besov bound d_{alpha-Hol}(x, y) <= C delta^theta M with
-    theta = (alpha' - alpha)/(alpha' N^2), alpha' = (alpha + 1/r)/2.
+    theta = (alpha' - alpha)/(alpha' N^2), alpha' = (alpha + 1/r)/2, and the
+    double integrals taken at q = q0(r, alpha).
 
     When M or delta are omitted they are inferred as the smallest values
     satisfying the three integral hypotheses, which then hold by
@@ -148,8 +148,7 @@ def besov_distance_check(x: GroupPath, y: GroupPath, r: float, alpha: float,
     """
     _check_alpha(alpha)
     _require_same_grid(x, y)
-    q0 = q0_grr(r, alpha)
-    q = q0 if q is None else float(q)
+    q = q0_grr(r, alpha)
     Fx = float(np.asarray(besov_functional(x, q, r)))
     Fy = float(np.asarray(besov_functional(y, q, r)))
     times, D = x.times, _pair_matrix(x, y)

@@ -169,13 +169,8 @@ def sample(spec: ProcessSpec, grid, n: int, seed: int, stream: int = 0,
                 gen.standard_normal(out=Z[i - lo])
             out[lo:hi, :, c] = Z @ factors[c].T
 
-    starts = range(0, n, CHUNK)
-    if workers <= 1:
-        for lo in starts:
-            run_chunk(lo)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_chunk, starts))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(run_chunk, range(0, n, CHUNK)))
     return SampleEnsemble(grid, out)
 
 
@@ -208,14 +203,13 @@ def _interp_matrix(fine: np.ndarray, D: np.ndarray) -> np.ndarray:
     return W
 
 
-def pl_covariance_gap_check(kernel: CovarianceKernel, D, fine_grid,
-                            rho: float | None = None,
-                            cell_intervals: int = 8) -> dict:
+def pl_covariance_gap_check(kernel: CovarianceKernel, D, fine_grid) -> dict:
     """Sup-norm of the covariance of X - X^D against the control envelope
-    max_i omega([t_i, t_{i+1}]^2)^{1/rho}, both exact kernel arithmetic."""
+    max_i omega([t_i, t_{i+1}]^2)^{1/rho}, rho the kernel's, both exact
+    kernel arithmetic; omega is sampled with 8 intervals per cell side."""
     D = np.asarray(D, dtype=float)
     fine = np.asarray(fine_grid, dtype=float)
-    rho = float(kernel.rho if rho is None else rho)
+    rho = float(kernel.rho)
     R_ff = kernel.grid_eval(fine, fine)
     R_fD = kernel.grid_eval(fine, D)
     R_DD = kernel.grid_eval(D, D)
@@ -225,7 +219,7 @@ def pl_covariance_gap_check(kernel: CovarianceKernel, D, fine_grid,
     envelope = 0.0
     for a, b in zip(D[:-1], D[1:]):
         envelope = max(envelope,
-                       square_variation(kernel, a, b, cell_intervals, rho))
+                       square_variation(kernel, a, b, 8, rho))
     return {
         "kernel": kernel.name,
         "rho": rho,
@@ -302,11 +296,12 @@ def level2_variance_check(spec: ProcessSpec, i: int = 0, j: int = 1,
 def level_bounds_check(spec: ProcessSpec, rho: float | None = None,
                        interval_levels=(1, 2, 3, 4), n: int = 2_000,
                        seed: int = 0, grid_level: int = 6,
-                       cell_intervals: int = 12, workers: int = 1) -> dict:
+                       workers: int = 1) -> dict:
     """Second moments of signature words (i), (i,j), (i,i,j), (i,j,k) over
     nested dyadic intervals [0, 2^-k] against omega([s,t]^2)^{level/rho}
-    envelopes; reports the smallest admissible constant per word and the
-    fitted log2 slope of the moment in the interval size."""
+    envelopes, omega sampled with 12 intervals per side; reports the
+    smallest admissible constant per word and the fitted log2 slope of the
+    moment in the interval size."""
     if spec.dim < 3:
         raise ValueError("need three components for the distinct-index words")
     k0 = spec.kernels[0]
@@ -325,7 +320,7 @@ def level_bounds_check(spec: ProcessSpec, rho: float | None = None,
         t = 2.0 ** (-lev)
         idx = int(round(t * (grid.size - 1)))
         end = lift_endpoint(np.diff(ens.samples[:, : idx + 1], axis=-2))
-        omega = square_variation(k0, 0.0, t, cell_intervals, rho) ** rho
+        omega = square_variation(k0, 0.0, t, 12, rho) ** rho
         omegas.append(omega)
         sizes.append(t)
         for w in words:
@@ -463,12 +458,12 @@ def _chaos_ratios(end, seed: int) -> list:
 
 
 def fernique_tail(spec: ProcessSpec, p: float, n: int = 10_000, seed: int = 0,
-                  grid_level: int = 5, tail_probs=(0.5, 0.25, 0.1, 0.05, 0.02, 0.01),
-                  workers: int = 1) -> dict:
+                  grid_level: int = 5, workers: int = 1) -> dict:
     """Gaussian-type tail of the homogeneous p-variation norm: fits
     log P(||X|| > lambda) against lambda^2 over empirical tail quantiles and
     reports eta_hat = -slope; also the chaos L^q/L^2 scaling of the log
     signature coordinates at the endpoint."""
+    tail_probs = (0.5, 0.25, 0.1, 0.05, 0.02, 0.01)
     grid = np.linspace(0.0, 1.0, 2 ** grid_level + 1)
     ens = sample(spec, grid, n, seed, workers=workers)
     lifted = lift_ensemble(ens)
@@ -608,34 +603,30 @@ def weak_limit_fbm(h_ladder=(0.45, 0.48, 0.5), n: int = 10_000, seed: int = 0,
 
 
 def product_moment_surface_check(spec: ProcessSpec, n: int = 2_000,
-                                 seed: int = 0, grid_intervals=(4, 8, 16),
-                                 rho: float | None = None,
-                                 workers: int = 1) -> dict:
+                                 seed: int = 0) -> dict:
     """The empirical surface (u,v) -> E(X_{0,u} Y_{0,u} X_{0,v} Y_{0,v}) of
     two independent components vanishes on its lower edges exactly, and its
-    grid rho-variation stays within a stable multiple of omega([0,1]^2)^2."""
+    grid rho-variation (rho the spec's) on 4, 8 and 16 intervals stays
+    within a stable multiple of omega([0,1]^2)^2."""
     if spec.dim < 2:
         raise ValueError("need two components")
-    rho = float(spec.rho if rho is None else rho)
-    m = max(grid_intervals)
+    rho = float(spec.rho)
+    m = 16
     grid = np.linspace(0.0, 1.0, m + 1)
-    ens = sample(spec, grid, n, seed, workers=workers)
+    ens = sample(spec, grid, n, seed)
     x = ens.samples[:, :, 0] - ens.samples[:, :1, 0]
     y = ens.samples[:, :, 1] - ens.samples[:, :1, 1]
     prod = x * y  # (n, m+1)
     k0 = spec.kernels[0]
     omega = square_variation(k0, 0.0, 1.0, 12, rho) ** rho
     rows = []
-    for g in grid_intervals:
+    for g in (4, 8, 16):
         step = m // g
-        if step * g != m:
-            raise ValueError("grid_intervals must divide the largest entry")
         sub = prod[:, ::step]
         emp = (sub[:, :, None] * sub[:, None, :]).mean(axis=0)
         edges_zero = bool(np.all(emp[0, :] == 0.0) and np.all(emp[:, 0] == 0.0))
         sgrid = grid[::step]
-        var = rho_variation(GridFunction2D(sgrid, sgrid, emp), rho,
-                            mode="exact").value ** rho
+        var = rho_variation(GridFunction2D(sgrid, sgrid, emp), rho).value ** rho
         rows.append({
             "intervals": g,
             "edges_zero": edges_zero,

@@ -119,15 +119,9 @@ class GroupElement:
         return self.tensor.batch_shape
 
 
-def zero_tensor(dim: int, batch: tuple = ()) -> TruncatedTensor:
+def zero_tensor(dim: int) -> TruncatedTensor:
     d = int(dim)
-    return TruncatedTensor(
-        d,
-        np.zeros(batch),
-        np.zeros(batch + (d,)),
-        np.zeros(batch + (d, d)),
-        np.zeros(batch + (d, d, d)),
-    )
+    return TruncatedTensor(d, np.zeros(()), np.zeros(d), np.zeros((d, d)), np.zeros((d, d, d)))
 
 
 def unit_tensor(dim: int, batch: tuple = ()) -> TruncatedTensor:
@@ -274,10 +268,29 @@ def _word_sum(t):
     return _word_sum(t[:half]) + _word_sum(t[half:])
 
 
+# a sum of squares below this may have lost bits to the subnormal range
+_FRO_TINY = 2.0**-960
+
+
 def _fro(a, k: int):
-    """Frobenius norm over the k leading word axes of a."""
-    words = int(np.prod(np.shape(a)[:k]))
-    return np.sqrt(_word_sum((a**2).reshape((words,) + np.shape(a)[k:])))
+    """Frobenius norm over the k leading word axes of a.  Elements whose sum
+    of squares is below _FRO_TINY or overflows are summed again after
+    scaling by their max-abs entry, as LAPACK dnrm2 does; the others, and
+    all-zero elements, keep the plain sum."""
+    a = np.reshape(a, (int(np.prod(np.shape(a)[:k])),) + np.shape(a)[k:])
+    with np.errstate(over="ignore"):  # overflowing sums are redone below
+        ss = _word_sum(a**2)
+    if _FRO_TINY <= ss.min(initial=np.inf) and ss.max(initial=0.0) < np.inf:
+        return np.sqrt(ss)
+    out = np.sqrt(ss).reshape(-1)
+    a = a.reshape(len(a), -1)
+    redo = np.flatnonzero(~((ss >= _FRO_TINY) & (ss < np.inf)))
+    m = np.max(np.abs(a[:, redo]), axis=0)
+    # m is 0 for all-zero elements and inf or nan for non-finite entries
+    keep = np.isfinite(m) & (m > 0.0)
+    redo, m = redo[keep], m[keep]
+    out[redo] = m * np.sqrt(_word_sum((a[:, redo] / m) ** 2))
+    return out.reshape(np.shape(ss))[()]
 
 
 def _level_fro(t):
@@ -402,8 +415,12 @@ def shuffle_residual(g: GroupElement):
     return _shuffle_residual(_to_words(g.tensor.levels()))
 
 
-def is_group_like(g: GroupElement, tol: float = 1e-10) -> bool:
-    return bool(np.all(shuffle_residual(g) <= tol))
+# shuffle residual up to which an element counts as group-like
+_SHUFFLE_TOL = 1e-10
+
+
+def is_group_like(g: GroupElement) -> bool:
+    return bool(np.all(shuffle_residual(g) <= _SHUFFLE_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -538,9 +555,9 @@ def _hall_reduce_level3(alpha: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def tensor_to_lie(t: TruncatedTensor, tol: float = 1e-9) -> LieElement:
+def tensor_to_lie(t: TruncatedTensor) -> LieElement:
     """Hall coordinates of a Lie tensor (zero scalar, levels in the free Lie
-    algebra).  Raises if the reconstruction residual exceeds ``tol`` relative
+    algebra).  Raises if the reconstruction residual exceeds 1e-9 relative
     to the level scale, i.e. if the input is not actually Lie."""
     d = t.dim
     if not np.all(t.level0 == 0.0):
@@ -555,12 +572,12 @@ def tensor_to_lie(t: TruncatedTensor, tol: float = 1e-9) -> LieElement:
         [(back.level2, t.level2), (back.level3, t.level3)], start=2
     ):
         scale = np.maximum(np.max(np.abs(want)), 1.0)
-        if np.max(np.abs(got - want)) > tol * scale:
+        if np.max(np.abs(got - want)) > 1e-9 * scale:
             raise ValueError(f"level-{lvl} part is not a Lie element")
     return lie
 
 
-def hall_log_signature(sig: GroupElement, tol: float = 1e-10) -> LieElement:
+def hall_log_signature(sig: GroupElement) -> LieElement:
     """Closed-form Hall coordinates of log(sig) straight from signature
     entries (no power series):
 
@@ -570,12 +587,12 @@ def hall_log_signature(sig: GroupElement, tol: float = 1e-10) -> LieElement:
                      + X^(kij) - 2 X^(jki) + X^(kji))        on [e_i,[e_j,e_k]]
                 X^(iij) + 1/12 (X^i)^2 X^j - 1/2 X^i X^(ij)  on [e_i,[e_i,e_j]]
 
-    Inputs failing the shuffle check at ``tol`` are rejected.
+    Inputs failing the shuffle check of :func:`is_group_like` are rejected.
     """
     res = shuffle_residual(sig)
-    if not np.all(res <= tol):
+    if not np.all(res <= _SHUFFLE_TOL):
         raise ValueError(
-            f"input is not group-like (shuffle residual {float(np.max(res)):.3e} > {tol:g})"
+            f"input is not group-like (shuffle residual {float(np.max(res)):.3e} > {_SHUFFLE_TOL:g})"
         )
     t = sig.tensor
     d = t.dim
@@ -636,7 +653,7 @@ def lie_level_norms(t: TruncatedTensor):
     return n1, n2 / np.sqrt(2.0), n3 / np.sqrt(6.0)
 
 
-def bch_bound_check(a: LieElement, b: LieElement, rtol: float = 1e-12):
+def bch_bound_check(a: LieElement, b: LieElement):
     """Level-2/3 norm bounds for m = log(exp(-a) (x) exp(b)).
 
     Asserts, in the scaled Lie level norms of :func:`lie_level_norms`,
@@ -646,8 +663,8 @@ def bch_bound_check(a: LieElement, b: LieElement, rtol: float = 1e-12):
                   + |b1 - a1| (1/2 |b2| + 1/12 |a1|^2 + 1/12 |b1|^2)
 
     Returns a boolean array over the (broadcast) batch: True where both
-    inequalities hold.  ``rtol`` adds a relative slack absorbing float error
-    in the equality cases (e.g. a = b).
+    inequalities hold.  A relative slack of 1e-12 absorbs float error in the
+    equality cases (e.g. a = b).
     """
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
@@ -666,6 +683,6 @@ def bch_bound_check(a: LieElement, b: LieElement, rtol: float = 1e-12):
     d1, d2, d3 = lie_level_norms(diff)
     rhs2 = d2 + 0.5 * d1 * b1
     rhs3 = d3 + 0.5 * d2 * b1 + d1 * (0.5 * b2 + (a1**2 + b1**2) / 12.0)
-    ok2 = m2 <= rhs2 + rtol * (1.0 + rhs2)
-    ok3 = m3 <= rhs3 + rtol * (1.0 + rhs3)
+    ok2 = m2 <= rhs2 + 1e-12 * (1.0 + rhs2)
+    ok3 = m3 <= rhs3 + 1e-12 * (1.0 + rhs3)
     return np.logical_and(ok2, ok3)

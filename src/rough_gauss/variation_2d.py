@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import zeta
 
 __all__ = [
     "GridFunction2D",
@@ -344,18 +343,12 @@ def rho_variation(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def rho_prime_limit_check(
-    f: GridFunction2D,
-    rho: float,
-    rect=None,
-    ks=(0, 1, 2, 3, 4),
-    mode: str = "exact",
-) -> dict:
-    """Evaluate the variation at rho' = rho + 2^-k for each k and report the
-    approach to the rho value from below as rho' decreases to rho."""
-    limit = rho_variation(f, rho, rect=rect, mode=mode)
-    rho_primes = [rho + 2.0 ** (-k) for k in ks]
-    vals = [rho_variation(f, rp, rect=rect, mode=mode).value for rp in rho_primes]
+def rho_prime_limit_check(f: GridFunction2D, rho: float) -> dict:
+    """Evaluate the exact variation at rho' = rho + 2^-k, k = 0..4, and report
+    the approach to the rho value from below as rho' decreases to rho."""
+    limit = rho_variation(f, rho)
+    rho_primes = [rho + 2.0 ** (-k) for k in range(5)]
+    vals = [rho_variation(f, rp).value for rp in rho_primes]
     monotone = all(a <= b + 1e-12 for a, b in zip(vals[:-1], vals[1:]))
     bounded = all(v <= limit.value + 1e-12 for v in vals)
     return {
@@ -396,11 +389,9 @@ def _left_point_sum(F: np.ndarray, G: np.ndarray) -> float:
 def young_integral_2d(
     f: GridFunction2D,
     g: GridFunction2D,
-    rect=None,
     levels: int = 4,
     f_eval: Callable | None = None,
     g_eval: Callable | None = None,
-    rtol: float = 1e-6,
 ) -> YoungResult:
     """Left-point 2D Riemann-Stieltjes sum of f against the rectangular
     increments of g, recomputed on ``levels`` dyadic refinements.
@@ -408,18 +399,18 @@ def young_integral_2d(
     New grid points are valued by ``f_eval``/``g_eval`` (vectorized
     (S, T) -> matrix, e.g. a covariance kernel) when given, otherwise by
     bilinear interpolation of the stored values, which is exact for grid
-    data coming from piecewise-linear interpolation.
+    data coming from piecewise-linear interpolation.  ``converged`` means
+    the last refinement moved the sum by less than 1e-6 relative, or the
+    refinement steps shrink monotonically.
     """
-    Vf, sf, tf = _restrict(f, rect)
-    Vg, sg, tg = _restrict(g, rect)
+    sf, tf = f.s_grid, f.t_grid
+    sg, tg = g.s_grid, g.t_grid
     if sf.size != sg.size or tf.size != tg.size or np.any(sf != sg) or np.any(tf != tg):
-        raise ValueError("f and g must share the rectangle grid")
-    fsub = GridFunction2D(sf, tf, Vf)
-    gsub = GridFunction2D(sg, tg, Vg)
-    fe = f_eval if f_eval is not None else (lambda S, T: bilinear_eval(fsub, S, T))
-    ge = g_eval if g_eval is not None else (lambda S, T: bilinear_eval(gsub, S, T))
+        raise ValueError("f and g must share their grid")
+    fe = f_eval if f_eval is not None else (lambda S, T: bilinear_eval(f, S, T))
+    ge = g_eval if g_eval is not None else (lambda S, T: bilinear_eval(g, S, T))
     s_cur, t_cur = sf, tf
-    F, G = Vf, Vg
+    F, G = f.values, g.values
     vals = [_left_point_sum(F, G)]
     for _ in range(levels):
         s_cur = np.sort(np.concatenate([s_cur, (s_cur[:-1] + s_cur[1:]) / 2]))
@@ -430,7 +421,7 @@ def young_integral_2d(
     diffs = [abs(b - a) for a, b in zip(vals[:-1], vals[1:])]
     scale = max(abs(vals[-1]), 1e-12)
     monotone = all(a >= b - 1e-15 * scale for a, b in zip(diffs[:-1], diffs[1:]))
-    converged = diffs[-1] < rtol * scale or monotone
+    converged = diffs[-1] < 1e-6 * scale or monotone
     return YoungResult(vals[-1], vals, diffs, bool(converged))
 
 
@@ -441,6 +432,9 @@ def young_constant(p: float, q: float) -> float:
     theta = 1.0 / p + 1.0 / q
     if theta <= 1.0:
         raise ValueError("need 1/p + 1/q > 1")
+    # deferred: importing scipy.special costs ~0.3 s at every process start
+    from scipy.special import zeta
+
     return float((1.0 + zeta(theta, 1)) ** 2)
 
 
@@ -454,44 +448,38 @@ def young_bound_check(
     g: GridFunction2D,
     q: float,
     p: float,
-    rect=None,
-    mode: str = "exact",
     levels: int = 4,
     f_eval: Callable | None = None,
     g_eval: Callable | None = None,
 ) -> bool:
     """|∫ f~ dg| <= C_{p,q} |f|_{q-var} |g|_{p-var} with f~ the edge-normalized
-    f (vanishing on the rectangle's lower edges) and C from young_constant."""
+    f (vanishing on the grid's lower edges), C from young_constant and exact
+    variations."""
     C = young_constant(p, q)
-    Vf, sf, tf = _restrict(f, rect)
-    Vg, sg, tg = _restrict(g, rect)
-    fn = GridFunction2D(sf, tf, _edge_normalized(Vf))
-    gsub = GridFunction2D(sg, tg, Vg)
-    if f_eval is not None:
-        base = f_eval
+    sf, tf = f.s_grid, f.t_grid
+    fn = GridFunction2D(sf, tf, _edge_normalized(f.values))
 
-        def fe(S, T):
-            # normalize against the rectangle's lower edges, not the grid's
-            W = np.asarray(base(S, T), dtype=float)
-            edge_s = np.asarray(base(np.array([sf[0]]), T), dtype=float)
-            edge_t = np.asarray(base(S, np.array([tf[0]])), dtype=float)
-            corner = np.asarray(base(np.array([sf[0]]), np.array([tf[0]])))[0, 0]
-            return W - edge_s - edge_t + corner
+    def fe(S, T):
+        # _edge_normalized at the refined points
+        W = np.asarray(f_eval(S, T), dtype=float)
+        edge_s = np.asarray(f_eval(np.array([sf[0]]), T), dtype=float)
+        edge_t = np.asarray(f_eval(S, np.array([tf[0]])), dtype=float)
+        corner = np.asarray(f_eval(np.array([sf[0]]), np.array([tf[0]])))[0, 0]
+        return W - edge_s - edge_t + corner
 
-    else:
-        fe = None
-    integral = young_integral_2d(fn, gsub, levels=levels, f_eval=fe, g_eval=g_eval)
-    var_f = rho_variation(f, q, rect=rect, mode=mode).value
-    var_g = rho_variation(g, p, rect=rect, mode=mode).value
+    integral = young_integral_2d(fn, g, levels=levels,
+                                 f_eval=None if f_eval is None else fe, g_eval=g_eval)
+    var_f = rho_variation(f, q).value
+    var_g = rho_variation(g, p).value
     return bool(abs(integral.value) <= C * var_f * var_g * (1 + 1e-12) + 1e-15)
 
 
-def control_from_variation(f: GridFunction2D, rho: float, mode: str = "exact") -> Control2D:
-    """omega([s,t] x [u,v]) = |f|_{rho-var; rect}^rho, which is super-additive
-    in each slot."""
+def control_from_variation(f: GridFunction2D, rho: float) -> Control2D:
+    """omega([s,t] x [u,v]) = |f|_{rho-var; rect}^rho, exact, which is
+    super-additive in each slot."""
 
     def ev(s, t, u, v):
-        return rho_variation(f, rho, rect=(s, t, u, v), mode=mode).value ** rho
+        return rho_variation(f, rho, rect=(s, t, u, v)).value ** rho
 
     return Control2D(ev)
 

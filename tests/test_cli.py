@@ -1,5 +1,8 @@
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +188,7 @@ class TestRun:
     @pytest.mark.parametrize("argv, message", [
         (("weak-limit", "--set", "h_ladder=[0.45,0.7]"), "at most 1/2"),
         (("level-bounds", "--grid", "2"), "interval levels"),
+        (("level2-variance", "--workers", "0"), "workers must be an integer >= 1"),
     ])
     def test_invalid_ladder_exit1(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"
@@ -390,3 +394,16 @@ class TestShippedConfigs:
         shipped = {json.loads(p.read_text(encoding="utf-8"))["experiment"]
                    for p in CONFIGS.glob("*.json")}
         assert set(EXPERIMENTS) <= shipped
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.special costs ~0.3 s per process; only young_constant needs it
+    code = ("import sys, rough_gauss.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "from rough_gauss.variation_2d import young_constant\n"
+            "print(repr(young_constant(1.0, 1.0)))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "6.9956762179742995"]

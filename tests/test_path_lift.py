@@ -31,6 +31,7 @@ from rough_gauss.tensor_algebra import (
     hall_log_signature,
     homogeneous_norm,
     identity_element,
+    shuffle_residual,
     tensor_mul,
 )
 from rough_gauss.simulate import SampleEnsemble, restrict_to
@@ -161,6 +162,14 @@ class TestMetrics:
         v = np.array([3.0, -4.0])
         p = PiecewisePath(np.array([0.0, 0.5, 1.0]), np.outer([0.0, 0.5, 1.0], v))
         assert holder_norm(lift_s3(p), 1.0) == pytest.approx(5.0, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e52, 1e60, 1e90])
+    def test_holder_norm_scales_past_squared_overflow(self, scale):
+        # level entries above ~1e154 overflow when squared
+        p = PiecewisePath(np.linspace(0.0, 1.0, 3), np.array([[0, 0], [1.3, 0.7], [0.2, 1.9]]))
+        big = PiecewisePath(p.times, scale * p.points)
+        np.testing.assert_allclose(holder_norm(lift_s3(big), 0.5) / scale,
+                                   holder_norm(lift_s3(p), 0.5), rtol=1e-12)
 
     def test_holder_dist_to_constant_is_norm(self):
         rng = np.random.default_rng(7)
@@ -463,15 +472,15 @@ class TestOneImplementation:
             lift_s3(PiecewisePath(np.array([0.0, 0.5, 1.0]), pts))
 
     def test_nan_shuffle_residual_rejected(self):
-        # the levels (up to 1e270) are finite, but the shuffle residual
-        # squares them and overflows to nan; nan must fail the check
-        pts = 1e90 * np.array([[0.0, 0.0], [1.3, 0.7], [0.2, 1.9]])
-        path = PiecewisePath(np.array([0.0, 0.5, 1.0]), pts)
-        incs = np.diff(pts, axis=0)
+        # the levels are finite, but the shuffle residual divides the
+        # overflowed square of 1e200 by the overflowed squared norm; the
+        # resulting nan must fail the check
+        l1 = np.array([[0.0, 0.0], [1e200, 0.0]])
+        values = GroupElement(TruncatedTensor(
+            2, np.ones(2), l1, np.zeros((2, 2, 2)), np.zeros((2, 2, 2, 2))))
         with np.errstate(over="ignore", invalid="ignore"):
-            end = GroupElement(TruncatedTensor(
-                2, *(a[-1] for a in lift_increments(incs).tensor.levels())))
-            with pytest.raises(ValueError):
-                lift_s3(path)
-            with pytest.raises(ValueError):
-                hall_log_signature(end)
+            assert np.isnan(shuffle_residual(values)[1])
+            with pytest.raises(ValueError, match="not group-like"):
+                GroupPath(np.array([0.0, 1.0]), values)
+            with pytest.raises(ValueError, match="not group-like"):
+                hall_log_signature(values)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rough_gauss import tensor_algebra as ta
 from rough_gauss.tensor_algebra import (
@@ -229,6 +229,9 @@ def test_inverse_is_exp_of_negation(a):
 
 @settings(max_examples=60, deadline=None)
 @given(lie_elements(), st.floats(min_value=0.05, max_value=5.0))
+# level-3 squares in the subnormal range, and underflowing to zero once dilated
+@example(LieElement(2, np.array([0.0, 0.0, 0.0, 0.0, 4.22343823e-159])), 0.5)
+@example(LieElement(2, np.array([0.0, 0.0, 0.0, 0.0, 3e-162])), 0.5)
 def test_norm_homogeneous_under_dilation(a, lam):
     g = exp_trunc(a)
     n = homogeneous_norm(g)
