@@ -7,7 +7,7 @@ subcommand).  Exits with the number of failing configs, so `echo $?` after a
 full run tells you how many experiments missed their checks.
 
     python3 scripts/run_all.py --out-dir runs
-    python3 scripts/run_all.py --only grr --only lift --workers 4
+    python3 scripts/run_all.py --only grr --only lift
 """
 
 import argparse
@@ -21,12 +21,10 @@ from rough_gauss.cli import main as cli_main
 CONFIG_DIR = Path(__file__).resolve().parent / "configs"
 
 
-def run_one(cfg_path: Path, out_dir: Path, workers) -> int:
+def run_one(cfg_path: Path, out_dir: Path) -> int:
     data = json.loads(cfg_path.read_text(encoding="utf-8"))
     sub = "table" if "sweep" in data else "run"
     argv = [sub, str(cfg_path), "--out-dir", str(out_dir / cfg_path.stem)]
-    if workers is not None and sub == "run":
-        argv += ["--workers", str(workers)]
     # file references inside a config are relative to the repo root; resolve
     # them against the config's own directory so this works from anywhere
     if data.get("path"):
@@ -37,8 +35,6 @@ def run_one(cfg_path: Path, out_dir: Path, workers) -> int:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out-dir", default="runs", help="artifact root")
-    ap.add_argument("--workers", type=int, default=None,
-                    help="worker count forwarded to `run` configs")
     ap.add_argument("--only", action="append", default=None, metavar="NAME",
                     help="run just these config stems (repeatable)")
     args = ap.parse_args()
@@ -53,7 +49,7 @@ def main() -> int:
     failures = []
     for cfg in configs:
         t0 = time.monotonic()
-        code = run_one(cfg, out_dir, args.workers)
+        code = run_one(cfg, out_dir)
         dt = time.monotonic() - t0
         status = "ok" if code == 0 else f"exit {code}"
         print(f"  {cfg.stem:<24} {status:<8} {dt:6.1f}s")

@@ -190,8 +190,7 @@ def _default_p(spec: ProcessSpec) -> float:
 
 def _sample(cfg: ExperimentConfig, grid_level: int, n: int):
     grid = np.linspace(0.0, 1.0, 2 ** _default(cfg.grid_level, grid_level) + 1)
-    return sample(_spec(cfg), grid, _default(cfg.samples, n), cfg.seed,
-                  workers=cfg.workers)
+    return sample(_spec(cfg), grid, _default(cfg.samples, n), cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +247,8 @@ def _run_lift(cfg: ExperimentConfig) -> dict:
 def _run_variation(cfg: ExperimentConfig) -> dict:
     k = kernel_from_config(cfg.kernel)
     intervals = _default(cfg.grid_intervals, 8)
+    if cfg.mode not in (None, "exact", "local-search"):
+        raise ValueError(f"mode must be 'exact' or 'local-search', got {cfg.mode!r}")
     rho = _default(cfg.rho, k.rho)
     grid = np.linspace(0.0, 1.0, intervals + 1)
     f = GridFunction2D(grid, grid, k.eval(grid[:, None], grid[None, :]))
@@ -256,7 +257,8 @@ def _run_variation(cfg: ExperimentConfig) -> dict:
     checks = []
     results = {"rho": rho, "grid_intervals": intervals,
                "local_search_value": search}
-    if intervals <= EXACT_INTERVAL_CAP and cfg.mode != "local-search":
+    # unset, exact runs up to the cap; set, rho_variation rejects a larger grid
+    if cfg.mode == "exact" or (cfg.mode is None and intervals <= EXACT_INTERVAL_CAP):
         exact = float(rho_variation(f, rho, mode="exact").value)
         rows.insert(0, {"mode": "exact", "value": exact, "exact": True})
         checks.append({"name": "search_below_exact",
@@ -294,8 +296,7 @@ def _run_young2d(cfg: ExperimentConfig) -> dict:
 
 
 def _run_level2_variance(cfg: ExperimentConfig) -> dict:
-    rep = level2_variance_check(_spec(cfg), seed=cfg.seed,
-                                workers=cfg.workers, **_kwargs(cfg))
+    rep = level2_variance_check(_spec(cfg), seed=cfg.seed, **_kwargs(cfg))
     mc = rep["mc"]
     row = {"mc_value": mc["value"], "mc_stderr": mc["stderr"],
            **{k: rep[k] for k in ("young_value", "gap", "tolerance", "ok")}}
@@ -306,7 +307,7 @@ def _run_level2_variance(cfg: ExperimentConfig) -> dict:
 
 def _run_level_bounds(cfg: ExperimentConfig) -> dict:
     rep = level_bounds_check(_spec(cfg, default_dim=3), seed=cfg.seed,
-                             workers=cfg.workers, **_kwargs(cfg))
+                             **_kwargs(cfg))
     rows = [{"word": word, "level": info["level"],
              "smallest_C": info["smallest_C"], "log2_slope": info["log2_slope"],
              "ok": bool(np.all(np.isfinite(info["envelope_constants"]))
@@ -320,7 +321,7 @@ def _run_level_bounds(cfg: ExperimentConfig) -> dict:
 
 def _run_dyadic(cfg: ExperimentConfig) -> dict:
     spec = _spec(cfg)
-    rep = dyadic_convergence(spec, seed=cfg.seed, workers=cfg.workers,
+    rep = dyadic_convergence(spec, seed=cfg.seed,
                              **_kwargs(cfg, p=_default_p(spec)))
     return _outcome(
         [_check("negative_log2_slope", rep, "ok", "log2_slope")], rep,
@@ -331,7 +332,7 @@ def _run_dyadic(cfg: ExperimentConfig) -> dict:
 
 def _run_perturbation(cfg: ExperimentConfig) -> dict:
     spec = _spec(cfg)
-    rep = perturbation_continuity(spec, seed=cfg.seed, workers=cfg.workers,
+    rep = perturbation_continuity(spec, seed=cfg.seed,
                                   **_kwargs(cfg, p=_default_p(spec)))
     return _outcome(
         [_check("strictly_decreasing", rep, "strictly_decreasing"),
@@ -345,7 +346,7 @@ def _run_perturbation(cfg: ExperimentConfig) -> dict:
 
 def _run_fernique(cfg: ExperimentConfig) -> dict:
     spec = _spec(cfg)
-    rep = fernique_tail(spec, seed=cfg.seed, workers=cfg.workers,
+    rep = fernique_tail(spec, seed=cfg.seed,
                         **_kwargs(cfg, p=_default_p(spec)))
     return _outcome(
         [_check("gaussian_tail_slope", rep, "tail_ok", "tail_slope", "eta_hat"),
@@ -367,8 +368,7 @@ def _run_young_wiener(cfg: ExperimentConfig) -> dict:
     if name not in _INTEGRANDS:
         raise ValueError(f"unknown integrand {name!r}; know {sorted(_INTEGRANDS)}")
     rep = young_wiener_check(_INTEGRANDS[name], _spec(cfg, default_dim=1),
-                             seed=cfg.seed, workers=cfg.workers,
-                             **_kwargs(cfg))
+                             seed=cfg.seed, **_kwargs(cfg))
     mc = rep["mc"]
     row = {"integrand": name, "mc_value": mc["value"],
            "mc_stderr": mc["stderr"],
@@ -382,7 +382,7 @@ def _run_young_wiener(cfg: ExperimentConfig) -> dict:
 
 
 def _run_weak_limit(cfg: ExperimentConfig) -> dict:
-    rep = weak_limit_fbm(seed=cfg.seed, workers=cfg.workers, **_kwargs(cfg))
+    rep = weak_limit_fbm(seed=cfg.seed, **_kwargs(cfg))
     stats = rep["statistics"]
     return _outcome(
         [_check("gaps_decreasing", rep, "gaps_decreasing"),
@@ -588,8 +588,8 @@ def _write_artifacts(out_dir: Path, prefix: str, cfg: ExperimentConfig,
                      body: dict, columns, rows, wall: float) -> None:
     """Write ``<prefix>report.json`` (common header plus ``body``),
     ``<prefix>table.csv`` and the ``<prefix>run_meta.json`` sidecar."""
-    # worker count cannot influence results, so it lives in the sidecar with
-    # the wall clock; report bytes depend on the science parameters only
+    # the library is single-threaded, so the worker count cannot influence
+    # results: it lives in the sidecar with the wall clock
     echo = cfg.to_dict()
     echo.pop("workers")
     report = {"schema_version": 1,

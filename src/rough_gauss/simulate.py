@@ -6,14 +6,12 @@ and the fractional-to-Brownian weak limit.
 
 Randomness: normals for sample i, component c come from a Philox stream with
 key = [seed, 0] and counter = [0, stream, i, c].  Samples are assembled in
-fixed chunks so the matrix products have worker-independent shapes; together
-these make every report byte-identical across worker counts.
+fixed chunks of rows, which keeps the shapes of the Gram-factor products.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +70,7 @@ __all__ = [
     "product_moment_surface_check",
 ]
 
-# fixed chunk: gemm shapes never depend on the worker count
+# fixed chunk keeps the BLAS shapes perfbench/reference was recorded with
 CHUNK = 256
 
 
@@ -89,7 +87,7 @@ class MCEstimate:
 
 
 def mc_mean(values, seed: int) -> MCEstimate:
-    """Fixed-order compensated mean so reductions are worker-independent."""
+    """Fixed-order compensated mean."""
     v = np.asarray(values, dtype=float).ravel()
     n = v.size
     mean = math.fsum(v) / n
@@ -135,13 +133,12 @@ def _factor(kernel: CovarianceKernel, grid: np.ndarray) -> np.ndarray:
     return U * np.sqrt(np.clip(w, 0.0, None))
 
 
-def sample(spec: ProcessSpec, grid, n: int, seed: int, stream: int = 0,
-           workers: int = 1) -> SampleEnsemble:
+def sample(spec: ProcessSpec, grid, n: int, seed: int,
+           stream: int = 0) -> SampleEnsemble:
     """n independent paths of the d-component process on the grid.
 
     Components are independent; component c is the Gram factor applied to
-    that component's substream normals.  Deterministic in (seed, stream)
-    regardless of workers.
+    that component's substream normals.  Deterministic in (seed, stream).
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -151,26 +148,21 @@ def sample(spec: ProcessSpec, grid, n: int, seed: int, stream: int = 0,
     d = spec.dim
     factors = tuple(_factor(k, grid) for k in spec.kernels)
     out = np.empty((n, m, d))
-
-    def run_chunk(lo: int):
+    # one generator: a fresh Philox state (empty buffer, no cached uint32)
+    # with its counter set to [0, stream, i, c] is the state of
+    # Philox(key, counter), so resetting it replaces a construction per row
+    bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    gen = np.random.Generator(bits)
+    state = bits.state
+    for lo in range(0, n, CHUNK):
         hi = min(lo + CHUNK, n)
         for c in range(d):
-            # one generator per chunk and component: a fresh Philox state
-            # (empty buffer, no cached uint32) with its counter set to
-            # [0, stream, i, c] is the state of Philox(key, counter), so
-            # resetting it replaces a construction per row
-            bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-            gen = np.random.Generator(bits)
-            state = bits.state
             Z = np.empty((hi - lo, m))
             for i in range(lo, hi):
                 state["state"]["counter"][:] = (0, stream, i, c)
                 bits.state = state
                 gen.standard_normal(out=Z[i - lo])
             out[lo:hi, :, c] = Z @ factors[c].T
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(run_chunk, range(0, n, CHUNK)))
     return SampleEnsemble(grid, out)
 
 
@@ -236,13 +228,14 @@ def pl_covariance_gap_check(kernel: CovarianceKernel, D, fine_grid) -> dict:
 
 def level2_variance_check(spec: ProcessSpec, i: int = 0, j: int = 1,
                           interval=(0.0, 1.0), n: int = 10_000, seed: int = 0,
-                          grid_level: int = 8, workers: int = 1,
-                          band: float = 0.01) -> dict:
+                          grid_level: int = 8, band: float = 0.01) -> dict:
     """E|X^{i,j}_{s,t}|^2 by Monte Carlo on the dyadic grid against the 2D
     Young integral of R_i against R_j over [s,t]^2; i and j must be distinct
     components and s, t grid points."""
     if i == j:
         raise ValueError("need distinct components")
+    if len(interval) != 2:
+        raise ValueError("interval must be two numbers [s, t]")
     s, t = float(interval[0]), float(interval[1])
     if not 0.0 <= s <= t <= 1.0:
         raise ValueError("interval must satisfy 0 <= s <= t <= 1")
@@ -257,7 +250,7 @@ def level2_variance_check(spec: ProcessSpec, i: int = 0, j: int = 1,
                 "young_converged": True, "band": band, "tolerance": band,
                 "gap": 0.0, "ok": True, "grid_level": grid_level,
                 "components": [i, j], "interval": [s, t]}
-    ens = sample(spec, grid, n, seed, workers=workers)
+    ens = sample(spec, grid, n, seed)
     end = lift_endpoint(np.diff(ens.samples[:, a : b + 1, (i, j)], axis=-2))
     est = mc_mean(end.level2[:, 0, 1] ** 2, seed)
 
@@ -295,8 +288,7 @@ def level2_variance_check(spec: ProcessSpec, i: int = 0, j: int = 1,
 
 def level_bounds_check(spec: ProcessSpec, rho: float | None = None,
                        interval_levels=(1, 2, 3, 4), n: int = 2_000,
-                       seed: int = 0, grid_level: int = 6,
-                       workers: int = 1) -> dict:
+                       seed: int = 0, grid_level: int = 6) -> dict:
     """Second moments of signature words (i), (i,j), (i,i,j), (i,j,k) over
     nested dyadic intervals [0, 2^-k] against omega([s,t]^2)^{level/rho}
     envelopes, omega sampled with 12 intervals per side; reports the
@@ -311,7 +303,7 @@ def level_bounds_check(spec: ProcessSpec, rho: float | None = None,
         raise ValueError(f"interval levels must lie in 0..grid_level={grid_level}")
     rho = float(spec.rho if rho is None else rho)
     grid = np.linspace(0.0, 1.0, 2 ** grid_level + 1)
-    ens = sample(spec, grid, n, seed, workers=workers)
+    ens = sample(spec, grid, n, seed)
     words = [(0,), (0, 1), (0, 0, 1), (0, 1, 2)]
     rows = {w: [] for w in words}
     omegas = []
@@ -344,8 +336,7 @@ def level_bounds_check(spec: ProcessSpec, rho: float | None = None,
 
 
 def dyadic_convergence(spec: ProcessSpec, p: float, levels=(3, 4, 5, 6, 7),
-                       n: int = 200, seed: int = 0,
-                       workers: int = 1) -> dict:
+                       n: int = 200, seed: int = 0) -> dict:
     """Holder-distance decay of dyadic piecewise-linear lifts to the lift on
     the next-finer reference grid, with common random numbers.
 
@@ -355,9 +346,11 @@ def dyadic_convergence(spec: ProcessSpec, p: float, levels=(3, 4, 5, 6, 7),
     L2 means and the fitted log2 slope (negative means geometric decay).
     """
     levels = sorted(int(v) for v in levels)
+    if len(set(levels)) < 2:
+        raise ValueError("the slope fit needs at least two distinct levels")
     ref_level = levels[-1] + 1
     grid = np.linspace(0.0, 1.0, 2 ** ref_level + 1)
-    ens = sample(spec, grid, n, seed, workers=workers)
+    ens = sample(spec, grid, n, seed)
     ref = lift_ensemble(ens)
     alpha = 1.0 / p
     means = []
@@ -387,15 +380,15 @@ def dyadic_convergence(spec: ProcessSpec, p: float, levels=(3, 4, 5, 6, 7),
 
 def perturbation_continuity(spec: ProcessSpec, epsilons=(0.2, 0.1, 0.05),
                             p: float = 2.5, n: int = 400, seed: int = 0,
-                            grid_level: int = 6, workers: int = 1) -> dict:
+                            grid_level: int = 6) -> dict:
     """L2 size of d_{p-var}(lift(X), lift(X + eps W)) along an epsilon ladder,
     W an independent copy coupled across the ladder; fits the exponent of the
     mean against |R_{X-Y}|_inf = eps^2 |R_W|_inf."""
     if sum(e > 0.0 for e in epsilons) < 2:
         raise ValueError("the epsilon ladder needs at least two positive rungs")
     grid = np.linspace(0.0, 1.0, 2 ** grid_level + 1)
-    ens_x = sample(spec, grid, n, seed, stream=0, workers=workers)
-    ens_w = sample(spec, grid, n, seed, stream=1, workers=workers)
+    ens_x = sample(spec, grid, n, seed, stream=0)
+    ens_w = sample(spec, grid, n, seed, stream=1)
     lift_x = lift_ensemble(ens_x)
     rw_inf = max(float(np.max(np.abs(gram_matrix(k, grid, check_psd=False))))
                  for k in spec.kernels)
@@ -458,14 +451,14 @@ def _chaos_ratios(end, seed: int) -> list:
 
 
 def fernique_tail(spec: ProcessSpec, p: float, n: int = 10_000, seed: int = 0,
-                  grid_level: int = 5, workers: int = 1) -> dict:
+                  grid_level: int = 5) -> dict:
     """Gaussian-type tail of the homogeneous p-variation norm: fits
     log P(||X|| > lambda) against lambda^2 over empirical tail quantiles and
     reports eta_hat = -slope; also the chaos L^q/L^2 scaling of the log
     signature coordinates at the endpoint."""
     tail_probs = (0.5, 0.25, 0.1, 0.05, 0.02, 0.01)
     grid = np.linspace(0.0, 1.0, 2 ** grid_level + 1)
-    ens = sample(spec, grid, n, seed, workers=workers)
+    ens = sample(spec, grid, n, seed)
     lifted = lift_ensemble(ens)
     norms = np.asarray(pvar_norm(lifted, p))
     lam = np.quantile(norms, [1.0 - q for q in tail_probs])
@@ -493,7 +486,7 @@ def fernique_tail(spec: ProcessSpec, p: float, n: int = 10_000, seed: int = 0,
 
 def young_wiener_check(f_eval, spec: ProcessSpec, q: float = 1.0,
                        n: int = 10_000, seed: int = 0, grid_level: int = 10,
-                       band: float = 1e-3, workers: int = 1) -> dict:
+                       band: float = 1e-3) -> dict:
     """Variance of the pathwise integral int f dX^D against the 2D Young
     integral of f(u)f(v) against R, plus the Young-Wiener upper bound
     C_{rho,q} |f|_{q-var}^2 |R|_{rho-var}.
@@ -507,7 +500,7 @@ def young_wiener_check(f_eval, spec: ProcessSpec, q: float = 1.0,
     if 1.0 / q + 1.0 / rho <= 1.0:
         raise ValueError("need 1/q + 1/rho > 1")
     grid = np.linspace(0.0, 1.0, 2 ** grid_level + 1)
-    ens = sample(spec, grid, n, seed, workers=workers)
+    ens = sample(spec, grid, n, seed)
     fv = np.asarray(f_eval(grid), dtype=float)
     integrals = np.diff(ens.samples[:, :, 0], axis=-1) @ fv[:-1]
     est = mc_mean(integrals ** 2, seed)
@@ -562,7 +555,7 @@ def young_wiener_check(f_eval, spec: ProcessSpec, q: float = 1.0,
 
 
 def weak_limit_fbm(h_ladder=(0.45, 0.48, 0.5), n: int = 10_000, seed: int = 0,
-                   grid_level: int = 8, workers: int = 1) -> dict:
+                   grid_level: int = 8) -> dict:
     """E|X^{1,2}_{0,1}|^2 along an H ladder increasing to 1/2, common
     normals across the ladder: the statistic approaches the Brownian value
     1/2 and the sup-norm kernel gap to min(s,t) shrinks."""
@@ -578,7 +571,7 @@ def weak_limit_fbm(h_ladder=(0.45, 0.48, 0.5), n: int = 10_000, seed: int = 0,
     for H in ladder:
         kern = fbm_cov(H) if H < 0.5 else bm_cov()
         spec = ProcessSpec((kern, kern))
-        ens = sample(spec, grid, n, seed, workers=workers)
+        ens = sample(spec, grid, n, seed)
         end = lift_endpoint(np.diff(ens.samples, axis=-2))
         est = mc_mean(end.level2[:, 0, 1] ** 2, seed)
         stats.append(est.to_dict())

@@ -303,7 +303,11 @@ def _raw_norm(t):
 
 
 def _norm(g):
-    return np.maximum(_raw_norm(g), _raw_norm(_inverse(g)))
+    # level 1 of g^-1 is -x1; the roots are monotone, so they commute with max
+    n1, n2, n3 = _level_fro(g)
+    _, _, y2, y3 = _inverse(g)
+    return np.maximum(n1, np.maximum(np.maximum(n2, _fro(y2, 2)) ** 0.5,
+                                     np.maximum(n3, _fro(y3, 3)) ** (1.0 / 3.0)))
 
 
 def _shuffle_residual(g):

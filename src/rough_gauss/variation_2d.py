@@ -403,6 +403,8 @@ def young_integral_2d(
     the last refinement moved the sum by less than 1e-6 relative, or the
     refinement steps shrink monotonically.
     """
+    if levels < 1:
+        raise ValueError(f"need levels >= 1 refinements, got {levels}")
     sf, tf = f.s_grid, f.t_grid
     sg, tg = g.s_grid, g.t_grid
     if sf.size != sg.size or tf.size != tg.size or np.any(sf != sg) or np.any(tf != tg):

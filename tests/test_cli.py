@@ -189,6 +189,12 @@ class TestRun:
         (("weak-limit", "--set", "h_ladder=[0.45,0.7]"), "at most 1/2"),
         (("level-bounds", "--grid", "2"), "interval levels"),
         (("level2-variance", "--workers", "0"), "workers must be an integer >= 1"),
+        (("young2d", "--set", "levels=0"), "need levels >= 1"),
+        (("level2-variance", "--set", "interval=[0.5]"), "two numbers"),
+        (("dyadic-convergence", "--set", "levels=[3]"), "two distinct levels"),
+        (("variation", "--set", "mode=banana"), "mode must be"),
+        (("variation", "--set", "grid_intervals=20", "--set", "mode=exact"),
+         "exact mode needs <= 16 intervals"),
     ])
     def test_invalid_ladder_exit1(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"
@@ -398,8 +404,10 @@ class TestShippedConfigs:
 
 def test_cli_import_leaves_scipy_unloaded():
     # scipy.special costs ~0.3 s per process; only young_constant needs it
+    # the library is single-threaded, so concurrent.futures stays unloaded too
     code = ("import sys, rough_gauss.cli\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('scipy', 'concurrent')))\n"
             "from rough_gauss.variation_2d import young_constant\n"
             "print(repr(young_constant(1.0, 1.0)))\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
