@@ -8,11 +8,11 @@ p-variation) are computed exactly over the stored grid.
 Paths may carry leading batch dimensions on ``points``; all metrics then
 return arrays over the batch.  Serialization handles single paths only.
 
-Lifted values are stored batch-first like every public tensor.  The Chen
-loop and the pair-distance stream run the word-first raw kernels of
-``tensor_algebra`` instead: the Chen loop moves one increment step at a
-time to word-first layout, and the pair stream one block of about 1 MiB of
-levels, so no word-first copy of a whole ensemble is made.
+Lifted values are stored word-first like every tensor, with the grid as
+the last batch axis (level3[i, j, k, *batch, n]).  The Chen loop and the
+pair-distance stream call the raw kernels of ``tensor_algebra`` on them
+directly: the Chen loop writes each prefix into the grid axis in place,
+and the pair stream copies one block of about 1 MiB of levels at a time.
 """
 
 from __future__ import annotations
@@ -26,12 +26,10 @@ from .tensor_algebra import (
     GroupElement,
     TruncatedTensor,
     _exp,
-    _from_words,
     _inverse,
     _mul,
     _norm,
     _shuffle_residual,
-    _to_words,
     homogeneous_norm,
 )
 from .variation_2d import (
@@ -56,7 +54,6 @@ __all__ = [
     "pvar_norm",
     "path_inf_norm",
     "refine_path",
-    "union_times",
     "write_path_csv",
     "read_path_csv",
 ]
@@ -104,7 +101,7 @@ class PiecewisePath:
 
 def _index(levels, key):
     """Index the trailing batch axis (the grid axis) of raw level arrays."""
-    return tuple(a[(..., key) + (slice(None),) * k] for k, a in enumerate(levels))
+    return tuple(a[..., key] for a in levels)
 
 
 def _take(t: TruncatedTensor, key) -> TruncatedTensor:
@@ -136,10 +133,10 @@ class GroupPath:
         # shuffle check on a deterministic subsample of at most 2048
         # elements; a nan residual fails it
         total = int(np.prod(bshape))
-        flat = tuple(a.reshape((total,) + a.shape[len(bshape):]) for a in levels)
+        flat = tuple(a.reshape(a.shape[:k] + (total,)) for k, a in enumerate(levels))
         if total > 2048:
             flat = _index(flat, np.linspace(0, total - 1, 2048).astype(int))
-        if not np.all(_shuffle_residual(_to_words(flat)) <= 1e-8):
+        if not np.all(_shuffle_residual(flat) <= 1e-8):
             raise ValueError("path values are not group-like")
         times.setflags(write=False)
         object.__setattr__(self, "times", times)
@@ -184,9 +181,9 @@ def lift_increments(increments: np.ndarray) -> GroupElement:
     batch shape (..., m+1), starting at the identity.
     """
     *batch, m, d = np.shape(increments)
-    out = tuple(np.empty((*batch, m + 1) + (d,) * k) for k in range(4))
+    out = tuple(np.empty((d,) * k + (*batch, m + 1)) for k in range(4))
     for j, cur in enumerate(_chen_prefixes(increments)):
-        for dst, src in zip(_to_words(_index(out, j)), cur):
+        for dst, src in zip(_index(out, j), cur):
             dst[...] = src
     return GroupElement(TruncatedTensor(d, *out))
 
@@ -203,8 +200,8 @@ def increment(gp: GroupPath, s: float, t: float) -> GroupElement:
     if i > j:
         raise ValueError("need s <= t")
     levels = gp.values.tensor.levels()
-    inc = _mul(_inverse(_to_words(_index(levels, i))), _to_words(_index(levels, j)))
-    return GroupElement(TruncatedTensor(gp.dim, *_from_words(inc)))
+    inc = _mul(_inverse(_index(levels, i)), _index(levels, j))
+    return GroupElement(TruncatedTensor(gp.dim, *inc))
 
 
 def _require_same_grid(x: GroupPath, y: GroupPath):
@@ -215,16 +212,16 @@ def _require_same_grid(x: GroupPath, y: GroupPath):
 
 
 def _flat(path: GroupPath):
-    """Batch-first levels of the path with the batch flattened: (B, n, ...)."""
-    return tuple(a.reshape((-1, path.n_times) + a.shape[a.ndim - k:])
+    """Word-first levels of the path with the batch flattened: (..., B, n)."""
+    return tuple(a.reshape(a.shape[:k] + (-1, path.n_times))
                  for k, a in enumerate(path.values.tensor.levels()))
 
 
 def _block(flat, rows: slice, cols: slice):
-    """Contiguous word-first copy of flat levels at [rows, cols], with the
+    """Contiguous copy of word-first flat levels at [rows, cols], with the
     (row, column) pairs on one trailing axis."""
-    return tuple(np.ascontiguousarray(w).reshape(w.shape[:k] + (-1,))
-                 for k, w in enumerate(_to_words(tuple(a[rows, cols] for a in flat))))
+    return tuple(np.ascontiguousarray(a[..., rows, cols]).reshape(a.shape[:k] + (-1,))
+                 for k, a in enumerate(flat))
 
 
 def _blocked_rows(path: GroupPath, m: int, fn):
@@ -343,14 +340,6 @@ def pvar_norm(x: GroupPath, p: float):
 
 # ---------------------------------------------------------------------------
 # Grid refinement and serialization
-
-
-def union_times(*paths: PiecewisePath) -> np.ndarray:
-    grids = [p.times for p in paths]
-    out = grids[0]
-    for g in grids[1:]:
-        out = np.union1d(out, g)
-    return out
 
 
 def refine_path(path: PiecewisePath, new_times: np.ndarray) -> PiecewisePath:

@@ -27,7 +27,6 @@ __all__ = [
     "BesovStats",
     "q0_grr",
     "besov_functional",
-    "path_holder_norm",
     "grr_holder_check",
     "besov_distance_check",
     "chaos_ratio_check",
@@ -76,14 +75,6 @@ def besov_functional(obj, q: float, r: float):
         raise ValueError("need q >= 1 and r >= 1")
     times, D = _distance_matrix(obj)
     return _besov_from_matrix(times, D, q, r)[()]
-
-
-def path_holder_norm(obj, alpha: float):
-    """Grid alpha-Holder norm under the object's metric (Euclidean for plain
-    paths, homogeneous distance of increments for group paths)."""
-    _check_alpha(alpha)
-    times, D = _distance_matrix(obj)
-    return _holder_sup(times, _upper_rows(D), alpha)[()]
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,6 @@ from .path_lift import (
 from .tensor_algebra import (
     GroupElement,
     TruncatedTensor,
-    _from_words,
     hall_log_signature,
 )
 from .variation_2d import (
@@ -182,7 +181,7 @@ def lift_endpoint(increments: np.ndarray):
     memory stays O(batch) instead of O(batch * grid)."""
     for cur in _chen_prefixes(increments):
         pass
-    return TruncatedTensor(np.shape(increments)[-1], *_from_words(cur))
+    return TruncatedTensor(np.shape(increments)[-1], *cur)
 
 
 def _interp_matrix(fine: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -252,7 +251,7 @@ def level2_variance_check(spec: ProcessSpec, i: int = 0, j: int = 1,
                 "components": [i, j], "interval": [s, t]}
     ens = sample(spec, grid, n, seed)
     end = lift_endpoint(np.diff(ens.samples[:, a : b + 1, (i, j)], axis=-2))
-    est = mc_mean(end.level2[:, 0, 1] ** 2, seed)
+    est = mc_mean(end.level2[0, 1] ** 2, seed)
 
     base = np.linspace(s, t, 2 ** min(grid_level, 6) + 1)
     ki, kj = spec.kernels[i], spec.kernels[j]
@@ -316,7 +315,7 @@ def level_bounds_check(spec: ProcessSpec, rho: float | None = None,
         omegas.append(omega)
         sizes.append(t)
         for w in words:
-            z = end.levels()[len(w)][(slice(None),) + w]
+            z = end.levels()[len(w)][w]
             rows[w].append(mc_mean(z ** 2, seed))
     report = {"rho": rho, "sizes": sizes, "omegas": omegas, "words": {},
               "n": n, "seed": seed, "grid_level": grid_level}
@@ -345,6 +344,9 @@ def dyadic_convergence(spec: ProcessSpec, p: float, levels=(3, 4, 5, 6, 7),
     reference grid, lifted, and compared in d_{1/p-Hol}.  Reports per-level
     L2 means and the fitted log2 slope (negative means geometric decay).
     """
+    if not (isinstance(levels, (list, tuple))
+            and all(isinstance(v, (int, np.integer)) for v in levels)):
+        raise ValueError("levels must be a list of integers")
     levels = sorted(int(v) for v in levels)
     if len(set(levels)) < 2:
         raise ValueError("the slope fit needs at least two distinct levels")
@@ -573,7 +575,7 @@ def weak_limit_fbm(h_ladder=(0.45, 0.48, 0.5), n: int = 10_000, seed: int = 0,
         spec = ProcessSpec((kern, kern))
         ens = sample(spec, grid, n, seed)
         end = lift_endpoint(np.diff(ens.samples, axis=-2))
-        est = mc_mean(end.level2[:, 0, 1] ** 2, seed)
+        est = mc_mean(end.level2[0, 1] ** 2, seed)
         stats.append(est.to_dict())
         gaps.append(abs(est.value - 0.5))
         kernel_gaps.append(float(np.max(np.abs(

@@ -5,8 +5,9 @@ product truncated beyond level 3.  Group-like elements (unit scalar part,
 shuffle relations) form the step-3 free nilpotent group; their logarithms
 form the step-3 free Lie algebra, coordinatized on a Hall basis.
 
-All level arrays support arbitrary leading batch dimensions so that large
-ensembles of elements are processed with vectorized numpy arithmetic.
+Level arrays store the word axes first and any batch axes last
+(level3[i, j, k, *batch]), so large ensembles of elements are processed
+with vectorized numpy arithmetic whose inner loops run over the batch.
 """
 
 from __future__ import annotations
@@ -55,9 +56,10 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 class TruncatedTensor:
     """Element of the degree-3 truncated tensor algebra.
 
-    ``level0`` has the batch shape, ``level1`` appends (d,), ``level2``
-    (d, d) and ``level3`` (d, d, d).  Instances are immutable; the arrays
-    are marked read-only at construction.
+    ``level0`` has the batch shape, and ``level1``, ``level2`` and
+    ``level3`` prepend (d,), (d, d) and (d, d, d) word axes to it:
+    level2[i, j, *batch] is the coefficient of the word ij.  Instances are
+    immutable; the arrays are marked read-only at construction.
     """
 
     dim: int
@@ -75,7 +77,7 @@ class TruncatedTensor:
         l2 = _freeze(self.level2)
         l3 = _freeze(self.level3)
         batch = l0.shape
-        if l1.shape != batch + (d,) or l2.shape != batch + (d, d) or l3.shape != batch + (d, d, d):
+        if l1.shape != (d,) + batch or l2.shape != (d, d) + batch or l3.shape != (d, d, d) + batch:
             raise ValueError("level array extents inconsistent with dim/batch")
         for a in (l0, l1, l2, l3):
             if not np.all(np.isfinite(a)):
@@ -129,9 +131,9 @@ def unit_tensor(dim: int, batch: tuple = ()) -> TruncatedTensor:
     return TruncatedTensor(
         d,
         np.ones(batch),
-        np.zeros(batch + (d,)),
-        np.zeros(batch + (d, d)),
-        np.zeros(batch + (d, d, d)),
+        np.zeros((d,) + batch),
+        np.zeros((d, d) + batch),
+        np.zeros((d, d, d) + batch),
     )
 
 
@@ -156,33 +158,22 @@ def _check_unit(x, what: str) -> TruncatedTensor:
     return t
 
 
-# Raw kernels: level tuples (l0, l1, l2, l3) with the word axes first and
-# the batch axes last (l3[i, j, k, batch...]), so numpy's inner loops run
-# over the batch rather than over d, d^2 or d^3 words.  No validation.  The
-# public functions below check their inputs, move the axes once with
-# _to_words / _from_words, call one of these and wrap the result in a
-# validated dataclass once.  Each kernel keeps the per-element operation
-# order of the batch-first formulas it replaced, einsum's "+ 0" included,
-# so results are bit-identical to them (tests/oracles.py keeps copies).
+# Raw kernels: level tuples (l0, l1, l2, l3) in the layout of
+# TruncatedTensor, so numpy's inner loops run over the batch rather than
+# over d, d^2 or d^3 words.  No validation.  The public functions below
+# check their inputs, call one of these on t.levels() and wrap the result
+# in a validated dataclass once.  Each kernel keeps the per-element
+# operation order of the batch-first formulas it replaced, einsum's "+ 0"
+# included, so results are bit-identical to them (tests/oracles.py keeps
+# copies).
 
 
-def _to_words(levels, ndim: int | None = None):
-    """Word-first views of batch-first levels.  ``ndim`` pads the batch with
-    leading length-1 axes, so operands of different batch rank broadcast
+def _pad(levels, ndim: int):
+    """Levels with length-1 batch axes inserted after the word axes up to
+    ``ndim`` batch axes, so operands of different batch rank broadcast
     against each other batch axis by batch axis."""
-    pad = (None,) * (0 if ndim is None else ndim - np.ndim(levels[0]))
-    return tuple(
-        np.moveaxis(a[pad + (...,)], range(a.ndim + len(pad) - k, a.ndim + len(pad)), range(k))
-        for k, a in enumerate(levels)
-    )
-
-
-def _from_words(levels):
-    """C-ordered batch-first copies of word-first levels."""
-    return tuple(
-        np.asarray(np.moveaxis(a, range(k), range(np.ndim(a) - k, np.ndim(a))), order="C")
-        for k, a in enumerate(levels)
-    )
+    pad = (None,) * (ndim - np.ndim(levels[0]))
+    return tuple(a[(slice(None),) * k + pad] for k, a in enumerate(levels))
 
 
 def _mul(a, b):
@@ -302,12 +293,28 @@ def _raw_norm(t):
     return np.maximum(n1, np.maximum(n2 ** 0.5, n3 ** (1.0 / 3.0)))
 
 
+# below this homogeneous norm a level-3 norm, or a product in _inverse, may
+# have lost bits to the subnormal range before the cube root
+_NORM_TINY = 2.0**-340
+
+
 def _norm(g):
     # level 1 of g^-1 is -x1; the roots are monotone, so they commute with max
     n1, n2, n3 = _level_fro(g)
     _, _, y2, y3 = _inverse(g)
-    return np.maximum(n1, np.maximum(np.maximum(n2, _fro(y2, 2)) ** 0.5,
-                                     np.maximum(n3, _fro(y3, 3)) ** (1.0 / 3.0)))
+    out = np.maximum(n1, np.maximum(np.maximum(n2, _fro(y2, 2)) ** 0.5,
+                                    np.maximum(n3, _fro(y3, 3)) ** (1.0 / 3.0)))
+    tiny = (out > 0.0) & (out < _NORM_TINY)
+    if np.any(tiny):
+        # the norm is homogeneous: take it of the dilation by the power of
+        # two 2^e that brings it near 1, which scales every entry exactly,
+        # and scale back
+        out = np.array(out)
+        e = -np.frexp(out[tiny])[1]
+        lifted = tuple(np.ldexp(a[..., tiny], k * e) for k, a in enumerate(g[1:], start=1))
+        out[tiny] = np.ldexp(_norm((np.ones(e.shape),) + lifted), -e)
+        out = out[()]
+    return out
 
 
 def _shuffle_residual(g):
@@ -337,28 +344,22 @@ def tensor_mul(a, b) -> TruncatedTensor | GroupElement:
     if ta.dim != tb.dim:
         raise ValueError("dimension mismatch in tensor product")
     ndim = max(len(ta.batch_shape), len(tb.batch_shape))
-    out = _mul(_to_words(ta.levels(), ndim), _to_words(tb.levels(), ndim))
-    out = TruncatedTensor(ta.dim, *_from_words(out))
+    out = TruncatedTensor(ta.dim, *_mul(_pad(ta.levels(), ndim), _pad(tb.levels(), ndim)))
     return GroupElement(out) if wrap else out
 
 
 def tensor_scale(c, a) -> TruncatedTensor:
     ta = _as_tensor(a)
     c = np.asarray(c, dtype=float)
-    return TruncatedTensor(
-        ta.dim,
-        c * ta.level0,
-        c[..., None] * ta.level1,
-        c[..., None, None] * ta.level2,
-        c[..., None, None, None] * ta.level3,
-    )
+    levels = _pad(ta.levels(), max(c.ndim, len(ta.batch_shape)))
+    return TruncatedTensor(ta.dim, *(c * a for a in levels))
 
 
 def group_inverse(g: GroupElement) -> GroupElement:
     """Inverse in the truncated algebra: for g = 1 + x the Neumann series
     1 - x + x^2 - x^3 terminates exactly at step 3."""
     t = _check_unit(g, "inverse")
-    return GroupElement(TruncatedTensor(t.dim, *_from_words(_inverse(_to_words(t.levels())))))
+    return GroupElement(TruncatedTensor(t.dim, *_inverse(t.levels())))
 
 
 def exp_trunc(x) -> GroupElement:
@@ -366,27 +367,21 @@ def exp_trunc(x) -> GroupElement:
     t = _as_tensor(x)
     if not np.all(t.level0 == 0.0):
         raise ValueError("exp requires zero scalar part")
-    return GroupElement(TruncatedTensor(t.dim, *_from_words(_exp(_to_words(t.levels())))))
+    return GroupElement(TruncatedTensor(t.dim, *_exp(t.levels())))
 
 
 def log_trunc(g) -> TruncatedTensor:
     """log power series truncated at degree 3: x - x^2/2 + x^3/3, x = g - 1."""
     t = _check_unit(g, "log")
-    return TruncatedTensor(t.dim, *_from_words(_log(_to_words(t.levels()))))
+    return TruncatedTensor(t.dim, *_log(t.levels()))
 
 
 def dilate(lam, g: GroupElement) -> GroupElement:
     """Dilation: multiplies level i by lam^i.  lam may be batched."""
     t = _as_tensor(g)
     lam = np.asarray(lam, dtype=float)
-    out = TruncatedTensor(
-        t.dim,
-        t.level0,
-        lam[..., None] * t.level1,
-        (lam**2)[..., None, None] * t.level2,
-        (lam**3)[..., None, None, None] * t.level3,
-    )
-    return GroupElement(out)
+    _, l1, l2, l3 = _pad(t.levels(), max(lam.ndim, len(t.batch_shape)))
+    return GroupElement(TruncatedTensor(t.dim, t.level0, lam * l1, lam**2 * l2, lam**3 * l3))
 
 
 def homogeneous_norm(g: GroupElement):
@@ -396,7 +391,7 @@ def homogeneous_norm(g: GroupElement):
     Homogeneous under dilation and subadditive: ||g (x) h|| <= ||g|| + ||h||.
     Returns an array over the batch shape (0-d array for a single element).
     """
-    return _norm(_to_words(g.tensor.levels()))
+    return _norm(g.tensor.levels())
 
 
 def cc_distance(g: GroupElement, h: GroupElement):
@@ -404,8 +399,7 @@ def cc_distance(g: GroupElement, h: GroupElement):
     if g.dim != h.dim:
         raise ValueError("dimension mismatch")
     ndim = max(len(g.batch_shape), len(h.batch_shape))
-    gw, hw = _to_words(g.tensor.levels(), ndim), _to_words(h.tensor.levels(), ndim)
-    return _norm(_mul(_inverse(gw), hw))
+    return _norm(_mul(_inverse(_pad(g.tensor.levels(), ndim)), _pad(h.tensor.levels(), ndim)))
 
 
 def shuffle_residual(g: GroupElement):
@@ -416,7 +410,7 @@ def shuffle_residual(g: GroupElement):
     Residuals are scaled by max(1, raw norm)^level so the measure is
     dilation-insensitive for large elements and absolute for small ones.
     """
-    return _shuffle_residual(_to_words(g.tensor.levels()))
+    return _shuffle_residual(g.tensor.levels())
 
 
 # shuffle residual up to which an element counts as group-like
@@ -526,9 +520,11 @@ def lie_to_tensor(l: LieElement) -> TruncatedTensor:
     d = l.dim
     c1, c2, c3 = l.split()
     E2, E3 = _hall_expansion_matrices(d)
-    l2 = (c2 @ E2).reshape(l.batch_shape + (d, d))
-    l3 = (c3 @ E3).reshape(l.batch_shape + (d, d, d))
-    return TruncatedTensor(d, np.zeros(l.batch_shape), c1, l2, l3)
+    batch = l.batch_shape
+    # the coordinates are batch-first; move the word axes to the front
+    levels = (c1, (c2 @ E2).reshape(batch + (d, d)), (c3 @ E3).reshape(batch + (d, d, d)))
+    return TruncatedTensor(d, np.zeros(batch), *(np.moveaxis(a, range(-k, 0), range(k))
+                                                 for k, a in enumerate(levels, start=1)))
 
 
 def _hall_reduce_level3(alpha: np.ndarray, d: int) -> np.ndarray:
@@ -541,19 +537,19 @@ def _hall_reduce_level3(alpha: np.ndarray, d: int) -> np.ndarray:
     i != j the [e_i,[e_i,e_j]] coefficient is alpha_iij - alpha_iji.
     """
     triples = hall_triples(d)
-    out = np.empty(alpha.shape[:-3] + (len(triples),))
+    out = np.empty(alpha.shape[3:] + (len(triples),))
     for r, (i, j, k) in enumerate(triples):
         if i == j:
-            c = alpha[..., i, i, k] - alpha[..., i, k, i]
+            c = alpha[i, i, k] - alpha[i, k, i]
         elif i == k:
             # canonical word [e_k,[e_j,e_k]] = -[e_k,[e_k,e_j]]
-            c = -(alpha[..., i, i, j] - alpha[..., i, j, i])
+            c = -(alpha[i, i, j] - alpha[i, j, i])
         else:
             c = (
-                alpha[..., i, j, k]
-                - alpha[..., i, k, j]
-                + alpha[..., j, i, k]
-                - alpha[..., j, k, i]
+                alpha[i, j, k]
+                - alpha[i, k, j]
+                + alpha[j, i, k]
+                - alpha[j, k, i]
             )
         out[..., r] = c / 3.0
     return out
@@ -567,8 +563,8 @@ def tensor_to_lie(t: TruncatedTensor) -> LieElement:
     if not np.all(t.level0 == 0.0):
         raise ValueError("Lie element must have zero scalar part")
     pairs = hall_pairs(d)
-    c1 = t.level1
-    c2 = np.stack([t.level2[..., i, j] for i, j in pairs], axis=-1) if pairs else np.zeros(t.batch_shape + (0,))
+    c1 = np.moveaxis(t.level1, 0, -1)
+    c2 = np.stack([t.level2[i, j] for i, j in pairs], axis=-1) if pairs else np.zeros(t.batch_shape + (0,))
     c3 = _hall_reduce_level3(t.level3, d)
     lie = LieElement(d, np.concatenate([c1, c2, c3], axis=-1))
     back = lie_to_tensor(lie)
@@ -601,19 +597,19 @@ def hall_log_signature(sig: GroupElement) -> LieElement:
     t = sig.tensor
     d = t.dim
     x1, x2, x3 = t.level1, t.level2, t.level3
-    c1 = x1
+    c1 = np.moveaxis(x1, 0, -1)
     pairs = hall_pairs(d)
     c2 = (
-        np.stack([0.5 * (x2[..., i, j] - x2[..., j, i]) for i, j in pairs], axis=-1)
+        np.stack([0.5 * (x2[i, j] - x2[j, i]) for i, j in pairs], axis=-1)
         if pairs
         else np.zeros(t.batch_shape + (0,))
     )
 
     def repeated(i, j):
         return (
-            x3[..., i, i, j]
-            + x1[..., i] ** 2 * x1[..., j] / 12.0
-            - 0.5 * x1[..., i] * x2[..., i, j]
+            x3[i, i, j]
+            + x1[i] ** 2 * x1[j] / 12.0
+            - 0.5 * x1[i] * x2[i, j]
         )
 
     cols = []
@@ -625,12 +621,12 @@ def hall_log_signature(sig: GroupElement) -> LieElement:
         else:
             cols.append(
                 (
-                    x3[..., i, j, k]
-                    + x3[..., j, i, k]
-                    - 2.0 * x3[..., i, k, j]
-                    + x3[..., k, i, j]
-                    - 2.0 * x3[..., j, k, i]
-                    + x3[..., k, j, i]
+                    x3[i, j, k]
+                    + x3[j, i, k]
+                    - 2.0 * x3[i, k, j]
+                    + x3[k, i, j]
+                    - 2.0 * x3[j, k, i]
+                    + x3[k, j, i]
                 )
                 / 6.0
             )
@@ -653,7 +649,7 @@ def lie_level_norms(t: TruncatedTensor):
     Raw Frobenius norms satisfy the same estimates only up to sqrt(2) resp.
     sqrt(6), which is why this scaling is the natural one for step-3 bounds.
     """
-    n1, n2, n3 = _level_fro(_to_words(t.levels()))
+    n1, n2, n3 = _level_fro(t.levels())
     return n1, n2 / np.sqrt(2.0), n3 / np.sqrt(6.0)
 
 
@@ -677,13 +673,9 @@ def bch_bound_check(a: LieElement, b: LieElement):
     _, m2, m3 = lie_level_norms(m)
     a1, a2, a3 = lie_level_norms(ta)
     b1, b2, b3 = lie_level_norms(tb)
-    diff = TruncatedTensor(
-        ta.dim,
-        np.zeros(np.broadcast_shapes(ta.batch_shape, tb.batch_shape)),
-        tb.level1 - ta.level1,
-        tb.level2 - ta.level2,
-        tb.level3 - ta.level3,
-    )
+    ndim = max(len(ta.batch_shape), len(tb.batch_shape))
+    pa, pb = _pad(ta.levels(), ndim), _pad(tb.levels(), ndim)
+    diff = TruncatedTensor(ta.dim, *(y - x for x, y in zip(pa, pb)))
     d1, d2, d3 = lie_level_norms(diff)
     rhs2 = d2 + 0.5 * d1 * b1
     rhs3 = d3 + 0.5 * d2 * b1 + d1 * (0.5 * b2 + (a1**2 + b1**2) / 12.0)

@@ -12,7 +12,6 @@ comparison factor to the full two-axis sup.
 
 from __future__ import annotations
 
-import io
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable
@@ -32,8 +31,6 @@ __all__ = [
     "young_bound_check",
     "control_from_variation",
     "bilinear_eval",
-    "write_grid_csv",
-    "read_grid_csv",
 ]
 
 EXACT_INTERVAL_CAP = 16
@@ -484,21 +481,3 @@ def control_from_variation(f: GridFunction2D, rho: float) -> Control2D:
         return rho_variation(f, rho, rect=(s, t, u, v)).value ** rho
 
     return Control2D(ev)
-
-
-def write_grid_csv(f: GridFunction2D, file) -> None:
-    header = "s\\t," + ",".join(f"{x:.17g}" for x in f.t_grid)
-    body = np.column_stack([f.s_grid, f.values])
-    np.savetxt(file, body, delimiter=",", header=header, comments="", fmt="%.17g")
-
-
-def read_grid_csv(file) -> GridFunction2D:
-    if hasattr(file, "read"):
-        text = file.read()
-    else:
-        with open(file) as fh:
-            text = fh.read()
-    lines = text.strip().splitlines()
-    t_grid = np.array([float(x) for x in lines[0].split(",")[1:]])
-    body = np.loadtxt(io.StringIO("\n".join(lines[1:])), delimiter=",", ndmin=2)
-    return GridFunction2D(body[:, 0], t_grid, body[:, 1:])

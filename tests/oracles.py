@@ -8,6 +8,7 @@ problems.  The package code must agree with these on small instances.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -120,6 +121,33 @@ def chen_signature_words(increments):
             if v != 0:
                 seg[(i,)] = Fraction(v)
         out = wmul(out, wexp(seg))
+    return out
+
+
+def _root(x: Fraction, n: int) -> float:
+    """x ** (1/n) of a non-negative rational.  x is first scaled by an exact
+    power 2^(n e) into [2^-n, 2^n], so neither it nor the root leaves the
+    normal float range before the final exact rescaling by 2^e."""
+    if x == 0:
+        return 0.0
+    e = (x.numerator.bit_length() - x.denominator.bit_length()) // n
+    return math.ldexp(float(x / Fraction(2) ** (n * e)) ** (1.0 / n), e)
+
+
+def homogeneous_norm_exact(levels) -> float:
+    """Homogeneous norm of one group element given by float levels (l0, l1,
+    l2, l3): the max over g and g^-1 of |pi_k|^(1/k), with the entries, the
+    inverse (winv) and the sums of squares exact in rationals, and only the
+    roots taken in float."""
+    g = {}
+    for k, a in enumerate(levels):
+        for w in itertools.product(range(len(levels[1])), repeat=k):
+            g[w] = Fraction(float(np.asarray(a)[w]))
+    out = 0.0
+    for h in (g, winv(g)):
+        for k in (1, 2, 3):
+            squares = sum((c * c for w, c in h.items() if len(w) == k), Fraction(0))
+            out = max(out, _root(squares, 2 * k))
     return out
 
 

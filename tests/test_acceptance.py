@@ -86,7 +86,7 @@ def test_01_algebra_exact_identities():
                             GroupElement(lift_endpoint(incs[:, 2:])))
         worst_chen = max(worst_chen, _max_rel(halves, full))
         scale = (1.0 + np.max(np.abs(np.asarray(x.tensor.level1)),
-                              axis=-1)) ** 2
+                              axis=0)) ** 2
         worst_shuffle = max(worst_shuffle,
                             float(np.max(shuffle_residual(x) / scale)))
     elapsed = time.monotonic() - t0

@@ -195,6 +195,7 @@ class TestRun:
         (("variation", "--set", "mode=banana"), "mode must be"),
         (("variation", "--set", "grid_intervals=20", "--set", "mode=exact"),
          "exact mode needs <= 16 intervals"),
+        (("dyadic-convergence", "--set", "levels=3"), "levels must be a list of integers"),
     ])
     def test_invalid_ladder_exit1(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"

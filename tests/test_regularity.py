@@ -16,7 +16,6 @@ from rough_gauss.regularity import (
     besov_functional,
     chaos_ratio_check,
     grr_holder_check,
-    path_holder_norm,
     q0_grr,
 )
 from rough_gauss.simulate import lift_endpoint, lift_ensemble, restrict_to, sample
@@ -99,28 +98,6 @@ class TestFunctional:
             besov_functional(np.zeros((4, 2)), 2.0, 1.0)
 
 
-class TestHolderNorm:
-    def test_line(self):
-        _, line = _line(64)
-        assert path_holder_norm(line, 1.0) == pytest.approx(1.0, abs=1e-12)
-        # sup (t-s)^{1-alpha} is attained at the full interval
-        assert path_holder_norm(line, 0.5) == pytest.approx(1.0, abs=1e-12)
-
-    def test_group_path_equals_path_lift_holder_norm(self):
-        rng = np.random.default_rng(8)
-        t = np.linspace(0.0, 1.0, 17)
-        gp = lift_s3(PiecewisePath(t, np.cumsum(rng.standard_normal((3, 17, 2)), axis=1)))
-        for a in (0.3, 0.5, 1.0):
-            np.testing.assert_array_equal(path_holder_norm(gp, a), holder_norm(gp, a))
-
-    def test_invalid_alpha(self):
-        _, line = _line(8)
-        with pytest.raises(ValueError):
-            path_holder_norm(line, 0.0)
-        with pytest.raises(ValueError):
-            path_holder_norm(line, 1.5)
-
-
 class TestGrrHolder:
     def test_constant_path(self):
         t = np.linspace(0, 1, 17)
@@ -154,7 +131,7 @@ class TestGrrHolder:
         rep = grr_holder_check(gp, r=2.6, alpha=0.3)
         q = rep["q"]
         assert rep["stats"].double_integral == np.max(besov_functional(gp, q, 2.6))
-        assert rep["stats"].holder_norm == np.max(path_holder_norm(gp, 0.3))
+        assert rep["stats"].holder_norm == np.max(holder_norm(gp, 0.3))
 
     def test_explicit_q_above_q0(self):
         _, line = _line(32)

@@ -176,21 +176,21 @@ class TestLifts:
         incs = np.diff(ens.samples, axis=-2)
         end = lift_endpoint(incs)
         total = ens.samples[:, -1, 0] - ens.samples[:, 0, 0]
-        assert np.allclose(end.level2[:, 0, 0], total ** 2 / 2, rtol=1e-10, atol=1e-12)
-        assert np.allclose(end.level3[:, 0, 0, 0], total ** 3 / 6, rtol=1e-10, atol=1e-12)
+        assert np.allclose(end.level2[0, 0], total ** 2 / 2, rtol=1e-10, atol=1e-12)
+        assert np.allclose(end.level3[0, 0, 0], total ** 3 / 6, rtol=1e-10, atol=1e-12)
 
     def test_endpoint_matches_full_lift(self):
         ens = sample(BM2, grid(4), 7, seed=6)
         incs = np.diff(ens.samples, axis=-2)
         end = lift_endpoint(incs)
         full = lift_ensemble(ens)
-        assert np.allclose(end.level3, full.values.tensor.level3[:, -1], atol=1e-14)
+        assert np.allclose(end.level3, full.values.tensor.level3[..., -1], atol=1e-14)
 
     def test_bm_area_mean_zero(self):
         ens = sample(BM2, grid(5), 4000, seed=8)
         incs = np.diff(ens.samples, axis=-2)
         end = lift_endpoint(incs)
-        area = 0.5 * (end.level2[:, 0, 1] - end.level2[:, 1, 0])
+        area = 0.5 * (end.level2[0, 1] - end.level2[1, 0])
         est = mc_mean(area, 8)
         assert abs(est.value) <= 5 * est.stderr
 

@@ -1,4 +1,3 @@
-import io
 import itertools
 import tracemalloc
 
@@ -15,11 +14,9 @@ from rough_gauss.variation_2d import (
     _upper_rows,
     bilinear_eval,
     control_from_variation,
-    read_grid_csv,
     rect_increment,
     rho_prime_limit_check,
     rho_variation,
-    write_grid_csv,
     young_bound_check,
     young_constant,
     young_integral_2d,
@@ -398,19 +395,6 @@ class TestInterpAndIO:
         got = bilinear_eval(f, s_mid, f.t_grid)
         want = (f.values[:-1] + f.values[1:]) / 2
         np.testing.assert_allclose(got, want, atol=1e-14)
-
-    def test_csv_roundtrip(self):
-        rng = np.random.default_rng(9)
-        f = grid_fn(rng.standard_normal((4, 5)))
-        buf = io.StringIO()
-        write_grid_csv(f, buf)
-        g = read_grid_csv(io.StringIO(buf.getvalue()))
-        np.testing.assert_array_equal(f.s_grid, g.s_grid)
-        np.testing.assert_array_equal(f.t_grid, g.t_grid)
-        np.testing.assert_array_equal(f.values, g.values)
-        buf2 = io.StringIO()
-        write_grid_csv(g, buf2)
-        assert buf2.getvalue() == buf.getvalue()
 
     def test_validation(self):
         with pytest.raises(ValueError):
