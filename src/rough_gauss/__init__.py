@@ -28,7 +28,7 @@ from .covariance import (
     ou_cov,
 )
 from .cameron_martin import CMElement, embedding_check
-from .simulate import lift_endpoint, lift_ensemble, sample
+from .simulate import lift_endpoint, sample
 from .regularity import besov_functional, grr_holder_check
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "CMElement",
     "embedding_check",
     "lift_endpoint",
-    "lift_ensemble",
     "sample",
     "besov_functional",
     "grr_holder_check",

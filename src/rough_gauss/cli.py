@@ -4,7 +4,9 @@ JSON config in, deterministic artifacts out: ``<experiment>_report.json``,
 ``<experiment>_table.csv``, plus a ``<experiment>_run_meta.json`` sidecar.
 Wall-clock time lives only in the sidecar, so report and table bytes depend
 on nothing but the resolved config: same config and seed means identical
-files, at any worker count.
+files, at any worker count, with one BLAS thread.  A different OpenBLAS
+thread count sums the Monte Carlo matrix products in another order and
+moves those reports in the last digits.
 
 Each experiment reads the config fields listed for it in ``FIELDS``.  Unset
 fields take the defaults of the library function they are forwarded to, and
@@ -46,7 +48,6 @@ from .simulate import (
     level2_variance_check,
     level_bounds_check,
     lift_endpoint,
-    lift_ensemble,
     perturbation_continuity,
     sample,
     weak_limit_fbm,
@@ -431,7 +432,7 @@ def _run_cm_embedding(cfg: ExperimentConfig) -> dict:
 
 
 def _run_grr(cfg: ExperimentConfig) -> dict:
-    gp = lift_ensemble(_sample(cfg, grid_level=6, n=200))
+    gp = lift_s3(_sample(cfg, grid_level=6, n=200))
     rep = grr_holder_check(gp, **_kwargs(cfg, r=2.6, alpha=0.3))
     row = {"n_checked": rep["n_checked"], "violations": rep["violations"],
            "worst_ratio": rep["worst_ratio"], "min_slack": rep["slack"],
@@ -443,7 +444,7 @@ def _run_grr(cfg: ExperimentConfig) -> dict:
 
 def _run_chaos_ratio(cfg: ExperimentConfig) -> dict:
     ens = _sample(cfg, grid_level=5, n=10_000)
-    end = lift_endpoint(np.diff(ens.samples, axis=-2))
+    end = lift_endpoint(np.diff(ens.points, axis=-2))
     lie = hall_log_signature(GroupElement(end))
     labels = iter(hall_basis_labels(lie.dim))
     rows = []
@@ -457,7 +458,7 @@ def _run_chaos_ratio(cfg: ExperimentConfig) -> dict:
     return _outcome(
         [{"name": "moment_equivalence", "ok": all(row["ok"] for row in rows),
           "worst_ratio_over_bound": worst}],
-        {"n": ens.n, "grid_points": ens.grid.size, "rows": rows,
+        {"n": ens.points.shape[0], "grid_points": ens.n_times, "rows": rows,
          "worst_ratio_over_bound": worst},
         ["level", "coordinate", "q", "ratio", "band", "bound", "ok"], rows,
         estimate=worst)

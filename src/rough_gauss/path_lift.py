@@ -54,6 +54,7 @@ __all__ = [
     "pvar_norm",
     "path_inf_norm",
     "refine_path",
+    "restrict_to",
     "write_path_csv",
     "read_path_csv",
 ]
@@ -83,7 +84,11 @@ class PiecewisePath:
         _check_times(times)
         if points.ndim < 2 or points.shape[-2] != times.size:
             raise ValueError("points must have shape (..., n_times, d)")
-        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(points))):
+        # nan propagates through min and max, so checking both extremes is
+        # the entrywise check without an entry-sized temporary
+        if not (np.all(np.isfinite(times))
+                and np.isfinite(points.min(initial=0.0))
+                and np.isfinite(points.max(initial=0.0))):
             raise ValueError("non-finite path data")
         times.setflags(write=False)
         points.setflags(write=False)
@@ -97,6 +102,12 @@ class PiecewisePath:
     @property
     def n_times(self) -> int:
         return self.times.size
+
+    @property
+    def samples(self) -> np.ndarray:
+        """``points`` under the name perfbench/tracer.py counts the values of
+        ``sample`` by; it goes when the tracer reads ``points``."""
+        return self.points
 
 
 def _index(levels, key):
@@ -312,15 +323,6 @@ def path_inf_norm(x: GroupPath):
     return np.max(homogeneous_norm(x.values), axis=-1)
 
 
-def _pair_matrix(x: GroupPath, y: GroupPath | None) -> np.ndarray:
-    """Full (..., n, n) matrix of pair distances (upper triangle; rest 0)."""
-    n = x.n_times
-    w = np.zeros(x.batch_shape + (n, n))
-    for i, row in enumerate(_pair_rows(x, y)):
-        w[..., i, i + 1 :] = row
-    return w
-
-
 def _pvar(rows, p: float):
     """(sup over sub-dissections of the sum of pair values^p)^{1/p}."""
     _check_exponent(p, "p")
@@ -339,7 +341,7 @@ def pvar_norm(x: GroupPath, p: float):
 
 
 # ---------------------------------------------------------------------------
-# Grid refinement and serialization
+# Grid refinement, restriction and serialization
 
 
 def refine_path(path: PiecewisePath, new_times: np.ndarray) -> PiecewisePath:
@@ -356,6 +358,13 @@ def refine_path(path: PiecewisePath, new_times: np.ndarray) -> PiecewisePath:
     # pin original breakpoints exactly, interpolation only fills new points
     out[..., pos, :] = x
     return PiecewisePath(new_times, out)
+
+
+def restrict_to(path: PiecewisePath, D) -> PiecewisePath:
+    """The same path on a sub-dissection: X^D_t = X_t for t in D."""
+    D = np.asarray(D, dtype=float)
+    _check_times(D)
+    return PiecewisePath(D, path.points[..., _positions(path.times, D, "D"), :])
 
 
 def write_path_csv(path: PiecewisePath, file) -> None:

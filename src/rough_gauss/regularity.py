@@ -17,11 +17,9 @@ from .path_lift import (
     GroupPath,
     PiecewisePath,
     _check_alpha,
-    _holder_sup,
-    _pair_matrix,
+    _pair_rows,
     _require_same_grid,
 )
-from .variation_2d import _upper_rows
 
 __all__ = [
     "BesovStats",
@@ -47,25 +45,42 @@ def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
     return w
 
 
-def _distance_matrix(obj) -> tuple:
-    """(times, (..., n, n) upper-triangle distance matrix)."""
+def _pairs(obj, y: GroupPath | None) -> tuple:
+    """(times, i, j, D): the grid pairs i < j row after row, and D[k] the
+    distance d(f_{t_i}, f_{t_j}) of pair k, or d(x_{t_i,t_j}, y_{t_i,t_j})
+    for two group paths.  D has shape (n(n-1)/2, *batch) and is C-ordered,
+    so a sum over the pairs runs left to right for a batch and pairwise for
+    a single path; i and j broadcast along its batch axes."""
     if isinstance(obj, GroupPath):
-        return obj.times, _pair_matrix(obj, None)
-    if isinstance(obj, PiecewisePath):
-        diff = obj.points[..., None, :, :] - obj.points[..., :, None, :]
-        return obj.times, np.triu(np.linalg.norm(diff, axis=-1))
-    raise TypeError("expected a PiecewisePath or GroupPath")
+        batch, rows = obj.batch_shape, _pair_rows(obj, y)
+    elif isinstance(obj, PiecewisePath):
+        x = obj.points
+        batch = x.shape[:-2]
+        rows = (np.linalg.norm(x[..., i + 1 :, :] - x[..., i : i + 1, :], axis=-1)
+                for i in range(obj.n_times - 1))
+    else:
+        raise TypeError("expected a PiecewisePath or GroupPath")
+    i, j = np.triu_indices(obj.n_times, k=1)
+    D = np.empty((i.size,) + batch)
+    lo = 0
+    for row in rows:
+        hi = lo + row.shape[-1]
+        D[lo:hi] = np.moveaxis(row, -1, 0)
+        lo = hi
+    col = (-1,) + (1,) * len(batch)
+    return obj.times, i.reshape(col), j.reshape(col), D
 
 
-def _besov_from_matrix(times: np.ndarray, D: np.ndarray, q: float,
-                       r: float) -> np.ndarray:
-    dt = times[None, :] - times[:, None]
-    iu = np.triu_indices(times.size, k=1)
+def _besov(times: np.ndarray, i, j, D, q: float, r: float):
     w = _trapezoid_weights(times)
-    ratio = D[..., iu[0], iu[1]] / dt[iu] ** (1.0 / r)
-    weights = w[iu[0]] * w[iu[1]]
+    ratio = D / (times[j] - times[i]) ** (1.0 / r)
     # the diagonal is excluded: zero contribution by the continuity convention
-    return 2.0 * np.sum(ratio ** q * weights, axis=-1)
+    return 2.0 * np.sum(ratio ** q * (w[i] * w[j]), axis=0)
+
+
+def _holder(times: np.ndarray, i, j, D, alpha: float):
+    """max over grid pairs of D / (t_j - t_i)^alpha."""
+    return np.max(D / (times[j] - times[i]) ** alpha, axis=0)
 
 
 def besov_functional(obj, q: float, r: float):
@@ -73,8 +88,7 @@ def besov_functional(obj, q: float, r: float):
     path's grid; leading dims of a batched path are preserved."""
     if q < 1.0 or r < 1.0:
         raise ValueError("need q >= 1 and r >= 1")
-    times, D = _distance_matrix(obj)
-    return _besov_from_matrix(times, D, q, r)[()]
+    return _besov(*_pairs(obj, None), q, r)
 
 
 @dataclass(frozen=True)
@@ -100,10 +114,10 @@ def grr_holder_check(obj, r: float, alpha: float, q: float | None = None) -> dic
     if q < q0 * (1.0 - 1e-12):
         raise ValueError(f"need q >= q0 = {q0:.6g}")
     C = 64.0 / r
-    times, D = _distance_matrix(obj)
-    F = np.asarray(_besov_from_matrix(times, D, q, r), dtype=float)
+    pairs = _pairs(obj, None)
+    F = np.asarray(_besov(*pairs, q, r), dtype=float)
     M = F ** (1.0 / q)
-    H = np.asarray(_holder_sup(times, _upper_rows(D), alpha), dtype=float)
+    H = np.asarray(_holder(*pairs, alpha), dtype=float)
     bound = C * M
     slack = bound - H
     ok = H <= bound * (1.0 + 1e-9) + 1e-15
@@ -142,8 +156,8 @@ def besov_distance_check(x: GroupPath, y: GroupPath, r: float, alpha: float,
     q = q0_grr(r, alpha)
     Fx = float(np.asarray(besov_functional(x, q, r)))
     Fy = float(np.asarray(besov_functional(y, q, r)))
-    times, D = x.times, _pair_matrix(x, y)
-    Fd = float(_besov_from_matrix(times, D, q, r))
+    pairs = _pairs(x, y)
+    Fd = float(_besov(*pairs, q, r))
     if M is None:
         M = max(Fx, Fy) ** (1.0 / q)
     if delta is None:
@@ -155,7 +169,7 @@ def besov_distance_check(x: GroupPath, y: GroupPath, r: float, alpha: float,
     }
     alpha_p = (alpha + 1.0 / r) / 2.0
     theta = (alpha_p - alpha) / (alpha_p * BESOV_N ** 2)
-    dist = float(_holder_sup(times, _upper_rows(D), alpha))
+    dist = float(_holder(*pairs, alpha))
     scale = delta ** theta * M
     # homogeneous-norm roundoff floor; identical paths read as ~1e-5
     c_required = dist / scale if scale > 0 else (0.0 if dist <= 1e-4 else np.inf)

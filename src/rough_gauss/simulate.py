@@ -26,7 +26,6 @@ from .covariance import (
     square_variation,
 )
 from .path_lift import (
-    GroupPath,
     PiecewisePath,
     _chen_prefixes,
     _take,
@@ -35,6 +34,7 @@ from .path_lift import (
     pvar_dist,
     pvar_norm,
     refine_path,
+    restrict_to,
 )
 from .tensor_algebra import (
     GroupElement,
@@ -45,7 +45,6 @@ from .variation_2d import (
     GridFunction2D,
     _cell,
     _check_times,
-    _positions,
     rho_variation,
     young_constant,
     young_integral_2d,
@@ -53,10 +52,7 @@ from .variation_2d import (
 
 __all__ = [
     "MCEstimate",
-    "SampleEnsemble",
     "sample",
-    "restrict_to",
-    "lift_ensemble",
     "lift_endpoint",
     "pl_covariance_gap_check",
     "level2_variance_check",
@@ -94,29 +90,6 @@ def mc_mean(values, seed: int) -> MCEstimate:
     return MCEstimate(mean, math.sqrt(var / n), n, seed)
 
 
-@dataclass(frozen=True)
-class SampleEnsemble:
-    grid: np.ndarray
-    samples: np.ndarray  # (n, |grid|, d), the layout of every path
-
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        samples = np.asarray(self.samples, dtype=float)
-        if samples.ndim != 3 or samples.shape[1] != grid.size:
-            raise ValueError("samples must have shape (n, |grid|, d)")
-        grid.setflags(write=False)
-        samples.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "samples", samples)
-
-    @property
-    def n(self) -> int:
-        return self.samples.shape[0]
-
-    def paths(self) -> PiecewisePath:
-        return PiecewisePath(self.grid, self.samples)
-
-
 def _factor(kernel: CovarianceKernel, grid: np.ndarray) -> np.ndarray:
     """Symmetric eigenvalue square root with clipping at zero.  Aborts when
     the clipped mass is not negligible next to the trace."""
@@ -133,8 +106,9 @@ def _factor(kernel: CovarianceKernel, grid: np.ndarray) -> np.ndarray:
 
 
 def sample(spec: ProcessSpec, grid, n: int, seed: int,
-           stream: int = 0) -> SampleEnsemble:
-    """n independent paths of the d-component process on the grid.
+           stream: int = 0) -> PiecewisePath:
+    """n independent paths of the d-component process on the grid, as one
+    path with points of shape (n, |grid|, d).
 
     Components are independent; component c is the Gram factor applied to
     that component's substream normals.  Deterministic in (seed, stream).
@@ -162,18 +136,7 @@ def sample(spec: ProcessSpec, grid, n: int, seed: int,
                 bits.state = state
                 gen.standard_normal(out=Z[i - lo])
             out[lo:hi, :, c] = Z @ factors[c].T
-    return SampleEnsemble(grid, out)
-
-
-def restrict_to(ens: SampleEnsemble, D) -> SampleEnsemble:
-    """The same sample paths on a sub-dissection: X^D_t = X_t for t in D."""
-    D = np.asarray(D, dtype=float)
-    _check_times(D)
-    return SampleEnsemble(D, ens.samples[:, _positions(ens.grid, D, "D")])
-
-
-def lift_ensemble(ens: SampleEnsemble) -> GroupPath:
-    return lift_s3(ens.paths())
+    return PiecewisePath(grid, out)
 
 
 def lift_endpoint(increments: np.ndarray):
@@ -250,7 +213,7 @@ def level2_variance_check(spec: ProcessSpec, i: int = 0, j: int = 1,
                 "gap": 0.0, "ok": True, "grid_level": grid_level,
                 "components": [i, j], "interval": [s, t]}
     ens = sample(spec, grid, n, seed)
-    end = lift_endpoint(np.diff(ens.samples[:, a : b + 1, (i, j)], axis=-2))
+    end = lift_endpoint(np.diff(ens.points[:, a : b + 1, (i, j)], axis=-2))
     est = mc_mean(end.level2[0, 1] ** 2, seed)
 
     base = np.linspace(s, t, 2 ** min(grid_level, 6) + 1)
@@ -310,7 +273,7 @@ def level_bounds_check(spec: ProcessSpec, rho: float | None = None,
     for lev in interval_levels:
         t = 2.0 ** (-lev)
         idx = int(round(t * (grid.size - 1)))
-        end = lift_endpoint(np.diff(ens.samples[:, : idx + 1], axis=-2))
+        end = lift_endpoint(np.diff(ens.points[:, : idx + 1], axis=-2))
         omega = square_variation(k0, 0.0, t, 12, rho) ** rho
         omegas.append(omega)
         sizes.append(t)
@@ -353,15 +316,13 @@ def dyadic_convergence(spec: ProcessSpec, p: float, levels=(3, 4, 5, 6, 7),
     ref_level = levels[-1] + 1
     grid = np.linspace(0.0, 1.0, 2 ** ref_level + 1)
     ens = sample(spec, grid, n, seed)
-    ref = lift_ensemble(ens)
+    ref = lift_s3(ens)
     alpha = 1.0 / p
     means = []
     errs = []
     for lev in levels:
         D = grid[:: 2 ** (ref_level - lev)]
-        coarse = restrict_to(ens, D)
-        refined = refine_path(coarse.paths(), grid)
-        lifted = lift_s3(refined)
+        lifted = lift_s3(refine_path(restrict_to(ens, D), grid))
         dist = holder_dist(lifted, ref, alpha)
         est = mc_mean(np.asarray(dist) ** 2, seed)
         means.append(math.sqrt(est.value))
@@ -391,14 +352,14 @@ def perturbation_continuity(spec: ProcessSpec, epsilons=(0.2, 0.1, 0.05),
     grid = np.linspace(0.0, 1.0, 2 ** grid_level + 1)
     ens_x = sample(spec, grid, n, seed, stream=0)
     ens_w = sample(spec, grid, n, seed, stream=1)
-    lift_x = lift_ensemble(ens_x)
+    lift_x = lift_s3(ens_x)
     rw_inf = max(float(np.max(np.abs(gram_matrix(k, grid, check_psd=False))))
                  for k in spec.kernels)
     means = []
     errs = []
     for eps in epsilons:
-        pert = SampleEnsemble(grid, ens_x.samples + eps * ens_w.samples)
-        dist = pvar_dist(lift_ensemble(pert), lift_x, p)
+        pert = PiecewisePath(grid, ens_x.points + eps * ens_w.points)
+        dist = pvar_dist(lift_s3(pert), lift_x, p)
         est = mc_mean(np.asarray(dist) ** 2, seed)
         means.append(math.sqrt(est.value))
         errs.append(est.stderr / (2.0 * math.sqrt(est.value)) if est.value > 0 else 0.0)
@@ -460,8 +421,8 @@ def fernique_tail(spec: ProcessSpec, p: float, n: int = 10_000, seed: int = 0,
     signature coordinates at the endpoint."""
     tail_probs = (0.5, 0.25, 0.1, 0.05, 0.02, 0.01)
     grid = np.linspace(0.0, 1.0, 2 ** grid_level + 1)
-    ens = sample(spec, grid, n, seed)
-    lifted = lift_ensemble(ens)
+    # the samples are dropped once lifted, before the pair stream runs
+    lifted = lift_s3(sample(spec, grid, n, seed))
     norms = np.asarray(pvar_norm(lifted, p))
     lam = np.quantile(norms, [1.0 - q for q in tail_probs])
     logp = np.log(np.asarray(tail_probs, dtype=float))
@@ -504,7 +465,7 @@ def young_wiener_check(f_eval, spec: ProcessSpec, q: float = 1.0,
     grid = np.linspace(0.0, 1.0, 2 ** grid_level + 1)
     ens = sample(spec, grid, n, seed)
     fv = np.asarray(f_eval(grid), dtype=float)
-    integrals = np.diff(ens.samples[:, :, 0], axis=-1) @ fv[:-1]
+    integrals = np.diff(ens.points[:, :, 0], axis=-1) @ fv[:-1]
     est = mc_mean(integrals ** 2, seed)
 
     base = np.linspace(0.0, 1.0, 2 ** min(grid_level, 9) + 1)
@@ -574,7 +535,7 @@ def weak_limit_fbm(h_ladder=(0.45, 0.48, 0.5), n: int = 10_000, seed: int = 0,
         kern = fbm_cov(H) if H < 0.5 else bm_cov()
         spec = ProcessSpec((kern, kern))
         ens = sample(spec, grid, n, seed)
-        end = lift_endpoint(np.diff(ens.samples, axis=-2))
+        end = lift_endpoint(np.diff(ens.points, axis=-2))
         est = mc_mean(end.level2[0, 1] ** 2, seed)
         stats.append(est.to_dict())
         gaps.append(abs(est.value - 0.5))
@@ -609,8 +570,8 @@ def product_moment_surface_check(spec: ProcessSpec, n: int = 2_000,
     m = 16
     grid = np.linspace(0.0, 1.0, m + 1)
     ens = sample(spec, grid, n, seed)
-    x = ens.samples[:, :, 0] - ens.samples[:, :1, 0]
-    y = ens.samples[:, :, 1] - ens.samples[:, :1, 1]
+    x = ens.points[:, :, 0] - ens.points[:, :1, 0]
+    y = ens.points[:, :, 1] - ens.points[:, :1, 1]
     prod = x * y  # (n, m+1)
     k0 = spec.kernels[0]
     omega = square_variation(k0, 0.0, 1.0, 12, rho) ** rho

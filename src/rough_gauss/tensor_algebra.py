@@ -377,10 +377,14 @@ def log_trunc(g) -> TruncatedTensor:
 
 
 def dilate(lam, g: GroupElement) -> GroupElement:
-    """Dilation: multiplies level i by lam^i.  lam may be batched."""
+    """Dilation: multiplies level i by lam^i.  lam may be batched; its shape
+    broadcasts against the element's batch shape and has no more axes."""
     t = _as_tensor(g)
     lam = np.asarray(lam, dtype=float)
-    _, l1, l2, l3 = _pad(t.levels(), max(lam.ndim, len(t.batch_shape)))
+    if lam.ndim > len(t.batch_shape):
+        raise ValueError(f"lam of shape {lam.shape} has more axes than the "
+                         f"batch shape {t.batch_shape}")
+    _, l1, l2, l3 = t.levels()
     return GroupElement(TruncatedTensor(t.dim, t.level0, lam * l1, lam**2 * l2, lam**3 * l3))
 
 
@@ -389,13 +393,15 @@ def homogeneous_norm(g: GroupElement):
     symmetrized so that ||g|| = ||g^-1|| (take the max of both raw values).
 
     Homogeneous under dilation and subadditive: ||g (x) h|| <= ||g|| + ||h||.
-    Returns an array over the batch shape (0-d array for a single element).
+    Returns an array over the batch shape (a numpy scalar for a single
+    element).
     """
     return _norm(g.tensor.levels())
 
 
 def cc_distance(g: GroupElement, h: GroupElement):
-    """Homogeneous distance ||g^-1 (x) h||."""
+    """Homogeneous distance ||g^-1 (x) h||: an array over the broadcast
+    batch shape (a numpy scalar for two single elements)."""
     if g.dim != h.dim:
         raise ValueError("dimension mismatch")
     ndim = max(len(g.batch_shape), len(h.batch_shape))

@@ -20,14 +20,13 @@ from rough_gauss.covariance import (
     fbm_rhovar_bound_check,
     ou_cov,
 )
-from rough_gauss.path_lift import PiecewisePath, _take
+from rough_gauss.path_lift import PiecewisePath, _take, lift_s3
 from rough_gauss.regularity import grr_holder_check
 from rough_gauss.simulate import (
     dyadic_convergence,
     fernique_tail,
     level2_variance_check,
     lift_endpoint,
-    lift_ensemble,
     perturbation_continuity,
     sample,
     weak_limit_fbm,
@@ -303,7 +302,7 @@ def test_11_young_wiener_isometry():
 def test_12_holder_bound_with_explicit_constant():
     spec = ProcessSpec((fbm_cov(0.4),) * 2)
     grid = np.linspace(0.0, 1.0, 65)
-    gp = lift_ensemble(sample(spec, grid, 1000, seed=12))
+    gp = lift_s3(sample(spec, grid, 1000, seed=12))
     sampled = grr_holder_check(gp, r=2.6, alpha=0.3)
 
     det_violations = 0

@@ -7,7 +7,7 @@ import pytest
 from rough_gauss.path_lift import (
     GroupPath,
     PiecewisePath,
-    _pair_matrix,
+    _pair_rows,
     dist_0,
     dist_inf,
     holder_dist,
@@ -20,6 +20,7 @@ from rough_gauss.path_lift import (
     pvar_norm,
     read_path_csv,
     refine_path,
+    restrict_to,
     write_path_csv,
 )
 from rough_gauss.tensor_algebra import (
@@ -33,7 +34,6 @@ from rough_gauss.tensor_algebra import (
     shuffle_residual,
     tensor_mul,
 )
-from rough_gauss.simulate import SampleEnsemble, restrict_to
 from rough_gauss.variation_2d import (
     GridFunction2D,
     _longest_path,
@@ -50,6 +50,19 @@ def random_path(rng, n, d, batch=()):
     pts = np.cumsum(rng.standard_normal(batch + (n, d)), axis=-2)
     pts = pts - pts[..., :1, :]
     return PiecewisePath(times, pts)
+
+
+def pair_matrix(x, y=None):
+    """(..., n, n) pair distances from the public functions: upper triangle
+    d(x_{s,t}, y_{s,t}), or ||x_{s,t}|| when y is None; the rest is 0."""
+    t = x.times
+    m = np.zeros(x.batch_shape + (x.n_times, x.n_times))
+    for i in range(x.n_times):
+        for j in range(i + 1, x.n_times):
+            inc = increment(x, t[i], t[j])
+            m[..., i, j] = (homogeneous_norm(inc) if y is None
+                            else cc_distance(inc, increment(y, t[i], t[j])))
+    return m
 
 
 def l_shaped():
@@ -287,6 +300,14 @@ class TestRefineAndIO:
         q = refine_path(p, grid)
         assert np.array_equal(q.points, oracles.refine_path_interp(p, grid))
 
+    @pytest.mark.parametrize("batch", [(), (2, 3)])
+    def test_restrict_undoes_refine(self, batch):
+        rng = np.random.default_rng(19)
+        p = random_path(rng, 9, 2, batch)
+        q = restrict_to(refine_path(p, np.union1d(p.times, rng.uniform(size=20))), p.times)
+        assert np.array_equal(q.times, p.times)
+        assert np.array_equal(q.points, p.points)
+
     def test_refine_requires_superset(self):
         rng = np.random.default_rng(15)
         p = random_path(rng, 5, 2)
@@ -315,6 +336,13 @@ class TestRefineAndIO:
         with pytest.raises(ValueError):
             PiecewisePath(np.array([0.0, 1.0]), np.zeros((3, 1)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        pts = np.zeros((2, 3, 4, 2))
+        pts[1, 2, 3, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            PiecewisePath(np.linspace(0.0, 1.0, 4), pts)
+
 
 class TestGridLookup:
     @pytest.mark.parametrize("bad", [1.5, np.nan])
@@ -328,7 +356,7 @@ class TestGridLookup:
             rect_increment(GridFunction2D(p.times, p.times, np.zeros((5, 5))),
                            0.0, bad, 0.0, 1.0)
         with pytest.raises(ValueError):
-            restrict_to(SampleEnsemble(p.times, p.points[None]), [0.0, 0.5, bad])
+            restrict_to(p, [0.0, 0.5, bad])
         with pytest.raises(ValueError):
             refine_path(p, np.array([0.0, 0.5, bad]))
 
@@ -381,14 +409,14 @@ class TestPairStream:
     def test_pvar_equals_dp_over_matrix(self):
         x, y = self._pair()
         p = 2.3
-        for got, M in ((pvar_dist(x, y, p), _pair_matrix(x, y)),
-                       (pvar_norm(x, p), _pair_matrix(x, None))):
+        for got, M in ((pvar_dist(x, y, p), pair_matrix(x, y)),
+                       (pvar_norm(x, p), pair_matrix(x))):
             want = _longest_path(_upper_rows(M ** p))[..., -1] ** (1.0 / p)
             np.testing.assert_array_equal(got, want)
 
     def test_dist0_is_matrix_max(self):
         x, y = self._pair()
-        M = _pair_matrix(x, y)
+        M = pair_matrix(x, y)
         iu = np.triu_indices(x.n_times, k=1)
         np.testing.assert_array_equal(dist_0(x, y), np.max(M[..., iu[0], iu[1]], axis=-1))
 
@@ -447,18 +475,15 @@ class TestOneImplementation:
                 assert np.all(level[..., j] == w.tensor.levels()[k])
 
     @pytest.mark.parametrize("d", [2, 3])
-    def test_pair_matrix_equals_public_distances(self, d):
+    def test_pair_rows_equal_public_distances(self, d):
         rng = np.random.default_rng(32)
         x = random_path(rng, 7, d, (3,))
         y = PiecewisePath(x.times, x.points + 0.3 * rng.standard_normal(x.points.shape))
         x, y = lift_s3(x), lift_s3(y)
-        mxy, mx = _pair_matrix(x, y), _pair_matrix(x, None)
-        t = x.times
-        for i in range(x.n_times):
-            for j in range(i + 1, x.n_times):
-                ix, iy = increment(x, t[i], t[j]), increment(y, t[i], t[j])
-                assert np.all(mxy[..., i, j] == cc_distance(ix, iy))
-                assert np.all(mx[..., i, j] == homogeneous_norm(ix))
+        mxy, mx = pair_matrix(x, y), pair_matrix(x)
+        for i, (rxy, rx) in enumerate(zip(_pair_rows(x, y), _pair_rows(x))):
+            assert np.all(rxy == mxy[..., i, i + 1 :])
+            assert np.all(rx == mx[..., i, i + 1 :])
 
     def test_overflowing_lift_rejected(self):
         pts = np.array([[0.0, 0.0], [1e110, 0.0], [1e110, 1e110]])

@@ -8,7 +8,9 @@ from rough_gauss.path_lift import (
     PiecewisePath,
     holder_dist,
     holder_norm,
+    increment,
     lift_s3,
+    restrict_to,
 )
 from rough_gauss.regularity import (
     BesovStats,
@@ -18,8 +20,8 @@ from rough_gauss.regularity import (
     grr_holder_check,
     q0_grr,
 )
-from rough_gauss.simulate import lift_endpoint, lift_ensemble, restrict_to, sample
-from rough_gauss.tensor_algebra import GroupElement, hall_log_signature
+from rough_gauss.simulate import lift_endpoint, sample
+from rough_gauss.tensor_algebra import GroupElement, hall_log_signature, homogeneous_norm
 
 
 def _line(n=128):
@@ -70,21 +72,52 @@ class TestFunctional:
         spec = _bm_spec()
         grid = np.linspace(0, 1, 33)
         ens = sample(spec, grid, 6, seed=4)
-        gp = lift_ensemble(ens)
+        gp = lift_s3(ens)
         batch = besov_functional(gp, 4.0, 2.5)
-        pts = ens.paths().points
-        for i in range(ens.n):
+        pts = ens.points
+        for i in range(pts.shape[0]):
             single = besov_functional(lift_s3(PiecewisePath(grid, pts[i])), 4.0, 2.5)
             assert single == pytest.approx(batch[i], rel=1e-12)
+
+    @staticmethod
+    def _terms(gp, q, r):
+        """(n(n-1)/2, *batch) Besov terms in row-major pair order, from the
+        public increment and norm."""
+        t = gp.times
+        w = np.empty_like(t)
+        w[0], w[-1] = (t[1] - t[0]) / 2, (t[-1] - t[-2]) / 2
+        w[1:-1] = (t[2:] - t[:-2]) / 2
+        pairs = [(i, j) for i in range(t.size) for j in range(i + 1, t.size)]
+        norms = np.array([homogeneous_norm(increment(gp, t[i], t[j])) for i, j in pairs])
+        dt = np.array([t[j] - t[i] for i, j in pairs])
+        weights = np.array([w[i] * w[j] for i, j in pairs])
+        col = (-1,) + (1,) * (norms.ndim - 1)
+        return (norms / (dt ** (1.0 / r)).reshape(col)) ** q * weights.reshape(col)
+
+    @pytest.mark.parametrize("d, n", [(1, 9), (2, 9), (2, 17)])
+    def test_pair_order_is_pinned(self, d, n):
+        # a batch sums its pairs left to right in row-major order; a single
+        # path takes numpy's pairwise sum of its term vector
+        q, r = 4.0, 2.5
+        grid = np.linspace(0, 1, n)
+        ens = sample(_bm_spec(d), grid, 3, seed=d + n)
+        gp = lift_s3(ens)
+        acc = np.zeros(3)
+        for term in self._terms(gp, q, r):
+            acc = acc + term
+        assert np.array_equal(besov_functional(gp, q, r), 2.0 * acc)
+        for k in range(3):
+            single = lift_s3(PiecewisePath(grid, ens.points[k]))
+            assert besov_functional(single, q, r) == 2.0 * np.sum(self._terms(single, q, r))
 
     def test_refinement_consistency(self):
         # relative change < 5% from the 2^7 to the 2^8 grid
         spec = _bm_spec()
         fine = np.linspace(0, 1, 2**8 + 1)
         ens = sample(spec, fine, 30, seed=7)
-        f_fine = besov_functional(lift_ensemble(ens), 4.0, 2.5)
+        f_fine = besov_functional(lift_s3(ens), 4.0, 2.5)
         f_coarse = besov_functional(
-            lift_ensemble(restrict_to(ens, fine[::2])), 4.0, 2.5)
+            lift_s3(restrict_to(ens, fine[::2])), 4.0, 2.5)
         rel = np.abs(f_coarse - f_fine) / f_fine
         assert np.max(rel) < 0.05
 
@@ -118,7 +151,7 @@ class TestGrrHolder:
     def test_fbm_sweep(self):
         spec = ProcessSpec((fbm_cov(0.4),) * 2)
         grid = np.linspace(0, 1, 65)
-        gp = lift_ensemble(sample(spec, grid, 100, seed=11))
+        gp = lift_s3(sample(spec, grid, 100, seed=11))
         rep = grr_holder_check(gp, r=2.6, alpha=0.3)
         assert rep["ok"] and rep["violations"] == 0
         assert rep["n_checked"] == 100
@@ -127,7 +160,7 @@ class TestGrrHolder:
     def test_stats_equal_separate_calls(self):
         # one distance matrix per path serves both sides of the inequality
         spec = ProcessSpec((fbm_cov(0.4),) * 2)
-        gp = lift_ensemble(sample(spec, np.linspace(0, 1, 33), 5, seed=2))
+        gp = lift_s3(sample(spec, np.linspace(0, 1, 33), 5, seed=2))
         rep = grr_holder_check(gp, r=2.6, alpha=0.3)
         q = rep["q"]
         assert rep["stats"].double_integral == np.max(besov_functional(gp, q, 2.6))
@@ -178,8 +211,8 @@ class TestBesovDistance:
     def _pair(self, eps, seed=3, n=65):
         spec = _bm_spec()
         grid = np.linspace(0, 1, n)
-        x = sample(spec, grid, 1, seed=seed).samples[0]
-        w = sample(spec, grid, 1, seed=seed, stream=1).samples[0]
+        x = sample(spec, grid, 1, seed=seed).points[0]
+        w = sample(spec, grid, 1, seed=seed, stream=1).points[0]
         return (lift_s3(PiecewisePath(grid, x)),
                 lift_s3(PiecewisePath(grid, x + eps * w)))
 
@@ -263,7 +296,7 @@ class TestChaosRatios:
         spec = _bm_spec()
         grid = np.linspace(0, 1, 129)
         ens = sample(spec, grid, 4000, seed=21)
-        end = lift_endpoint(np.diff(ens.samples, axis=-2))
+        end = lift_endpoint(np.diff(ens.points, axis=-2))
         area = hall_log_signature(GroupElement(end)).coords[..., 2]
         rep = chaos_ratio_check(area, 2, qs=(4,))
         assert rep["ok"]

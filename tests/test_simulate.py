@@ -1,28 +1,30 @@
 """Seeded Gaussian sampling, ensemble lifts, and the Monte Carlo checks."""
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from rough_gauss.covariance import ProcessSpec, bm_cov, fbm_cov, martingale_cov
-from rough_gauss.path_lift import PiecewisePath, holder_dist, lift_s3, pvar_norm
+from rough_gauss.path_lift import (
+    PiecewisePath,
+    holder_dist,
+    lift_s3,
+    pvar_norm,
+    restrict_to,
+)
 from rough_gauss.simulate import (
     CHUNK,
-    SampleEnsemble,
     _factor,
     dyadic_convergence,
     fernique_tail,
     level2_variance_check,
     level_bounds_check,
     lift_endpoint,
-    lift_ensemble,
     mc_mean,
     perturbation_continuity,
     pl_covariance_gap_check,
     product_moment_surface_check,
-    restrict_to,
     sample,
     weak_limit_fbm,
     young_wiener_check,
@@ -50,20 +52,20 @@ class TestSampling:
                 rows = range(lo, min(lo + CHUNK, n))
                 Z = np.stack([oracles.normals(seed, stream, i, c, g.size) for i in rows])
                 want[lo : lo + len(rows), :, c] = Z @ factor.T
-        got = sample(spec, g, n, seed=seed, stream=stream).samples
+        got = sample(spec, g, n, seed=seed, stream=stream).points
         assert np.all(got == want)
 
     def test_seed_and_stream_change_samples(self):
         a = sample(BM2, grid(4), 50, seed=9)
         b = sample(BM2, grid(4), 50, seed=10)
         c = sample(BM2, grid(4), 50, seed=9, stream=1)
-        assert not np.array_equal(a.samples, b.samples)
-        assert not np.array_equal(a.samples, c.samples)
+        assert not np.array_equal(a.points, b.points)
+        assert not np.array_equal(a.points, c.points)
 
     def test_bm_endpoint_variance(self):
         n = 40_000
         ens = sample(ProcessSpec((bm_cov(),)), np.array([0.0, 1.0]), n, seed=3)
-        x1 = ens.samples[:, 1, 0]
+        x1 = ens.points[:, 1, 0]
         est = mc_mean(x1 ** 2, 3)
         assert abs(est.value - 1.0) <= 5 * est.stderr
 
@@ -71,7 +73,7 @@ class TestSampling:
         n = 40_000
         k = fbm_cov(0.4)
         ens = sample(ProcessSpec((k,)), np.array([0.0, 0.5, 1.0]), n, seed=5)
-        x = ens.samples[:, :, 0]
+        x = ens.points[:, :, 0]
         prod = (x[:, 1] - x[:, 0]) * (x[:, 2] - x[:, 1])
         est = mc_mean(prod, 5)
         want = float(k.eval(0.5, 1.0) - k.eval(0.5, 0.5)
@@ -82,7 +84,7 @@ class TestSampling:
     def test_components_independent(self):
         n = 40_000
         ens = sample(BM2, np.array([0.0, 1.0]), n, seed=7)
-        prod = ens.samples[:, 1, 0] * ens.samples[:, 1, 1]
+        prod = ens.points[:, 1, 0] * ens.points[:, 1, 1]
         est = mc_mean(prod, 7)
         assert abs(est.value) <= 5 * est.stderr
 
@@ -90,7 +92,7 @@ class TestSampling:
         n = 20_000
         g = grid(3)
         ens = sample(ProcessSpec((bm_cov(),)), g, n, seed=11)
-        x = ens.samples[:, :, 0]
+        x = ens.points[:, :, 0]
         emp = x.T @ x / n
         G = bm_cov().grid_eval(g, g)
         band = 5.0 / np.sqrt(n) * np.max(np.abs(G))
@@ -113,14 +115,14 @@ class TestSampling:
 class TestRestrictAndGap:
     def test_full_restriction_is_identity(self):
         ens = sample(BM2, grid(4), 12, seed=1)
-        r = restrict_to(ens, ens.grid)
-        assert np.array_equal(r.samples, ens.samples)
+        r = restrict_to(ens, ens.times)
+        assert np.array_equal(r.points, ens.points)
 
     def test_endpoints_only(self):
         ens = sample(BM2, grid(4), 12, seed=1)
         r = restrict_to(ens, np.array([0.0, 1.0]))
-        assert r.samples.shape == (12, 2, 2)
-        assert np.array_equal(r.samples[:, -1], ens.samples[:, -1])
+        assert r.points.shape == (12, 2, 2)
+        assert np.array_equal(r.points[:, -1], ens.points[:, -1])
 
     def test_non_subset_rejected(self):
         ens = sample(BM2, grid(3), 4, seed=1)
@@ -149,17 +151,11 @@ class TestLayout:
         flat = martingale_cov(lambda t: np.zeros_like(np.asarray(t, dtype=float)),
                               name="flat")
         ens = sample(ProcessSpec((bm_cov(), flat)), grid(3), 5, seed=2)
-        assert ens.samples.shape == (5, 9, 2)
-        assert np.all(ens.samples[..., 1] == 0.0)
-        assert np.any(ens.samples[..., 0] != 0.0)
-        assert [f.name for f in dataclasses.fields(SampleEnsemble)] == [
-            "grid", "samples"]
-
-    def test_lift_ensemble_is_lift_of_samples(self):
-        ens = sample(BM2, grid(4), 7, seed=6)
-        got = lift_ensemble(ens).values.tensor.levels()
-        want = lift_s3(PiecewisePath(ens.grid, ens.samples)).values.tensor.levels()
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert ens.points.shape == (5, 9, 2)
+        assert np.all(ens.points[..., 1] == 0.0)
+        assert np.any(ens.points[..., 0] != 0.0)
+        assert type(ens) is PiecewisePath
+        assert np.array_equal(ens.times, grid(3))
 
 
 class TestLifts:
@@ -167,28 +163,28 @@ class TestLifts:
         flat = martingale_cov(lambda t: np.zeros_like(np.asarray(t, dtype=float)),
                               name="flat")
         ens = sample(ProcessSpec((flat, flat)), grid(3), 6, seed=2)
-        assert np.all(ens.samples == 0.0)
-        lifted = lift_ensemble(ens)
+        assert np.all(ens.points == 0.0)
+        lifted = lift_s3(ens)
         assert float(np.max(np.asarray(pvar_norm(lifted, 2.5)))) == 0.0
 
     def test_scalar_lift_closed_form(self):
         ens = sample(ProcessSpec((bm_cov(),)), grid(4), 9, seed=4)
-        incs = np.diff(ens.samples, axis=-2)
+        incs = np.diff(ens.points, axis=-2)
         end = lift_endpoint(incs)
-        total = ens.samples[:, -1, 0] - ens.samples[:, 0, 0]
+        total = ens.points[:, -1, 0] - ens.points[:, 0, 0]
         assert np.allclose(end.level2[0, 0], total ** 2 / 2, rtol=1e-10, atol=1e-12)
         assert np.allclose(end.level3[0, 0, 0], total ** 3 / 6, rtol=1e-10, atol=1e-12)
 
     def test_endpoint_matches_full_lift(self):
         ens = sample(BM2, grid(4), 7, seed=6)
-        incs = np.diff(ens.samples, axis=-2)
+        incs = np.diff(ens.points, axis=-2)
         end = lift_endpoint(incs)
-        full = lift_ensemble(ens)
+        full = lift_s3(ens)
         assert np.allclose(end.level3, full.values.tensor.level3[..., -1], atol=1e-14)
 
     def test_bm_area_mean_zero(self):
         ens = sample(BM2, grid(5), 4000, seed=8)
-        incs = np.diff(ens.samples, axis=-2)
+        incs = np.diff(ens.points, axis=-2)
         end = lift_endpoint(incs)
         area = 0.5 * (end.level2[0, 1] - end.level2[1, 0])
         est = mc_mean(area, 8)
@@ -288,8 +284,8 @@ class TestDyadicConvergence:
 
     def test_reference_roundtrip_is_zero(self):
         ens = sample(BM2, grid(5), 10, seed=6)
-        ref = lift_ensemble(ens)
-        again = lift_ensemble(restrict_to(ens, ens.grid))
+        ref = lift_s3(ens)
+        again = lift_s3(restrict_to(ens, ens.times))
         d = np.asarray(holder_dist(again, ref, 0.4))
         assert float(np.max(d)) < 1e-3
 

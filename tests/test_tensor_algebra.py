@@ -397,6 +397,12 @@ class TestBatching:
         with pytest.raises(ValueError):
             dilate(rng.uniform(0.5, 2.0, size=(2, 5)), g)
 
+    def test_dilate_by_higher_rank_lam_names_both_shapes(self):
+        rng = np.random.default_rng(16)
+        g = exp_trunc(random_lie(rng, 2, batch=(5,)))
+        with pytest.raises(ValueError, match=r"lam of shape \(3, 5\) .* batch shape \(5,\)"):
+            dilate(rng.uniform(0.5, 2.0, size=(3, 5)), g)
+
     def test_single_against_batch_matches_elementwise(self):
         rng = np.random.default_rng(17)
         d, n = 3, 5
