@@ -278,13 +278,7 @@ def _run_young2d(cfg: ExperimentConfig) -> dict:
     if not isinstance(levels, int):
         raise ValueError("young2d expects an integer 'levels'")
     grid = np.linspace(0.0, 1.0, intervals + 1)
-    f = GridFunction2D(grid, grid, k1.eval(grid[:, None], grid[None, :]))
-    g = GridFunction2D(grid, grid, k2.eval(grid[:, None], grid[None, :]))
-    res = young_integral_2d(
-        f, g, levels=levels,
-        f_eval=lambda S, T: k1.eval(S[:, None], T[None, :]),
-        g_eval=lambda S, T: k2.eval(S[:, None], T[None, :]),
-    )
+    res = young_integral_2d(k1.grid_eval, k2.grid_eval, grid, grid, levels=levels)
     values = [float(v) for v in res.level_values]
     rows = [{"level": i, "value": v,
              "diff": float(res.diffs[i - 1]) if i else None}

@@ -10,11 +10,12 @@ piecewise-linear covariance R^D with its comparison factor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .variation_2d import GridFunction2D, _cell, _check_times, rho_variation
+from .variation_2d import GridFunction2D, _blend, _check_times, rho_variation
 
 __all__ = [
     "CovarianceKernel",
@@ -284,18 +285,7 @@ def piecewise_linear_cov(k: CovarianceKernel, D) -> CovarianceKernel:
     Agrees with R at D x D."""
     D = np.asarray(D, dtype=float)
     _check_times(D)
-    G = gram_matrix(k, D, check_psd=False)
-
-    def ev(s, t):
-        i, a = _cell(D, np.asarray(s, dtype=float))
-        j, b = _cell(D, np.asarray(t, dtype=float))
-        return (
-            (1 - a) * (1 - b) * G[i, j]
-            + (1 - a) * b * G[i, j + 1]
-            + a * (1 - b) * G[i + 1, j]
-            + a * b * G[i + 1, j + 1]
-        )
-
+    ev = partial(_blend, GridFunction2D(D, D, gram_matrix(k, D, check_psd=False)))
     return CovarianceKernel(
         f"pl({k.name})", ev, k.rho, k.holder_dominated,
         {"base": k.name, "n_dissection": int(D.size), **k.params},

@@ -45,6 +45,7 @@ from .variation_2d import (
     GridFunction2D,
     _cell,
     _check_times,
+    _from_corner,
     rho_variation,
     young_constant,
     young_integral_2d,
@@ -88,6 +89,14 @@ def mc_mean(values, seed: int) -> MCEstimate:
     mean = math.fsum(v) / n
     var = math.fsum((v - mean) ** 2) / max(n - 1, 1)
     return MCEstimate(mean, math.sqrt(var / n), n, seed)
+
+
+def _l2_rung(dist, seed: int):
+    """L2 mean sqrt(E dist^2) of one ladder rung and its delta-method
+    standard error."""
+    est = mc_mean(np.asarray(dist) ** 2, seed)
+    mean = math.sqrt(est.value)
+    return mean, est.stderr / (2.0 * mean) if est.value > 0 else 0.0
 
 
 def _factor(kernel: CovarianceKernel, grid: np.ndarray) -> np.ndarray:
@@ -222,17 +231,8 @@ def level2_variance_check(spec: ProcessSpec, i: int = 0, j: int = 1,
     # integrand is the covariance of increments from s,
     # R_i(u,v) - R_i(s,u) - R_i(s,v) + R_i(s,s); for processes started at
     # zero with s = 0 this is plain R_i
-    def fi(S, T):
-        S = np.asarray(S, dtype=float)
-        T = np.asarray(T, dtype=float)
-        edge = np.array([s])
-        return (ki.grid_eval(S, T) - ki.grid_eval(edge, T)
-                - ki.grid_eval(S, edge) + ki.eval(s, s))
-
-    young = young_integral_2d(
-        GridFunction2D(base, base, fi(base, base)),
-        GridFunction2D(base, base, kj.grid_eval(base, base)),
-        levels=3, f_eval=fi, g_eval=kj.grid_eval)
+    young = young_integral_2d(_from_corner(ki.grid_eval, s, s), kj.grid_eval,
+                              base, base, levels=3)
     tol = 3.0 * est.stderr + band
     return {
         "mc": est.to_dict(),
@@ -323,10 +323,9 @@ def dyadic_convergence(spec: ProcessSpec, p: float, levels=(3, 4, 5, 6, 7),
     for lev in levels:
         D = grid[:: 2 ** (ref_level - lev)]
         lifted = lift_s3(refine_path(restrict_to(ens, D), grid))
-        dist = holder_dist(lifted, ref, alpha)
-        est = mc_mean(np.asarray(dist) ** 2, seed)
-        means.append(math.sqrt(est.value))
-        errs.append(est.stderr / (2.0 * math.sqrt(est.value)) if est.value > 0 else 0.0)
+        mean, err = _l2_rung(holder_dist(lifted, ref, alpha), seed)
+        means.append(mean)
+        errs.append(err)
     slope = float(np.polyfit(levels, np.log2(means), 1)[0])
     return {
         "p": p,
@@ -359,10 +358,9 @@ def perturbation_continuity(spec: ProcessSpec, epsilons=(0.2, 0.1, 0.05),
     errs = []
     for eps in epsilons:
         pert = PiecewisePath(grid, ens_x.points + eps * ens_w.points)
-        dist = pvar_dist(lift_s3(pert), lift_x, p)
-        est = mc_mean(np.asarray(dist) ** 2, seed)
-        means.append(math.sqrt(est.value))
-        errs.append(est.stderr / (2.0 * math.sqrt(est.value)) if est.value > 0 else 0.0)
+        mean, err = _l2_rung(pvar_dist(lift_s3(pert), lift_x, p), seed)
+        means.append(mean)
+        errs.append(err)
     gaps = [e * e * rw_inf for e in epsilons]
     usable = [(g, m) for g, m in zip(gaps, means) if g > 0.0 and m > 0.0]
     if len(usable) >= 2:
@@ -474,23 +472,11 @@ def young_wiener_check(f_eval, spec: ProcessSpec, q: float = 1.0,
         return np.asarray(f_eval(S), dtype=float)[:, None] * np.asarray(
             f_eval(T), dtype=float)[None, :]
 
-    young = young_integral_2d(
-        GridFunction2D(base, base, ff(base, base)),
-        GridFunction2D(base, base, kernel.grid_eval(base, base)),
-        levels=1, f_eval=ff, g_eval=kernel.grid_eval)
-
-    # the upper bound needs f(0) = 0, so it is asserted on f - f(0)
-    f0 = float(np.asarray(f_eval(np.zeros(1)), dtype=float)[0])
-
-    def fft(S, T):
-        a = np.asarray(f_eval(S), dtype=float) - f0
-        b = np.asarray(f_eval(T), dtype=float) - f0
-        return a[:, None] * b[None, :]
-
-    young_tilde = young_integral_2d(
-        GridFunction2D(base, base, fft(base, base)),
-        GridFunction2D(base, base, kernel.grid_eval(base, base)),
-        levels=1, f_eval=fft, g_eval=kernel.grid_eval)
+    young = young_integral_2d(ff, kernel.grid_eval, base, base, levels=1)
+    # the upper bound needs f(0) = 0, so it is asserted on the increments
+    # (f(u) - f(0))(f(v) - f(0)) of ff from the corner (0, 0)
+    young_tilde = young_integral_2d(_from_corner(ff, 0.0, 0.0), kernel.grid_eval,
+                                    base, base, levels=1)
 
     # certified on a coarse exact grid; grid-restricted variation
     rvar = square_variation(kernel, 0.0, 1.0, 8, rho)

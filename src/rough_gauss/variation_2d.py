@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -34,6 +35,10 @@ __all__ = [
 ]
 
 EXACT_INTERVAL_CAP = 16
+# starting dissections of local-search mode
+LOCAL_SEARCH_RESTARTS = 4
+# finest Young refinement, in intervals per side; one 2^12 grid matrix is 128 MiB
+YOUNG_INTERVAL_CAP = 1 << 12
 # budget for one block of n x n dissection weight matrices in _exact_sum
 _EXACT_BLOCK_BYTES = 1 << 21
 
@@ -243,14 +248,14 @@ def _exact_sum(V: np.ndarray, rho: float) -> float:
     return best
 
 
-def _alternating_sum(V: np.ndarray, rho: float, restarts: int, seed: int):
+def _alternating_sum(V: np.ndarray, rho: float, seed: int):
     """Coordinate-ascent lower bound: alternately fix the row dissection and
     optimize columns exactly by DP, then swap axes, until stationary."""
     m, n = V.shape
     rng = np.random.default_rng(seed)
     best = 0.0
     starts = [list(range(m))]
-    for _ in range(max(0, restarts - 1)):
+    for _ in range(LOCAL_SEARCH_RESTARTS - 1):
         keep = rng.random(m - 2) < rng.uniform(0.3, 0.9)
         starts.append([0] + [i + 1 for i in range(m - 2) if keep[i]] + [m - 1])
     for rows in starts:
@@ -299,15 +304,14 @@ def rho_variation(
     rho: float,
     rect=None,
     mode: str = "exact",
-    restarts: int = 4,
     seed: int = 0,
 ) -> VariationResult:
     """Grid rho-variation of f over ``rect`` (default: whole domain).
 
     exact: true sup over all sub-dissection pairs (one axis must have at
       most EXACT_INTERVAL_CAP intervals).
-    local-search: alternating per-axis DP ascent from ``restarts`` starting
-      dissections; certified lower bound, often the optimum.
+    local-search: alternating per-axis DP ascent from LOCAL_SEARCH_RESTARTS
+      starting dissections; certified lower bound, often the optimum.
     common-subdivision: single shared dissection (square rectangles on a
       shared grid); metadata reports the factor bounding the full sup:
       sup^rho <= 3^(rho-1) * common^rho.
@@ -318,7 +322,7 @@ def rho_variation(
         s = _exact_sum(V, rho)
         return VariationResult(s ** (1.0 / rho), rho, mode, True, True)
     if mode == "local-search":
-        s = _alternating_sum(V, rho, restarts, seed)
+        s = _alternating_sum(V, rho, seed)
         return VariationResult(s ** (1.0 / rho), rho, mode, False, True)
     if mode == "common-subdivision":
         if sg.size != tg.size or np.any(sg != tg):
@@ -357,17 +361,25 @@ def rho_prime_limit_check(f: GridFunction2D, rho: float) -> dict:
     }
 
 
-def bilinear_eval(f: GridFunction2D, S: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of the stored grid at the product S x T."""
-    si, a = _cell(f.s_grid, np.asarray(S, dtype=float))
-    tj, b = _cell(f.t_grid, np.asarray(T, dtype=float))
+def _blend(f: GridFunction2D, s, t):
+    """Bilinear blend of the stored grid values, elementwise in the
+    broadcast points (s, t)."""
+    i, a = _cell(f.s_grid, np.asarray(s, dtype=float))
+    j, b = _cell(f.t_grid, np.asarray(t, dtype=float))
     V = f.values
     return (
-        (1 - a)[:, None] * (1 - b)[None, :] * V[np.ix_(si, tj)]
-        + (1 - a)[:, None] * b[None, :] * V[np.ix_(si, tj + 1)]
-        + a[:, None] * (1 - b)[None, :] * V[np.ix_(si + 1, tj)]
-        + a[:, None] * b[None, :] * V[np.ix_(si + 1, tj + 1)]
+        (1 - a) * (1 - b) * V[i, j]
+        + (1 - a) * b * V[i, j + 1]
+        + a * (1 - b) * V[i + 1, j]
+        + a * b * V[i + 1, j + 1]
     )
+
+
+def bilinear_eval(f: GridFunction2D, S: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Bilinear interpolation of the stored grid at the product S x T."""
+    S = np.asarray(S, dtype=float)
+    T = np.asarray(T, dtype=float)
+    return _blend(f, S[:, None], T[None, :])
 
 
 @dataclass(frozen=True)
@@ -384,44 +396,66 @@ def _left_point_sum(F: np.ndarray, G: np.ndarray) -> float:
 
 
 def young_integral_2d(
-    f: GridFunction2D,
-    g: GridFunction2D,
+    f_eval: Callable,
+    g_eval: Callable,
+    s_grid,
+    t_grid,
     levels: int = 4,
-    f_eval: Callable | None = None,
-    g_eval: Callable | None = None,
 ) -> YoungResult:
     """Left-point 2D Riemann-Stieltjes sum of f against the rectangular
-    increments of g, recomputed on ``levels`` dyadic refinements.
+    increments of g on s_grid x t_grid, recomputed on ``levels`` dyadic
+    refinements.
 
-    New grid points are valued by ``f_eval``/``g_eval`` (vectorized
-    (S, T) -> matrix, e.g. a covariance kernel) when given, otherwise by
-    bilinear interpolation of the stored values, which is exact for grid
-    data coming from piecewise-linear interpolation.  ``converged`` means
-    the last refinement moved the sum by less than 1e-6 relative, or the
-    refinement steps shrink monotonically.
+    ``f_eval``/``g_eval`` are vectorized (S, T) -> matrix evaluators, e.g.
+    a kernel's ``grid_eval``, or ``partial(bilinear_eval, h)`` for grid
+    data h (exact where h comes from piecewise-linear interpolation).  The
+    finest grid may have at most YOUNG_INTERVAL_CAP intervals per side.
+    ``converged`` means the last refinement moved the sum by less than 1e-6
+    relative, or the refinement steps shrink monotonically.
     """
     if levels < 1:
         raise ValueError(f"need levels >= 1 refinements, got {levels}")
-    sf, tf = f.s_grid, f.t_grid
-    sg, tg = g.s_grid, g.t_grid
-    if sf.size != sg.size or tf.size != tg.size or np.any(sf != sg) or np.any(tf != tg):
-        raise ValueError("f and g must share their grid")
-    fe = f_eval if f_eval is not None else (lambda S, T: bilinear_eval(f, S, T))
-    ge = g_eval if g_eval is not None else (lambda S, T: bilinear_eval(g, S, T))
-    s_cur, t_cur = sf, tf
-    F, G = f.values, g.values
-    vals = [_left_point_sum(F, G)]
-    for _ in range(levels):
-        s_cur = np.sort(np.concatenate([s_cur, (s_cur[:-1] + s_cur[1:]) / 2]))
-        t_cur = np.sort(np.concatenate([t_cur, (t_cur[:-1] + t_cur[1:]) / 2]))
-        F = np.asarray(fe(s_cur, t_cur), dtype=float)
-        G = np.asarray(ge(s_cur, t_cur), dtype=float)
+    s_cur = np.asarray(s_grid, dtype=float)
+    t_cur = np.asarray(t_grid, dtype=float)
+    _check_grid(s_cur, "s_grid")
+    _check_grid(t_cur, "t_grid")
+    # checked before any evaluation; with n >= 1, n << levels exceeds the
+    # cap once levels reaches its bit length, and min() keeps a huge levels
+    # from building a huge integer
+    n = max(s_cur.size, t_cur.size) - 1
+    if n << min(levels, YOUNG_INTERVAL_CAP.bit_length()) > YOUNG_INTERVAL_CAP:
+        raise ValueError(
+            f"levels={levels} refines the {s_cur.size - 1} x {t_cur.size - 1} grid "
+            f"beyond {YOUNG_INTERVAL_CAP} intervals per side"
+        )
+    vals = []
+    for level in range(levels + 1):
+        if level:
+            s_cur = np.sort(np.concatenate([s_cur, (s_cur[:-1] + s_cur[1:]) / 2]))
+            t_cur = np.sort(np.concatenate([t_cur, (t_cur[:-1] + t_cur[1:]) / 2]))
+        F = np.asarray(f_eval(s_cur, t_cur), dtype=float)
+        G = np.asarray(g_eval(s_cur, t_cur), dtype=float)
+        if not (np.all(np.isfinite(F)) and np.all(np.isfinite(G))):
+            raise ValueError(f"non-finite grid values at refinement level {level}")
         vals.append(_left_point_sum(F, G))
     diffs = [abs(b - a) for a, b in zip(vals[:-1], vals[1:])]
     scale = max(abs(vals[-1]), 1e-12)
     monotone = all(a >= b - 1e-15 * scale for a, b in zip(diffs[:-1], diffs[1:]))
     converged = diffs[-1] < 1e-6 * scale or monotone
     return YoungResult(vals[-1], vals, diffs, bool(converged))
+
+
+def _from_corner(ev: Callable, s0: float, t0: float) -> Callable:
+    """Evaluator of the increments of ``ev`` from the corner (s0, t0),
+    (S, T) -> ev(S, T) - ev(s0, T) - ev(S, t0) + ev(s0, t0): it vanishes on
+    the lines s = s0 and t = t0 and keeps every rectangular increment."""
+    s0 = np.array([s0], dtype=float)
+    t0 = np.array([t0], dtype=float)
+
+    def inc(S, T):
+        return ev(S, T) - ev(s0, T) - ev(S, t0) + ev(s0, t0)[0, 0]
+
+    return inc
 
 
 def young_constant(p: float, q: float) -> float:
@@ -437,11 +471,6 @@ def young_constant(p: float, q: float) -> float:
     return float((1.0 + zeta(theta, 1)) ** 2)
 
 
-def _edge_normalized(V: np.ndarray) -> np.ndarray:
-    # kills the lower edges without touching rectangular increments
-    return V - V[:1, :] - V[:, :1] + V[:1, :1]
-
-
 def young_bound_check(
     f: GridFunction2D,
     g: GridFunction2D,
@@ -451,23 +480,17 @@ def young_bound_check(
     f_eval: Callable | None = None,
     g_eval: Callable | None = None,
 ) -> bool:
-    """|∫ f~ dg| <= C_{p,q} |f|_{q-var} |g|_{p-var} with f~ the edge-normalized
-    f (vanishing on the grid's lower edges), C from young_constant and exact
-    variations."""
+    """|∫ f~ dg| <= C_{p,q} |f|_{q-var} |g|_{p-var} with f~ the increments
+    of f from the grid's lower corner (vanishing on the lower edges), C from
+    young_constant and exact variations.  ``f_eval``/``g_eval`` value f and
+    g off the grid; by default they are bilinear interpolations."""
     C = young_constant(p, q)
     sf, tf = f.s_grid, f.t_grid
-    fn = GridFunction2D(sf, tf, _edge_normalized(f.values))
-
-    def fe(S, T):
-        # _edge_normalized at the refined points
-        W = np.asarray(f_eval(S, T), dtype=float)
-        edge_s = np.asarray(f_eval(np.array([sf[0]]), T), dtype=float)
-        edge_t = np.asarray(f_eval(S, np.array([tf[0]])), dtype=float)
-        corner = np.asarray(f_eval(np.array([sf[0]]), np.array([tf[0]])))[0, 0]
-        return W - edge_s - edge_t + corner
-
-    integral = young_integral_2d(fn, g, levels=levels,
-                                 f_eval=None if f_eval is None else fe, g_eval=g_eval)
+    if not (np.array_equal(sf, g.s_grid) and np.array_equal(tf, g.t_grid)):
+        raise ValueError("f and g must share their grid")
+    fe = _from_corner(f_eval or partial(bilinear_eval, f), sf[0], tf[0])
+    integral = young_integral_2d(fe, g_eval or partial(bilinear_eval, g), sf, tf,
+                                 levels=levels)
     var_f = rho_variation(f, q).value
     var_g = rho_variation(g, p).value
     return bool(abs(integral.value) <= C * var_f * var_g * (1 + 1e-12) + 1e-15)

@@ -196,11 +196,7 @@ def test_05_young_bm_half_and_level2_mc():
     t0 = time.monotonic()
     k = bm_cov()
     grid = np.linspace(0.0, 1.0, 2 ** 6 + 1)
-    f = GridFunction2D(grid, grid, k.eval(grid[:, None], grid[None, :]))
-    res = young_integral_2d(
-        f, f, levels=4,
-        f_eval=lambda S, T: k.eval(S[:, None], T[None, :]),
-        g_eval=lambda S, T: k.eval(S[:, None], T[None, :]))
+    res = young_integral_2d(k.grid_eval, k.grid_eval, grid, grid, levels=4)
     young_ok = abs(res.value - 0.5) <= 1e-3 * 0.5
     spec = ProcessSpec((bm_cov(), bm_cov()))
     rep = level2_variance_check(spec, n=10_000, seed=0, grid_level=8)

@@ -196,6 +196,7 @@ class TestRun:
         (("variation", "--set", "grid_intervals=20", "--set", "mode=exact"),
          "exact mode needs <= 16 intervals"),
         (("dyadic-convergence", "--set", "levels=3"), "levels must be a list of integers"),
+        (("young2d", "--set", "levels=12"), "levels=12 refines the 8 x 8 grid"),
     ])
     def test_invalid_ladder_exit1(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"

@@ -16,7 +16,7 @@ from rough_gauss.covariance import (
     ou_cov,
     piecewise_linear_cov,
 )
-from rough_gauss.variation_2d import GridFunction2D, rho_variation
+from rough_gauss.variation_2d import GridFunction2D, bilinear_eval, rho_variation
 
 
 class TestKernelCatalog:
@@ -167,6 +167,16 @@ class TestPiecewiseLinearCov:
         rng = np.random.default_rng(3)
         s, t = rng.uniform(size=50), rng.uniform(size=50)
         np.testing.assert_allclose(kd(s, t), s * t, atol=1e-14)
+
+    def test_blend_matches_bilinear_eval_bitwise(self):
+        # one bilinear blend serves both the kernel R^D and grid data
+        D = np.array([0.0, 0.15, 0.4, 0.8, 1.0])
+        k = fbm_cov(0.4)
+        S = np.array([0.0, 0.07, 0.3, 0.41, 0.93, 1.0])
+        T = np.array([0.05, 0.2, 0.66, 0.99])
+        got = piecewise_linear_cov(k, D).eval(S[:, None], T[None, :])
+        want = bilinear_eval(GridFunction2D(D, D, gram_matrix(k, D, check_psd=False)), S, T)
+        assert np.array_equal(got, want)
 
     def test_variation_comparison_factor(self):
         # R^D variation on [s,t]^2 (s,t in D) stays within 9^{1-1/rho} of R's

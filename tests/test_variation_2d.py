@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -182,7 +183,7 @@ class TestRhoVariation:
             V = rng.standard_normal((7, 7))
             f = grid_fn(V)
             ex = rho_variation(f, 1.8, mode="exact").value
-            ls = rho_variation(f, 1.8, mode="local-search", restarts=4, seed=11)
+            ls = rho_variation(f, 1.8, mode="local-search", seed=11)
             assert not ls.exact and ls.lower_bound
             assert ls.value <= ex * (1 + 1e-10)
             hits += ls.value >= ex * (1 - 1e-10)
@@ -238,7 +239,8 @@ class TestYoungIntegral:
         g = np.linspace(0, 1, 9)
         st = GridFunction2D(g, g, np.outer(g, g))
         ones = GridFunction2D(g, g, np.ones((9, 9)))
-        res = young_integral_2d(ones, st, levels=3)
+        res = young_integral_2d(partial(bilinear_eval, ones), partial(bilinear_eval, st),
+                                g, g, levels=3)
         assert res.value == pytest.approx(1.0, abs=1e-12)
         assert res.converged
 
@@ -246,8 +248,8 @@ class TestYoungIntegral:
         # dR_BM is the unit mass on the diagonal, so the integral of R_BM
         # against it is \int_0^1 u du = 1/2; left sums give (1 - h)/2
         ker = lambda S, T: np.minimum.outer(S, T)
-        f = min_cov(17)
-        res = young_integral_2d(f, f, levels=4, f_eval=ker, g_eval=ker)
+        g = np.linspace(0.0, 1.0, 17)
+        res = young_integral_2d(ker, ker, g, g, levels=4)
         assert res.value == pytest.approx(0.5 * (1 - 1 / 256), abs=1e-12)
         assert res.converged
         assert res.value == pytest.approx(0.5, abs=3e-3)
@@ -255,14 +257,31 @@ class TestYoungIntegral:
     def test_zero_integrand(self):
         g = np.linspace(0, 1, 5)
         zero = GridFunction2D(g, g, np.zeros((5, 5)))
-        res = young_integral_2d(zero, min_cov(5), levels=2)
+        res = young_integral_2d(partial(bilinear_eval, zero),
+                                partial(bilinear_eval, min_cov(5)), g, g, levels=2)
         assert res.value == 0.0
 
-    def test_grid_mismatch_rejected(self):
-        a = min_cov(5)
-        b = min_cov(6)
-        with pytest.raises(ValueError):
-            young_integral_2d(a, b)
+    def test_nan_between_grid_points_rejected(self):
+        # finite on the base grid, NaN at every refined point
+        g = np.linspace(0, 1, 5)
+
+        def f_eval(S, T):
+            on_grid = np.isin(S, g)[:, None] & np.isin(T, g)[None, :]
+            return np.where(on_grid, 1.0, np.nan)
+
+        ker = lambda S, T: np.minimum.outer(S, T)
+        with pytest.raises(ValueError, match="non-finite grid values"):
+            young_integral_2d(f_eval, ker, g, g, levels=2)
+
+    def test_refinement_cap_rejected_before_evaluation(self):
+        def never(S, T):
+            raise AssertionError("evaluated past the refinement cap")
+
+        # 8 << 9 intervals is the cap itself; one more level exceeds it
+        g = np.linspace(0, 1, 9)
+        for levels in (10, 12, 10**6):
+            with pytest.raises(ValueError, match=f"levels={levels} refines the 8 x 8"):
+                young_integral_2d(never, never, g, g, levels=levels)
 
 
 class TestYoungBound:
@@ -280,6 +299,12 @@ class TestYoungBound:
             f = GridFunction2D(g, g, np.outer(a, b))
             h = GridFunction2D(g, g, np.outer(b, a))
             assert young_bound_check(f, h, q=1.3, p=1.4, levels=2)
+
+    def test_grid_mismatch_rejected(self):
+        a = min_cov(5)
+        b = min_cov(6)
+        with pytest.raises(ValueError):
+            young_bound_check(a, b, q=1.5, p=1.5)
 
     def test_bm_bm(self):
         ker = lambda S, T: np.minimum.outer(S, T)
