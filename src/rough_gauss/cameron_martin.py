@@ -55,10 +55,6 @@ class CMElement:
         object.__setattr__(self, "weights", weights)
 
 
-def _same_kernel(a: CovarianceKernel, b: CovarianceKernel) -> bool:
-    return a.name == b.name and a.params == b.params
-
-
 def cm_eval(h: CMElement, t) -> np.ndarray:
     """h(t) = sum_k z_k R(t_k, t), vectorized over t."""
     t = np.asarray(t, dtype=float)
@@ -68,7 +64,7 @@ def cm_eval(h: CMElement, t) -> np.ndarray:
 
 def cm_inner(h: CMElement, g: CMElement) -> float:
     """<h, g> = E(Z_h Z_g) through the Gram matrix of the joined nodes."""
-    if not _same_kernel(h.kernel, g.kernel):
+    if h.kernel.key != g.kernel.key:
         raise ValueError("inner product needs a common kernel")
     cross = h.kernel.eval(h.nodes[:, None], g.nodes[None, :])
     return float(h.weights @ cross @ g.weights)
@@ -107,13 +103,9 @@ class EmbeddingResult:
 _RVAR_CACHE: dict = {}
 
 
-def _kernel_key(k: CovarianceKernel):
-    return (k.name, tuple(sorted(k.params.items())))
-
-
 def _r_variation(kernel: CovarianceKernel, s: float, t: float,
                  grid_intervals: int, rho: float):
-    key = (_kernel_key(kernel), s, t, grid_intervals, rho)
+    key = (kernel.key, s, t, grid_intervals, rho)
     hit = _RVAR_CACHE.get(key)
     if hit is not None:
         return hit

@@ -448,7 +448,7 @@ def _run_chaos_ratio(cfg: ExperimentConfig) -> dict:
                 rows.append({"level": level, "coordinate": label,
                              **{k: row[k] for k in ("q", "ratio", "band",
                                                     "bound", "ok")}})
-    worst = max((row["ratio"] / row["bound"] for row in rows), default=0.0)
+    worst = float(max((row["ratio"] / row["bound"] for row in rows), default=0.0))
     return _outcome(
         [{"name": "moment_equivalence", "ok": all(row["ok"] for row in rows),
           "worst_ratio_over_bound": worst}],

@@ -59,6 +59,11 @@ class CovarianceKernel:
         T = np.asarray(T, dtype=float)
         return self.eval(S[:, None], T[None, :])
 
+    @property
+    def key(self) -> tuple:
+        """Identity of the covariance, whatever the ``eval`` object."""
+        return (self.name, tuple(sorted(self.params.items())))
+
 
 @dataclass(frozen=True)
 class ProcessSpec:

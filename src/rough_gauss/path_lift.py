@@ -12,12 +12,12 @@ Lifted values are stored word-first like every tensor, with the grid as
 the last batch axis (level3[i, j, k, *batch, n]).  The Chen loop and the
 pair-distance stream call the raw kernels of ``tensor_algebra`` on them
 directly: the Chen loop writes each prefix into the grid axis in place,
-and the pair stream copies one block of about 1 MiB of levels at a time.
+and the pair stream copies each block of batch rows (about 1 MiB of
+levels) once and forms the increments of every grid row on views of it.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,11 +59,11 @@ __all__ = [
     "read_path_csv",
 ]
 
-# level bytes of one word-first block of the pair stream (8 738 grid pairs
-# for d = 2): numpy loops stay long while a block's temporaries stay in a
-# per-core cache.  On a 2-core Xeon (4 MiB L2) holder_dist over 200 x 257
-# points took 2.5-3.2 s for blocks of 4 096 to 16 384 pairs and 3.9-5.1 s
-# for 32 768 or more.
+# level bytes of one word-first block of batch rows in the pair stream
+# (8 738 lifted points for d = 2, so 34 rows at 257 points): numpy loops stay
+# long while the temporaries of a grid row stay in a per-core cache.  On a
+# 2-core Xeon (4 MiB L2) holder_dist over 200 x 257 points took 2.5-3.2 s
+# for kernel calls of 4 096 to 16 384 pairs and 3.9-5.1 s for 32 768 or more.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -220,6 +220,8 @@ def _require_same_grid(x: GroupPath, y: GroupPath):
         raise ValueError("paths must share one grid; refine first")
     if x.dim != y.dim:
         raise ValueError("dimension mismatch")
+    if x.batch_shape != y.batch_shape:
+        raise ValueError("paths must share one batch shape")
 
 
 def _flat(path: GroupPath):
@@ -228,60 +230,47 @@ def _flat(path: GroupPath):
                  for k, a in enumerate(path.values.tensor.levels()))
 
 
-def _block(flat, rows: slice, cols: slice):
-    """Contiguous copy of word-first flat levels at [rows, cols], with the
-    (row, column) pairs on one trailing axis."""
-    return tuple(np.ascontiguousarray(a[..., rows, cols]).reshape(a.shape[:k] + (-1,))
-                 for k, a in enumerate(flat))
+def _blocks(x: GroupPath, y: GroupPath | None = None):
+    """Yield, block after block of batch rows, a contiguous word-first copy
+    (..., rows, n) of the levels of x, and of y when given.  A block holds
+    about _BLOCK_BYTES of levels per path; the pair stream works on views
+    of it."""
+    d, n = x.dim, x.n_times
+    step = max(1, _BLOCK_BYTES // (8 * (1 + d + d * d + d**3) * n))
+    flats = [_flat(p) for p in (x, y) if p is not None]
+    for lo in range(0, flats[0][0].shape[0], step):
+        yield tuple(tuple(np.ascontiguousarray(a[..., lo : lo + step, :]) for a in f)
+                    for f in flats)
 
 
-def _blocked_rows(path: GroupPath, m: int, fn):
-    """(*batch, m) array whose batch rows lo:hi are fn(slice(lo, hi)), a flat
-    array of the (hi - lo) * m pairs, with about _BLOCK_BYTES of levels per
-    call."""
-    d = path.dim
-    pairs = _BLOCK_BYTES // (8 * (1 + d + d * d + d**3))
-    rows = int(np.prod(path.batch_shape))
-    out = np.empty((rows, m))
-    step = max(1, pairs // m)
-    for lo in range(0, rows, step):
-        hi = min(lo + step, rows)
-        out[lo:hi] = fn(slice(lo, hi)).reshape(hi - lo, m)
-    return out.reshape(path.batch_shape + (m,))
+def _reduce_blocks(x: GroupPath, y: GroupPath | None, reduce):
+    """reduce(*block) of every block of x (and y), a (rows,) array, joined
+    into an array of x's batch shape."""
+    out = np.concatenate([reduce(*block) for block in _blocks(x, y)])
+    return out.reshape(x.batch_shape)[()]
 
 
 def dist_inf(x: GroupPath, y: GroupPath):
     """sup over grid times of the homogeneous distance d(x_t, y_t)."""
     _require_same_grid(x, y)
-    fx, fy, every = _flat(x), _flat(y), slice(None)
-
-    def dist(rows):
-        return _norm(_mul(_inverse(_block(fx, rows, every)), _block(fy, rows, every)))
-
-    return np.max(_blocked_rows(x, x.n_times, dist), axis=-1)
+    return _reduce_blocks(x, y, lambda lx, ly: np.max(_norm(_mul(_inverse(lx), ly)), axis=-1))
 
 
-def _pair_rows(x: GroupPath, y: GroupPath | None = None):
-    """Yield, for i = 0, ..., n-2, the batched row d(x_{t_i,t_j}, y_{t_i,t_j})
-    over j > i, or the increment norms ||x_{t_i,t_j}|| when y is None.  Every
-    pair metric reduces this stream, so its memory stays O(batch x grid)."""
-    n = x.n_times
-    flats = [_flat(p) for p in (x, y) if p is not None]
+def _pair_rows(lx, ly=None):
+    """Yield, for i = 0, ..., n-2, the rows d(x_{t_i,t_j}, y_{t_i,t_j}) over
+    j > i of one block from _blocks, or the increment norms ||x_{t_i,t_j}||
+    when ly is None.  x_{t_i}^{-1} broadcasts along its row as (..., rows, 1),
+    so the increments are formed on views of the block."""
+    n = lx[0].shape[-1]
 
-    def incs(flat, i, rows):
-        # x_{t_i}^{-1} once per batch element, repeated along its n-1-i pairs
-        inv = _inverse(_block(flat, rows, slice(i, i + 1)))
-        inv = tuple(np.repeat(a, n - 1 - i, axis=-1) for a in inv)
-        return _mul(inv, _block(flat, rows, slice(i + 1, n)))
-
-    def norms(i, rows):
-        inc = incs(flats[0], i, rows)
-        if y is not None:
-            inc = _mul(_inverse(inc), incs(flats[1], i, rows))
-        return _norm(inc)
+    def incs(levels, i):
+        return _mul(_inverse(_index(levels, slice(i, i + 1))), _index(levels, slice(i + 1, n)))
 
     for i in range(n - 1):
-        yield _blocked_rows(x, n - 1 - i, functools.partial(norms, i))
+        inc = incs(lx, i)
+        if ly is not None:
+            inc = _mul(_inverse(inc), incs(ly, i))
+        yield _norm(inc)
 
 
 def _check_alpha(alpha: float):
@@ -299,23 +288,27 @@ def _holder_sup(times: np.ndarray, rows, alpha: float):
     return out
 
 
+def _holder(x: GroupPath, y: GroupPath | None, alpha: float):
+    return _reduce_blocks(x, y, lambda *block: _holder_sup(x.times, _pair_rows(*block), alpha))
+
+
 def dist_0(x: GroupPath, y: GroupPath):
     """max over grid pairs s < t of d(x_{s,t}, y_{s,t})."""
     _require_same_grid(x, y)
-    return _holder_sup(x.times, _pair_rows(x, y), 0.0)
+    return _holder(x, y, 0.0)
 
 
 def holder_dist(x: GroupPath, y: GroupPath, alpha: float):
     """sup over grid pairs of d(x_{s,t}, y_{s,t}) / (t-s)^alpha."""
     _check_alpha(alpha)
     _require_same_grid(x, y)
-    return _holder_sup(x.times, _pair_rows(x, y), alpha)
+    return _holder(x, y, alpha)
 
 
 def holder_norm(x: GroupPath, alpha: float):
     """sup over grid pairs of ||x_{s,t}|| / (t-s)^alpha."""
     _check_alpha(alpha)
-    return _holder_sup(x.times, _pair_rows(x), alpha)
+    return _holder(x, None, alpha)
 
 
 def path_inf_norm(x: GroupPath):
@@ -323,21 +316,22 @@ def path_inf_norm(x: GroupPath):
     return np.max(homogeneous_norm(x.values), axis=-1)
 
 
-def _pvar(rows, p: float):
+def _pvar(x: GroupPath, y: GroupPath | None, p: float):
     """(sup over sub-dissections of the sum of pair values^p)^{1/p}."""
     _check_exponent(p, "p")
-    return _longest_path(row ** p for row in rows)[..., -1] ** (1.0 / p)
+    return _reduce_blocks(x, y, lambda *block: _longest_path(
+        row ** p for row in _pair_rows(*block))[..., -1] ** (1.0 / p))
 
 
 def pvar_dist(x: GroupPath, y: GroupPath, p: float):
     """sup over sub-dissections D of (sum_i d(x_{t_i,t_{i+1}}, y_{t_i,t_{i+1}})^p)^{1/p}."""
     _require_same_grid(x, y)
-    return _pvar(_pair_rows(x, y), p)
+    return _pvar(x, y, p)
 
 
 def pvar_norm(x: GroupPath, p: float):
     """sup over sub-dissections D of (sum_i ||x_{t_i,t_{i+1}}||^p)^{1/p}."""
-    return _pvar(_pair_rows(x), p)
+    return _pvar(x, None, p)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import numpy as np
 from .path_lift import (
     GroupPath,
     PiecewisePath,
+    _blocks,
     _check_alpha,
     _pair_rows,
     _require_same_grid,
@@ -52,23 +53,26 @@ def _pairs(obj, y: GroupPath | None) -> tuple:
     so a sum over the pairs runs left to right for a batch and pairwise for
     a single path; i and j broadcast along its batch axes."""
     if isinstance(obj, GroupPath):
-        batch, rows = obj.batch_shape, _pair_rows(obj, y)
+        batch = obj.batch_shape
+        blocks = (_pair_rows(*block) for block in _blocks(obj, y))
     elif isinstance(obj, PiecewisePath):
-        x = obj.points
-        batch = x.shape[:-2]
-        rows = (np.linalg.norm(x[..., i + 1 :, :] - x[..., i : i + 1, :], axis=-1)
-                for i in range(obj.n_times - 1))
+        batch = obj.points.shape[:-2]
+        x = obj.points.reshape((-1,) + obj.points.shape[-2:])
+        blocks = [(np.linalg.norm(x[:, i + 1 :, :] - x[:, i : i + 1, :], axis=-1)
+                   for i in range(obj.n_times - 1))]
     else:
         raise TypeError("expected a PiecewisePath or GroupPath")
     i, j = np.triu_indices(obj.n_times, k=1)
-    D = np.empty((i.size,) + batch)
+    D = np.empty((i.size, int(np.prod(batch))))
     lo = 0
-    for row in rows:
-        hi = lo + row.shape[-1]
-        D[lo:hi] = np.moveaxis(row, -1, 0)
-        lo = hi
+    for rows in blocks:
+        k = 0
+        for row in rows:
+            D[k : k + row.shape[1], lo : lo + row.shape[0]] = row.T
+            k += row.shape[1]
+        lo += row.shape[0]
     col = (-1,) + (1,) * len(batch)
-    return obj.times, i.reshape(col), j.reshape(col), D
+    return obj.times, i.reshape(col), j.reshape(col), D.reshape((i.size,) + batch)
 
 
 def _besov(times: np.ndarray, i, j, D, q: float, r: float):
@@ -196,6 +200,8 @@ def chaos_ratio_check(samples, level: int, qs=(4, 6, 8)) -> dict:
         raise ValueError("level must be 1, 2 or 3")
     z = np.abs(np.asarray(samples, dtype=float).ravel())
     n = z.size
+    if n < 2:
+        raise ValueError(f"chaos ratios need at least two samples, got {n}")
     m2 = float(np.mean(z ** 2))
     if m2 < 1e-24:
         return {"level": level, "degenerate": True, "ok": True, "rows": []}

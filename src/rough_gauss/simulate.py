@@ -259,7 +259,7 @@ def level_bounds_check(spec: ProcessSpec, rho: float | None = None,
     if spec.dim < 3:
         raise ValueError("need three components for the distinct-index words")
     k0 = spec.kernels[0]
-    if any(k.name != k0.name or k.params != k0.params for k in spec.kernels):
+    if any(k.key != k0.key for k in spec.kernels):
         raise ValueError("envelope assumes identical components")
     if any(lev not in range(grid_level + 1) for lev in interval_levels):
         raise ValueError(f"interval levels must lie in 0..grid_level={grid_level}")

@@ -411,7 +411,7 @@ def young_integral_2d(
     data h (exact where h comes from piecewise-linear interpolation).  The
     finest grid may have at most YOUNG_INTERVAL_CAP intervals per side.
     ``converged`` means the last refinement moved the sum by less than 1e-6
-    relative, or the refinement steps shrink monotonically.
+    relative, or the steps shrink monotonically over at least 3 refinements.
     """
     if levels < 1:
         raise ValueError(f"need levels >= 1 refinements, got {levels}")
@@ -440,7 +440,8 @@ def young_integral_2d(
         vals.append(_left_point_sum(F, G))
     diffs = [abs(b - a) for a, b in zip(vals[:-1], vals[1:])]
     scale = max(abs(vals[-1]), 1e-12)
-    monotone = all(a >= b - 1e-15 * scale for a, b in zip(diffs[:-1], diffs[1:]))
+    monotone = len(diffs) >= 3 and all(
+        a >= b - 1e-15 * scale for a, b in zip(diffs[:-1], diffs[1:]))
     converged = diffs[-1] < 1e-6 * scale or monotone
     return YoungResult(vals[-1], vals, diffs, bool(converged))
 

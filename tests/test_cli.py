@@ -197,6 +197,7 @@ class TestRun:
          "exact mode needs <= 16 intervals"),
         (("dyadic-convergence", "--set", "levels=3"), "levels must be a list of integers"),
         (("young2d", "--set", "levels=12"), "levels=12 refines the 8 x 8 grid"),
+        (("chaos-ratio", "--samples", "1"), "at least two samples"),
     ])
     def test_invalid_ladder_exit1(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"

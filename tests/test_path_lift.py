@@ -4,9 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rough_gauss import path_lift
 from rough_gauss.path_lift import (
     GroupPath,
     PiecewisePath,
+    _blocks,
     _pair_rows,
     dist_0,
     dist_inf,
@@ -214,6 +216,16 @@ class TestMetrics:
         with pytest.raises(ValueError):
             pvar_dist(x, y, 2.0)
 
+    def test_batch_mismatch_rejected(self):
+        # the pair stream slices both paths by the same batch rows
+        rng = np.random.default_rng(9)
+        x = lift_s3(random_path(rng, 5, 2, (3,)))
+        y = lift_s3(PiecewisePath(x.times, random_path(rng, 5, 2).points))
+        for a, b in ((x, y), (y, x)):
+            for fn in (dist_inf, dist_0, lambda a, b: pvar_dist(a, b, 2.0)):
+                with pytest.raises(ValueError, match="one batch shape"):
+                    fn(a, b)
+
     def test_invalid_parameters_rejected(self):
         rng = np.random.default_rng(10)
         x = lift_s3(random_path(rng, 6, 2))
@@ -389,6 +401,35 @@ class TestBatched:
             assert batched["pvar"][i] == pytest.approx(float(pvar_dist(xi, yi, 2.3)), rel=1e-12)
             assert batched["norm"][i] == pytest.approx(float(pvar_norm(xi, 2.3)), rel=1e-12)
 
+    def test_metrics_across_blocks_equal_per_path_loop(self):
+        # the batch spans three blocks of the pair stream and the last block
+        # holds one row; a large d keeps the per-path loop short
+        d, n = 8, 5
+        rows = path_lift._BLOCK_BYTES // (8 * (1 + d + d * d + d**3) * n)
+        b = 2 * rows + 1
+        rng = np.random.default_rng(19)
+        x = random_path(rng, n, d, (b,))
+        y = PiecewisePath(x.times, x.points + 0.3 * rng.standard_normal(x.points.shape))
+        metrics = {
+            "dist_inf": dist_inf,
+            "dist_0": dist_0,
+            "holder_dist": lambda X, Y: holder_dist(X, Y, 0.45),
+            "holder_norm": lambda X, Y: holder_norm(X, 0.45),
+            "pvar_dist": lambda X, Y: pvar_dist(X, Y, 2.3),
+            "pvar_norm": lambda X, Y: pvar_norm(X, 2.3),
+        }
+        X, Y = lift_s3(x), lift_s3(y)
+        assert [lx[0].shape[-2] for lx, _ in _blocks(X, Y)] == [rows, rows, 1]
+        batched = {name: f(X, Y) for name, f in metrics.items()}
+        loop = {name: [] for name in metrics}
+        for i in range(b):
+            xi = lift_s3(PiecewisePath(x.times, x.points[i]))
+            yi = lift_s3(PiecewisePath(y.times, y.points[i]))
+            for name, f in metrics.items():
+                loop[name].append(f(xi, yi))
+        for name in metrics:
+            assert np.array_equal(batched[name], loop[name]), name
+
     def test_lift_increments_shape(self):
         rng = np.random.default_rng(18)
         incs = rng.standard_normal((4, 5, 6, 2))
@@ -481,7 +522,8 @@ class TestOneImplementation:
         y = PiecewisePath(x.times, x.points + 0.3 * rng.standard_normal(x.points.shape))
         x, y = lift_s3(x), lift_s3(y)
         mxy, mx = pair_matrix(x, y), pair_matrix(x)
-        for i, (rxy, rx) in enumerate(zip(_pair_rows(x, y), _pair_rows(x))):
+        (bx, by), = _blocks(x, y)
+        for i, (rxy, rx) in enumerate(zip(_pair_rows(bx, by), _pair_rows(bx))):
             assert np.all(rxy == mxy[..., i, i + 1 :])
             assert np.all(rx == mx[..., i, i + 1 :])
 

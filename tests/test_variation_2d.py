@@ -261,6 +261,16 @@ class TestYoungIntegral:
                                 partial(bilinear_eval, min_cov(5)), g, g, levels=2)
         assert res.value == 0.0
 
+    @pytest.mark.parametrize("levels", [1, 2])
+    def test_short_ladder_not_called_monotone(self, levels):
+        # the sums jump 0.034 -> 29.6 -> 11.9: one or two refinement steps
+        # say nothing about monotone convergence
+        ev = lambda S, T: np.outer(np.sin(40 * S), np.cos(37 * T))
+        g = np.linspace(0.0, 1.0, 3)
+        res = young_integral_2d(ev, ev, g, g, levels=levels)
+        assert len(res.diffs) == levels
+        assert not res.converged
+
     def test_nan_between_grid_points_rejected(self):
         # finite on the base grid, NaN at every refined point
         g = np.linspace(0, 1, 5)
