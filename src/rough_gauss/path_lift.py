@@ -14,6 +14,10 @@ pair-distance stream call the raw kernels of ``tensor_algebra`` on them
 directly: the Chen loop writes each prefix into the grid axis in place,
 and the pair stream copies each block of batch rows (about 1 MiB of
 levels) once and forms the increments of every grid row on views of it.
+Every product there is of two group elements, so both use the group
+multiply ``_gmul``, and a Chen step exponentiates its segment with
+``_exp_segment``, which forms no zero levels; both give the bytes of the
+general kernels.
 """
 
 from __future__ import annotations
@@ -25,9 +29,9 @@ import numpy as np
 from .tensor_algebra import (
     GroupElement,
     TruncatedTensor,
-    _exp,
+    _exp_segment,
+    _gmul,
     _inverse,
-    _mul,
     _norm,
     _shuffle_residual,
     homogeneous_norm,
@@ -174,14 +178,12 @@ def _chen_prefixes(increments: np.ndarray):
     layout at a time.
     """
     increments = np.asarray(increments, dtype=float)
-    d = increments.shape[-1]
-    batch = increments.shape[:-2]
-    z0, z2, z3 = np.zeros(batch), np.zeros((d, d) + batch), np.zeros((d, d, d) + batch)
-    cur = _exp((z0, np.zeros((d,) + batch), z2, z3))
+    d, batch = increments.shape[-1], increments.shape[:-2]
+    cur = _exp_segment(np.zeros((d,) + batch))  # the identity, exp(0)
     yield cur
     for j in range(increments.shape[-2]):
         dx = np.ascontiguousarray(np.moveaxis(increments[..., j, :], -1, 0))
-        cur = _mul(cur, _exp((z0, dx, z2, z3)))
+        cur = _gmul(cur, _exp_segment(dx))
         yield cur
 
 
@@ -211,7 +213,7 @@ def increment(gp: GroupPath, s: float, t: float) -> GroupElement:
     if i > j:
         raise ValueError("need s <= t")
     levels = gp.values.tensor.levels()
-    inc = _mul(_inverse(_index(levels, i)), _index(levels, j))
+    inc = _gmul(_inverse(_index(levels, i)), _index(levels, j))
     return GroupElement(TruncatedTensor(gp.dim, *inc))
 
 
@@ -253,7 +255,7 @@ def _reduce_blocks(x: GroupPath, y: GroupPath | None, reduce):
 def dist_inf(x: GroupPath, y: GroupPath):
     """sup over grid times of the homogeneous distance d(x_t, y_t)."""
     _require_same_grid(x, y)
-    return _reduce_blocks(x, y, lambda lx, ly: np.max(_norm(_mul(_inverse(lx), ly)), axis=-1))
+    return _reduce_blocks(x, y, lambda lx, ly: np.max(_norm(_gmul(_inverse(lx), ly)), axis=-1))
 
 
 def _pair_rows(lx, ly=None):
@@ -264,12 +266,12 @@ def _pair_rows(lx, ly=None):
     n = lx[0].shape[-1]
 
     def incs(levels, i):
-        return _mul(_inverse(_index(levels, slice(i, i + 1))), _index(levels, slice(i + 1, n)))
+        return _gmul(_inverse(_index(levels, slice(i, i + 1))), _index(levels, slice(i + 1, n)))
 
     for i in range(n - 1):
         inc = incs(lx, i)
         if ly is not None:
-            inc = _mul(_inverse(inc), incs(ly, i))
+            inc = _gmul(_inverse(inc), incs(ly, i))
         yield _norm(inc)
 
 

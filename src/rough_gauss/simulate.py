@@ -82,12 +82,19 @@ class MCEstimate:
                 "seed": self.seed}
 
 
+def _check_samples(n: int, what: str):
+    # one sample has no spread: its standard error would read 0
+    if n < 2:
+        raise ValueError(f"{what} needs at least two samples, got {n}")
+
+
 def mc_mean(values, seed: int) -> MCEstimate:
     """Fixed-order compensated mean."""
     v = np.asarray(values, dtype=float).ravel()
     n = v.size
+    _check_samples(n, "a Monte Carlo mean")
     mean = math.fsum(v) / n
-    var = math.fsum((v - mean) ** 2) / max(n - 1, 1)
+    var = math.fsum((v - mean) ** 2) / (n - 1)
     return MCEstimate(mean, math.sqrt(var / n), n, seed)
 
 
@@ -313,6 +320,7 @@ def dyadic_convergence(spec: ProcessSpec, p: float, levels=(3, 4, 5, 6, 7),
     levels = sorted(int(v) for v in levels)
     if len(set(levels)) < 2:
         raise ValueError("the slope fit needs at least two distinct levels")
+    _check_samples(n, "dyadic convergence")
     ref_level = levels[-1] + 1
     grid = np.linspace(0.0, 1.0, 2 ** ref_level + 1)
     ens = sample(spec, grid, n, seed)
@@ -348,6 +356,7 @@ def perturbation_continuity(spec: ProcessSpec, epsilons=(0.2, 0.1, 0.05),
     mean against |R_{X-Y}|_inf = eps^2 |R_W|_inf."""
     if sum(e > 0.0 for e in epsilons) < 2:
         raise ValueError("the epsilon ladder needs at least two positive rungs")
+    _check_samples(n, "perturbation continuity")
     grid = np.linspace(0.0, 1.0, 2 ** grid_level + 1)
     ens_x = sample(spec, grid, n, seed, stream=0)
     ens_w = sample(spec, grid, n, seed, stream=1)
@@ -417,6 +426,7 @@ def fernique_tail(spec: ProcessSpec, p: float, n: int = 10_000, seed: int = 0,
     log P(||X|| > lambda) against lambda^2 over empirical tail quantiles and
     reports eta_hat = -slope; also the chaos L^q/L^2 scaling of the log
     signature coordinates at the endpoint."""
+    _check_samples(n, "the Fernique tail fit")
     tail_probs = (0.5, 0.25, 0.1, 0.05, 0.02, 0.01)
     grid = np.linspace(0.0, 1.0, 2 ** grid_level + 1)
     # the samples are dropped once lifted, before the pair stream runs

@@ -192,23 +192,53 @@ def _mul(a, b):
     return l0, l1, l2, l3
 
 
+def _gmul(a, b):
+    """_mul of two unit-scalar (group) level tuples without the products by
+    their scalar parts.  x * 1.0 == x and IEEE addition commutes, so each
+    level is the same sum as in _mul, bit for bit."""
+    _, a1, a2, a3 = a
+    _, b1, b2, b3 = b
+    l1 = b1 + a1
+    l2 = a1[:, None] * b1[None, :]
+    l2 += b2
+    l2 += a2
+    l3 = a1[:, None, None] * b2[None, :, :]
+    l3 += b3
+    l3 += a2[:, :, None] * b1[None, None, :]
+    l3 += a3
+    return np.ones(l1.shape[1:]), l1, l2, l3
+
+
 def _powers(x1: np.ndarray, x2: np.ndarray):
     """Truncated powers of x = x1 + x2 + x3 (no scalar part): x^2 has level
-    2 part sq2 and level 3 part sq3, x^3 has level 3 part cube3."""
-    sq2 = np.einsum("i...,j...->ij...", x1, x1)
-    sq3 = np.einsum("i...,jk...->ijk...", x1, x2)
-    sq3 += np.einsum("ij...,k...->ijk...", x2, x1)
-    cube3 = np.einsum("i...,j...,k...->ijk...", x1, x1, x1)
+    2 part sq2 and level 3 part sq3, x^3 has level 3 part cube3.
+
+    The outer products broadcast; the einsum they replace adds each product
+    to a zeroed accumulator, so a -0.0 reads +0.0, and the `+= 0.0` keep
+    that ((a + b) + 0.0 equals (a + 0.0) + (b + 0.0) bit for bit).  einsum
+    multiplies three factors left to right, so cube3 is sq2 (x) x1."""
+    sq2 = x1[:, None] * x1[None, :]
+    cube3 = sq2[:, :, None] * x1[None, None, :]
+    cube3 += 0.0
+    sq2 += 0.0
+    sq3 = x1[:, None, None] * x2[None, :, :]
+    sq3 += x2[:, :, None] * x1[None, None, :]
+    sq3 += 0.0
     return sq2, sq3, cube3
 
 
-def _inverse(g):
-    l0, x1, x2, x3 = g
+def _inverse_tail(x1, x2, x3):
+    """Levels 2 and 3 of the inverse of 1 + x1 + x2 + x3."""
     sq2, sq3, cube3 = _powers(x1, x2)
     sq2 -= x2
     sq3 -= x3
     sq3 -= cube3
-    return np.ones(np.shape(l0)), -x1, sq2, sq3
+    return sq2, sq3
+
+
+def _inverse(g):
+    l0, x1, x2, x3 = g
+    return (np.ones(np.shape(l0)), -x1) + _inverse_tail(x1, x2, x3)
 
 
 def _exp(x):
@@ -221,6 +251,18 @@ def _exp(x):
     cube3 /= 6.0
     sq3 += cube3
     return np.ones(np.shape(l0)), x1, sq2, sq3
+
+
+def _exp_segment(dx):
+    """_exp((0, dx, 0, 0)) bit for bit, without the products with the zero
+    levels: those only turn -0.0 into +0.0, which `+= 0.0` keeps."""
+    sq2 = dx[:, None] * dx[None, :]
+    cube3 = sq2[:, :, None] * dx[None, None, :]
+    cube3 /= 6.0
+    cube3 += 0.0
+    sq2 *= 0.5
+    sq2 += 0.0
+    return np.ones(dx.shape[1:]), dx, sq2, cube3
 
 
 def _log(g):
@@ -301,7 +343,7 @@ _NORM_TINY = 2.0**-340
 def _norm(g):
     # level 1 of g^-1 is -x1; the roots are monotone, so they commute with max
     n1, n2, n3 = _level_fro(g)
-    _, _, y2, y3 = _inverse(g)
+    y2, y3 = _inverse_tail(*g[1:])
     out = np.maximum(n1, np.maximum(np.maximum(n2, _fro(y2, 2)) ** 0.5,
                                     np.maximum(n3, _fro(y3, 3)) ** (1.0 / 3.0)))
     tiny = (out > 0.0) & (out < _NORM_TINY)
@@ -344,8 +386,10 @@ def tensor_mul(a, b) -> TruncatedTensor | GroupElement:
     if ta.dim != tb.dim:
         raise ValueError("dimension mismatch in tensor product")
     ndim = max(len(ta.batch_shape), len(tb.batch_shape))
-    out = TruncatedTensor(ta.dim, *_mul(_pad(ta.levels(), ndim), _pad(tb.levels(), ndim)))
-    return GroupElement(out) if wrap else out
+    levels = _pad(ta.levels(), ndim), _pad(tb.levels(), ndim)
+    if wrap:
+        return GroupElement(TruncatedTensor(ta.dim, *_gmul(*levels)))
+    return TruncatedTensor(ta.dim, *_mul(*levels))
 
 
 def tensor_scale(c, a) -> TruncatedTensor:
@@ -405,7 +449,7 @@ def cc_distance(g: GroupElement, h: GroupElement):
     if g.dim != h.dim:
         raise ValueError("dimension mismatch")
     ndim = max(len(g.batch_shape), len(h.batch_shape))
-    return _norm(_mul(_inverse(_pad(g.tensor.levels(), ndim)), _pad(h.tensor.levels(), ndim)))
+    return _norm(_gmul(_inverse(_pad(g.tensor.levels(), ndim)), _pad(h.tensor.levels(), ndim)))
 
 
 def shuffle_residual(g: GroupElement):

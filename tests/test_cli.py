@@ -198,6 +198,9 @@ class TestRun:
         (("dyadic-convergence", "--set", "levels=3"), "levels must be a list of integers"),
         (("young2d", "--set", "levels=12"), "levels=12 refines the 8 x 8 grid"),
         (("chaos-ratio", "--samples", "1"), "at least two samples"),
+        (("fernique", "--samples", "1"), "at least two samples"),
+        (("perturbation", "--samples", "1"), "at least two samples"),
+        (("dyadic-convergence", "--samples", "1"), "at least two samples"),
     ])
     def test_invalid_ladder_exit1(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"

@@ -69,6 +69,11 @@ class TestSampling:
         est = mc_mean(x1 ** 2, 3)
         assert abs(est.value - 1.0) <= 5 * est.stderr
 
+    def test_mc_mean_rejects_one_value(self):
+        # one value has no spread, so its standard error would read 0
+        with pytest.raises(ValueError, match="at least two samples"):
+            mc_mean([1.5], 0)
+
     def test_fbm_disjoint_increment_negative(self):
         n = 40_000
         k = fbm_cov(0.4)

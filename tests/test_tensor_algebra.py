@@ -513,3 +513,31 @@ class TestWordFirstKernelsBitExact:
         words = word_first(g)
         assert_same_bits(ta._norm(words), oracles._norm(g))
         assert_same_bits(ta._shuffle_residual(words), oracles._shuffle_residual(g))
+
+    @settings(max_examples=40, deadline=None)
+    @given(level_cases(), st.sampled_from(["same", "a", "b", "stream"]),
+           st.sampled_from([1.0, 1e-105, 1e-160]))
+    def test_gmul(self, case, shapes, scale):
+        # "a"/"b": that operand lacks the first batch axis; "stream": the
+        # pair stream's (..., rows, 1) against (..., rows, m).  Tiny scales
+        # make products underflow to signed zeros.
+        d, batch, rng = case
+        ba, bb = {"same": (batch, batch), "a": (batch[1:], batch),
+                  "b": (batch, batch[1:]), "stream": (batch + (1,), batch + (4,))}[shapes]
+        a, b = ((lv[0],) + tuple(x * scale for x in lv[1:])
+                for lv in (random_levels(rng, d, s, 1.0) for s in (ba, bb)))
+        ndim = max(len(ba), len(bb))
+        got = ta._gmul(ta._pad(word_first(a), ndim), ta._pad(word_first(b), ndim))
+        for g, w in zip(got, word_first(oracles._mul(a, b))):
+            assert_same_bits(g, w)
+
+    @settings(max_examples=40, deadline=None)
+    @given(level_cases(), st.sampled_from([1.0, 1e-105, 1e-160]))
+    def test_exp_segment(self, case, scale):
+        d, batch, rng = case
+        x0, x1, x2, x3 = random_levels(rng, d, batch, 0.0)
+        x1 = x1 * scale
+        want = oracles._exp((x0, x1, np.zeros_like(x2), np.zeros_like(x3)))
+        got = ta._exp_segment(word_first((x0, x1))[1])
+        for g, w in zip(got, word_first(want)):
+            assert_same_bits(g, w)
