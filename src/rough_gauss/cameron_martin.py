@@ -145,7 +145,7 @@ def embedding_check(
                            bool(exact), "exact" if exact else "consistent")
 
 
-def fbm_increment_response_check(H: float, levels=(1, 2, 3)) -> dict:
+def fbm_increment_response_check(H: float) -> dict:
     """For fractional Brownian motion, h(u) = E(B_u (B_t - B_s)) restricted
     to [s,t] has 1/(2H)-variation bounded by a constant times |t-s|^{2H},
     each [s,t] sampled with 16 uniform intervals.
@@ -153,8 +153,8 @@ def fbm_increment_response_check(H: float, levels=(1, 2, 3)) -> dict:
     h is the finite-rank element with nodes (t, s), weights (1, -1).
     Stationary increments plus self-similarity make the ratio
     |h|_{1/(2H)-var;[s,t]} / |t-s|^{2H} depend only on the grid resolution,
-    not on the dyadic interval; the scan over levels confirms that and
-    returns the worst case.
+    not on the dyadic interval; the scan over the dyadic levels 1, 2 and 3
+    confirms that and returns the worst case.
     """
     if not 0.0 < H <= 0.5:
         raise ValueError("H must be in (0, 1/2]")
@@ -162,8 +162,8 @@ def fbm_increment_response_check(H: float, levels=(1, 2, 3)) -> dict:
     rho = 1.0 / (2.0 * H)
     grid_intervals = 16
     ratios = {}
-    for level in levels:
-        n = 2 ** int(level)
+    for level in (1, 2, 3):
+        n = 2 ** level
         level_ratios = []
         for k in range(n):
             s, t = k / n, (k + 1) / n
@@ -171,7 +171,7 @@ def fbm_increment_response_check(H: float, levels=(1, 2, 3)) -> dict:
             grid = np.linspace(s, t, grid_intervals + 1)
             lhs = float(pvar_1d(cm_eval(h, grid), rho))
             level_ratios.append(lhs / (t - s) ** (2.0 * H))
-        ratios[int(level)] = level_ratios
+        ratios[level] = level_ratios
     flat = [r for rs in ratios.values() for r in rs]
     return {
         "H": H,

@@ -2,20 +2,18 @@
 
 Each kernel carries its declared rho (the variation exponent of the
 covariance as a bivariate function) and a Hoelder-domination flag, plus the
-structural checkers used downstream: increment-decorrelation scans, the
-linear-envelope check for fractional Brownian variation, and the
-piecewise-linear covariance R^D with its comparison factor.
+structural checkers used downstream: increment-decorrelation scans and
+the linear-envelope check for fractional Brownian variation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .variation_2d import GridFunction2D, _blend, _check_times, rho_variation
+from .variation_2d import GridFunction2D, rho_variation
 
 __all__ = [
     "CovarianceKernel",
@@ -24,12 +22,10 @@ __all__ = [
     "fbm_cov",
     "ou_cov",
     "bridge_cov",
-    "martingale_cov",
     "gram_matrix",
     "square_variation",
     "coutin_qian_check",
     "fbm_rhovar_bound_check",
-    "piecewise_linear_cov",
     "kernel_from_config",
     "kernel_to_config",
 ]
@@ -142,19 +138,6 @@ def bridge_cov(base: CovarianceKernel) -> CovarianceKernel:
         f"bridge({base.name})", ev, base.rho, base.holder_dominated,
         {"base": base.name, **{f"base_{k}": v for k, v in base.params.items()}},
     )
-
-
-def martingale_cov(clock: Callable, name: str = "martingale") -> CovarianceKernel:
-    """R(s,t) = clock(min(s,t)) for an increasing clock with clock(0) = 0;
-    the covariance of a continuous Gaussian martingale with that bracket."""
-    c0 = float(np.asarray(clock(np.zeros(()))))
-    if abs(c0) > 1e-14:
-        raise ValueError("clock must start at zero")
-
-    def ev(s, t):
-        return np.asarray(clock(np.minimum(s, t)), dtype=float)
-
-    return CovarianceKernel(name, ev, 1.0, False, {"clock": getattr(clock, "__name__", "clock")})
 
 
 def gram_matrix(k: CovarianceKernel, grid, check_psd: bool = True) -> np.ndarray:
@@ -284,19 +267,6 @@ def fbm_rhovar_bound_check(
     }
 
 
-def piecewise_linear_cov(k: CovarianceKernel, D) -> CovarianceKernel:
-    """Covariance R^D of the piecewise-linear interpolation X^D: the
-    bilinear blend of R's rectangular increments over the cells of D x D.
-    Agrees with R at D x D."""
-    D = np.asarray(D, dtype=float)
-    _check_times(D)
-    ev = partial(_blend, GridFunction2D(D, D, gram_matrix(k, D, check_psd=False)))
-    return CovarianceKernel(
-        f"pl({k.name})", ev, k.rho, k.holder_dominated,
-        {"base": k.name, "n_dissection": int(D.size), **k.params},
-    )
-
-
 _BUILDERS = {
     "bm": lambda p: bm_cov(),
     "fbm": lambda p: fbm_cov(p["H"]),
@@ -346,8 +316,6 @@ def kernel_to_config(k: CovarianceKernel) -> dict:
     out = {"kernel": k.name}
     out.update({key: v for key, v in k.params.items() if not key.startswith("base_")})
     out.pop("base", None)
-    out.pop("clock", None)
-    out.pop("n_dissection", None)
     return out
 
 

@@ -1,6 +1,5 @@
 """Besov-type double integrals, the quantitative Holder corollary with
-explicit constants, the two-path Besov distance bound, and the chaos moment
-equivalence check.
+explicit constants, and the chaos moment equivalence check.
 
 The double integral uses the power specialization Psi(x) = x^q,
 p(u) = u^{1/r}; diagonal cells contribute zero (continuity convention).
@@ -19,7 +18,6 @@ from .path_lift import (
     _blocks,
     _check_alpha,
     _pair_rows,
-    _require_same_grid,
 )
 
 __all__ = [
@@ -27,9 +25,11 @@ __all__ = [
     "q0_grr",
     "besov_functional",
     "grr_holder_check",
-    "besov_distance_check",
     "chaos_ratio_check",
 ]
+
+# moment exponents of the chaos ratio checks
+CHAOS_QS = (4, 6, 8)
 
 
 def q0_grr(r: float, alpha: float) -> float:
@@ -46,15 +46,14 @@ def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
     return w
 
 
-def _pairs(obj, y: GroupPath | None) -> tuple:
+def _pairs(obj) -> tuple:
     """(times, i, j, D): the grid pairs i < j row after row, and D[k] the
-    distance d(f_{t_i}, f_{t_j}) of pair k, or d(x_{t_i,t_j}, y_{t_i,t_j})
-    for two group paths.  D has shape (n(n-1)/2, *batch) and is C-ordered,
-    so a sum over the pairs runs left to right for a batch and pairwise for
-    a single path; i and j broadcast along its batch axes."""
+    distance d(f_{t_i}, f_{t_j}) of pair k.  D has shape (n(n-1)/2, *batch)
+    and is C-ordered, so a sum over the pairs runs left to right for a batch
+    and pairwise for a single path; i and j broadcast along its batch axes."""
     if isinstance(obj, GroupPath):
         batch = obj.batch_shape
-        blocks = (_pair_rows(*block) for block in _blocks(obj, y))
+        blocks = (_pair_rows(*block) for block in _blocks(obj))
     elif isinstance(obj, PiecewisePath):
         batch = obj.points.shape[:-2]
         x = obj.points.reshape((-1,) + obj.points.shape[-2:])
@@ -92,7 +91,7 @@ def besov_functional(obj, q: float, r: float):
     path's grid; leading dims of a batched path are preserved."""
     if q < 1.0 or r < 1.0:
         raise ValueError("need q >= 1 and r >= 1")
-    return _besov(*_pairs(obj, None), q, r)
+    return _besov(*_pairs(obj), q, r)
 
 
 @dataclass(frozen=True)
@@ -118,7 +117,7 @@ def grr_holder_check(obj, r: float, alpha: float, q: float | None = None) -> dic
     if q < q0 * (1.0 - 1e-12):
         raise ValueError(f"need q >= q0 = {q0:.6g}")
     C = 64.0 / r
-    pairs = _pairs(obj, None)
+    pairs = _pairs(obj)
     F = np.asarray(_besov(*pairs, q, r), dtype=float)
     M = F ** (1.0 / q)
     H = np.asarray(_holder(*pairs, alpha), dtype=float)
@@ -140,60 +139,7 @@ def grr_holder_check(obj, r: float, alpha: float, q: float | None = None) -> dic
     }
 
 
-BESOV_N = 3  # group nilpotency degree entering theta
-
-
-def besov_distance_check(x: GroupPath, y: GroupPath, r: float, alpha: float,
-                         delta: float | None = None, M: float | None = None,
-                         C: float | None = None) -> dict:
-    """Two-path Besov bound d_{alpha-Hol}(x, y) <= C delta^theta M with
-    theta = (alpha' - alpha)/(alpha' N^2), alpha' = (alpha + 1/r)/2, and the
-    double integrals taken at q = q0(r, alpha).
-
-    When M or delta are omitted they are inferred as the smallest values
-    satisfying the three integral hypotheses, which then hold by
-    construction; the constant is calibrated by the caller, so with C = None
-    only the required constant is reported.
-    """
-    _check_alpha(alpha)
-    _require_same_grid(x, y)
-    q = q0_grr(r, alpha)
-    Fx = float(np.asarray(besov_functional(x, q, r)))
-    Fy = float(np.asarray(besov_functional(y, q, r)))
-    pairs = _pairs(x, y)
-    Fd = float(_besov(*pairs, q, r))
-    if M is None:
-        M = max(Fx, Fy) ** (1.0 / q)
-    if delta is None:
-        delta = Fd ** (1.0 / q) / M if M > 0 else 0.0
-    hyp = {
-        "x_functional": Fx <= M ** q * (1.0 + 1e-9),
-        "y_functional": Fy <= M ** q * (1.0 + 1e-9),
-        "distance_functional": Fd <= (delta * M) ** q * (1.0 + 1e-9) + 1e-300,
-    }
-    alpha_p = (alpha + 1.0 / r) / 2.0
-    theta = (alpha_p - alpha) / (alpha_p * BESOV_N ** 2)
-    dist = float(_holder(*pairs, alpha))
-    scale = delta ** theta * M
-    # homogeneous-norm roundoff floor; identical paths read as ~1e-5
-    c_required = dist / scale if scale > 0 else (0.0 if dist <= 1e-4 else np.inf)
-    report = {
-        "hypotheses": hyp,
-        "hypotheses_ok": bool(all(hyp.values())),
-        "distance": dist,
-        "delta": float(delta),
-        "M": float(M),
-        "theta": float(theta),
-        "alpha_prime": alpha_p,
-        "c_required": float(c_required),
-    }
-    if C is not None:
-        report["C"] = float(C)
-        report["ok"] = bool(c_required <= C)
-    return report
-
-
-def chaos_ratio_check(samples, level: int, qs=(4, 6, 8)) -> dict:
+def chaos_ratio_check(samples, level: int, qs=CHAOS_QS) -> dict:
     """Empirical L^q/L^2 ratios of a homogeneous-chaos coordinate against
     (n+1)(q-1)^{n/2}, with a 3-stderr band on the ratio estimate."""
     if level not in (1, 2, 3):

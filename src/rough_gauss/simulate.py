@@ -36,17 +36,15 @@ from .path_lift import (
     refine_path,
     restrict_to,
 )
+from .regularity import CHAOS_QS
 from .tensor_algebra import (
     GroupElement,
     TruncatedTensor,
     hall_log_signature,
 )
 from .variation_2d import (
-    GridFunction2D,
-    _cell,
     _check_times,
     _from_corner,
-    rho_variation,
     young_constant,
     young_integral_2d,
 )
@@ -55,7 +53,6 @@ __all__ = [
     "MCEstimate",
     "sample",
     "lift_endpoint",
-    "pl_covariance_gap_check",
     "level2_variance_check",
     "level_bounds_check",
     "dyadic_convergence",
@@ -63,7 +60,6 @@ __all__ = [
     "fernique_tail",
     "young_wiener_check",
     "weak_limit_fbm",
-    "product_moment_surface_check",
 ]
 
 # fixed chunk keeps the BLAS shapes perfbench/reference was recorded with
@@ -163,55 +159,20 @@ def lift_endpoint(increments: np.ndarray):
     return TruncatedTensor(np.shape(increments)[-1], *cur)
 
 
-def _interp_matrix(fine: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """W[a, j]: weight of node D[j] in the piecewise-linear value at fine[a]."""
-    W = np.zeros((fine.size, D.size))
-    seg, lam = _cell(D, fine)
-    rows = np.arange(fine.size)
-    W[rows, seg] = 1.0 - lam
-    W[rows, seg + 1] = lam
-    return W
-
-
-def pl_covariance_gap_check(kernel: CovarianceKernel, D, fine_grid) -> dict:
-    """Sup-norm of the covariance of X - X^D against the control envelope
-    max_i omega([t_i, t_{i+1}]^2)^{1/rho}, rho the kernel's, both exact
-    kernel arithmetic; omega is sampled with 8 intervals per cell side."""
-    D = np.asarray(D, dtype=float)
-    fine = np.asarray(fine_grid, dtype=float)
-    rho = float(kernel.rho)
-    R_ff = kernel.grid_eval(fine, fine)
-    R_fD = kernel.grid_eval(fine, D)
-    R_DD = kernel.grid_eval(D, D)
-    W = _interp_matrix(fine, D)
-    K = R_ff - R_fD @ W.T - W @ R_fD.T + W @ R_DD @ W.T
-    gap = float(np.max(np.abs(K)))
-    envelope = 0.0
-    for a, b in zip(D[:-1], D[1:]):
-        envelope = max(envelope,
-                       square_variation(kernel, a, b, 8, rho))
-    return {
-        "kernel": kernel.name,
-        "rho": rho,
-        "n_nodes": int(D.size),
-        "sup_gap": gap,
-        "envelope": envelope,
-        "ok": bool(gap <= envelope * (1.0 + 1e-9)),
-    }
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo checks
 
 
-def level2_variance_check(spec: ProcessSpec, i: int = 0, j: int = 1,
-                          interval=(0.0, 1.0), n: int = 10_000, seed: int = 0,
-                          grid_level: int = 8, band: float = 0.01) -> dict:
-    """E|X^{i,j}_{s,t}|^2 by Monte Carlo on the dyadic grid against the 2D
-    Young integral of R_i against R_j over [s,t]^2; i and j must be distinct
-    components and s, t grid points."""
-    if i == j:
-        raise ValueError("need distinct components")
+def level2_variance_check(spec: ProcessSpec, interval=(0.0, 1.0),
+                          n: int = 10_000, seed: int = 0, grid_level: int = 8,
+                          band: float = 0.01) -> dict:
+    """E|X^{1,2}_{s,t}|^2 by Monte Carlo on the dyadic grid against the 2D
+    Young integral of R_1 against R_2 over [s,t]^2; s and t must be grid
+    points."""
+    if spec.dim < 2:
+        raise ValueError("the level-2 check needs two components")
+    if band < 0.0:
+        raise ValueError(f"band must be >= 0, got {band}")
     if len(interval) != 2:
         raise ValueError("interval must be two numbers [s, t]")
     s, t = float(interval[0]), float(interval[1])
@@ -227,17 +188,17 @@ def level2_variance_check(spec: ProcessSpec, i: int = 0, j: int = 1,
         return {"mc": zero.to_dict(), "young_value": 0.0,
                 "young_converged": True, "band": band, "tolerance": band,
                 "gap": 0.0, "ok": True, "grid_level": grid_level,
-                "components": [i, j], "interval": [s, t]}
+                "components": [0, 1], "interval": [s, t]}
     ens = sample(spec, grid, n, seed)
-    end = lift_endpoint(np.diff(ens.points[:, a : b + 1, (i, j)], axis=-2))
+    end = lift_endpoint(np.diff(ens.points[:, a : b + 1, :2], axis=-2))
     est = mc_mean(end.level2[0, 1] ** 2, seed)
 
     base = np.linspace(s, t, 2 ** min(grid_level, 6) + 1)
-    ki, kj = spec.kernels[i], spec.kernels[j]
+    ki, kj = spec.kernels[:2]
 
     # integrand is the covariance of increments from s,
-    # R_i(u,v) - R_i(s,u) - R_i(s,v) + R_i(s,s); for processes started at
-    # zero with s = 0 this is plain R_i
+    # R_1(u,v) - R_1(s,u) - R_1(s,v) + R_1(s,s); for processes started at
+    # zero with s = 0 this is plain R_1
     young = young_integral_2d(_from_corner(ki.grid_eval, s, s), kj.grid_eval,
                               base, base, levels=3)
     tol = 3.0 * est.stderr + band
@@ -250,7 +211,7 @@ def level2_variance_check(spec: ProcessSpec, i: int = 0, j: int = 1,
         "gap": abs(est.value - young.value),
         "ok": bool(abs(est.value - young.value) <= tol),
         "grid_level": grid_level,
-        "components": [i, j],
+        "components": [0, 1],
         "interval": [s, t],
     }
 
@@ -393,9 +354,6 @@ def perturbation_continuity(spec: ProcessSpec, epsilons=(0.2, 0.1, 0.05),
     }
 
 
-CHAOS_QS = (4, 6, 8)
-
-
 def _chaos_ratios(end, seed: int) -> list:
     """Empirical L^q/L^2 ratios of the Hall coordinates of log X_{0,1}
     against the hypercontractivity envelope (n+1)(q-1)^{n/2}."""
@@ -470,6 +428,8 @@ def young_wiener_check(f_eval, spec: ProcessSpec, q: float = 1.0,
     rho = kernel.rho
     if 1.0 / q + 1.0 / rho <= 1.0:
         raise ValueError("need 1/q + 1/rho > 1")
+    if band < 0.0:
+        raise ValueError(f"band must be >= 0, got {band}")
     grid = np.linspace(0.0, 1.0, 2 ** grid_level + 1)
     ens = sample(spec, grid, n, seed)
     fv = np.asarray(f_eval(grid), dtype=float)
@@ -519,6 +479,8 @@ def weak_limit_fbm(h_ladder=(0.45, 0.48, 0.5), n: int = 10_000, seed: int = 0,
     normals across the ladder: the statistic approaches the Brownian value
     1/2 and the sup-norm kernel gap to min(s,t) shrinks."""
     ladder = [float(H) for H in h_ladder]
+    if len(ladder) < 2:
+        raise ValueError("the H ladder needs at least two rungs to decrease")
     if ladder[-1] > 0.5 or any(b <= a for a, b in zip(ladder[:-1], ladder[1:])):
         raise ValueError("H ladder must increase to at most 1/2")
     grid = np.linspace(0.0, 1.0, 2 ** grid_level + 1)
@@ -553,45 +515,3 @@ def weak_limit_fbm(h_ladder=(0.45, 0.48, 0.5), n: int = 10_000, seed: int = 0,
         "grid_level": grid_level,
     }
 
-
-def product_moment_surface_check(spec: ProcessSpec, n: int = 2_000,
-                                 seed: int = 0) -> dict:
-    """The empirical surface (u,v) -> E(X_{0,u} Y_{0,u} X_{0,v} Y_{0,v}) of
-    two independent components vanishes on its lower edges exactly, and its
-    grid rho-variation (rho the spec's) on 4, 8 and 16 intervals stays
-    within a stable multiple of omega([0,1]^2)^2."""
-    if spec.dim < 2:
-        raise ValueError("need two components")
-    rho = float(spec.rho)
-    m = 16
-    grid = np.linspace(0.0, 1.0, m + 1)
-    ens = sample(spec, grid, n, seed)
-    x = ens.points[:, :, 0] - ens.points[:, :1, 0]
-    y = ens.points[:, :, 1] - ens.points[:, :1, 1]
-    prod = x * y  # (n, m+1)
-    k0 = spec.kernels[0]
-    omega = square_variation(k0, 0.0, 1.0, 12, rho) ** rho
-    rows = []
-    for g in (4, 8, 16):
-        step = m // g
-        sub = prod[:, ::step]
-        emp = (sub[:, :, None] * sub[:, None, :]).mean(axis=0)
-        edges_zero = bool(np.all(emp[0, :] == 0.0) and np.all(emp[:, 0] == 0.0))
-        sgrid = grid[::step]
-        var = rho_variation(GridFunction2D(sgrid, sgrid, emp), rho).value ** rho
-        rows.append({
-            "intervals": g,
-            "edges_zero": edges_zero,
-            "variation": var,
-            "omega_sq": omega ** 2,
-            "constant": var / omega ** 2,
-        })
-    consts = [r["constant"] for r in rows]
-    return {
-        "rho": rho,
-        "rows": rows,
-        "constant_spread": max(consts) / max(min(consts), 1e-30),
-        "edges_zero": bool(all(r["edges_zero"] for r in rows)),
-        "n": n,
-        "seed": seed,
-    }

@@ -1,36 +1,29 @@
-"""Rectangular increments, 2D rho-variation, controls, and 2D Young sums.
+"""Rectangular increments, 2D rho-variation and 2D Young sums.
 
 A bivariate function is stored on a product grid; its rectangular increment
 over [s,t] x [u,v] is f(s,u) + f(t,v) - f(s,v) - f(t,u).  The rho-variation
 sup ranges over pairs of sub-dissections of the grid; ``exact`` mode gets
 the true sup by enumerating one axis and running a dynamic program on the
 other (the objective is additive over that axis's intervals once the first
-axis is fixed), ``local-search`` alternates exact DP steps per axis, and
-``common-subdivision`` optimizes a single shared dissection and reports the
-comparison factor to the full two-axis sup.
+axis is fixed), and ``local-search`` alternates exact DP steps per axis.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "GridFunction2D",
-    "Control2D",
     "VariationResult",
     "YoungResult",
     "rect_increment",
     "rho_variation",
-    "rho_prime_limit_check",
     "young_integral_2d",
     "young_constant",
-    "young_bound_check",
-    "control_from_variation",
     "bilinear_eval",
 ]
 
@@ -103,38 +96,18 @@ class GridFunction2D:
 
 
 @dataclass(frozen=True)
-class Control2D:
-    """2D control: nonnegative, zero on degenerate rectangles, super-additive
-    in each slot under grid-aligned splits.  ``evaluator`` maps (s, t, u, v)
-    to the control of [s,t] x [u,v]."""
-
-    evaluator: Callable[[float, float, float, float], float]
-
-    def __call__(self, s: float, t: float, u: float, v: float) -> float:
-        if t < s or v < u:
-            raise ValueError("need s <= t and u <= v")
-        if t == s or v == u:
-            return 0.0
-        return float(self.evaluator(s, t, u, v))
-
-
-@dataclass(frozen=True)
 class VariationResult:
     """Outcome of a rho-variation computation.
 
     ``value`` is on the variation scale (the rho-th root of the optimized
     sum).  ``exact`` means the true grid sup; otherwise the value is a
     certified lower bound (achieved by a concrete dissection pair).
-    ``metadata`` carries mode-specific extras, e.g. the common-subdivision
-    comparison factor and implied upper bound.
     """
 
     value: float
     rho: float
     mode: str
     exact: bool
-    lower_bound: bool
-    metadata: dict = field(default_factory=dict)
 
 
 def rect_increment(f: GridFunction2D, s: float, t: float, u: float, v: float) -> float:
@@ -146,17 +119,6 @@ def rect_increment(f: GridFunction2D, s: float, t: float, u: float, v: float) ->
         raise ValueError("need s <= t and u <= v")
     V = f.values
     return float(V[a, c] + V[b, e] - V[a, e] - V[b, c])
-
-
-def _restrict(f: GridFunction2D, rect):
-    if rect is None:
-        return f.values, f.s_grid, f.t_grid
-    s, t, u, v = rect
-    a, b = _positions(f.s_grid, [s, t], "s, t")
-    c, e = _positions(f.t_grid, [u, v], "u, v")
-    if b <= a or e <= c:
-        raise ValueError("rectangle must be non-degenerate")
-    return f.values[a : b + 1, c : e + 1], f.s_grid[a : b + 1], f.t_grid[c : e + 1]
 
 
 def _col_pair_weights(R: np.ndarray, rho: float) -> np.ndarray:
@@ -272,100 +234,33 @@ def _alternating_sum(V: np.ndarray, rho: float, seed: int):
     return best
 
 
-def _common_subdivision_sum(V: np.ndarray, rho: float) -> float:
-    """Best single dissection used on both axes (square grids only),
-    hill-climbing over point removals/insertions from the full grid."""
-    m = V.shape[0]
-
-    def score(pts):
-        C = V[np.ix_(pts, pts)]
-        G = np.diff(np.diff(C, axis=0), axis=1)
-        return float(np.sum(np.abs(G) ** rho))
-
-    pts = list(range(m))
-    cur = score(pts)
-    improved = True
-    while improved:
-        improved = False
-        for q in range(1, m - 1):
-            if q in pts:
-                trial = [x for x in pts if x != q]
-            else:
-                trial = sorted(pts + [q])
-            s = score(trial)
-            if s > cur * (1 + 1e-13):
-                cur, pts = s, trial
-                improved = True
-    return cur
-
-
 def rho_variation(
     f: GridFunction2D,
     rho: float,
-    rect=None,
     mode: str = "exact",
     seed: int = 0,
 ) -> VariationResult:
-    """Grid rho-variation of f over ``rect`` (default: whole domain).
+    """Grid rho-variation of f over its whole grid.
 
     exact: true sup over all sub-dissection pairs (one axis must have at
       most EXACT_INTERVAL_CAP intervals).
     local-search: alternating per-axis DP ascent from LOCAL_SEARCH_RESTARTS
       starting dissections; certified lower bound, often the optimum.
-    common-subdivision: single shared dissection (square rectangles on a
-      shared grid); metadata reports the factor bounding the full sup:
-      sup^rho <= 3^(rho-1) * common^rho.
     """
     _check_exponent(rho, "rho")
-    V, sg, tg = _restrict(f, rect)
     if mode == "exact":
-        s = _exact_sum(V, rho)
-        return VariationResult(s ** (1.0 / rho), rho, mode, True, True)
+        s = _exact_sum(f.values, rho)
+        return VariationResult(s ** (1.0 / rho), rho, mode, True)
     if mode == "local-search":
-        s = _alternating_sum(V, rho, seed)
-        return VariationResult(s ** (1.0 / rho), rho, mode, False, True)
-    if mode == "common-subdivision":
-        if sg.size != tg.size or np.any(sg != tg):
-            raise ValueError("common-subdivision mode needs a square rectangle on a shared grid")
-        s = _common_subdivision_sum(V, rho)
-        value = s ** (1.0 / rho)
-        factor = 3.0 ** (rho - 1.0)
-        return VariationResult(
-            value,
-            rho,
-            mode,
-            False,
-            True,
-            metadata={
-                "comparison_factor_power_scale": factor,
-                "upper_bound": value * factor ** (1.0 / rho),
-            },
-        )
+        s = _alternating_sum(f.values, rho, seed)
+        return VariationResult(s ** (1.0 / rho), rho, mode, False)
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def rho_prime_limit_check(f: GridFunction2D, rho: float) -> dict:
-    """Evaluate the exact variation at rho' = rho + 2^-k, k = 0..4, and report
-    the approach to the rho value from below as rho' decreases to rho."""
-    limit = rho_variation(f, rho)
-    rho_primes = [rho + 2.0 ** (-k) for k in range(5)]
-    vals = [rho_variation(f, rp).value for rp in rho_primes]
-    monotone = all(a <= b + 1e-12 for a, b in zip(vals[:-1], vals[1:]))
-    bounded = all(v <= limit.value + 1e-12 for v in vals)
-    return {
-        "rho": rho,
-        "rho_prime": rho_primes,
-        "values": vals,
-        "limit_value": limit.value,
-        "monotone_increasing_to_limit": bool(monotone and bounded),
-    }
-
-
-def _blend(f: GridFunction2D, s, t):
-    """Bilinear blend of the stored grid values, elementwise in the
-    broadcast points (s, t)."""
-    i, a = _cell(f.s_grid, np.asarray(s, dtype=float))
-    j, b = _cell(f.t_grid, np.asarray(t, dtype=float))
+def bilinear_eval(f: GridFunction2D, S: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Bilinear interpolation of the stored grid at the product S x T."""
+    i, a = _cell(f.s_grid, np.asarray(S, dtype=float)[:, None])
+    j, b = _cell(f.t_grid, np.asarray(T, dtype=float)[None, :])
     V = f.values
     return (
         (1 - a) * (1 - b) * V[i, j]
@@ -373,13 +268,6 @@ def _blend(f: GridFunction2D, s, t):
         + a * (1 - b) * V[i + 1, j]
         + a * b * V[i + 1, j + 1]
     )
-
-
-def bilinear_eval(f: GridFunction2D, S: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of the stored grid at the product S x T."""
-    S = np.asarray(S, dtype=float)
-    T = np.asarray(T, dtype=float)
-    return _blend(f, S[:, None], T[None, :])
 
 
 @dataclass(frozen=True)
@@ -470,38 +358,3 @@ def young_constant(p: float, q: float) -> float:
     from scipy.special import zeta
 
     return float((1.0 + zeta(theta, 1)) ** 2)
-
-
-def young_bound_check(
-    f: GridFunction2D,
-    g: GridFunction2D,
-    q: float,
-    p: float,
-    levels: int = 4,
-    f_eval: Callable | None = None,
-    g_eval: Callable | None = None,
-) -> bool:
-    """|∫ f~ dg| <= C_{p,q} |f|_{q-var} |g|_{p-var} with f~ the increments
-    of f from the grid's lower corner (vanishing on the lower edges), C from
-    young_constant and exact variations.  ``f_eval``/``g_eval`` value f and
-    g off the grid; by default they are bilinear interpolations."""
-    C = young_constant(p, q)
-    sf, tf = f.s_grid, f.t_grid
-    if not (np.array_equal(sf, g.s_grid) and np.array_equal(tf, g.t_grid)):
-        raise ValueError("f and g must share their grid")
-    fe = _from_corner(f_eval or partial(bilinear_eval, f), sf[0], tf[0])
-    integral = young_integral_2d(fe, g_eval or partial(bilinear_eval, g), sf, tf,
-                                 levels=levels)
-    var_f = rho_variation(f, q).value
-    var_g = rho_variation(g, p).value
-    return bool(abs(integral.value) <= C * var_f * var_g * (1 + 1e-12) + 1e-15)
-
-
-def control_from_variation(f: GridFunction2D, rho: float) -> Control2D:
-    """omega([s,t] x [u,v]) = |f|_{rho-var; rect}^rho, exact, which is
-    super-additive in each slot."""
-
-    def ev(s, t, u, v):
-        return rho_variation(f, rho, rect=(s, t, u, v)).value ** rho
-
-    return Control2D(ev)

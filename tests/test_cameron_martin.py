@@ -176,7 +176,7 @@ class TestFbmIncrementResponse:
         # the full increment E(B_{s,t}^2) = |t-s|^{2H}: the bound holds with
         # C = 1 and equality, uniformly over dyadic intervals.
         for H in (0.3, 0.4, 0.5):
-            out = fbm_increment_response_check(H, levels=(1, 2, 3))
+            out = fbm_increment_response_check(H)
             assert out["max_ratio"] == pytest.approx(1.0, abs=1e-12)
             assert out["ratio_spread"] <= 1e-12
 

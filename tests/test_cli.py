@@ -1,3 +1,4 @@
+import importlib
 import inspect
 import json
 import os
@@ -13,6 +14,7 @@ from rough_gauss.cli import EXPERIMENTS, FIELDS, ExperimentConfig, _kwargs, main
 from rough_gauss.path_lift import PiecewisePath, write_path_csv
 
 CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+SRC = Path(__file__).resolve().parents[1] / "src" / "rough_gauss"
 
 # the library function each experiment forwards its set fields to
 LIBRARY = {
@@ -201,6 +203,10 @@ class TestRun:
         (("fernique", "--samples", "1"), "at least two samples"),
         (("perturbation", "--samples", "1"), "at least two samples"),
         (("dyadic-convergence", "--samples", "1"), "at least two samples"),
+        (("weak-limit", "--set", "h_ladder=[0.5]"), "at least two rungs"),
+        (("level2-variance", "--set", "band=-1"), "band must be >= 0"),
+        (("young-wiener", "--set", "band=-0.5"), "band must be >= 0"),
+        (("level2-variance", "--set", "dim=1"), "needs two components"),
     ])
     def test_invalid_ladder_exit1(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"
@@ -406,6 +412,16 @@ class TestShippedConfigs:
         shipped = {json.loads(p.read_text(encoding="utf-8"))["experiment"]
                    for p in CONFIGS.glob("*.json")}
         assert set(EXPERIMENTS) <= shipped
+
+
+@pytest.mark.parametrize("module", ["rough_gauss", *(
+    f"rough_gauss.{p.stem}" for p in sorted(SRC.glob("*.py")) if p.stem != "__init__")])
+def test_every_export_resolves(module):
+    # a deleted name left in __all__ breaks `from module import *`; the cli
+    # module declares no exports
+    mod = importlib.import_module(module)
+    names = getattr(mod, "__all__", ())
+    assert [name for name in names if not hasattr(mod, name)] == []
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -12,11 +12,8 @@ from rough_gauss.covariance import (
     gram_matrix,
     kernel_from_config,
     kernel_to_config,
-    martingale_cov,
     ou_cov,
-    piecewise_linear_cov,
 )
-from rough_gauss.variation_2d import GridFunction2D, bilinear_eval, rho_variation
 
 
 class TestKernelCatalog:
@@ -66,16 +63,6 @@ class TestKernelCatalog:
         np.testing.assert_allclose(k(s, t), np.minimum(s, t) - s * t, atol=1e-14)
         np.testing.assert_allclose(k(s, np.ones(60)), 0.0, atol=1e-14)
         np.testing.assert_allclose(k(np.ones(60), t), 0.0, atol=1e-14)
-
-    def test_martingale_clock(self):
-        k = martingale_cov(lambda t: t**2, name="sq-clock")
-        assert k(0.5, 0.8) == pytest.approx(0.25)
-        g = np.linspace(0, 1, 9)
-        f = GridFunction2D(g, g, k.grid_eval(g, g))
-        # 1-variation is invariant under the time change: total clock increase
-        assert rho_variation(f, 1.0, mode="exact").value == pytest.approx(1.0, rel=1e-12)
-        with pytest.raises(ValueError):
-            martingale_cov(lambda t: t + 1.0)
 
 
 class TestGram:
@@ -153,47 +140,6 @@ class TestFbmVariationEnvelope:
     def test_h_out_of_range(self):
         with pytest.raises(ValueError):
             fbm_rhovar_bound_check(0.6)
-
-
-class TestPiecewiseLinearCov:
-    def test_agrees_at_dissection_nodes(self):
-        D = np.array([0.0, 0.2, 0.55, 1.0])
-        k = fbm_cov(0.35)
-        kd = piecewise_linear_cov(k, D)
-        np.testing.assert_allclose(kd.grid_eval(D, D), k.grid_eval(D, D), atol=1e-14)
-
-    def test_bm_two_point_dissection_is_product(self):
-        kd = piecewise_linear_cov(bm_cov(), np.array([0.0, 1.0]))
-        rng = np.random.default_rng(3)
-        s, t = rng.uniform(size=50), rng.uniform(size=50)
-        np.testing.assert_allclose(kd(s, t), s * t, atol=1e-14)
-
-    def test_blend_matches_bilinear_eval_bitwise(self):
-        # one bilinear blend serves both the kernel R^D and grid data
-        D = np.array([0.0, 0.15, 0.4, 0.8, 1.0])
-        k = fbm_cov(0.4)
-        S = np.array([0.0, 0.07, 0.3, 0.41, 0.93, 1.0])
-        T = np.array([0.05, 0.2, 0.66, 0.99])
-        got = piecewise_linear_cov(k, D).eval(S[:, None], T[None, :])
-        want = bilinear_eval(GridFunction2D(D, D, gram_matrix(k, D, check_psd=False)), S, T)
-        assert np.array_equal(got, want)
-
-    def test_variation_comparison_factor(self):
-        # R^D variation on [s,t]^2 (s,t in D) stays within 9^{1-1/rho} of R's
-        k = fbm_cov(0.35)
-        rho = k.rho
-        D = np.linspace(0.0, 1.0, 5)
-        kd = piecewise_linear_cov(k, D)
-        g = np.linspace(0.0, 1.0, 9)
-        vd = rho_variation(GridFunction2D(g, g, kd.grid_eval(g, g)), rho, mode="exact").value
-        vr = rho_variation(GridFunction2D(g, g, k.grid_eval(g, g)), rho, mode="exact").value
-        assert vd <= 9.0 ** (1 - 1 / rho) * vr * (1 + 1e-10)
-
-    def test_invalid_dissection(self):
-        with pytest.raises(ValueError):
-            piecewise_linear_cov(bm_cov(), np.array([0.0, 0.5, 0.5, 1.0]))
-        with pytest.raises(ValueError):
-            piecewise_linear_cov(bm_cov(), np.array([0.1, 1.0]))
 
 
 class TestHContinuity:

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from rough_gauss.covariance import ProcessSpec, bm_cov, fbm_cov
 from rough_gauss.path_lift import (
     PiecewisePath,
-    holder_dist,
     holder_norm,
     increment,
     lift_s3,
@@ -14,7 +13,6 @@ from rough_gauss.path_lift import (
 )
 from rough_gauss.regularity import (
     BesovStats,
-    besov_distance_check,
     besov_functional,
     chaos_ratio_check,
     grr_holder_check,
@@ -205,69 +203,6 @@ class TestGrrHolder:
         path = PiecewisePath(t, np.asarray(vals))
         assert grr_holder_check(path, r=r, alpha=alpha)["ok"]
         assert grr_holder_check(lift_s3(path), r=r, alpha=alpha)["ok"]
-
-
-class TestBesovDistance:
-    def _pair(self, eps, seed=3, n=65):
-        spec = _bm_spec()
-        grid = np.linspace(0, 1, n)
-        x = sample(spec, grid, 1, seed=seed).points[0]
-        w = sample(spec, grid, 1, seed=seed, stream=1).points[0]
-        return (lift_s3(PiecewisePath(grid, x)),
-                lift_s3(PiecewisePath(grid, x + eps * w)))
-
-    def test_identical_paths(self):
-        x, _ = self._pair(0.0)
-        rep = besov_distance_check(x, x, r=2.2, alpha=0.3)
-        assert rep["hypotheses_ok"]
-        # cube roots of float zeros: the distance reads as ~1e-5, not 0
-        assert rep["distance"] < 1e-4
-        assert rep["c_required"] < 1e-3
-
-    def test_perturbed_instance(self):
-        x, y = self._pair(0.05)
-        rep = besov_distance_check(x, y, r=2.2, alpha=0.3)
-        assert rep["hypotheses_ok"]
-        assert 0.0 < rep["theta"] < 1.0
-        assert np.isfinite(rep["c_required"]) and rep["c_required"] > 0
-        judged = besov_distance_check(
-            x, y, r=2.2, alpha=0.3, C=rep["c_required"] * 1.1)
-        assert judged["ok"]
-
-    def test_distance_is_holder_dist(self):
-        x, y = self._pair(0.05)
-        rep = besov_distance_check(x, y, r=2.2, alpha=0.3)
-        assert rep["distance"] == float(holder_dist(x, y, 0.3))
-
-    def test_theta_formula(self):
-        x, y = self._pair(0.1)
-        rep = besov_distance_check(x, y, r=2.0, alpha=0.25)
-        a_p = (0.25 + 0.5) / 2
-        assert rep["alpha_prime"] == pytest.approx(a_p)
-        assert rep["theta"] == pytest.approx((a_p - 0.25) / (a_p * 9.0))
-
-    def test_delta_ladder_regression(self):
-        # distances must decay at least like delta^theta along the ladder
-        reps = [besov_distance_check(*self._pair(eps), r=2.2, alpha=0.3)
-                for eps in (0.2, 0.1, 0.05)]
-        deltas = np.array([r["delta"] for r in reps])
-        dists = np.array([r["distance"] for r in reps])
-        assert np.all(np.diff(deltas) < 0)
-        assert np.all(np.diff(dists) < 0)
-        slope = np.polyfit(np.log(deltas), np.log(dists), 1)[0]
-        assert slope >= reps[0]["theta"]
-
-    def test_bad_hypotheses_reported_not_raised(self):
-        x, y = self._pair(0.1)
-        rep = besov_distance_check(x, y, r=2.2, alpha=0.3, M=1e-6, delta=1.0)
-        assert not rep["hypotheses_ok"]
-        assert not rep["hypotheses"]["x_functional"]
-
-    def test_grid_mismatch(self):
-        x, _ = self._pair(0.1, n=65)
-        y, _ = self._pair(0.1, n=33)
-        with pytest.raises(ValueError):
-            besov_distance_check(x, y, r=2.2, alpha=0.3)
 
 
 class TestChaosRatios:

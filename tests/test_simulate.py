@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rough_gauss.covariance import ProcessSpec, bm_cov, fbm_cov, martingale_cov
+from rough_gauss.covariance import CovarianceKernel, ProcessSpec, bm_cov, fbm_cov
 from rough_gauss.path_lift import (
     PiecewisePath,
     holder_dist,
@@ -23,8 +23,6 @@ from rough_gauss.simulate import (
     lift_endpoint,
     mc_mean,
     perturbation_continuity,
-    pl_covariance_gap_check,
-    product_moment_surface_check,
     sample,
     weak_limit_fbm,
     young_wiener_check,
@@ -33,6 +31,9 @@ from rough_gauss.simulate import (
 import oracles
 
 BM2 = ProcessSpec((bm_cov(), bm_cov()))
+# the zero covariance: a component that stays at 0
+FLAT = CovarianceKernel("flat", lambda s, t: np.zeros(np.broadcast(s, t).shape),
+                        1.0, False)
 
 
 def grid(level):
@@ -105,8 +106,8 @@ class TestSampling:
         assert np.max(np.abs(x.mean(axis=0))) <= band
 
     def test_indefinite_gram_aborts(self):
-        bad = martingale_cov(lambda t: np.sin(3 * np.pi * np.asarray(t)),
-                             name="wiggle")
+        bad = CovarianceKernel("wiggle", lambda s, t: np.sin(3 * np.pi * np.minimum(s, t)),
+                               1.0, False)
         with pytest.raises(ValueError, match="indefinite"):
             sample(ProcessSpec((bad,)), grid(3), 4, seed=0)
 
@@ -139,23 +140,10 @@ class TestRestrictAndGap:
         with pytest.raises(ValueError):
             restrict_to(ens, [1.0, 0.5, 0.5])
 
-    def test_pl_gap_bm_exact(self):
-        # BM: worst interpolation variance is h/4 at cell midpoints
-        rep = pl_covariance_gap_check(bm_cov(), grid(2), grid(6))
-        assert rep["ok"]
-        assert rep["sup_gap"] == pytest.approx(1 / 16, abs=1e-14)
-        assert rep["envelope"] == pytest.approx(0.25, abs=1e-12)
-
-    def test_pl_gap_fbm(self):
-        rep = pl_covariance_gap_check(fbm_cov(0.4), grid(2), grid(6))
-        assert rep["ok"] and rep["sup_gap"] > 0.0
-
 
 class TestLayout:
     def test_samples_are_path_by_grid_by_component(self):
-        flat = martingale_cov(lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-                              name="flat")
-        ens = sample(ProcessSpec((bm_cov(), flat)), grid(3), 5, seed=2)
+        ens = sample(ProcessSpec((bm_cov(), FLAT)), grid(3), 5, seed=2)
         assert ens.points.shape == (5, 9, 2)
         assert np.all(ens.points[..., 1] == 0.0)
         assert np.any(ens.points[..., 0] != 0.0)
@@ -165,9 +153,7 @@ class TestLayout:
 
 class TestLifts:
     def test_zero_kernel_gives_constant_lift(self):
-        flat = martingale_cov(lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-                              name="flat")
-        ens = sample(ProcessSpec((flat, flat)), grid(3), 6, seed=2)
+        ens = sample(ProcessSpec((FLAT, FLAT)), grid(3), 6, seed=2)
         assert np.all(ens.points == 0.0)
         lifted = lift_s3(ens)
         assert float(np.max(np.asarray(pvar_norm(lifted, 2.5)))) == 0.0
@@ -239,10 +225,6 @@ class TestLevel2Variance:
         # BM increments from 1/4: Young side is int_0^{1/2} u du = 1/8
         assert rep["young_value"] == pytest.approx(0.125, abs=2e-3)
         assert rep["ok"]
-
-    def test_same_component_rejected(self):
-        with pytest.raises(ValueError):
-            level2_variance_check(BM2, i=1, j=1, n=10)
 
     def test_off_grid_interval_rejected(self):
         with pytest.raises(ValueError):
@@ -353,8 +335,10 @@ class TestYoungWiener:
 
 class TestWeakLimit:
     def test_brownian_endpoint_matches(self):
-        rep = weak_limit_fbm((0.5,), n=3000, seed=2, grid_level=6)
-        est = rep["statistics"][0]
+        # every rung draws the same normals, so the H = 1/2 rung is the
+        # Brownian statistic whatever rung precedes it
+        rep = weak_limit_fbm((0.48, 0.5), n=3000, seed=2, grid_level=6)
+        est = rep["statistics"][-1]
         assert abs(est["value"] - 0.5) <= 3 * est["stderr"] + 0.01
 
     def test_kernel_gaps_decrease(self):
@@ -371,11 +355,3 @@ class TestWeakLimit:
         with pytest.raises(ValueError, match="at most 1/2"):
             weak_limit_fbm((0.45, 0.7), n=10)
 
-
-class TestProductSurface:
-    def test_edges_zero_and_constant_stable(self):
-        rep = product_moment_surface_check(BM2, n=1500, seed=3)
-        assert rep["edges_zero"]
-        assert rep["constant_spread"] < 3.0
-        for row in rep["rows"]:
-            assert row["variation"] > 0.0

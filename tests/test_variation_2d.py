@@ -5,20 +5,15 @@ from functools import partial
 import numpy as np
 import pytest
 
-from rough_gauss import variation_2d
 from rough_gauss.variation_2d import (
-    Control2D,
     GridFunction2D,
     _dp_best_columns,
     _exact_sum,
     _longest_path,
     _upper_rows,
     bilinear_eval,
-    control_from_variation,
     rect_increment,
-    rho_prime_limit_check,
     rho_variation,
-    young_bound_check,
     young_constant,
     young_integral_2d,
 )
@@ -117,7 +112,7 @@ class TestRhoVariation:
                 for rho in (1.0, 1.5, 2.5):
                     ref = oracles.rho_var_enumeration_2d(V, rho) ** (1 / rho)
                     got = rho_variation(f, rho, mode="exact")
-                    assert got.exact and got.lower_bound
+                    assert got.exact
                     assert got.value == pytest.approx(ref, rel=1e-12)
 
     def test_exact_sum_equals_per_mask_loop(self):
@@ -184,25 +179,10 @@ class TestRhoVariation:
             f = grid_fn(V)
             ex = rho_variation(f, 1.8, mode="exact").value
             ls = rho_variation(f, 1.8, mode="local-search", seed=11)
-            assert not ls.exact and ls.lower_bound
+            assert not ls.exact
             assert ls.value <= ex * (1 + 1e-10)
             hits += ls.value >= ex * (1 - 1e-10)
         assert hits >= 0.9 * total
-
-    def test_common_subdivision_sandwich(self):
-        for f in (min_cov(8), fbm_cov_grid(8, 0.35)):
-            rho = 1.4
-            ex = rho_variation(f, rho, mode="exact").value
-            cs = rho_variation(f, rho, mode="common-subdivision")
-            assert cs.value <= ex * (1 + 1e-10)
-            assert ex <= cs.metadata["upper_bound"] * (1 + 1e-10)
-            factor = cs.metadata["comparison_factor_power_scale"]
-            assert factor == pytest.approx(3.0 ** (rho - 1.0))
-
-    def test_restricted_rectangle(self):
-        f = min_cov(9)
-        res = rho_variation(f, 1.0, rect=(0.25, 0.75, 0.25, 0.75), mode="exact")
-        assert res.value == pytest.approx(0.5, rel=1e-12)
 
     def test_errors(self):
         f = min_cov(20)
@@ -211,27 +191,7 @@ class TestRhoVariation:
         with pytest.raises(ValueError):
             rho_variation(min_cov(5), 0.8)
         with pytest.raises(ValueError):
-            rho_variation(grid_fn(np.zeros((4, 5))), 1.2, mode="common-subdivision")
-        with pytest.raises(ValueError):
             rho_variation(f, 1.0, mode="diagonal")
-
-
-class TestRhoPrimeLimit:
-    def test_bm_monotone_to_limit(self):
-        rep = rho_prime_limit_check(min_cov(7), 1.0)
-        assert rep["monotone_increasing_to_limit"]
-        assert rep["limit_value"] == pytest.approx(1.0, rel=1e-12)
-        assert rep["values"][-1] <= rep["limit_value"] + 1e-12
-
-    def test_separable_smooth(self):
-        g = np.linspace(0, 1, 7) ** 2
-        rep = rho_prime_limit_check(grid_fn(np.outer(g, g)), 1.2)
-        assert rep["monotone_increasing_to_limit"]
-
-    def test_constant_function(self):
-        rep = rho_prime_limit_check(grid_fn(np.full((5, 5), 3.0)), 1.0)
-        assert rep["limit_value"] == 0.0
-        assert all(v == 0.0 for v in rep["values"])
 
 
 class TestYoungIntegral:
@@ -295,32 +255,6 @@ class TestYoungIntegral:
 
 
 class TestYoungBound:
-    def test_zero_f_trivially_true(self):
-        g = np.linspace(0, 1, 6)
-        zero = GridFunction2D(g, g, np.zeros((6, 6)))
-        assert young_bound_check(zero, min_cov(6), q=1.5, p=1.5)
-
-    def test_random_separable(self):
-        rng = np.random.default_rng(6)
-        g = np.linspace(0, 1, 7)
-        for _ in range(5):
-            a = np.cumsum(rng.uniform(0, 0.3, size=7))
-            b = np.cumsum(rng.uniform(0, 0.3, size=7))
-            f = GridFunction2D(g, g, np.outer(a, b))
-            h = GridFunction2D(g, g, np.outer(b, a))
-            assert young_bound_check(f, h, q=1.3, p=1.4, levels=2)
-
-    def test_grid_mismatch_rejected(self):
-        a = min_cov(5)
-        b = min_cov(6)
-        with pytest.raises(ValueError):
-            young_bound_check(a, b, q=1.5, p=1.5)
-
-    def test_bm_bm(self):
-        ker = lambda S, T: np.minimum.outer(S, T)
-        f = min_cov(9)
-        assert young_bound_check(f, f, q=1.0, p=1.0, levels=3, f_eval=ker, g_eval=ker)
-
     def test_exponent_condition_enforced(self):
         with pytest.raises(ValueError):
             young_constant(2.5, 2.5)
@@ -328,96 +262,6 @@ class TestYoungBound:
             with pytest.raises(ValueError):
                 young_constant(p, q)
         assert young_constant(1.0, 1.0) == pytest.approx((1 + np.pi**2 / 6) ** 2)
-
-    def test_nan_exponent_rejected_before_integration(self, monkeypatch):
-        def no_integral(*args, **kwargs):
-            raise AssertionError("integral computed before the exponent check")
-
-        monkeypatch.setattr(variation_2d, "young_integral_2d", no_integral)
-        f = min_cov(5)
-        with pytest.raises(ValueError):
-            young_bound_check(f, f, 2.0, np.nan)
-
-
-class TestControl:
-    def test_bm_control_is_length(self):
-        ctrl = control_from_variation(min_cov(9), 1.0)
-        assert ctrl(0.25, 0.75, 0.25, 0.75) == pytest.approx(0.5, rel=1e-12)
-        assert ctrl(0.0, 1.0, 0.0, 1.0) == pytest.approx(1.0, rel=1e-12)
-
-    def test_degenerate_rectangle_is_zero(self):
-        ctrl = control_from_variation(min_cov(5), 1.0)
-        assert ctrl(0.5, 0.5, 0.0, 1.0) == 0.0
-        with pytest.raises(ValueError):
-            ctrl(0.75, 0.25, 0.0, 1.0)
-
-    def test_superadditivity_on_random_splits_rho_one(self):
-        # at rho = 1 refining any axis can only grow the sum (triangle
-        # inequality), so concatenating optimal dissections proves
-        # super-additivity; at rho > 1 it can genuinely fail (next test)
-        rng = np.random.default_rng(7)
-        g = np.linspace(0, 1, 9)
-        W = rng.standard_normal((9, 9))
-        f = GridFunction2D(g, g, (W + W.T) / 2)
-        ctrl = control_from_variation(f, 1.0)
-        for _ in range(40):
-            lo, mid, hi = sorted(rng.choice(range(9), size=3, replace=False))
-            u, v = sorted(rng.choice(range(9), size=2, replace=False))
-            left = ctrl(g[lo], g[mid], g[u], g[v])
-            right = ctrl(g[mid], g[hi], g[u], g[v])
-            whole = ctrl(g[lo], g[hi], g[u], g[v])
-            assert left + right <= whole * (1 + 1e-10)
-            # and in the second slot by symmetry of the construction
-            left2 = ctrl(g[u], g[v], g[lo], g[mid])
-            right2 = ctrl(g[u], g[v], g[mid], g[hi])
-            whole2 = ctrl(g[u], g[v], g[lo], g[hi])
-            assert left2 + right2 <= whole2 * (1 + 1e-10)
-
-    def test_power_sum_not_superadditive_above_rho_one(self):
-        # known limitation: |f|^rho_{rho-var} with rho > 1 is not
-        # super-additive for general f, because the two sub-rectangles can
-        # use incompatible dissections of the shared axis.  Frozen
-        # counterexample found by random search (seed 7, rho = 1.5): the
-        # split at row 5 of this 9 x 8 block beats the whole rectangle.
-        rng = np.random.default_rng(7)
-        g = np.linspace(0, 1, 9)
-        W = rng.standard_normal((9, 9))
-        f = GridFunction2D(g, g, (W + W.T) / 2)
-        ctrl = control_from_variation(f, 1.5)
-        left = ctrl(g[0], g[5], g[0], g[7])
-        right = ctrl(g[5], g[8], g[0], g[7])
-        whole = ctrl(g[0], g[8], g[0], g[7])
-        assert left + right > whole * (1 + 1e-6)
-
-    def test_covariance_grid_superadditivity_boundary(self):
-        # rho = 1 (overlap measure): super-additive, as proved by refinement
-        # monotonicity.  For rho > 1 even smooth covariance grids violate
-        # the property by ~1%, so nothing downstream may rely on it.
-        ctrl1 = control_from_variation(min_cov(9), 1.0)
-        g = np.linspace(0, 1, 9)
-        for lo, mid, hi in [(0, 3, 6), (2, 4, 8), (0, 4, 8)]:
-            for u, v in [(0, 8), (1, 5)]:
-                whole = ctrl1(g[lo], g[hi], g[u], g[v])
-                parts = ctrl1(g[lo], g[mid], g[u], g[v]) + ctrl1(g[mid], g[hi], g[u], g[v])
-                assert parts <= whole * (1 + 1e-10)
-        ctrl = control_from_variation(fbm_cov_grid(9, 0.4), 1.25)
-        parts = ctrl(g[0], g[4], g[0], g[8]) + ctrl(g[4], g[8], g[0], g[8])
-        whole = ctrl(g[0], g[8], g[0], g[8])
-        assert parts == pytest.approx(1.195039, abs=1e-4)
-        assert whole == pytest.approx(1.181115, abs=1e-4)
-        assert parts > whole  # mild but real violation
-
-    def test_diagonal_restriction_is_1d_control(self):
-        f = fbm_cov_grid(9, 0.4)
-        ctrl = control_from_variation(f, 1.25)
-        g = f.s_grid
-        for lo, mid, hi in [(0, 2, 5), (1, 4, 8), (0, 4, 8)]:
-            a = ctrl(g[lo], g[mid], g[lo], g[mid])
-            b = ctrl(g[mid], g[hi], g[mid], g[hi])
-            c = ctrl(g[lo], g[hi], g[lo], g[hi])
-            assert a + b <= c * (1 + 1e-10)
-        assert ctrl(g[3], g[3], g[3], g[3]) == 0.0
-
 
 class TestInterpAndIO:
     def test_bilinear_matches_grid_and_midpoints(self):
@@ -436,5 +280,3 @@ class TestInterpAndIO:
             GridFunction2D(np.array([0.0, 0.0, 1.0]), np.array([0.0, 1.0]), np.zeros((3, 2)))
         with pytest.raises(ValueError):
             GridFunction2D(np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.zeros((3, 2)))
-        with pytest.raises(ValueError):
-            Control2D(lambda s, t, u, v: 1.0)(0.0, 1.0, 1.0, 0.0)
