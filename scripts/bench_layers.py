@@ -7,12 +7,14 @@ Brownian motion in d = 2 on a uniform grid over [0, 1], seeded:
 
   holder_dist    two lifted 200-path ensembles on 257 points, alpha 0.4
   pvar_norm      one lifted 200-path ensemble on 257 points, p 2.5
+  grr            grr_holder_check of that ensemble, r 2.6, alpha 0.3
   lift_endpoint  10 000 paths of 256 increments, final Chen product only
   sample         10 000 paths on 257 points
 
 Each layer runs 5 times after its inputs are built.  For each, the script
 prints the median wall time and the median count of minor page faults
-(``ru_minflt`` of this process) per run, then all of it as one JSON line.
+(``ru_minflt`` of this process) per run, and the tracemalloc peak of one
+extra untimed call, then all of it as one JSON line.
 It runs the library under ``src/`` next to this script, with one OpenBLAS
 thread unless OPENBLAS_NUM_THREADS is set.
 """
@@ -23,6 +25,7 @@ import resource
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -32,6 +35,7 @@ import numpy as np  # noqa: E402
 
 from rough_gauss.covariance import ProcessSpec, bm_cov  # noqa: E402
 from rough_gauss.path_lift import holder_dist, lift_s3, pvar_norm  # noqa: E402
+from rough_gauss.regularity import grr_holder_check  # noqa: E402
 from rough_gauss.simulate import lift_endpoint, sample  # noqa: E402
 
 RUNS = 5
@@ -43,7 +47,8 @@ def _grid(points: int) -> np.ndarray:
 
 
 def measure(fn) -> dict:
-    """Median seconds and minor page faults of RUNS calls of fn()."""
+    """Median seconds and minor page faults of RUNS calls of fn(), and the
+    tracemalloc peak of one more call, which tracing would slow."""
     secs, faults = [], []
     for _ in range(RUNS):
         f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -51,9 +56,16 @@ def measure(fn) -> dict:
         fn()
         secs.append(time.perf_counter() - t0)
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     return {"median_s": round(statistics.median(secs), 4),
             "min_s": round(min(secs), 4),
-            "minflt": int(statistics.median(faults))}
+            "minflt": int(statistics.median(faults)),
+            "peak_mib": round(peak / 2**20, 2)}
 
 
 def main() -> int:
@@ -63,6 +75,7 @@ def main() -> int:
     layers = {
         "holder_dist": lambda: holder_dist(x, y, 0.4),
         "pvar_norm": lambda: pvar_norm(x, 2.5),
+        "grr": lambda: grr_holder_check(x, r=2.6, alpha=0.3),
         "lift_endpoint": lambda: lift_endpoint(increments),
         "sample": lambda: sample(SPEC, _grid(257), 10_000, seed=3),
     }
@@ -71,7 +84,7 @@ def main() -> int:
         out[name] = measure(fn)
         r = out[name]
         print(f"{name:<14} {r['median_s']:8.3f} s  (min {r['min_s']:.3f})"
-              f"  {r['minflt']:>8} minor faults")
+              f"  {r['minflt']:>8} minor faults  {r['peak_mib']:8.2f} MiB peak")
     print(json.dumps(out, sort_keys=True))
     return 0
 

@@ -114,6 +114,8 @@ class ExperimentConfig:
                 object.__setattr__(self, name, _coerce(name, hint, value))
         if self.seed is None or not 0 <= self.seed < 2 ** 64:
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        if self.grid_level is not None and self.grid_level < 0:
+            raise ValueError(f"grid_level must be >= 0, got {self.grid_level}")
         if self.workers is None or self.workers < 1:
             raise ValueError(f"workers must be an integer >= 1, got {self.workers!r}")
 

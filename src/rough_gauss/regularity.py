@@ -46,11 +46,11 @@ def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
     return w
 
 
-def _pairs(obj) -> tuple:
-    """(times, i, j, D): the grid pairs i < j row after row, and D[k] the
-    distance d(f_{t_i}, f_{t_j}) of pair k.  D has shape (n(n-1)/2, *batch)
-    and is C-ordered, so a sum over the pairs runs left to right for a batch
-    and pairwise for a single path; i and j broadcast along its batch axes."""
+def _grr_sums(obj, q: float, r: float, alpha: float):
+    """(F, H) per path: the trapezoidal Besov sum of (d_{s,t}/|t-s|^{1/r})^q
+    and the max of d_{s,t}/|t-s|^alpha over grid pairs s < t, reduced row
+    after row as the pair stream forms d_{t_i,t_j} over j > i.  F adds its
+    pairs left to right in row-major order, alone as in a batch."""
     if isinstance(obj, GroupPath):
         batch = obj.batch_shape
         blocks = (_pair_rows(*block) for block in _blocks(obj))
@@ -61,29 +61,21 @@ def _pairs(obj) -> tuple:
                    for i in range(obj.n_times - 1))]
     else:
         raise TypeError("expected a PiecewisePath or GroupPath")
-    i, j = np.triu_indices(obj.n_times, k=1)
-    D = np.empty((i.size, int(np.prod(batch))))
-    lo = 0
+    t, w = obj.times, _trapezoid_weights(obj.times)
+    F, H = [], []
     for rows in blocks:
-        k = 0
-        for row in rows:
-            D[k : k + row.shape[1], lo : lo + row.shape[0]] = row.T
-            k += row.shape[1]
-        lo += row.shape[0]
-    col = (-1,) + (1,) * len(batch)
-    return obj.times, i.reshape(col), j.reshape(col), D.reshape((i.size,) + batch)
-
-
-def _besov(times: np.ndarray, i, j, D, q: float, r: float):
-    w = _trapezoid_weights(times)
-    ratio = D / (times[j] - times[i]) ** (1.0 / r)
+        f = h = 0.0
+        for i, row in enumerate(rows):
+            dt = t[i + 1 :] - t[i]
+            terms = (row / dt ** (1.0 / r)) ** q * (w[i] * w[i + 1 :])
+            terms[:, 0] += f
+            f = np.add.accumulate(terms, axis=1)[:, -1]
+            h = np.maximum(h, np.max(row / dt ** alpha, axis=1))
+        F.append(f)
+        H.append(h)
+    F, H = (np.concatenate(v).reshape(batch)[()] for v in (F, H))
     # the diagonal is excluded: zero contribution by the continuity convention
-    return 2.0 * np.sum(ratio ** q * (w[i] * w[j]), axis=0)
-
-
-def _holder(times: np.ndarray, i, j, D, alpha: float):
-    """max over grid pairs of D / (t_j - t_i)^alpha."""
-    return np.max(D / (times[j] - times[i]) ** alpha, axis=0)
+    return 2.0 * F, H
 
 
 def besov_functional(obj, q: float, r: float):
@@ -91,7 +83,7 @@ def besov_functional(obj, q: float, r: float):
     path's grid; leading dims of a batched path are preserved."""
     if q < 1.0 or r < 1.0:
         raise ValueError("need q >= 1 and r >= 1")
-    return _besov(*_pairs(obj), q, r)
+    return _grr_sums(obj, q, r, 1.0)[0]
 
 
 @dataclass(frozen=True)
@@ -117,10 +109,8 @@ def grr_holder_check(obj, r: float, alpha: float, q: float | None = None) -> dic
     if q < q0 * (1.0 - 1e-12):
         raise ValueError(f"need q >= q0 = {q0:.6g}")
     C = 64.0 / r
-    pairs = _pairs(obj)
-    F = np.asarray(_besov(*pairs, q, r), dtype=float)
+    F, H = (np.asarray(v, dtype=float) for v in _grr_sums(obj, q, r, alpha))
     M = F ** (1.0 / q)
-    H = np.asarray(_holder(*pairs, alpha), dtype=float)
     bound = C * M
     slack = bound - H
     ok = H <= bound * (1.0 + 1e-9) + 1e-15

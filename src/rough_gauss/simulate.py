@@ -279,6 +279,8 @@ def dyadic_convergence(spec: ProcessSpec, p: float, levels=(3, 4, 5, 6, 7),
             and all(isinstance(v, (int, np.integer)) for v in levels)):
         raise ValueError("levels must be a list of integers")
     levels = sorted(int(v) for v in levels)
+    if levels[0] < 0:
+        raise ValueError(f"levels must be >= 0, got {levels[0]}")
     if len(set(levels)) < 2:
         raise ValueError("the slope fit needs at least two distinct levels")
     _check_samples(n, "dyadic convergence")
@@ -483,6 +485,9 @@ def weak_limit_fbm(h_ladder=(0.45, 0.48, 0.5), n: int = 10_000, seed: int = 0,
         raise ValueError("the H ladder needs at least two rungs to decrease")
     if ladder[-1] > 0.5 or any(b <= a for a, b in zip(ladder[:-1], ladder[1:])):
         raise ValueError("H ladder must increase to at most 1/2")
+    if grid_level < 1:
+        raise ValueError(f"grid_level must be >= 1, got {grid_level}: on fewer than two "
+                         "intervals every H rung has the same Gram matrix, so the gaps tie")
     grid = np.linspace(0.0, 1.0, 2 ** grid_level + 1)
     kgrid = np.linspace(0.0, 1.0, 2 ** 6 + 1)
     bm_gram = bm_cov().grid_eval(kgrid, kgrid)

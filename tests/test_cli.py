@@ -207,6 +207,9 @@ class TestRun:
         (("level2-variance", "--set", "band=-1"), "band must be >= 0"),
         (("young-wiener", "--set", "band=-0.5"), "band must be >= 0"),
         (("level2-variance", "--set", "dim=1"), "needs two components"),
+        (("weak-limit", "--grid", "0"), "grid_level must be >= 1"),
+        (("level2-variance", "--grid", "-1"), "grid_level must be >= 0"),
+        (("dyadic-convergence", "--set", "levels=[-1,1]"), "levels must be >= 0"),
     ])
     def test_invalid_ladder_exit1(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"

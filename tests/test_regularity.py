@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,15 +69,14 @@ class TestFunctional:
         assert got == pytest.approx(1.0, rel=0.01)
 
     def test_batch_matches_loop(self):
-        spec = _bm_spec()
+        # a lone path sums its pairs in the same order as a batch entry, for
+        # the lifted and for the unlifted ensemble
         grid = np.linspace(0, 1, 33)
-        ens = sample(spec, grid, 6, seed=4)
-        gp = lift_s3(ens)
-        batch = besov_functional(gp, 4.0, 2.5)
-        pts = ens.points
-        for i in range(pts.shape[0]):
-            single = besov_functional(lift_s3(PiecewisePath(grid, pts[i])), 4.0, 2.5)
-            assert single == pytest.approx(batch[i], rel=1e-12)
+        ens = sample(_bm_spec(), grid, 6, seed=4)
+        for lift in (lift_s3, lambda path: path):
+            batch = besov_functional(lift(ens), 4.0, 2.5)
+            for i, pts in enumerate(ens.points):
+                assert besov_functional(lift(PiecewisePath(grid, pts)), 4.0, 2.5) == batch[i]
 
     @staticmethod
     def _terms(gp, q, r):
@@ -94,8 +95,8 @@ class TestFunctional:
 
     @pytest.mark.parametrize("d, n", [(1, 9), (2, 9), (2, 17)])
     def test_pair_order_is_pinned(self, d, n):
-        # a batch sums its pairs left to right in row-major order; a single
-        # path takes numpy's pairwise sum of its term vector
+        # a batch sums its pairs left to right in row-major order, and so
+        # does a single path
         q, r = 4.0, 2.5
         grid = np.linspace(0, 1, n)
         ens = sample(_bm_spec(d), grid, 3, seed=d + n)
@@ -106,7 +107,10 @@ class TestFunctional:
         assert np.array_equal(besov_functional(gp, q, r), 2.0 * acc)
         for k in range(3):
             single = lift_s3(PiecewisePath(grid, ens.points[k]))
-            assert besov_functional(single, q, r) == 2.0 * np.sum(self._terms(single, q, r))
+            acc = 0.0
+            for term in self._terms(single, q, r):
+                acc = acc + term
+            assert besov_functional(single, q, r) == 2.0 * acc
 
     def test_refinement_consistency(self):
         # relative change < 5% from the 2^7 to the 2^8 grid
@@ -156,13 +160,24 @@ class TestGrrHolder:
         assert rep["worst_ratio"] < 1.0
 
     def test_stats_equal_separate_calls(self):
-        # one distance matrix per path serves both sides of the inequality
+        # one pass over the pair rows serves both sides of the inequality
         spec = ProcessSpec((fbm_cov(0.4),) * 2)
         gp = lift_s3(sample(spec, np.linspace(0, 1, 33), 5, seed=2))
         rep = grr_holder_check(gp, r=2.6, alpha=0.3)
         q = rep["q"]
         assert rep["stats"].double_integral == np.max(besov_functional(gp, q, 2.6))
         assert rep["stats"].holder_norm == np.max(holder_norm(gp, 0.3))
+
+    def test_memory_stays_below_pair_distances(self):
+        # the n(n-1)/2 x 100 pair distances alone would fill 25 MiB
+        gp = lift_s3(sample(_bm_spec(), np.linspace(0, 1, 257), 100, seed=0))
+        tracemalloc.start()
+        try:
+            grr_holder_check(gp, r=2.6, alpha=0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 257 * 256 // 2 * 100 * 8
 
     def test_explicit_q_above_q0(self):
         _, line = _line(32)
