@@ -5,11 +5,16 @@
 
 Brownian motion in d = 2 on a uniform grid over [0, 1], seeded:
 
-  holder_dist    two lifted 200-path ensembles on 257 points, alpha 0.4
-  pvar_norm      one lifted 200-path ensemble on 257 points, p 2.5
-  grr            grr_holder_check of that ensemble, r 2.6, alpha 0.3
-  lift_endpoint  10 000 paths of 256 increments, final Chen product only
-  sample         10 000 paths on 257 points
+  holder_dist      two lifted 200-path ensembles on 257 points, alpha 0.4
+  pvar_norm        one lifted 200-path ensemble on 257 points, p 2.5
+  grr              grr_holder_check of that ensemble, r 2.6, alpha 0.3
+  lift_endpoint    10 000 paths of 256 increments, final Chen product only
+  sample           10 000 paths on 257 points
+
+and the fBM (H = 0.4) covariance on the uniform 17 x 17 grid of [0, 1]^2:
+
+  exact_variation  exact-mode rho_variation at rho 1.25; 16 intervals is
+                   the exact-mode cap, so this enumerates 2^15 dissections
 
 Each layer runs 5 times after its inputs are built.  For each, the script
 prints the median wall time and the median count of minor page faults
@@ -33,10 +38,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from rough_gauss.covariance import ProcessSpec, bm_cov  # noqa: E402
+from rough_gauss.covariance import ProcessSpec, bm_cov, fbm_cov  # noqa: E402
 from rough_gauss.path_lift import holder_dist, lift_s3, pvar_norm  # noqa: E402
 from rough_gauss.regularity import grr_holder_check  # noqa: E402
 from rough_gauss.simulate import lift_endpoint, sample  # noqa: E402
+from rough_gauss.variation_2d import (  # noqa: E402
+    EXACT_INTERVAL_CAP,
+    GridFunction2D,
+    rho_variation,
+)
 
 RUNS = 5
 SPEC = ProcessSpec((bm_cov(), bm_cov()))
@@ -72,18 +82,21 @@ def main() -> int:
     x = lift_s3(sample(SPEC, _grid(257), 200, seed=0))
     y = lift_s3(sample(SPEC, _grid(257), 200, seed=1))
     increments = np.diff(sample(SPEC, _grid(257), 10_000, seed=2).points, axis=-2)
+    g = _grid(EXACT_INTERVAL_CAP + 1)
+    cov = GridFunction2D(g, g, fbm_cov(0.4).grid_eval(g, g))
     layers = {
         "holder_dist": lambda: holder_dist(x, y, 0.4),
         "pvar_norm": lambda: pvar_norm(x, 2.5),
         "grr": lambda: grr_holder_check(x, r=2.6, alpha=0.3),
         "lift_endpoint": lambda: lift_endpoint(increments),
         "sample": lambda: sample(SPEC, _grid(257), 10_000, seed=3),
+        "exact_variation": lambda: rho_variation(cov, 1.25, mode="exact"),
     }
     out = {}
     for name, fn in layers.items():
         out[name] = measure(fn)
         r = out[name]
-        print(f"{name:<14} {r['median_s']:8.3f} s  (min {r['min_s']:.3f})"
+        print(f"{name:<16} {r['median_s']:8.3f} s  (min {r['min_s']:.3f})"
               f"  {r['minflt']:>8} minor faults  {r['peak_mib']:8.2f} MiB peak")
     print(json.dumps(out, sort_keys=True))
     return 0

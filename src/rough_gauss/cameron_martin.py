@@ -3,8 +3,8 @@
 An element is h(t) = sum_k z_k R(t_k, t), the mean response to the Gaussian
 functional Z = sum_k z_k X_{t_k}; the inner product is the Gram form
 z^T R(t_k, t_l) z'.  The embedding estimate bounds the 1D rho-variation of
-h on [s,t] by sqrt<h,h> times the square root of the covariance's 2D
-rho-variation over [s,t]^2, both evaluated on a shared grid.
+h on [0,1] by sqrt<h,h> times the square root of the covariance's 2D
+rho-variation over [0,1]^2, both evaluated on a shared grid.
 """
 
 from __future__ import annotations
@@ -94,55 +94,48 @@ class EmbeddingResult:
     lhs: float
     rhs: float
     slack: float
-    exact: bool
     mode: str
 
 
-# The 2D variation of R over [s,t]^2 does not depend on the element, only on
+# The 2D variation of R over [0,1]^2 does not depend on the element, only on
 # the kernel and grid; batch checks reuse it.
 _RVAR_CACHE: dict = {}
 
 
-def _r_variation(kernel: CovarianceKernel, s: float, t: float,
-                 grid_intervals: int, rho: float):
-    key = (kernel.key, s, t, grid_intervals, rho)
+def _r_variation(kernel: CovarianceKernel, grid_intervals: int, rho: float) -> float:
+    key = (kernel.key, grid_intervals, rho)
     hit = _RVAR_CACHE.get(key)
-    if hit is not None:
-        return hit
-    grid = np.linspace(s, t, grid_intervals + 1)
-    R = GridFunction2D(grid, grid, kernel.grid_eval(grid, grid))
-    exact = grid_intervals <= EXACT_INTERVAL_CAP
-    var = rho_variation(R, rho, mode="exact" if exact else "local-search")
-    _RVAR_CACHE[key] = (var, exact)
-    return var, exact
+    if hit is None:
+        grid = np.linspace(0.0, 1.0, grid_intervals + 1)
+        R = GridFunction2D(grid, grid, kernel.grid_eval(grid, grid))
+        mode = "exact" if grid_intervals <= EXACT_INTERVAL_CAP else "local-search"
+        hit = _RVAR_CACHE[key] = rho_variation(R, rho, mode=mode)
+    return hit
 
 
 def embedding_check(
     h: CMElement,
-    interval=(0.0, 1.0),
     rho: float | None = None,
     grid_intervals: int = 16,
 ) -> EmbeddingResult:
-    """|h|_{rho-var;[s,t]} <= sqrt<h,h> sqrt(|R|_{rho-var;[s,t]^2}) on a
-    shared uniform grid of the interval.
+    """|h|_{rho-var;[0,1]} <= sqrt<h,h> sqrt(|R|_{rho-var;[0,1]^2}) on a
+    shared uniform grid of [0, 1].
 
     Both sides are grid-restricted; the bound is dissection-wise, so the
     restricted version is a theorem too.  Up to EXACT_INTERVAL_CAP (16)
     intervals the 2D side is the true grid sup (mode "exact"); beyond that
-    the alternating lower bound is used and only consistency is claimed.
+    the alternating lower bound is used and only consistency is claimed
+    (mode "consistent").
     """
-    s, t = float(interval[0]), float(interval[1])
-    if not 0.0 <= s < t <= 1.0:
-        raise ValueError("interval must satisfy 0 <= s < t <= 1")
     rho = float(h.kernel.rho if rho is None else rho)
-    grid = np.linspace(s, t, grid_intervals + 1)
+    grid = np.linspace(0.0, 1.0, grid_intervals + 1)
     lhs = float(pvar_1d(cm_eval(h, grid), rho))
-    var, exact = _r_variation(h.kernel, s, t, grid_intervals, rho)
-    rhs = float(np.sqrt(cm_norm_sq(h)) * np.sqrt(var.value))
+    var = _r_variation(h.kernel, grid_intervals, rho)
+    rhs = float(np.sqrt(cm_norm_sq(h)) * np.sqrt(var))
     slack = rhs - lhs
     ok = lhs <= rhs + 1e-9 * (1.0 + rhs)
-    return EmbeddingResult(bool(ok), lhs, rhs, float(slack),
-                           bool(exact), "exact" if exact else "consistent")
+    mode = "exact" if grid_intervals <= EXACT_INTERVAL_CAP else "consistent"
+    return EmbeddingResult(bool(ok), lhs, rhs, float(slack), mode)
 
 
 def fbm_increment_response_check(H: float) -> dict:

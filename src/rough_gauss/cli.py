@@ -116,6 +116,8 @@ class ExperimentConfig:
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if self.grid_level is not None and self.grid_level < 0:
             raise ValueError(f"grid_level must be >= 0, got {self.grid_level}")
+        if self.grid_intervals is not None and self.grid_intervals < 1:
+            raise ValueError(f"grid_intervals must be >= 1, got {self.grid_intervals}")
         if self.workers is None or self.workers < 1:
             raise ValueError(f"workers must be an integer >= 1, got {self.workers!r}")
 
@@ -255,14 +257,14 @@ def _run_variation(cfg: ExperimentConfig) -> dict:
     rho = _default(cfg.rho, k.rho)
     grid = np.linspace(0.0, 1.0, intervals + 1)
     f = GridFunction2D(grid, grid, k.eval(grid[:, None], grid[None, :]))
-    search = float(rho_variation(f, rho, mode="local-search", seed=cfg.seed).value)
+    search = rho_variation(f, rho, mode="local-search", seed=cfg.seed)
     rows = [{"mode": "local-search", "value": search, "exact": False}]
     checks = []
     results = {"rho": rho, "grid_intervals": intervals,
                "local_search_value": search}
     # unset, exact runs up to the cap; set, rho_variation rejects a larger grid
     if cfg.mode == "exact" or (cfg.mode is None and intervals <= EXACT_INTERVAL_CAP):
-        exact = float(rho_variation(f, rho, mode="exact").value)
+        exact = rho_variation(f, rho, mode="exact")
         rows.insert(0, {"mode": "exact", "value": exact, "exact": True})
         checks.append({"name": "search_below_exact",
                        "ok": bool(search <= exact * (1.0 + 1e-9)),

@@ -1,9 +1,9 @@
 """Catalog of exactly-evaluable Gaussian covariance kernels.
 
 Each kernel carries its declared rho (the variation exponent of the
-covariance as a bivariate function) and a Hoelder-domination flag, plus the
-structural checkers used downstream: increment-decorrelation scans and
-the linear-envelope check for fractional Brownian variation.
+covariance as a bivariate function), plus the structural checkers used
+downstream: increment-decorrelation scans and the linear-envelope check
+for fractional Brownian variation.
 """
 
 from __future__ import annotations
@@ -37,14 +37,12 @@ class CovarianceKernel:
 
     ``eval`` is elementwise with numpy broadcasting; use :meth:`grid_eval`
     for the Gram matrix of a product grid.  ``rho`` is the declared
-    2D variation exponent of the covariance, ``holder_dominated`` whether
-    the square-rectangle variation grows linearly in the side length.
+    2D variation exponent of the covariance.
     """
 
     name: str
     eval: Callable
     rho: float
-    holder_dominated: bool
     params: dict = field(default_factory=dict)
 
     def __call__(self, s, t):
@@ -83,7 +81,7 @@ class ProcessSpec:
 
 
 def bm_cov() -> CovarianceKernel:
-    return CovarianceKernel("bm", np.minimum, 1.0, True)
+    return CovarianceKernel("bm", np.minimum, 1.0)
 
 
 def fbm_cov(H: float) -> CovarianceKernel:
@@ -93,9 +91,7 @@ def fbm_cov(H: float) -> CovarianceKernel:
     def ev(s, t):
         return 0.5 * (s ** (2 * H) + t ** (2 * H) - np.abs(t - s) ** (2 * H))
 
-    return CovarianceKernel(
-        "fbm", ev, max(1.0, 1.0 / (2 * H)), H <= 0.5, {"H": float(H)}
-    )
+    return CovarianceKernel("fbm", ev, max(1.0, 1.0 / (2 * H)), {"H": float(H)})
 
 
 def ou_cov(theta: float, sigma: float = 1.0, stationary: bool = True) -> CovarianceKernel:
@@ -117,13 +113,15 @@ def ou_cov(theta: float, sigma: float = 1.0, stationary: bool = True) -> Covaria
             return a * (np.exp(-theta * np.abs(t - s)) - np.exp(-theta * (t + s)))
 
     return CovarianceKernel(
-        "ou", ev, 1.0, True,
+        "ou", ev, 1.0,
         {"theta": float(theta), "sigma": float(sigma), "stationary": bool(stationary)},
     )
 
 
 def bridge_cov(base: CovarianceKernel) -> CovarianceKernel:
-    """Covariance of X_t - t X_1: pins the process at both ends of [0,1]."""
+    """Covariance of X_t - t X_1: pins the process at both ends of [0,1].
+    The name records the base kernel and the params are the base's, so the
+    config of a bridge rebuilds it."""
 
     def ev(s, t):
         one = np.ones(())
@@ -134,24 +132,15 @@ def bridge_cov(base: CovarianceKernel) -> CovarianceKernel:
             + s * t * base.eval(one, one)
         )
 
-    return CovarianceKernel(
-        f"bridge({base.name})", ev, base.rho, base.holder_dominated,
-        {"base": base.name, **{f"base_{k}": v for k, v in base.params.items()}},
-    )
+    return CovarianceKernel(f"bridge({base.name})", ev, base.rho, dict(base.params))
 
 
-def gram_matrix(k: CovarianceKernel, grid, check_psd: bool = True) -> np.ndarray:
+def gram_matrix(k: CovarianceKernel, grid) -> np.ndarray:
+    """Symmetrized Gram matrix of k on the grid; :func:`simulate.sample`
+    checks that it is PSD."""
     grid = np.asarray(grid, dtype=float)
     R = k.grid_eval(grid, grid)
-    R = 0.5 * (R + R.T)
-    if check_psd:
-        lam = np.linalg.eigvalsh(R)
-        scale = max(float(np.max(np.abs(lam))), 1e-300)
-        if lam[0] < -1e-10 * scale:
-            raise ValueError(
-                f"gram matrix of {k.name} not PSD: min eigenvalue {lam[0]:.3e}"
-            )
-    return R
+    return 0.5 * (R + R.T)
 
 
 def square_variation(k: CovarianceKernel, s: float, t: float, intervals: int,
@@ -160,17 +149,13 @@ def square_variation(k: CovarianceKernel, s: float, t: float, intervals: int,
     ``intervals`` uniform intervals per side, at most EXACT_INTERVAL_CAP."""
     g = np.linspace(s, t, intervals + 1)
     return rho_variation(GridFunction2D(g, g, k.grid_eval(g, g)), rho,
-                         mode="exact").value
+                         mode="exact")
 
 
-def coutin_qian_check(
-    k: CovarianceKernel,
-    H: float,
-    grid=None,
-    c_H: float | None = None,
-) -> dict:
-    """Smallest constants over a grid scan, with h = 2^-3 .. 2^-6 in (ass2),
-    for the two increment conditions:
+def coutin_qian_check(k: CovarianceKernel, H: float,
+                      c_H: float | None = None) -> dict:
+    """Smallest constants over a scan of the 65-point uniform grid of [0, 1],
+    with h = 2^-3 .. 2^-6 in (ass2), for the two increment conditions:
 
       (ass1)  E(X_{s,t}^2) <= c |t-s|^{2H}
       (ass2)  |E(X_{s,s+h} X_{t,t+h})| <= c |t-s|^{2H-2} h^2   for h < t-s
@@ -178,9 +163,7 @@ def coutin_qian_check(
     Constants are maxima over the scan lattice, i.e. lower bounds for the
     true constants.  ``passes`` compares them to a supplied c_H.
     """
-    if grid is None:
-        grid = np.linspace(0.0, 1.0, 65)
-    grid = np.asarray(grid, dtype=float)
+    grid = np.linspace(0.0, 1.0, 65)
     R = k.grid_eval(grid, grid)
     diag = np.diag(R)
     # E(X_{s,t}^2) = R(t,t) + R(s,s) - 2 R(s,t)
@@ -223,22 +206,20 @@ def coutin_qian_check(
     return out
 
 
-def fbm_rhovar_bound_check(
-    H: float,
-    grid_intervals: int = 8,
-    sizes=(1.0, 0.5, 0.25),
-) -> dict:
+def fbm_rhovar_bound_check(H: float) -> dict:
     """Linear-envelope check for the 1/(2H)-variation of the fractional
-    covariance: exact grid variation over nested squares [0, w]^2 (each
-    sampled with ``grid_intervals`` uniform intervals), value/w ratios, and
-    the sign of disjoint-increment covariances (nonpositive for H < 1/2)."""
+    covariance: exact grid variation over the nested squares [0, w]^2,
+    w = 1, 1/2, 1/4 (each sampled with 8 uniform intervals), value/w ratios,
+    and the sign of disjoint-increment covariances (nonpositive for
+    H < 1/2)."""
     if not 0.0 < H <= 0.5:
         raise ValueError("H must lie in (0, 1/2]")
     k = fbm_cov(H)
     rho = 1.0 / (2 * H)
+    sizes = (1.0, 0.5, 0.25)
     values, ratios = [], []
     for w in sizes:
-        val = square_variation(k, 0.0, w, grid_intervals, rho)
+        val = square_variation(k, 0.0, w, 8, rho)
         values.append(val)
         ratios.append(val / w)
     h = 0.05
@@ -256,7 +237,7 @@ def fbm_rhovar_bound_check(
     return {
         "H": float(H),
         "rho": rho,
-        "sizes": [float(w) for w in sizes],
+        "sizes": list(sizes),
         "values": values,
         "ratios": ratios,
         "ratio_spread": float(max(ratios) / min(ratios)),
@@ -313,10 +294,7 @@ def kernel_from_config(spec) -> CovarianceKernel:
 
 
 def kernel_to_config(k: CovarianceKernel) -> dict:
-    out = {"kernel": k.name}
-    out.update({key: v for key, v in k.params.items() if not key.startswith("base_")})
-    out.pop("base", None)
-    return out
+    return {"kernel": k.name, **k.params}
 
 
 def _parse_scalar(text: str):

@@ -88,6 +88,8 @@ class PiecewisePath:
         _check_times(times)
         if points.ndim < 2 or points.shape[-2] != times.size:
             raise ValueError("points must have shape (..., n_times, d)")
+        if 0 in points.shape[:-2]:
+            raise ValueError(f"points batch shape {points.shape[:-2]} holds no paths")
         # nan propagates through min and max, so checking both extremes is
         # the entrywise check without an entry-sized temporary
         if not (np.all(np.isfinite(times))
@@ -142,6 +144,8 @@ class GroupPath:
         bshape = self.values.batch_shape
         if len(bshape) < 1 or bshape[-1] != times.size:
             raise ValueError("values batch must end with the grid axis")
+        if 0 in bshape[:-1]:
+            raise ValueError(f"values batch shape {bshape[:-1]} holds no paths")
         levels = self.values.tensor.levels()
         if any(np.max(np.abs(a)) > 1e-12 for a in _index(levels, 0)[1:]):
             raise ValueError("values[0] must be the identity")

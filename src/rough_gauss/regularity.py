@@ -129,9 +129,10 @@ def grr_holder_check(obj, r: float, alpha: float, q: float | None = None) -> dic
     }
 
 
-def chaos_ratio_check(samples, level: int, qs=CHAOS_QS) -> dict:
-    """Empirical L^q/L^2 ratios of a homogeneous-chaos coordinate against
-    (n+1)(q-1)^{n/2}, with a 3-stderr band on the ratio estimate."""
+def chaos_ratio_check(samples, level: int) -> dict:
+    """Empirical L^q/L^2 ratios, q in CHAOS_QS, of a homogeneous-chaos
+    coordinate against (n+1)(q-1)^{n/2}, with a 3-stderr band on the ratio
+    estimate."""
     if level not in (1, 2, 3):
         raise ValueError("level must be 1, 2 or 3")
     z = np.abs(np.asarray(samples, dtype=float).ravel())
@@ -145,7 +146,7 @@ def chaos_ratio_check(samples, level: int, qs=CHAOS_QS) -> dict:
     se_m2 = float(np.std(z ** 2, ddof=1)) / np.sqrt(n)
     se_l2 = se_m2 / (2.0 * l2)
     rows = []
-    for q in qs:
+    for q in CHAOS_QS:
         mq = float(np.mean(z ** q))
         lq = mq ** (1.0 / q)
         se_mq = float(np.std(z ** q, ddof=1)) / np.sqrt(n)

@@ -43,6 +43,7 @@ from .tensor_algebra import (
     hall_log_signature,
 )
 from .variation_2d import (
+    _check_exponent,
     _check_times,
     _from_corner,
     young_constant,
@@ -104,15 +105,15 @@ def _l2_rung(dist, seed: int):
 
 def _factor(kernel: CovarianceKernel, grid: np.ndarray) -> np.ndarray:
     """Symmetric eigenvalue square root with clipping at zero.  Aborts when
-    the clipped mass is not negligible next to the trace."""
-    G = gram_matrix(kernel, grid, check_psd=False)
-    w, U = np.linalg.eigh(G)
+    the clipped mass exceeds 1e-8 of the total eigenvalue mass sum |w|, so
+    a kernel with non-positive variance fails and the zero kernel passes."""
+    w, U = np.linalg.eigh(gram_matrix(kernel, grid))
     clipped = -float(np.sum(w[w < 0.0]))
-    trace = float(np.trace(G))
-    if trace > 0.0 and clipped >= 1e-8 * trace:
+    mass = float(np.sum(np.abs(w)))
+    if clipped > 1e-8 * mass:
         raise ValueError(
             f"Gram matrix for {kernel.name} is indefinite beyond tolerance "
-            f"(clipped {clipped:.3e} vs trace {trace:.3e})"
+            f"(clipped {clipped:.3e} vs eigenvalue mass {mass:.3e})"
         )
     return U * np.sqrt(np.clip(w, 0.0, None))
 
@@ -217,20 +218,19 @@ def level2_variance_check(spec: ProcessSpec, interval=(0.0, 1.0),
 
 
 def level_bounds_check(spec: ProcessSpec, rho: float | None = None,
-                       interval_levels=(1, 2, 3, 4), n: int = 2_000,
-                       seed: int = 0, grid_level: int = 6) -> dict:
+                       n: int = 2_000, seed: int = 0, grid_level: int = 6) -> dict:
     """Second moments of signature words (i), (i,j), (i,i,j), (i,j,k) over
-    nested dyadic intervals [0, 2^-k] against omega([s,t]^2)^{level/rho}
-    envelopes, omega sampled with 12 intervals per side; reports the
-    smallest admissible constant per word and the fitted log2 slope of the
-    moment in the interval size."""
+    the nested dyadic intervals [0, 2^-k], k = 1..4, against
+    omega([s,t]^2)^{level/rho} envelopes, omega sampled with 12 intervals
+    per side; reports the smallest admissible constant per word and the
+    fitted log2 slope of the moment in the interval size."""
     if spec.dim < 3:
         raise ValueError("need three components for the distinct-index words")
     k0 = spec.kernels[0]
     if any(k.key != k0.key for k in spec.kernels):
         raise ValueError("envelope assumes identical components")
-    if any(lev not in range(grid_level + 1) for lev in interval_levels):
-        raise ValueError(f"interval levels must lie in 0..grid_level={grid_level}")
+    if grid_level < 4:
+        raise ValueError(f"interval levels 1..4 must lie in 0..grid_level={grid_level}")
     rho = float(spec.rho if rho is None else rho)
     grid = np.linspace(0.0, 1.0, 2 ** grid_level + 1)
     ens = sample(spec, grid, n, seed)
@@ -238,7 +238,7 @@ def level_bounds_check(spec: ProcessSpec, rho: float | None = None,
     rows = {w: [] for w in words}
     omegas = []
     sizes = []
-    for lev in interval_levels:
+    for lev in (1, 2, 3, 4):
         t = 2.0 ** (-lev)
         idx = int(round(t * (grid.size - 1)))
         end = lift_endpoint(np.diff(ens.points[:, : idx + 1], axis=-2))
@@ -278,6 +278,7 @@ def dyadic_convergence(spec: ProcessSpec, p: float, levels=(3, 4, 5, 6, 7),
     if not (isinstance(levels, (list, tuple))
             and all(isinstance(v, (int, np.integer)) for v in levels)):
         raise ValueError("levels must be a list of integers")
+    _check_exponent(p, "p")
     levels = sorted(int(v) for v in levels)
     if levels[0] < 0:
         raise ValueError(f"levels must be >= 0, got {levels[0]}")
@@ -324,8 +325,7 @@ def perturbation_continuity(spec: ProcessSpec, epsilons=(0.2, 0.1, 0.05),
     ens_x = sample(spec, grid, n, seed, stream=0)
     ens_w = sample(spec, grid, n, seed, stream=1)
     lift_x = lift_s3(ens_x)
-    rw_inf = max(float(np.max(np.abs(gram_matrix(k, grid, check_psd=False))))
-                 for k in spec.kernels)
+    rw_inf = max(float(np.max(np.abs(gram_matrix(k, grid)))) for k in spec.kernels)
     means = []
     errs = []
     for eps in epsilons:
@@ -426,6 +426,7 @@ def young_wiener_check(f_eval, spec: ProcessSpec, q: float = 1.0,
     """
     if spec.dim != 1:
         raise ValueError("the isometry check drives a scalar process")
+    _check_exponent(q, "q")
     kernel = spec.kernels[0]
     rho = kernel.rho
     if 1.0 / q + 1.0 / rho <= 1.0:

@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "GridFunction2D",
-    "VariationResult",
     "YoungResult",
     "rect_increment",
     "rho_variation",
@@ -93,21 +92,6 @@ class GridFunction2D:
         object.__setattr__(self, "s_grid", s)
         object.__setattr__(self, "t_grid", t)
         object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
-class VariationResult:
-    """Outcome of a rho-variation computation.
-
-    ``value`` is on the variation scale (the rho-th root of the optimized
-    sum).  ``exact`` means the true grid sup; otherwise the value is a
-    certified lower bound (achieved by a concrete dissection pair).
-    """
-
-    value: float
-    rho: float
-    mode: str
-    exact: bool
 
 
 def rect_increment(f: GridFunction2D, s: float, t: float, u: float, v: float) -> float:
@@ -239,22 +223,24 @@ def rho_variation(
     rho: float,
     mode: str = "exact",
     seed: int = 0,
-) -> VariationResult:
-    """Grid rho-variation of f over its whole grid.
+) -> float:
+    """Grid rho-variation of f over its whole grid, on the variation scale
+    (the rho-th root of the optimized sum).
 
     exact: true sup over all sub-dissection pairs (one axis must have at
       most EXACT_INTERVAL_CAP intervals).
     local-search: alternating per-axis DP ascent from LOCAL_SEARCH_RESTARTS
-      starting dissections; certified lower bound, often the optimum.
+      starting dissections; certified lower bound, achieved by a concrete
+      dissection pair and often the optimum.
     """
     _check_exponent(rho, "rho")
     if mode == "exact":
         s = _exact_sum(f.values, rho)
-        return VariationResult(s ** (1.0 / rho), rho, mode, True)
-    if mode == "local-search":
+    elif mode == "local-search":
         s = _alternating_sum(f.values, rho, seed)
-        return VariationResult(s ** (1.0 / rho), rho, mode, False)
-    raise ValueError(f"unknown mode {mode!r}")
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return s ** (1.0 / rho)
 
 
 def bilinear_eval(f: GridFunction2D, S: np.ndarray, T: np.ndarray) -> np.ndarray:

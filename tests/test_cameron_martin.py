@@ -122,14 +122,14 @@ class TestPvar1D:
 class TestEmbedding:
     def test_zero_element_trivially_ok(self):
         h = CMElement(bm_cov(), np.array([0.5]), np.array([0.0]))
-        res = embedding_check(h, (0.0, 1.0), grid_intervals=8)
+        res = embedding_check(h, grid_intervals=8)
         assert res.ok and res.lhs == 0.0
 
     def test_bm_unit_slope_is_sharp(self):
         # LHS = |t|_{1-var} = 1; RHS = sqrt(1) * sqrt(1-var of min) = 1
         h = CMElement(bm_cov(), np.array([1.0]), np.array([1.0]))
-        res = embedding_check(h, (0.0, 1.0), rho=1.0, grid_intervals=16)
-        assert res.ok and res.exact and res.mode == "exact"
+        res = embedding_check(h, rho=1.0, grid_intervals=16)
+        assert res.ok and res.mode == "exact"
         assert res.lhs == pytest.approx(1.0, abs=1e-10)
         assert res.rhs == pytest.approx(1.0, abs=1e-10)
         assert abs(res.slack) <= 1e-10
@@ -138,8 +138,8 @@ class TestEmbedding:
         rng = np.random.default_rng(7)
         h = CMElement(fbm_cov(0.4), np.sort(rng.uniform(0, 1, 3)),
                       rng.normal(size=3))
-        res = embedding_check(h, (0.0, 1.0), rho=1.25, grid_intervals=16)
-        assert res.ok and res.exact
+        res = embedding_check(h, rho=1.25, grid_intervals=16)
+        assert res.ok and res.mode == "exact"
         assert res.slack > 0.0
 
     def test_random_elements_across_kernels(self):
@@ -149,25 +149,14 @@ class TestEmbedding:
                 m = int(rng.integers(1, 5))
                 h = CMElement(k, np.sort(rng.uniform(0, 1, m)),
                               rng.normal(size=m) * 2.0)
-                res = embedding_check(h, (0.0, 1.0), grid_intervals=16)
+                res = embedding_check(h, grid_intervals=16)
                 assert res.ok, (k.name, res)
-
-    def test_subinterval(self):
-        h = CMElement(fbm_cov(0.3), np.array([0.4, 0.9]), np.array([1.0, 1.0]))
-        res = embedding_check(h, (0.25, 0.75), grid_intervals=8)
-        assert res.ok and res.exact
 
     def test_large_grid_reports_consistent(self):
         h = CMElement(bm_cov(), np.array([1.0]), np.array([1.0]))
-        res = embedding_check(h, (0.0, 1.0), grid_intervals=EXACT_INTERVAL_CAP * 2)
+        res = embedding_check(h, grid_intervals=EXACT_INTERVAL_CAP * 2)
         assert res.ok
-        assert not res.exact
         assert res.mode == "consistent"
-
-    def test_invalid_interval(self):
-        h = CMElement(bm_cov(), np.array([0.5]), np.array([1.0]))
-        with pytest.raises(ValueError):
-            embedding_check(h, (0.7, 0.2))
 
 
 class TestFbmIncrementResponse:

@@ -210,6 +210,11 @@ class TestRun:
         (("weak-limit", "--grid", "0"), "grid_level must be >= 1"),
         (("level2-variance", "--grid", "-1"), "grid_level must be >= 0"),
         (("dyadic-convergence", "--set", "levels=[-1,1]"), "levels must be >= 0"),
+        (("cm-embedding", "--set", "grid_intervals=0"), "grid_intervals must be >= 1"),
+        (("variation", "--set", "grid_intervals=0"), "grid_intervals must be >= 1"),
+        (("young2d", "--set", "grid_intervals=-1"), "grid_intervals must be >= 1"),
+        (("dyadic-convergence", "--set", "p=0.5"), "p must be finite and >= 1"),
+        (("young-wiener", "--set", "q=0.5"), "q must be finite and >= 1"),
     ])
     def test_invalid_ladder_exit1(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"

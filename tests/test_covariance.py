@@ -14,6 +14,7 @@ from rough_gauss.covariance import (
     kernel_to_config,
     ou_cov,
 )
+from rough_gauss.simulate import sample
 
 
 class TestKernelCatalog:
@@ -21,7 +22,7 @@ class TestKernelCatalog:
         k = bm_cov()
         assert k(0.3, 0.7) == 0.3
         assert k(0.7, 0.3) == 0.3
-        assert k.rho == 1.0 and k.holder_dominated
+        assert k.rho == 1.0
 
     def test_fbm_half_is_bm(self):
         rng = np.random.default_rng(0)
@@ -32,7 +33,6 @@ class TestKernelCatalog:
     def test_fbm_parameters(self):
         assert fbm_cov(0.25).rho == pytest.approx(2.0)
         assert fbm_cov(0.75).rho == 1.0
-        assert not fbm_cov(0.75).holder_dominated
         with pytest.raises(ValueError):
             fbm_cov(0.0)
         with pytest.raises(ValueError):
@@ -92,14 +92,17 @@ class TestGram:
         assert lam[0] >= -1e-10 * np.max(np.abs(lam))
 
     def test_non_psd_reported(self):
-        fake = CovarianceKernel("fake", lambda s, t: -np.ones(np.broadcast(s, t).shape), 1.0, False)
-        with pytest.raises(ValueError, match="not PSD"):
-            gram_matrix(fake, np.linspace(0, 1, 4))
+        # kernels with Gram trace <= 0: the clipped mass is all of the mass
+        for ev in (lambda s, t: -np.minimum(s, t),
+                   lambda s, t: -np.ones(np.broadcast(s, t).shape)):
+            fake = CovarianceKernel("fake", ev, 1.0)
+            with pytest.raises(ValueError, match="indefinite"):
+                sample(ProcessSpec((fake,)), np.linspace(0, 1, 5), 3, seed=0)
 
 
 class TestCoutinQian:
     def test_bm_constants(self):
-        rep = coutin_qian_check(bm_cov(), 0.5, grid=np.linspace(0, 1, 33))
+        rep = coutin_qian_check(bm_cov(), 0.5)
         assert rep["c_ass1"] == pytest.approx(1.0, rel=1e-12)
         assert rep["c_ass2"] == pytest.approx(0.0, abs=1e-14)
         rep2 = coutin_qian_check(bm_cov(), 0.5, c_H=1.5)
@@ -112,22 +115,25 @@ class TestCoutinQian:
         assert coutin_qian_check(fbm_cov(0.3), 0.3, c_H=1.1 * max(rep["c_ass1"], rep["c_ass2"]))["passes"]
 
     def test_exponent_mismatch_blows_up(self):
-        coarse = coutin_qian_check(fbm_cov(0.3), 0.45, grid=np.linspace(0, 1, 33))
-        fine = coutin_qian_check(fbm_cov(0.3), 0.45, grid=np.linspace(0, 1, 257))
-        assert fine["c_ass1"] > 1.5 * coarse["c_ass1"]
-        assert not coutin_qian_check(fbm_cov(0.3), 0.45, c_H=coarse["c_ass1"],
-                                     grid=np.linspace(0, 1, 257))["passes"]
+        # with H = 0.45 against the kernel's 0.3, c_ass1 is the max over the
+        # grid of |t-s|^{-0.3}, reached on the shortest step 1/64: 64^0.3
+        matched = coutin_qian_check(fbm_cov(0.3), 0.3)
+        mismatched = coutin_qian_check(fbm_cov(0.3), 0.45)
+        assert mismatched["c_ass1"] == pytest.approx(64 ** 0.3, rel=1e-10)
+        assert mismatched["c_ass1"] > 3.0 * matched["c_ass1"]
+        assert not coutin_qian_check(fbm_cov(0.3), 0.45,
+                                     c_H=1.1 * matched["c_ass1"])["passes"]
 
 
 class TestFbmVariationEnvelope:
     def test_h_half_is_exact_length(self):
-        rep = fbm_rhovar_bound_check(0.5, grid_intervals=8)
+        rep = fbm_rhovar_bound_check(0.5)
         np.testing.assert_allclose(rep["ratios"], 1.0, rtol=1e-12)
         assert rep["disjoint_increment_cov"] == pytest.approx(0.0, abs=1e-14)
 
     @pytest.mark.parametrize("H", [0.3, 0.4])
     def test_self_similar_scaling_and_envelope(self, H):
-        rep = fbm_rhovar_bound_check(H, grid_intervals=8)
+        rep = fbm_rhovar_bound_check(H)
         v1 = rep["values"][0]
         # exact self-similarity: value over [0,w]^2 = w^{2H} * value over [0,1]^2
         for w, v in zip(rep["sizes"], rep["values"]):
@@ -179,7 +185,10 @@ class TestConfig:
 
     def test_roundtrip(self):
         for spec in ({"kernel": "bm"}, {"kernel": "fbm", "H": 0.3},
-                     {"kernel": "ou", "theta": 2.0, "sigma": 1.0, "stationary": True}):
+                     {"kernel": "ou", "theta": 2.0, "sigma": 1.0, "stationary": True},
+                     {"kernel": "bridge(fbm)", "H": 0.4},
+                     {"kernel": "bridge(ou)", "theta": 2.0, "sigma": 0.5,
+                      "stationary": False}):
             k = kernel_from_config(spec)
             again = kernel_from_config(kernel_to_config(k))
             assert again.name == k.name

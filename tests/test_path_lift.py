@@ -139,6 +139,12 @@ class TestLift:
         with pytest.raises(ValueError):
             GroupPath(gp.times, tensor_mul(shift, gp.values))
 
+    @pytest.mark.parametrize("batch", [(0,), (3, 0)])
+    def test_group_path_rejects_empty_batch(self, batch):
+        lifted = lift_increments(np.zeros(batch + (4, 2)))
+        with pytest.raises(ValueError, match=rf"batch shape \({batch[0]},.*no paths"):
+            GroupPath(np.linspace(0.0, 1.0, 5), lifted)
+
 
 class TestMetrics:
     def test_self_distances_vanish(self):
@@ -347,6 +353,12 @@ class TestRefineAndIO:
             PiecewisePath(np.array([0.0, 0.5, 0.5, 1.0]), np.zeros((4, 1)))
         with pytest.raises(ValueError):
             PiecewisePath(np.array([0.0, 1.0]), np.zeros((3, 1)))
+
+    @pytest.mark.parametrize("batch", [(0,), (3, 0)])
+    def test_empty_batch_rejected(self, batch):
+        # zero paths would reach numpy's reductions as "zero-size array"
+        with pytest.raises(ValueError, match=rf"batch shape \({batch[0]},.*no paths"):
+            PiecewisePath(np.linspace(0.0, 1.0, 5), np.zeros(batch + (5, 2)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_points_rejected(self, bad):

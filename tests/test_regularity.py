@@ -236,7 +236,7 @@ class TestChaosRatios:
         # Z = g^2 - 1: E Z^2 = 2, E Z^4 = 60, so L4/L2 = (60)^{1/4}/2^{1/2}
         rng = np.random.default_rng(1)
         g = rng.standard_normal(200_000)
-        rep = chaos_ratio_check(g**2 - 1.0, 2, qs=(4,))
+        rep = chaos_ratio_check(g**2 - 1.0, 2)
         row = rep["rows"][0]
         assert row["ratio"] == pytest.approx(60.0**0.25 / 2.0**0.5, rel=0.02)
         assert row["bound"] == pytest.approx(9.0)
@@ -248,7 +248,7 @@ class TestChaosRatios:
         ens = sample(spec, grid, 4000, seed=21)
         end = lift_endpoint(np.diff(ens.points, axis=-2))
         area = hall_log_signature(GroupElement(end)).coords[..., 2]
-        rep = chaos_ratio_check(area, 2, qs=(4,))
+        rep = chaos_ratio_check(area, 2)
         assert rep["ok"]
         assert rep["rows"][0]["ratio"] < rep["rows"][0]["bound"]
 

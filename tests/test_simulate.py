@@ -32,8 +32,7 @@ import oracles
 
 BM2 = ProcessSpec((bm_cov(), bm_cov()))
 # the zero covariance: a component that stays at 0
-FLAT = CovarianceKernel("flat", lambda s, t: np.zeros(np.broadcast(s, t).shape),
-                        1.0, False)
+FLAT = CovarianceKernel("flat", lambda s, t: np.zeros(np.broadcast(s, t).shape), 1.0)
 
 
 def grid(level):
@@ -106,8 +105,7 @@ class TestSampling:
         assert np.max(np.abs(x.mean(axis=0))) <= band
 
     def test_indefinite_gram_aborts(self):
-        bad = CovarianceKernel("wiggle", lambda s, t: np.sin(3 * np.pi * np.minimum(s, t)),
-                               1.0, False)
+        bad = CovarianceKernel("wiggle", lambda s, t: np.sin(3 * np.pi * np.minimum(s, t)), 1.0)
         with pytest.raises(ValueError, match="indefinite"):
             sample(ProcessSpec((bad,)), grid(3), 4, seed=0)
 
@@ -234,8 +232,7 @@ class TestLevel2Variance:
 class TestLevelBounds:
     def test_bm_scaling_slopes(self):
         spec = ProcessSpec((bm_cov(),) * 3)
-        rep = level_bounds_check(spec, interval_levels=(1, 2, 3), n=3000,
-                                 seed=4, grid_level=5)
+        rep = level_bounds_check(spec, n=3000, seed=4, grid_level=5)
         # Brownian scaling forces moment exponents 1, 2, 3 per level
         assert rep["words"]["1"]["log2_slope"] == pytest.approx(1.0, abs=0.15)
         assert rep["words"]["12"]["log2_slope"] == pytest.approx(2.0, abs=0.3)
@@ -245,8 +242,7 @@ class TestLevelBounds:
 
     def test_fbm_constants_stable(self):
         spec = ProcessSpec((fbm_cov(0.4),) * 3)
-        rep = level_bounds_check(spec, interval_levels=(1, 2, 3), n=3000,
-                                 seed=5, grid_level=5)
+        rep = level_bounds_check(spec, n=3000, seed=5, grid_level=5)
         for w in rep["words"].values():
             consts = w["envelope_constants"]
             assert max(consts) / min(consts) < 4.0
@@ -255,10 +251,8 @@ class TestLevelBounds:
         with pytest.raises(ValueError):
             level_bounds_check(BM2, n=10)
         # a level finer than the grid would lift zero increments
-        for levels in ((1, 2, 3), (-1, 1)):
-            with pytest.raises(ValueError, match="interval levels"):
-                level_bounds_check(ProcessSpec((bm_cov(),) * 3), n=10,
-                                   interval_levels=levels, grid_level=2)
+        with pytest.raises(ValueError, match="interval levels"):
+            level_bounds_check(ProcessSpec((bm_cov(),) * 3), n=10, grid_level=2)
         with pytest.raises(ValueError):
             level_bounds_check(ProcessSpec((bm_cov(), bm_cov(), fbm_cov(0.4))), n=10)
 
