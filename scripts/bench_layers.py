@@ -10,6 +10,10 @@ Brownian motion in d = 2 on a uniform grid over [0, 1], seeded:
   grr              grr_holder_check of that ensemble, r 2.6, alpha 0.3
   lift_endpoint    10 000 paths of 256 increments, final Chen product only
   sample           10 000 paths on 257 points
+  weak_limit       weak_limit_fbm over the shipped H ladder 0.45, 0.48, 0.5,
+                   10 000 paths on 257 points
+  young_wiener     young_wiener_check of f(t) = t against scalar BM,
+                   10 000 paths on 1 025 points
 
 and the fBM (H = 0.4) covariance on the uniform 17 x 17 grid of [0, 1]^2:
 
@@ -41,7 +45,12 @@ import numpy as np  # noqa: E402
 from rough_gauss.covariance import ProcessSpec, bm_cov, fbm_cov  # noqa: E402
 from rough_gauss.path_lift import holder_dist, lift_s3, pvar_norm  # noqa: E402
 from rough_gauss.regularity import grr_holder_check  # noqa: E402
-from rough_gauss.simulate import lift_endpoint, sample  # noqa: E402
+from rough_gauss.simulate import (  # noqa: E402
+    lift_endpoint,
+    sample,
+    weak_limit_fbm,
+    young_wiener_check,
+)
 from rough_gauss.variation_2d import (  # noqa: E402
     EXACT_INTERVAL_CAP,
     GridFunction2D,
@@ -90,6 +99,11 @@ def main() -> int:
         "grr": lambda: grr_holder_check(x, r=2.6, alpha=0.3),
         "lift_endpoint": lambda: lift_endpoint(increments),
         "sample": lambda: sample(SPEC, _grid(257), 10_000, seed=3),
+        "weak_limit": lambda: weak_limit_fbm((0.45, 0.48, 0.5), n=10_000, seed=3,
+                                             grid_level=8),
+        "young_wiener": lambda: young_wiener_check(
+            lambda t: np.asarray(t, dtype=float), ProcessSpec((bm_cov(),)),
+            n=10_000, seed=1, grid_level=10),
         "exact_variation": lambda: rho_variation(cov, 1.25, mode="exact"),
     }
     out = {}

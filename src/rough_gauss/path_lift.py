@@ -173,21 +173,24 @@ class GroupPath:
         return self.values.batch_shape[:-1]
 
 
-def _chen_prefixes(increments: np.ndarray):
-    """Yield the word-first raw levels of the Chen products exp(dx_1) (x)
-    ... (x) exp(dx_k) for k = 0, ..., m, the first being the identity.
+def _chen_prefixes(increments: np.ndarray, depth: int = 3):
+    """Yield the word-first raw levels 0..depth of the Chen products
+    exp(dx_1) (x) ... (x) exp(dx_k) for k = 0, ..., m, the first being the
+    identity.
 
     ``increments`` has shape (..., m, d); every yielded level tuple has
     batch shape (...).  Only one step's increments are moved to word-first
-    layout at a time.
+    layout at a time.  Level k of a product reads only levels <= k, so
+    depth 2 yields levels 0-2 of depth 3 bit for bit, without forming
+    level 3.
     """
     increments = np.asarray(increments, dtype=float)
     d, batch = increments.shape[-1], increments.shape[:-2]
-    cur = _exp_segment(np.zeros((d,) + batch))  # the identity, exp(0)
+    cur = _exp_segment(np.zeros((d,) + batch), depth)  # the identity, exp(0)
     yield cur
     for j in range(increments.shape[-2]):
         dx = np.ascontiguousarray(np.moveaxis(increments[..., j, :], -1, 0))
-        cur = _gmul(cur, _exp_segment(dx))
+        cur = _gmul(cur, _exp_segment(dx, depth), depth)
         yield cur
 
 

@@ -5,14 +5,24 @@ continuity, Fernique tails with chaos scaling, the Young-Wiener isometry,
 and the fractional-to-Brownian weak limit.
 
 Randomness: normals for sample i, component c come from a Philox stream with
-key = [seed, 0] and counter = [0, stream, i, c].  Samples are assembled in
-fixed chunks of rows, which keeps the shapes of the Gram-factor products.
+key = [seed, 0] and counter = [0, stream, i, c].  Samples are produced block
+by block of rows and each Gram factor is applied in products of CHUNK rows,
+so every block holds the bytes of the same rows of the whole ensemble.  The
+Monte Carlo checks that read no pair of grid times reduce each block as
+soon as it is formed (to an integral, or to a Chen endpoint only as deep as
+the check reads), so their memory does not grow with the sample count, and
+a ladder of kernels applies each rung's factor to one draw of the normals.
+Matrix products run on one OpenBLAS thread, where a row's sum does not
+depend on how many rows share its product.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -54,6 +64,7 @@ __all__ = [
     "MCEstimate",
     "sample",
     "lift_endpoint",
+    "sample_endpoint",
     "level2_variance_check",
     "level_bounds_check",
     "dyadic_convergence",
@@ -63,8 +74,48 @@ __all__ = [
     "weak_limit_fbm",
 ]
 
-# fixed chunk keeps the BLAS shapes perfbench/reference was recorded with
+# rows of one Gram-factor product: the BLAS shapes perfbench/reference was
+# recorded with.  Samples are drawn in blocks of whole chunks, so a block of
+# any size holds the bytes of the same rows of the whole ensemble.
 CHUNK = 256
+# rows of one Chen block: on a 2-core Xeon VM the Chen loop over 10 000 x
+# 256 increments took 0.24 s on the whole batch, 0.28 s in 2 048-row blocks
+# and 0.60 s in 256-row blocks (per-step Python overhead)
+CHEN_ROWS = 8 * CHUNK
+
+
+def _openblas():
+    """numpy's bundled OpenBLAS thread setters, or None where numpy links
+    another BLAS: then the thread count is left alone."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob(
+        "libscipy_openblas64_*.so"))
+    try:
+        lib = ctypes.CDLL(str(libs[0]))
+        return lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        return None
+
+
+_OPENBLAS = _openblas()
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread and restore the old count after.
+    One thread sums each entry of a product in an order that depends on
+    neither the thread count nor the rows that share the product, so report
+    bytes do not move with OPENBLAS_NUM_THREADS and a streamed product
+    equals the whole-batch one."""
+    if _OPENBLAS is None:
+        yield
+        return
+    get, put = _OPENBLAS
+    old = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(old)
 
 
 @dataclass(frozen=True)
@@ -90,6 +141,8 @@ def mc_mean(values, seed: int) -> MCEstimate:
     v = np.asarray(values, dtype=float).ravel()
     n = v.size
     _check_samples(n, "a Monte Carlo mean")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("non-finite Monte Carlo values")
     mean = math.fsum(v) / n
     var = math.fsum((v - mean) ** 2) / (n - 1)
     return MCEstimate(mean, math.sqrt(var / n), n, seed)
@@ -107,7 +160,8 @@ def _factor(kernel: CovarianceKernel, grid: np.ndarray) -> np.ndarray:
     """Symmetric eigenvalue square root with clipping at zero.  Aborts when
     the clipped mass exceeds 1e-8 of the total eigenvalue mass sum |w|, so
     a kernel with non-positive variance fails and the zero kernel passes."""
-    w, U = np.linalg.eigh(gram_matrix(kernel, grid))
+    with _one_blas_thread():
+        w, U = np.linalg.eigh(gram_matrix(kernel, grid))
     clipped = -float(np.sum(w[w < 0.0]))
     mass = float(np.sum(np.abs(w)))
     if clipped > 1e-8 * mass:
@@ -118,6 +172,49 @@ def _factor(kernel: CovarianceKernel, grid: np.ndarray) -> np.ndarray:
     return U * np.sqrt(np.clip(w, 0.0, None))
 
 
+def _normals(n: int, m: int, d: int, seed: int, stream: int, rows: int):
+    """Yield the standard normals of samples lo..lo+rows-1, block after
+    block, as one (d, rows, m) array; the last block may be shorter."""
+    # one generator: a fresh Philox state (empty buffer, no cached uint32)
+    # with its counter set to [0, stream, i, c] is the state of
+    # Philox(key, counter), so resetting it replaces a construction per row
+    bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    gen = np.random.Generator(bits)
+    state = bits.state
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        Z = np.empty((d, hi - lo, m))
+        for c in range(d):
+            for i in range(lo, hi):
+                state["state"]["counter"][:] = (0, stream, i, c)
+                bits.state = state
+                gen.standard_normal(out=Z[c, i - lo])
+        yield lo, Z
+
+
+def _apply(factors, Z, out=None):
+    """Paths (rows, m, d) of the normals Z (d, rows, m), written into out
+    when given: component c is Z[c] @ factors[c].T, formed in products of
+    CHUNK rows."""
+    d, rows, m = Z.shape
+    if out is None:
+        out = np.empty((rows, m, d))
+    with _one_blas_thread():
+        for lo in range(0, rows, CHUNK):
+            for c, F in enumerate(factors):
+                out[lo : lo + CHUNK, :, c] = Z[c, lo : lo + CHUNK] @ F.T
+    return out
+
+
+def _prepare(spec: ProcessSpec, grid, n: int):
+    """The checked grid and the Gram factor of each component."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    grid = np.asarray(grid, dtype=float)
+    _check_times(grid)
+    return grid, tuple(_factor(k, grid) for k in spec.kernels)
+
+
 def sample(spec: ProcessSpec, grid, n: int, seed: int,
            stream: int = 0) -> PiecewisePath:
     """n independent paths of the d-component process on the grid, as one
@@ -126,38 +223,42 @@ def sample(spec: ProcessSpec, grid, n: int, seed: int,
     Components are independent; component c is the Gram factor applied to
     that component's substream normals.  Deterministic in (seed, stream).
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    grid = np.asarray(grid, dtype=float)
-    _check_times(grid)
-    m = grid.size
-    d = spec.dim
-    factors = tuple(_factor(k, grid) for k in spec.kernels)
-    out = np.empty((n, m, d))
-    # one generator: a fresh Philox state (empty buffer, no cached uint32)
-    # with its counter set to [0, stream, i, c] is the state of
-    # Philox(key, counter), so resetting it replaces a construction per row
-    bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    gen = np.random.Generator(bits)
-    state = bits.state
-    for lo in range(0, n, CHUNK):
-        hi = min(lo + CHUNK, n)
-        for c in range(d):
-            Z = np.empty((hi - lo, m))
-            for i in range(lo, hi):
-                state["state"]["counter"][:] = (0, stream, i, c)
-                bits.state = state
-                gen.standard_normal(out=Z[i - lo])
-            out[lo:hi, :, c] = Z @ factors[c].T
+    grid, factors = _prepare(spec, grid, n)
+    out = np.empty((n, grid.size, spec.dim))
+    for lo, Z in _normals(n, grid.size, spec.dim, seed, stream, CHUNK):
+        _apply(factors, Z, out[lo : lo + Z.shape[1]])
     return PiecewisePath(grid, out)
+
+
+def _path_blocks(spec: ProcessSpec, grid, n: int, seed: int, rows: int):
+    """Yield sample(spec, grid, n, seed).points block after block of `rows`
+    paths (a multiple of CHUNK), bit for bit, without holding them all."""
+    grid, factors = _prepare(spec, grid, n)
+    for _, Z in _normals(n, grid.size, spec.dim, seed, 0, rows):
+        yield _apply(factors, Z)
+
+
+def _chen_end(increments: np.ndarray, depth: int = 3):
+    """Raw levels 0..depth of the Chen product of all the increments."""
+    for cur in _chen_prefixes(increments, depth):
+        pass
+    return cur
 
 
 def lift_endpoint(increments: np.ndarray):
     """Chen product of segment exponentials keeping only the final value;
     memory stays O(batch) instead of O(batch * grid)."""
-    for cur in _chen_prefixes(increments):
-        pass
-    return TruncatedTensor(np.shape(increments)[-1], *cur)
+    return TruncatedTensor(np.shape(increments)[-1], *_chen_end(increments))
+
+
+def sample_endpoint(spec: ProcessSpec, grid, n: int, seed: int) -> GroupElement:
+    """The step-3 lift at the last grid time of each of the n paths of
+    sample(spec, grid, n, seed), bit for bit, lifted CHEN_ROWS paths at a
+    time so the ensemble is never held whole."""
+    ends = [_chen_end(np.diff(x, axis=-2))
+            for x in _path_blocks(spec, grid, n, seed, CHEN_ROWS)]
+    levels = (np.concatenate(a, axis=-1) for a in zip(*ends))
+    return GroupElement(TruncatedTensor(spec.dim, *levels))
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +291,11 @@ def level2_variance_check(spec: ProcessSpec, interval=(0.0, 1.0),
                 "young_converged": True, "band": band, "tolerance": band,
                 "gap": 0.0, "ok": True, "grid_level": grid_level,
                 "components": [0, 1], "interval": [s, t]}
-    ens = sample(spec, grid, n, seed)
-    end = lift_endpoint(np.diff(ens.points[:, a : b + 1, :2], axis=-2))
-    est = mc_mean(end.level2[0, 1] ** 2, seed)
+    # each block of paths is reduced to level2[0, 1] of its endpoint lift
+    areas = np.concatenate([
+        _chen_end(np.diff(x[:, a : b + 1, :2], axis=-2), depth=2)[2][0, 1]
+        for x in _path_blocks(spec, grid, n, seed, CHEN_ROWS)])
+    est = mc_mean(areas ** 2, seed)
 
     base = np.linspace(s, t, 2 ** min(grid_level, 6) + 1)
     ki, kj = spec.kernels[:2]
@@ -233,21 +336,19 @@ def level_bounds_check(spec: ProcessSpec, rho: float | None = None,
         raise ValueError(f"interval levels 1..4 must lie in 0..grid_level={grid_level}")
     rho = float(spec.rho if rho is None else rho)
     grid = np.linspace(0.0, 1.0, 2 ** grid_level + 1)
-    ens = sample(spec, grid, n, seed)
     words = [(0,), (0, 1), (0, 0, 1), (0, 1, 2)]
-    rows = {w: [] for w in words}
-    omegas = []
-    sizes = []
-    for lev in (1, 2, 3, 4):
-        t = 2.0 ** (-lev)
-        idx = int(round(t * (grid.size - 1)))
-        end = lift_endpoint(np.diff(ens.points[:, : idx + 1], axis=-2))
-        omega = square_variation(k0, 0.0, t, 12, rho) ** rho
-        omegas.append(omega)
-        sizes.append(t)
-        for w in words:
-            z = end.levels()[len(w)][w]
-            rows[w].append(mc_mean(z ** 2, seed))
+    sizes = [2.0 ** (-lev) for lev in (1, 2, 3, 4)]
+    steps = [int(round(t * (grid.size - 1))) for t in sizes]
+    omegas = [square_variation(k0, 0.0, t, 12, rho) ** rho for t in sizes]
+    # one Chen pass per block over the increments of [0, 1/2]: its prefix
+    # after steps[i] increments is the lift over [0, sizes[i]]
+    z = {w: [[] for _ in steps] for w in words}
+    for x in _path_blocks(spec, grid, n, seed, CHEN_ROWS):
+        for k, cur in enumerate(_chen_prefixes(np.diff(x[:, : steps[0] + 1], axis=-2))):
+            if k in steps:
+                for w in words:
+                    z[w][steps.index(k)].append(cur[len(w)][w])
+    rows = {w: [mc_mean(np.concatenate(b) ** 2, seed) for b in z[w]] for w in words}
     report = {"rho": rho, "sizes": sizes, "omegas": omegas, "words": {},
               "n": n, "seed": seed, "grid_level": grid_level}
     for w in words:
@@ -434,9 +535,11 @@ def young_wiener_check(f_eval, spec: ProcessSpec, q: float = 1.0,
     if band < 0.0:
         raise ValueError(f"band must be >= 0, got {band}")
     grid = np.linspace(0.0, 1.0, 2 ** grid_level + 1)
-    ens = sample(spec, grid, n, seed)
     fv = np.asarray(f_eval(grid), dtype=float)
-    integrals = np.diff(ens.points[:, :, 0], axis=-1) @ fv[:-1]
+    # each CHUNK of paths is reduced to its Riemann-Stieltjes sums
+    with _one_blas_thread():
+        integrals = np.concatenate([np.diff(x[:, :, 0], axis=-1) @ fv[:-1]
+                                    for x in _path_blocks(spec, grid, n, seed, CHUNK)])
     est = mc_mean(integrals ** 2, seed)
 
     base = np.linspace(0.0, 1.0, 2 ** min(grid_level, 9) + 1)
@@ -489,18 +592,22 @@ def weak_limit_fbm(h_ladder=(0.45, 0.48, 0.5), n: int = 10_000, seed: int = 0,
     if grid_level < 1:
         raise ValueError(f"grid_level must be >= 1, got {grid_level}: on fewer than two "
                          "intervals every H rung has the same Gram matrix, so the gaps tie")
+    _check_samples(n, "the weak limit")
     grid = np.linspace(0.0, 1.0, 2 ** grid_level + 1)
     kgrid = np.linspace(0.0, 1.0, 2 ** 6 + 1)
     bm_gram = bm_cov().grid_eval(kgrid, kgrid)
+    kernels = [fbm_cov(H) if H < 0.5 else bm_cov() for H in ladder]
+    # both components of a rung share its factor; every rung reads one
+    # draw of the normals per block (common random numbers)
+    factors = [(_factor(k, grid),) * 2 for k in kernels]
+    areas = np.concatenate([
+        [_chen_end(np.diff(_apply(f, Z), axis=-2), depth=2)[2][0, 1] for f in factors]
+        for _, Z in _normals(n, grid.size, 2, seed, 0, CHEN_ROWS)], axis=-1)
     stats = []
     gaps = []
     kernel_gaps = []
-    for H in ladder:
-        kern = fbm_cov(H) if H < 0.5 else bm_cov()
-        spec = ProcessSpec((kern, kern))
-        ens = sample(spec, grid, n, seed)
-        end = lift_endpoint(np.diff(ens.points, axis=-2))
-        est = mc_mean(end.level2[0, 1] ** 2, seed)
+    for kern, area in zip(kernels, areas):
+        est = mc_mean(area ** 2, seed)
         stats.append(est.to_dict())
         gaps.append(abs(est.value - 0.5))
         kernel_gaps.append(float(np.max(np.abs(

@@ -192,20 +192,26 @@ def _mul(a, b):
     return l0, l1, l2, l3
 
 
-def _gmul(a, b):
+def _gmul(a, b, depth=3):
     """_mul of two unit-scalar (group) level tuples without the products by
     their scalar parts.  x * 1.0 == x and IEEE addition commutes, so each
-    level is the same sum as in _mul, bit for bit."""
-    _, a1, a2, a3 = a
-    _, b1, b2, b3 = b
+    level is the same sum as in _mul, bit for bit.
+
+    Only levels 0..depth are formed and read: level k of a product reads
+    levels <= k of its factors, so depth 2 gives the bytes of levels 0-2 of
+    depth 3."""
+    a1, a2 = a[1], a[2]
+    b1, b2 = b[1], b[2]
     l1 = b1 + a1
     l2 = a1[:, None] * b1[None, :]
     l2 += b2
     l2 += a2
+    if depth < 3:
+        return np.ones(l1.shape[1:]), l1, l2
     l3 = a1[:, None, None] * b2[None, :, :]
-    l3 += b3
+    l3 += b[3]
     l3 += a2[:, :, None] * b1[None, None, :]
-    l3 += a3
+    l3 += a[3]
     return np.ones(l1.shape[1:]), l1, l2, l3
 
 
@@ -253,16 +259,20 @@ def _exp(x):
     return np.ones(np.shape(l0)), x1, sq2, sq3
 
 
-def _exp_segment(dx):
+def _exp_segment(dx, depth=3):
     """_exp((0, dx, 0, 0)) bit for bit, without the products with the zero
-    levels: those only turn -0.0 into +0.0, which `+= 0.0` keeps."""
+    levels: those only turn -0.0 into +0.0, which `+= 0.0` keeps.  Only
+    levels 0..depth are formed."""
     sq2 = dx[:, None] * dx[None, :]
-    cube3 = sq2[:, :, None] * dx[None, None, :]
-    cube3 /= 6.0
-    cube3 += 0.0
+    levels = (np.ones(dx.shape[1:]), dx, sq2)
+    if depth > 2:
+        cube3 = sq2[:, :, None] * dx[None, None, :]
+        cube3 /= 6.0
+        cube3 += 0.0
+        levels += (cube3,)
     sq2 *= 0.5
     sq2 += 0.0
-    return np.ones(dx.shape[1:]), dx, sq2, cube3
+    return levels
 
 
 def _log(g):

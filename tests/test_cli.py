@@ -307,6 +307,30 @@ class TestDeterminism:
         ]
         assert blobs[0] == blobs[1] == blobs[2]
 
+    def test_bytes_stable_across_blas_threads(self, tmp_path):
+        # at these sizes all three reports differed at two OpenBLAS threads
+        # before the library pinned its products to one
+        env = {k: v for k, v in os.environ.items() if k != "ROUGH_GAUSS_OUT"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+        for experiment, extra in (
+            ("young-wiener", ("--grid", "8", "--samples", "1500")),
+            ("level2-variance", ("--grid", "8", "--samples", "600")),
+            ("weak-limit", ("--grid", "8", "--samples", "600")),
+        ):
+            blobs = []
+            for threads in ("1", "2"):
+                out = tmp_path / f"{experiment}_{threads}"
+                proc = subprocess.run(
+                    [sys.executable, "-m", "rough_gauss.cli", "run", experiment,
+                     "--seed", "5", "--out-dir", str(out), *extra],
+                    env={**env, "OPENBLAS_NUM_THREADS": threads},
+                    capture_output=True, text=True)
+                assert proc.returncode == 0, proc.stderr
+                blobs.append([(out / f"{experiment}_{kind}").read_bytes()
+                              for kind in ("report.json", "table.csv")])
+            assert blobs[0] == blobs[1], experiment
+
 
 class TestTable:
     def _sweep(self, tmp_path, payload, name):

@@ -8,14 +8,18 @@ import pytest
 from rough_gauss.covariance import CovarianceKernel, ProcessSpec, bm_cov, fbm_cov
 from rough_gauss.path_lift import (
     PiecewisePath,
+    _chen_prefixes,
     holder_dist,
     lift_s3,
     pvar_norm,
     restrict_to,
 )
 from rough_gauss.simulate import (
+    CHEN_ROWS,
     CHUNK,
     _factor,
+    _one_blas_thread,
+    _path_blocks,
     dyadic_convergence,
     fernique_tail,
     level2_variance_check,
@@ -24,6 +28,7 @@ from rough_gauss.simulate import (
     mc_mean,
     perturbation_continuity,
     sample,
+    sample_endpoint,
     weak_limit_fbm,
     young_wiener_check,
 )
@@ -37,6 +42,15 @@ FLAT = CovarianceKernel("flat", lambda s, t: np.zeros(np.broadcast(s, t).shape),
 
 def grid(level):
     return np.linspace(0.0, 1.0, 2 ** level + 1)
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestSampling:
@@ -73,6 +87,12 @@ class TestSampling:
         # one value has no spread, so its standard error would read 0
         with pytest.raises(ValueError, match="at least two samples"):
             mc_mean([1.5], 0)
+
+    def test_mc_mean_rejects_non_finite(self):
+        # a statistic that overflowed must not read as a nan or inf estimate
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                mc_mean([1.5, bad], 0)
 
     def test_fbm_disjoint_increment_negative(self):
         n = 40_000
@@ -349,3 +369,82 @@ class TestWeakLimit:
         with pytest.raises(ValueError, match="at most 1/2"):
             weak_limit_fbm((0.45, 0.7), n=10)
 
+
+
+# a Chen block and a sampler chunk both end inside the ensemble
+N_CUT = 8 * CHUNK + 44
+
+
+class TestStreaming:
+    """The checks that read no pair of grid times sample and reduce block by
+    block; each must give the bytes of the whole-batch computation."""
+
+    def test_blocks_concatenate_to_sample(self):
+        spec = ProcessSpec((bm_cov(), fbm_cov(0.3)))
+        want = sample(spec, grid(4), N_CUT, seed=13).points
+        for rows in (CHUNK, CHEN_ROWS):
+            blocks = list(_path_blocks(spec, grid(4), N_CUT, 13, rows))
+            assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+            assert np.all(np.concatenate(blocks) == want)
+
+    def test_depth2_levels_equal_depth3(self):
+        incs = np.random.default_rng(5).standard_normal((40, 12, 3))
+        pairs = zip(_chen_prefixes(incs, depth=2), _chen_prefixes(incs, depth=3))
+        for shallow, deep in pairs:
+            assert len(shallow) == 3 and len(deep) == 4
+            for a, b in zip(shallow, deep):
+                assert np.array_equal(a, b)
+
+    def test_level2_variance_equals_whole_batch(self):
+        spec = ProcessSpec((fbm_cov(0.4), bm_cov()))
+        rep = level2_variance_check(spec, interval=(0.25, 0.75), n=N_CUT,
+                                    seed=3, grid_level=4)
+        x = sample(spec, grid(4), N_CUT, seed=3).points
+        end = lift_endpoint(np.diff(x[:, 4:13, :2], axis=-2))
+        assert rep["mc"] == mc_mean(end.level2[0, 1] ** 2, 3).to_dict()
+
+    def test_young_wiener_equals_whole_batch(self):
+        spec = ProcessSpec((fbm_cov(0.4),))
+        rep = young_wiener_check(np.sin, spec, n=N_CUT, seed=4, grid_level=5)
+        x = sample(spec, grid(5), N_CUT, seed=4).points
+        with _one_blas_thread():
+            integrals = np.diff(x[:, :, 0], axis=-1) @ np.sin(grid(5))[:-1]
+        assert rep["mc"] == mc_mean(integrals ** 2, 4).to_dict()
+
+    def test_weak_limit_equals_one_sample_per_rung(self):
+        rep = weak_limit_fbm((0.45, 0.5), n=N_CUT, seed=6, grid_level=4)
+        for k, got in zip((fbm_cov(0.45), bm_cov()), rep["statistics"]):
+            x = sample(ProcessSpec((k, k)), grid(4), N_CUT, seed=6).points
+            end = lift_endpoint(np.diff(x, axis=-2))
+            assert got == mc_mean(end.level2[0, 1] ** 2, 6).to_dict()
+
+    def test_level_bounds_equals_lift_per_interval(self):
+        spec = ProcessSpec((fbm_cov(0.4),) * 3)
+        rep = level_bounds_check(spec, n=N_CUT, seed=2, grid_level=5)
+        x = sample(spec, grid(5), N_CUT, seed=2).points
+        for i, step in enumerate((16, 8, 4, 2)):
+            levels = lift_endpoint(np.diff(x[:, : step + 1], axis=-2)).levels()
+            for w in ((0,), (0, 1), (0, 0, 1), (0, 1, 2)):
+                got = rep["words"]["".join(str(a + 1) for a in w)]["moments"][i]
+                assert got == mc_mean(levels[len(w)][w] ** 2, 2).to_dict()
+
+    def test_sample_endpoint_equals_lift_endpoint(self):
+        end = sample_endpoint(BM2, grid(3), N_CUT, seed=8)
+        want = lift_endpoint(np.diff(sample(BM2, grid(3), N_CUT, seed=8).points, axis=-2))
+        for a, b in zip(end.tensor.levels(), want.levels()):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("check", [
+        lambda n: young_wiener_check(np.sin, ProcessSpec((bm_cov(),)), n=n,
+                                     seed=1, grid_level=8),
+        lambda n: weak_limit_fbm((0.45, 0.48, 0.5), n=n, seed=1, grid_level=8),
+    ], ids=["young_wiener", "weak_limit"])
+    def test_memory_does_not_grow_with_samples(self, check):
+        # 6 144 more paths of 257 points are 12 MiB per component; the
+        # per-sample statistics the checks keep are a few hundred KiB, inside
+        # the slack.  The first call also pays one-off import and cache
+        # allocations, so it is left out.
+        check(2_048)
+        small = traced_peak(lambda: check(2_048))
+        large = traced_peak(lambda: check(8_192))
+        assert large - small < 2 * 2**20
