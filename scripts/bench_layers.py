@@ -14,6 +14,7 @@ Brownian motion in d = 2 on a uniform grid over [0, 1], seeded:
                    10 000 paths on 257 points
   young_wiener     young_wiener_check of f(t) = t against scalar BM,
                    10 000 paths on 1 025 points
+  fernique         fernique_tail, 10 000 paths on 33 points, p 2.5
 
 and the fBM (H = 0.4) covariance on the uniform 17 x 17 grid of [0, 1]^2:
 
@@ -46,6 +47,7 @@ from rough_gauss.covariance import ProcessSpec, bm_cov, fbm_cov  # noqa: E402
 from rough_gauss.path_lift import holder_dist, lift_s3, pvar_norm  # noqa: E402
 from rough_gauss.regularity import grr_holder_check  # noqa: E402
 from rough_gauss.simulate import (  # noqa: E402
+    fernique_tail,
     lift_endpoint,
     sample,
     weak_limit_fbm,
@@ -104,6 +106,7 @@ def main() -> int:
         "young_wiener": lambda: young_wiener_check(
             lambda t: np.asarray(t, dtype=float), ProcessSpec((bm_cov(),)),
             n=10_000, seed=1, grid_level=10),
+        "fernique": lambda: fernique_tail(SPEC, 2.5, n=10_000, seed=0, grid_level=5),
         "exact_variation": lambda: rho_variation(cov, 1.25, mode="exact"),
     }
     out = {}

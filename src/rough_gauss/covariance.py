@@ -95,10 +95,11 @@ def fbm_cov(H: float) -> CovarianceKernel:
 
 
 def ou_cov(theta: float, sigma: float = 1.0, stationary: bool = True) -> CovarianceKernel:
-    if theta <= 0:
-        raise ValueError("theta must be positive")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    # chained comparisons with inf are false for nan and inf alike
+    if not 0 < theta < np.inf:
+        raise ValueError(f"theta must be finite and positive, got {theta}")
+    if not 0 < sigma < np.inf:
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
     a = sigma**2 / (2 * theta)
 
     if stationary:

@@ -7,13 +7,13 @@ and the fractional-to-Brownian weak limit.
 Randomness: normals for sample i, component c come from a Philox stream with
 key = [seed, 0] and counter = [0, stream, i, c].  Samples are produced block
 by block of rows and each Gram factor is applied in products of CHUNK rows,
-so every block holds the bytes of the same rows of the whole ensemble.  The
-Monte Carlo checks that read no pair of grid times reduce each block as
-soon as it is formed (to an integral, or to a Chen endpoint only as deep as
-the check reads), so their memory does not grow with the sample count, and
-a ladder of kernels applies each rung's factor to one draw of the normals.
-Matrix products run on one OpenBLAS thread, where a row's sum does not
-depend on how many rows share its product.
+so every block holds the bytes of the same rows of the whole ensemble.
+Every Monte Carlo check reduces each block as soon as it is formed (to an
+integral, a Chen endpoint only as deep as the check reads, or the path
+metrics of its lift, which read pairs of grid times within one path), so
+its memory does not grow with the sample count, and a ladder of kernels
+applies each rung's factor to one draw of the normals.  Matrix products run
+on one OpenBLAS thread, so their bytes do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .covariance import (
 from .path_lift import (
     PiecewisePath,
     _chen_prefixes,
-    _take,
     holder_dist,
     lift_s3,
     pvar_dist,
@@ -75,8 +74,9 @@ __all__ = [
 ]
 
 # rows of one Gram-factor product: the BLAS shapes perfbench/reference was
-# recorded with.  Samples are drawn in blocks of whole chunks, so a block of
-# any size holds the bytes of the same rows of the whole ensemble.
+# recorded with.  Even on one thread a product's bytes depend on how many
+# rows share it, so samples are drawn in blocks of whole chunks: then a
+# block of any size holds the bytes of the same rows of the whole ensemble.
 CHUNK = 256
 # rows of one Chen block: on a 2-core Xeon VM the Chen loop over 10 000 x
 # 256 increments took 0.24 s on the whole batch, 0.28 s in 2 048-row blocks
@@ -101,11 +101,10 @@ _OPENBLAS = _openblas()
 
 @contextmanager
 def _one_blas_thread():
-    """Run the block on one OpenBLAS thread and restore the old count after.
-    One thread sums each entry of a product in an order that depends on
-    neither the thread count nor the rows that share the product, so report
-    bytes do not move with OPENBLAS_NUM_THREADS and a streamed product
-    equals the whole-batch one."""
+    """Run the block on one OpenBLAS thread and restore the old count after,
+    so report bytes do not move with OPENBLAS_NUM_THREADS.  The bytes of a
+    product still depend on how many rows share it; products of CHUNK rows
+    make a streamed block equal to the whole batch."""
     if _OPENBLAS is None:
         yield
         return
@@ -148,12 +147,23 @@ def mc_mean(values, seed: int) -> MCEstimate:
     return MCEstimate(mean, math.sqrt(var / n), n, seed)
 
 
-def _l2_rung(dist, seed: int):
-    """L2 mean sqrt(E dist^2) of one ladder rung and its delta-method
-    standard error."""
-    est = mc_mean(np.asarray(dist) ** 2, seed)
-    mean = math.sqrt(est.value)
-    return mean, est.stderr / (2.0 * mean) if est.value > 0 else 0.0
+def _l2_ladder(dists, seed: int):
+    """L2 means sqrt(E dist^2) of the rungs of a (rungs, paths) array of
+    distances and their delta-method standard errors."""
+    means, errs = [], []
+    for est in (mc_mean(d ** 2, seed) for d in dists):
+        means.append(math.sqrt(est.value))
+        errs.append(est.stderr / (2.0 * means[-1]) if est.value > 0 else 0.0)
+    return means, errs
+
+
+def _band_verdict(est: MCEstimate, target: float, band: float) -> dict:
+    """The Monte Carlo estimate passes when it lies within 3 standard errors
+    plus the band of the Young integral target."""
+    tol = 3.0 * est.stderr + band
+    gap = abs(est.value - target)
+    return {"mc": est.to_dict(), "young_value": target, "band": band,
+            "tolerance": tol, "gap": gap, "ok": bool(gap <= tol)}
 
 
 def _factor(kernel: CovarianceKernel, grid: np.ndarray) -> np.ndarray:
@@ -230,11 +240,13 @@ def sample(spec: ProcessSpec, grid, n: int, seed: int,
     return PiecewisePath(grid, out)
 
 
-def _path_blocks(spec: ProcessSpec, grid, n: int, seed: int, rows: int):
-    """Yield sample(spec, grid, n, seed).points block after block of `rows`
-    paths (a multiple of CHUNK), bit for bit, without holding them all."""
+def _path_blocks(spec: ProcessSpec, grid, n: int, seed: int, rows: int,
+                 stream: int = 0):
+    """Yield sample(spec, grid, n, seed, stream).points block after block of
+    `rows` paths (a multiple of CHUNK), bit for bit, without holding them
+    all."""
     grid, factors = _prepare(spec, grid, n)
-    for _, Z in _normals(n, grid.size, spec.dim, seed, 0, rows):
+    for _, Z in _normals(n, grid.size, spec.dim, seed, stream, rows):
         yield _apply(factors, Z)
 
 
@@ -285,12 +297,10 @@ def level2_variance_check(spec: ProcessSpec, interval=(0.0, 1.0),
     b = int(round(t * (grid.size - 1)))
     if grid[a] != s or grid[b] != t:
         raise ValueError("interval endpoints must be grid points")
+    report = {"grid_level": grid_level, "components": [0, 1], "interval": [s, t]}
     if a == b:
-        zero = MCEstimate(0.0, 0.0, n, seed)
-        return {"mc": zero.to_dict(), "young_value": 0.0,
-                "young_converged": True, "band": band, "tolerance": band,
-                "gap": 0.0, "ok": True, "grid_level": grid_level,
-                "components": [0, 1], "interval": [s, t]}
+        return {**_band_verdict(MCEstimate(0.0, 0.0, n, seed), 0.0, band),
+                "young_converged": True, **report}
     # each block of paths is reduced to level2[0, 1] of its endpoint lift
     areas = np.concatenate([
         _chen_end(np.diff(x[:, a : b + 1, :2], axis=-2), depth=2)[2][0, 1]
@@ -305,19 +315,8 @@ def level2_variance_check(spec: ProcessSpec, interval=(0.0, 1.0),
     # zero with s = 0 this is plain R_1
     young = young_integral_2d(_from_corner(ki.grid_eval, s, s), kj.grid_eval,
                               base, base, levels=3)
-    tol = 3.0 * est.stderr + band
-    return {
-        "mc": est.to_dict(),
-        "young_value": young.value,
-        "young_converged": young.converged,
-        "band": band,
-        "tolerance": tol,
-        "gap": abs(est.value - young.value),
-        "ok": bool(abs(est.value - young.value) <= tol),
-        "grid_level": grid_level,
-        "components": [0, 1],
-        "interval": [s, t],
-    }
+    return {**_band_verdict(est, young.value, band),
+            "young_converged": young.converged, **report}
 
 
 def level_bounds_check(spec: ProcessSpec, rho: float | None = None,
@@ -388,17 +387,16 @@ def dyadic_convergence(spec: ProcessSpec, p: float, levels=(3, 4, 5, 6, 7),
     _check_samples(n, "dyadic convergence")
     ref_level = levels[-1] + 1
     grid = np.linspace(0.0, 1.0, 2 ** ref_level + 1)
-    ens = sample(spec, grid, n, seed)
-    ref = lift_s3(ens)
-    alpha = 1.0 / p
-    means = []
-    errs = []
-    for lev in levels:
-        D = grid[:: 2 ** (ref_level - lev)]
-        lifted = lift_s3(refine_path(restrict_to(ens, D), grid))
-        mean, err = _l2_rung(holder_dist(lifted, ref, alpha), seed)
-        means.append(mean)
-        errs.append(err)
+    coarse = [grid[:: 2 ** (ref_level - lev)] for lev in levels]
+
+    def dists(x):
+        ens = PiecewisePath(grid, x)
+        ref = lift_s3(ens)
+        return [holder_dist(lift_s3(refine_path(restrict_to(ens, D), grid)), ref, 1.0 / p)
+                for D in coarse]
+
+    means, errs = _l2_ladder(np.concatenate(
+        [dists(x) for x in _path_blocks(spec, grid, n, seed, CHEN_ROWS)], axis=-1), seed)
     slope = float(np.polyfit(levels, np.log2(means), 1)[0])
     return {
         "p": p,
@@ -421,19 +419,19 @@ def perturbation_continuity(spec: ProcessSpec, epsilons=(0.2, 0.1, 0.05),
     mean against |R_{X-Y}|_inf = eps^2 |R_W|_inf."""
     if sum(e > 0.0 for e in epsilons) < 2:
         raise ValueError("the epsilon ladder needs at least two positive rungs")
+    _check_exponent(p, "p")
     _check_samples(n, "perturbation continuity")
     grid = np.linspace(0.0, 1.0, 2 ** grid_level + 1)
-    ens_x = sample(spec, grid, n, seed, stream=0)
-    ens_w = sample(spec, grid, n, seed, stream=1)
-    lift_x = lift_s3(ens_x)
+
+    def dists(x, w):
+        lift_x = lift_s3(PiecewisePath(grid, x))
+        return [pvar_dist(lift_s3(PiecewisePath(grid, x + eps * w)), lift_x, p)
+                for eps in epsilons]
+
+    # X and W are streams 0 and 1 of one seed, drawn block by block together
+    blocks = zip(*(_path_blocks(spec, grid, n, seed, CHEN_ROWS, stream) for stream in (0, 1)))
+    means, errs = _l2_ladder(np.concatenate([dists(x, w) for x, w in blocks], axis=-1), seed)
     rw_inf = max(float(np.max(np.abs(gram_matrix(k, grid)))) for k in spec.kernels)
-    means = []
-    errs = []
-    for eps in epsilons:
-        pert = PiecewisePath(grid, ens_x.points + eps * ens_w.points)
-        mean, err = _l2_rung(pvar_dist(lift_s3(pert), lift_x, p), seed)
-        means.append(mean)
-        errs.append(err)
     gaps = [e * e * rw_inf for e in epsilons]
     usable = [(g, m) for g, m in zip(gaps, means) if g > 0.0 and m > 0.0]
     if len(usable) >= 2:
@@ -487,16 +485,23 @@ def fernique_tail(spec: ProcessSpec, p: float, n: int = 10_000, seed: int = 0,
     log P(||X|| > lambda) against lambda^2 over empirical tail quantiles and
     reports eta_hat = -slope; also the chaos L^q/L^2 scaling of the log
     signature coordinates at the endpoint."""
+    _check_exponent(p, "p")
     _check_samples(n, "the Fernique tail fit")
     tail_probs = (0.5, 0.25, 0.1, 0.05, 0.02, 0.01)
     grid = np.linspace(0.0, 1.0, 2 ** grid_level + 1)
-    # the samples are dropped once lifted, before the pair stream runs
-    lifted = lift_s3(sample(spec, grid, n, seed))
-    norms = np.asarray(pvar_norm(lifted, p))
+
+    def norms_and_ends(x):
+        lifted = lift_s3(PiecewisePath(grid, x))
+        # copies: a view of the endpoints would keep the block's lift alive
+        return pvar_norm(lifted, p), [a[..., -1].copy() for a in lifted.values.tensor.levels()]
+
+    norms, ends = zip(*map(norms_and_ends, _path_blocks(spec, grid, n, seed, CHEN_ROWS)))
+    norms = np.concatenate(norms)
+    end = GroupElement(TruncatedTensor(spec.dim, *(np.concatenate(a, axis=-1)
+                                                   for a in zip(*ends))))
     lam = np.quantile(norms, [1.0 - q for q in tail_probs])
     logp = np.log(np.asarray(tail_probs, dtype=float))
     slope, intercept = np.polyfit(lam ** 2, logp, 1)
-    end = GroupElement(_take(lifted.values.tensor, -1))
     chaos = _chaos_ratios(end, seed)
     return {
         "p": p,
@@ -558,14 +563,8 @@ def young_wiener_check(f_eval, spec: ProcessSpec, q: float = 1.0,
     rvar = square_variation(kernel, 0.0, 1.0, 8, rho)
     fvar = float(pvar_1d(fv, q))
     upper = young_constant(rho, q) * fvar ** 2 * rvar
-    tol = 3.0 * est.stderr + band
     return {
-        "mc": est.to_dict(),
-        "young_value": young.value,
-        "gap": abs(est.value - young.value),
-        "band": band,
-        "tolerance": tol,
-        "ok": bool(abs(est.value - young.value) <= tol),
+        **_band_verdict(est, young.value, band),
         "centered_value": young_tilde.value,
         "upper_bound": upper,
         "upper_ok": bool(abs(young_tilde.value) <= upper * (1.0 + 1e-9) + 1e-15),

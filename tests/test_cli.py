@@ -215,6 +215,7 @@ class TestRun:
         (("young2d", "--set", "grid_intervals=-1"), "grid_intervals must be >= 1"),
         (("dyadic-convergence", "--set", "p=0.5"), "p must be finite and >= 1"),
         (("young-wiener", "--set", "q=0.5"), "q must be finite and >= 1"),
+        (("variation", "--kernel", "ou:theta=nan"), "theta must be finite"),
     ])
     def test_invalid_ladder_exit1(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"

@@ -55,6 +55,12 @@ class TestKernelCatalog:
             ou_cov(0.0)
         with pytest.raises(ValueError):
             ou_cov(1.0, sigma=-1.0)
+        for theta in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="theta"):
+                ou_cov(theta)
+        for sigma in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="sigma"):
+                ou_cov(1.0, sigma=sigma)
 
     def test_bridge_of_bm(self):
         k = bridge_cov(bm_cov())

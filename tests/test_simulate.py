@@ -5,18 +5,23 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rough_gauss import simulate
 from rough_gauss.covariance import CovarianceKernel, ProcessSpec, bm_cov, fbm_cov
 from rough_gauss.path_lift import (
     PiecewisePath,
     _chen_prefixes,
+    _take,
     holder_dist,
     lift_s3,
+    pvar_dist,
     pvar_norm,
+    refine_path,
     restrict_to,
 )
 from rough_gauss.simulate import (
     CHEN_ROWS,
     CHUNK,
+    _chaos_ratios,
     _factor,
     _one_blas_thread,
     _path_blocks,
@@ -32,6 +37,7 @@ from rough_gauss.simulate import (
     weak_limit_fbm,
     young_wiener_check,
 )
+from rough_gauss.tensor_algebra import GroupElement
 
 import oracles
 
@@ -42,6 +48,16 @@ FLAT = CovarianceKernel("flat", lambda s, t: np.zeros(np.broadcast(s, t).shape),
 
 def grid(level):
     return np.linspace(0.0, 1.0, 2 ** level + 1)
+
+
+def l2_rungs(dists, seed):
+    """Per-rung L2 means and delta-method stderrs, written out per rung."""
+    means, errs = [], []
+    for d in dists:
+        est = mc_mean(np.asarray(d) ** 2, seed)
+        means.append(np.sqrt(est.value))
+        errs.append(est.stderr / (2.0 * means[-1]))
+    return means, errs
 
 
 def traced_peak(fn):
@@ -134,6 +150,15 @@ class TestSampling:
             sample(BM2, grid(3), 0, seed=0)
         with pytest.raises(ValueError):
             sample(BM2, np.array([0.0, 0.5]), 4, seed=0)
+
+    @pytest.mark.parametrize("check", [fernique_tail, perturbation_continuity])
+    def test_p_checked_before_sampling(self, monkeypatch, check):
+        def no_draws(*args):
+            raise AssertionError("sampled before checking p")
+
+        monkeypatch.setattr(simulate, "_normals", no_draws)
+        with pytest.raises(ValueError, match="p must be finite and >= 1"):
+            check(BM2, p=0.5, n=10, seed=0)
 
 
 class TestRestrictAndGap:
@@ -376,8 +401,8 @@ N_CUT = 8 * CHUNK + 44
 
 
 class TestStreaming:
-    """The checks that read no pair of grid times sample and reduce block by
-    block; each must give the bytes of the whole-batch computation."""
+    """Every Monte Carlo check samples and reduces block by block; each must
+    give the bytes of the whole-batch computation."""
 
     def test_blocks_concatenate_to_sample(self):
         spec = ProcessSpec((bm_cov(), fbm_cov(0.3)))
@@ -434,15 +459,49 @@ class TestStreaming:
         for a, b in zip(end.tensor.levels(), want.levels()):
             assert np.array_equal(a, b)
 
+    def test_dyadic_convergence_equals_whole_batch(self):
+        spec = ProcessSpec((bm_cov(), fbm_cov(0.4)))
+        rep = dyadic_convergence(spec, p=2.5, levels=(1, 2), n=N_CUT, seed=5)
+        ens = sample(spec, grid(3), N_CUT, seed=5)
+        ref = lift_s3(ens)
+        dists = [holder_dist(lift_s3(refine_path(restrict_to(ens, grid(lev)), grid(3))),
+                             ref, 0.4) for lev in (1, 2)]
+        assert (rep["l2_means"], rep["l2_stderrs"]) == l2_rungs(dists, 5)
+
+    def test_perturbation_equals_whole_batch(self):
+        spec = ProcessSpec((bm_cov(), fbm_cov(0.4)))
+        rep = perturbation_continuity(spec, epsilons=(0.2, 0.1), p=2.5, n=N_CUT,
+                                      seed=9, grid_level=3)
+        x = sample(spec, grid(3), N_CUT, seed=9, stream=0).points
+        w = sample(spec, grid(3), N_CUT, seed=9, stream=1).points
+        lift_x = lift_s3(PiecewisePath(grid(3), x))
+        dists = [pvar_dist(lift_s3(PiecewisePath(grid(3), x + eps * w)), lift_x, 2.5)
+                 for eps in (0.2, 0.1)]
+        assert (rep["l2_means"], rep["l2_stderrs"]) == l2_rungs(dists, 9)
+
+    def test_fernique_equals_whole_batch(self):
+        rep = fernique_tail(BM2, p=2.5, n=N_CUT, seed=11, grid_level=3)
+        lifted = lift_s3(sample(BM2, grid(3), N_CUT, seed=11))
+        norms = pvar_norm(lifted, 2.5)
+        assert rep["norm_mean"] == mc_mean(norms, 11).to_dict()
+        lams = np.quantile(norms, [1.0 - q for q in rep["tail_probs"]])
+        assert rep["tail_lambdas"] == lams.tolist()
+        end = GroupElement(_take(lifted.values.tensor, -1))
+        assert rep["chaos"] == _chaos_ratios(end, 11)
+
     @pytest.mark.parametrize("check", [
         lambda n: young_wiener_check(np.sin, ProcessSpec((bm_cov(),)), n=n,
                                      seed=1, grid_level=8),
         lambda n: weak_limit_fbm((0.45, 0.48, 0.5), n=n, seed=1, grid_level=8),
-    ], ids=["young_wiener", "weak_limit"])
+        lambda n: fernique_tail(BM2, p=2.5, n=n, seed=1, grid_level=4),
+        lambda n: dyadic_convergence(BM2, p=2.5, levels=(1, 2), n=n, seed=1),
+        lambda n: perturbation_continuity(BM2, p=2.5, n=n, seed=1, grid_level=3),
+    ], ids=["young_wiener", "weak_limit", "fernique", "dyadic_convergence",
+            "perturbation"])
     def test_memory_does_not_grow_with_samples(self, check):
         # 6 144 more paths of 257 points are 12 MiB per component; the
-        # per-sample statistics the checks keep are a few hundred KiB, inside
-        # the slack.  The first call also pays one-off import and cache
+        # per-sample statistics the checks keep are under 1 MiB (fernique's
+        # endpoint levels, 120 B a path, are the largest), inside the slack.  The first call also pays one-off import and cache
         # allocations, so it is left out.
         check(2_048)
         small = traced_peak(lambda: check(2_048))
