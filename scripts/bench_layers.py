@@ -7,6 +7,7 @@ Brownian motion in d = 2 on a uniform grid over [0, 1], seeded:
 
   holder_dist      two lifted 200-path ensembles on 257 points, alpha 0.4
   pvar_norm        one lifted 200-path ensemble on 257 points, p 2.5
+  norm             homogeneous_norm of that ensemble's 51 400 group elements
   grr              grr_holder_check of that ensemble, r 2.6, alpha 0.3
   lift_endpoint    10 000 paths of 256 increments, final Chen product only
   sample           10 000 paths on 257 points
@@ -53,6 +54,7 @@ from rough_gauss.simulate import (  # noqa: E402
     weak_limit_fbm,
     young_wiener_check,
 )
+from rough_gauss.tensor_algebra import homogeneous_norm  # noqa: E402
 from rough_gauss.variation_2d import (  # noqa: E402
     EXACT_INTERVAL_CAP,
     GridFunction2D,
@@ -98,6 +100,7 @@ def main() -> int:
     layers = {
         "holder_dist": lambda: holder_dist(x, y, 0.4),
         "pvar_norm": lambda: pvar_norm(x, 2.5),
+        "norm": lambda: homogeneous_norm(x.values),
         "grr": lambda: grr_holder_check(x, r=2.6, alpha=0.3),
         "lift_endpoint": lambda: lift_endpoint(increments),
         "sample": lambda: sample(SPEC, _grid(257), 10_000, seed=3),

@@ -4,9 +4,8 @@ JSON config in, deterministic artifacts out: ``<experiment>_report.json``,
 ``<experiment>_table.csv``, plus a ``<experiment>_run_meta.json`` sidecar.
 Wall-clock time lives only in the sidecar, so report and table bytes depend
 on nothing but the resolved config: same config and seed means identical
-files, at any worker count, with one BLAS thread.  A different OpenBLAS
-thread count sums the Monte Carlo matrix products in another order and
-moves those reports in the last digits.
+files, at any worker count and any OpenBLAS thread count (the library runs
+its matrix products on one thread).
 
 Each experiment reads the config fields listed for it in ``FIELDS``.  Unset
 fields take the defaults of the library function they are forwarded to, and
@@ -43,6 +42,7 @@ from .covariance import (
 from .path_lift import _take, lift_s3, read_path_csv
 from .regularity import chaos_ratio_check, grr_holder_check
 from .simulate import (
+    _dyadic_grid,
     dyadic_convergence,
     fernique_tail,
     level2_variance_check,
@@ -194,7 +194,7 @@ def _default_p(spec: ProcessSpec) -> float:
 
 
 def _grid(cfg: ExperimentConfig, grid_level: int) -> np.ndarray:
-    return np.linspace(0.0, 1.0, 2 ** _default(cfg.grid_level, grid_level) + 1)
+    return _dyadic_grid(_default(cfg.grid_level, grid_level))
 
 
 def _sample(cfg: ExperimentConfig, grid_level: int, n: int):
@@ -545,7 +545,7 @@ def _jsonify(obj):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        v = float(obj)
+        v = float(obj) + 0.0  # -0.0 is written as 0.0
         return v if math.isfinite(v) else None
     if isinstance(obj, np.ndarray):
         return _jsonify(obj.tolist())
@@ -564,7 +564,7 @@ def _cell(v) -> str:
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (float, np.floating)):
-        return repr(float(v))
+        return repr(float(v) + 0.0)  # -0.0 is written as 0.0
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return str(v)

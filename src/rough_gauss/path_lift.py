@@ -15,9 +15,10 @@ directly: the Chen loop writes each prefix into the grid axis in place,
 and the pair stream copies each block of batch rows (about 1 MiB of
 levels) once and forms the increments of every grid row on views of it.
 Every product there is of two group elements, so both use the group
-multiply ``_gmul``, and a Chen step exponentiates its segment with
-``_exp_segment``, which forms no zero levels; both give the bytes of the
-general kernels.
+multiply ``_gmul``, which gives the bytes of the general product, and a
+Chen step exponentiates its segment with ``_exp_segment``, which forms no
+zero levels and so may differ from the general exponential in the sign of
+a zero entry.
 """
 
 from __future__ import annotations

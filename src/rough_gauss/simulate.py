@@ -52,6 +52,7 @@ from .tensor_algebra import (
     hall_log_signature,
 )
 from .variation_2d import (
+    YOUNG_INTERVAL_CAP,
     _check_exponent,
     _check_times,
     _from_corner,
@@ -133,6 +134,16 @@ def _check_samples(n: int, what: str):
     # one sample has no spread: its standard error would read 0
     if n < 2:
         raise ValueError(f"{what} needs at least two samples, got {n}")
+
+
+def _dyadic_grid(level: int, name: str = "grid_level") -> np.ndarray:
+    """The 2^level + 1 dyadic points of [0, 1].  More than
+    YOUNG_INTERVAL_CAP intervals are rejected before anything is allocated:
+    that is where a Gram matrix on the grid passes 128 MiB."""
+    if level > YOUNG_INTERVAL_CAP.bit_length() - 1:
+        raise ValueError(f"{name} needs 2^{level} grid intervals, more than "
+                         f"the {YOUNG_INTERVAL_CAP} allowed")
+    return np.linspace(0.0, 1.0, 2 ** level + 1)
 
 
 def mc_mean(values, seed: int) -> MCEstimate:
@@ -292,7 +303,7 @@ def level2_variance_check(spec: ProcessSpec, interval=(0.0, 1.0),
     s, t = float(interval[0]), float(interval[1])
     if not 0.0 <= s <= t <= 1.0:
         raise ValueError("interval must satisfy 0 <= s <= t <= 1")
-    grid = np.linspace(0.0, 1.0, 2 ** grid_level + 1)
+    grid = _dyadic_grid(grid_level)
     a = int(round(s * (grid.size - 1)))
     b = int(round(t * (grid.size - 1)))
     if grid[a] != s or grid[b] != t:
@@ -334,11 +345,14 @@ def level_bounds_check(spec: ProcessSpec, rho: float | None = None,
     if grid_level < 4:
         raise ValueError(f"interval levels 1..4 must lie in 0..grid_level={grid_level}")
     rho = float(spec.rho if rho is None else rho)
-    grid = np.linspace(0.0, 1.0, 2 ** grid_level + 1)
+    grid = _dyadic_grid(grid_level)
     words = [(0,), (0, 1), (0, 0, 1), (0, 1, 2)]
     sizes = [2.0 ** (-lev) for lev in (1, 2, 3, 4)]
     steps = [int(round(t * (grid.size - 1))) for t in sizes]
     omegas = [square_variation(k0, 0.0, t, 12, rho) ** rho for t in sizes]
+    if min(omegas) == 0.0:
+        raise ValueError(f"rho={rho} underflows the envelope omega = "
+                         f"|R|_rho-var^rho to 0 on [0, {sizes[-1]}]^2")
     # one Chen pass per block over the increments of [0, 1/2]: its prefix
     # after steps[i] increments is the lift over [0, sizes[i]]
     z = {w: [[] for _ in steps] for w in words}
@@ -386,7 +400,7 @@ def dyadic_convergence(spec: ProcessSpec, p: float, levels=(3, 4, 5, 6, 7),
         raise ValueError("the slope fit needs at least two distinct levels")
     _check_samples(n, "dyadic convergence")
     ref_level = levels[-1] + 1
-    grid = np.linspace(0.0, 1.0, 2 ** ref_level + 1)
+    grid = _dyadic_grid(ref_level, "levels")
     coarse = [grid[:: 2 ** (ref_level - lev)] for lev in levels]
 
     def dists(x):
@@ -421,7 +435,7 @@ def perturbation_continuity(spec: ProcessSpec, epsilons=(0.2, 0.1, 0.05),
         raise ValueError("the epsilon ladder needs at least two positive rungs")
     _check_exponent(p, "p")
     _check_samples(n, "perturbation continuity")
-    grid = np.linspace(0.0, 1.0, 2 ** grid_level + 1)
+    grid = _dyadic_grid(grid_level)
 
     def dists(x, w):
         lift_x = lift_s3(PiecewisePath(grid, x))
@@ -488,7 +502,7 @@ def fernique_tail(spec: ProcessSpec, p: float, n: int = 10_000, seed: int = 0,
     _check_exponent(p, "p")
     _check_samples(n, "the Fernique tail fit")
     tail_probs = (0.5, 0.25, 0.1, 0.05, 0.02, 0.01)
-    grid = np.linspace(0.0, 1.0, 2 ** grid_level + 1)
+    grid = _dyadic_grid(grid_level)
 
     def norms_and_ends(x):
         lifted = lift_s3(PiecewisePath(grid, x))
@@ -539,7 +553,7 @@ def young_wiener_check(f_eval, spec: ProcessSpec, q: float = 1.0,
         raise ValueError("need 1/q + 1/rho > 1")
     if band < 0.0:
         raise ValueError(f"band must be >= 0, got {band}")
-    grid = np.linspace(0.0, 1.0, 2 ** grid_level + 1)
+    grid = _dyadic_grid(grid_level)
     fv = np.asarray(f_eval(grid), dtype=float)
     # each CHUNK of paths is reduced to its Riemann-Stieltjes sums
     with _one_blas_thread():
@@ -547,7 +561,7 @@ def young_wiener_check(f_eval, spec: ProcessSpec, q: float = 1.0,
                                     for x in _path_blocks(spec, grid, n, seed, CHUNK)])
     est = mc_mean(integrals ** 2, seed)
 
-    base = np.linspace(0.0, 1.0, 2 ** min(grid_level, 9) + 1)
+    base = _dyadic_grid(min(grid_level, 9))
 
     def ff(S, T):
         return np.asarray(f_eval(S), dtype=float)[:, None] * np.asarray(
@@ -592,8 +606,8 @@ def weak_limit_fbm(h_ladder=(0.45, 0.48, 0.5), n: int = 10_000, seed: int = 0,
         raise ValueError(f"grid_level must be >= 1, got {grid_level}: on fewer than two "
                          "intervals every H rung has the same Gram matrix, so the gaps tie")
     _check_samples(n, "the weak limit")
-    grid = np.linspace(0.0, 1.0, 2 ** grid_level + 1)
-    kgrid = np.linspace(0.0, 1.0, 2 ** 6 + 1)
+    grid = _dyadic_grid(grid_level)
+    kgrid = _dyadic_grid(6)
     bm_gram = bm_cov().grid_eval(kgrid, kgrid)
     kernels = [fbm_cov(H) if H < 0.5 else bm_cov() for H in ladder]
     # both components of a rung share its factor; every rung reads one

@@ -162,10 +162,7 @@ def _check_unit(x, what: str) -> TruncatedTensor:
 # TruncatedTensor, so numpy's inner loops run over the batch rather than
 # over d, d^2 or d^3 words.  No validation.  The public functions below
 # check their inputs, call one of these on t.levels() and wrap the result
-# in a validated dataclass once.  Each kernel keeps the per-element
-# operation order of the batch-first formulas it replaced, einsum's "+ 0"
-# included, so results are bit-identical to them (tests/oracles.py keeps
-# copies).
+# in a validated dataclass once.
 
 
 def _pad(levels, ndim: int):
@@ -217,19 +214,11 @@ def _gmul(a, b, depth=3):
 
 def _powers(x1: np.ndarray, x2: np.ndarray):
     """Truncated powers of x = x1 + x2 + x3 (no scalar part): x^2 has level
-    2 part sq2 and level 3 part sq3, x^3 has level 3 part cube3.
-
-    The outer products broadcast; the einsum they replace adds each product
-    to a zeroed accumulator, so a -0.0 reads +0.0, and the `+= 0.0` keep
-    that ((a + b) + 0.0 equals (a + 0.0) + (b + 0.0) bit for bit).  einsum
-    multiplies three factors left to right, so cube3 is sq2 (x) x1."""
+    2 part sq2 and level 3 part sq3, x^3 has level 3 part cube3 = sq2 (x) x1."""
     sq2 = x1[:, None] * x1[None, :]
     cube3 = sq2[:, :, None] * x1[None, None, :]
-    cube3 += 0.0
-    sq2 += 0.0
     sq3 = x1[:, None, None] * x2[None, :, :]
     sq3 += x2[:, :, None] * x1[None, None, :]
-    sq3 += 0.0
     return sq2, sq3, cube3
 
 
@@ -260,18 +249,15 @@ def _exp(x):
 
 
 def _exp_segment(dx, depth=3):
-    """_exp((0, dx, 0, 0)) bit for bit, without the products with the zero
-    levels: those only turn -0.0 into +0.0, which `+= 0.0` keeps.  Only
-    levels 0..depth are formed."""
+    """_exp((0, dx, 0, 0)) without the sums with its zero levels, which
+    change only the sign of a zero entry.  Only levels 0..depth are formed."""
     sq2 = dx[:, None] * dx[None, :]
     levels = (np.ones(dx.shape[1:]), dx, sq2)
     if depth > 2:
         cube3 = sq2[:, :, None] * dx[None, None, :]
         cube3 /= 6.0
-        cube3 += 0.0
         levels += (cube3,)
     sq2 *= 0.5
-    sq2 += 0.0
     return levels
 
 
@@ -287,42 +273,19 @@ def _log(g):
     return np.zeros(np.shape(l0)), x1, sq2, sq3
 
 
-def _word_sum(t):
-    """Sum over the leading axis of t in the order of numpy's pairwise
-    add.reduce along a contiguous axis: in sequence below 8 terms, with 8
-    strided accumulators up to 128, and above that as two halves split at a
-    multiple of 8."""
-    n = len(t)
-    if n < 8:
-        res = t[0]
-        for term in t[1:]:
-            res = res + term
-        return res
-    if n <= 128:
-        stop = n - n % 8
-        r = t[:8]
-        for i in range(8, stop, 8):
-            r = r + t[i : i + 8]
-        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for term in t[stop:]:
-            res = res + term
-        return res
-    half = n // 2 - n // 2 % 8
-    return _word_sum(t[:half]) + _word_sum(t[half:])
-
-
 # a sum of squares below this may have lost bits to the subnormal range
 _FRO_TINY = 2.0**-960
 
 
 def _fro(a, k: int):
-    """Frobenius norm over the k leading word axes of a.  Elements whose sum
-    of squares is below _FRO_TINY or overflows are summed again after
-    scaling by their max-abs entry, as LAPACK dnrm2 does; the others, and
-    all-zero elements, keep the plain sum."""
+    """Frobenius norm over the k leading word axes of a.  The squares are
+    summed word after word, so an element alone gives the bits it gets in a
+    batch.  Elements whose sum of squares is below _FRO_TINY or overflows
+    are summed again after scaling by their max-abs entry, as LAPACK dnrm2
+    does; the others, and all-zero elements, keep the plain sum."""
     a = np.reshape(a, (int(np.prod(np.shape(a)[:k])),) + np.shape(a)[k:])
     with np.errstate(over="ignore"):  # overflowing sums are redone below
-        ss = _word_sum(a**2)
+        ss = functools.reduce(np.add, a**2)
     if _FRO_TINY <= ss.min(initial=np.inf) and ss.max(initial=0.0) < np.inf:
         return np.sqrt(ss)
     out = np.sqrt(ss).reshape(-1)
@@ -332,7 +295,7 @@ def _fro(a, k: int):
     # m is 0 for all-zero elements and inf or nan for non-finite entries
     keep = np.isfinite(m) & (m > 0.0)
     redo, m = redo[keep], m[keep]
-    out[redo] = m * np.sqrt(_word_sum((a[:, redo] / m) ** 2))
+    out[redo] = m * np.sqrt(functools.reduce(np.add, (a[:, redo] / m) ** 2))
     return out.reshape(np.shape(ss))[()]
 
 

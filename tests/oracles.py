@@ -22,10 +22,6 @@ from rough_gauss.variation_2d import _score_given_rows
 TRUNC = 3
 
 
-def wzero():
-    return {}
-
-
 def wunit():
     return {(): Fraction(1)}
 
@@ -43,55 +39,61 @@ def wscale(s, a):
 
 
 def wmul(a, b):
+    # b's words by length, so that only products within TRUNC are visited
+    by_len = [[(w, c) for w, c in b.items() if len(w) == k] for k in range(TRUNC + 1)]
     out = {}
     for wa, ca in a.items():
-        for wb, cb in b.items():
-            w = wa + wb
-            if len(w) <= TRUNC:
-                out[w] = out.get(w, Fraction(0)) + ca * cb
+        for k in range(TRUNC + 1 - len(wa)):
+            for wb, cb in by_len[k]:
+                out[wa + wb] = out.get(wa + wb, Fraction(0)) + ca * cb
     return {w: c for w, c in out.items() if c != 0}
+
+
+# coefficients of the truncated series of exp(x), log(1 + x) and (1 + x)^-1
+EXP = (1, 1, Fraction(1, 2), Fraction(1, 6))
+LOG = (0, 1, Fraction(-1, 2), Fraction(1, 3))
+INV = (1, -1, 1, -1)
+
+
+def wseries(x, coeffs):
+    """sum_n coeffs[n] x^n for n = 0..TRUNC."""
+    out, term = wscale(coeffs[0], wunit()), wunit()
+    for c in coeffs[1:]:
+        term = wmul(term, x)
+        out = wadd(out, wscale(c, term))
+    return out
+
+
+def _tail(g):
+    assert g.get((), Fraction(0)) == 1
+    return {w: c for w, c in g.items() if w}
 
 
 def wexp(x):
     assert x.get((), Fraction(0)) == 0
-    out = wunit()
-    term = wunit()
-    for n in range(1, TRUNC + 1):
-        term = wscale(Fraction(1, n), wmul(term, x))
-        out = wadd(out, term)
-    return out
+    return wseries(x, EXP)
 
 
 def wlog(g):
-    assert g.get((), Fraction(0)) == 1
-    x = dict(g)
-    x[()] = Fraction(0)
-    out = wzero()
-    term = wunit()
-    for n in range(1, TRUNC + 1):
-        term = wmul(term, x)
-        out = wadd(out, wscale(Fraction((-1) ** (n + 1), n), term))
-    return out
+    return wseries(_tail(g), LOG)
 
 
 def winv(g):
-    assert g.get((), Fraction(0)) == 1
-    x = dict(g)
-    x[()] = Fraction(0)
-    out = wunit()
-    term = wunit()
-    for n in range(1, TRUNC + 1):
-        term = wmul(term, x)
-        out = wadd(out, wscale(Fraction((-1) ** n), term))
-    return out
+    return wseries(_tail(g), INV)
 
 
-def wbracket(a, b):
-    return wadd(wmul(a, b), wscale(-1, wmul(b, a)))
+def wabs(a):
+    return {w: abs(c) for w, c in a.items()}
 
 
-def wletter(i):
-    return {(i,): Fraction(1)}
+def wmajorant(x, coeffs):
+    """sum_n |coeffs[n]| |x|^n: entry by entry, the sum of the absolute
+    values of the products that the series of x sums.  A float evaluation
+    that rounds at most m times along each product is within gamma_m =
+    m u / (1 - m u) times this of the exact series, for the unit roundoff
+    u = 2^-53, as long as no product underflows (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2002, section 3.1)."""
+    return wseries(wabs(x), [abs(c) for c in coeffs])
 
 
 def word_entries_to_arrays(a, d):
@@ -149,98 +151,6 @@ def homogeneous_norm_exact(levels) -> float:
             squares = sum((c * c for w, c in h.items() if len(w) == k), Fraction(0))
             out = max(out, _root(squares, 2 * k))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Batch-first raw kernels on level tuples (batch axes first, word axes
-# last), written with plain numpy broadcasting, einsum and reductions.  The
-# word-first kernels of rough_gauss.tensor_algebra must reproduce them bit
-# for bit.
-
-
-def _mul(a, b):
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    s = a0[..., None]
-    t = b0[..., None]
-    l0 = a0 * b0
-    l1 = s * b1 + a1 * t
-    l2 = (
-        s[..., None] * b2
-        + a1[..., :, None] * b1[..., None, :]
-        + a2 * t[..., None]
-    )
-    l3 = (
-        s[..., None, None] * b3
-        + a1[..., :, None, None] * b2[..., None, :, :]
-        + a2[..., :, :, None] * b1[..., None, None, :]
-        + a3 * t[..., None, None]
-    )
-    return l0, l1, l2, l3
-
-
-def _powers(x1: np.ndarray, x2: np.ndarray):
-    """Truncated powers of x = x1 + x2 + x3 (no scalar part): x^2 has level
-    2 part sq2 and level 3 part sq3, x^3 has level 3 part cube3."""
-    sq2 = np.einsum("...i,...j->...ij", x1, x1)
-    sq3 = (
-        np.einsum("...i,...jk->...ijk", x1, x2)
-        + np.einsum("...ij,...k->...ijk", x2, x1)
-    )
-    cube3 = np.einsum("...i,...j,...k->...ijk", x1, x1, x1)
-    return sq2, sq3, cube3
-
-
-def _inverse(g):
-    l0, x1, x2, x3 = g
-    sq2, sq3, cube3 = _powers(x1, x2)
-    return np.ones(l0.shape), -x1, -x2 + sq2, -x3 + sq3 - cube3
-
-
-def _exp(x):
-    l0, x1, x2, x3 = x
-    sq2, sq3, cube3 = _powers(x1, x2)
-    return np.ones(l0.shape), x1, x2 + 0.5 * sq2, x3 + 0.5 * sq3 + cube3 / 6.0
-
-
-def _log(g):
-    l0, x1, x2, x3 = g
-    sq2, sq3, cube3 = _powers(x1, x2)
-    return np.zeros(l0.shape), x1, x2 - 0.5 * sq2, x3 - 0.5 * sq3 + cube3 / 3.0
-
-
-def _level_fro(t):
-    l0, l1, l2, l3 = t
-    d = l1.shape[-1]
-    n1 = np.sqrt(np.sum(l1**2, axis=-1))
-    n2 = np.sqrt(np.sum(l2.reshape(l0.shape + (d * d,)) ** 2, axis=-1))
-    n3 = np.sqrt(np.sum(l3.reshape(l0.shape + (d**3,)) ** 2, axis=-1))
-    return n1, n2, n3
-
-
-def _raw_norm(t):
-    n1, n2, n3 = _level_fro(t)
-    return np.maximum(n1, np.maximum(n2 ** 0.5, n3 ** (1.0 / 3.0)))
-
-
-def _norm(g):
-    return np.maximum(_raw_norm(g), _raw_norm(_inverse(g)))
-
-
-def _shuffle_residual(g):
-    _, x1, x2, x3 = g
-    sym2 = 0.5 * (x2 + np.swapaxes(x2, -1, -2))
-    half_sq = 0.5 * np.einsum("...i,...j->...ij", x1, x1)
-    r2 = np.sqrt(np.sum((sym2 - half_sq) ** 2, axis=(-2, -1)))
-    lhs3 = np.einsum("...i,...jk->...ijk", x1, x2)
-    rhs3 = (
-        x3
-        + np.einsum("...jik->...ijk", x3)
-        + np.einsum("...jki->...ijk", x3)
-    )
-    r3 = np.sqrt(np.sum((lhs3 - rhs3) ** 2, axis=(-3, -2, -1)))
-    nrm = np.maximum(_raw_norm(g), 1.0)
-    return r2 / nrm**2 + r3 / nrm**3
 
 
 def normals(seed: int, stream: int, i: int, c: int, m: int) -> np.ndarray:

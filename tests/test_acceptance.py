@@ -6,12 +6,15 @@ unit suites.
 """
 
 import itertools
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from rough_gauss.cameron_martin import CMElement, embedding_check, pvar_1d
-from rough_gauss.cli import main as cli_main
 from rough_gauss.covariance import (
     ProcessSpec,
     bm_cov,
@@ -336,6 +339,11 @@ def test_13_weak_limit_of_level2_moment():
 
 
 def test_14_reports_byte_identical_across_workers(tmp_path, capsys):
+    # fresh interpreters at one and at two OpenBLAS threads: --workers
+    # reaches no library call, so the thread count is what could vary
+    env = {k: v for k, v in os.environ.items() if k != "ROUGH_GAUSS_OUT"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")]))
     checks = []
     for experiment, extra in (
         ("level2-variance", ["--grid", "6", "--samples", "2000"]),
@@ -343,16 +351,18 @@ def test_14_reports_byte_identical_across_workers(tmp_path, capsys):
         ("fernique", ["--grid", "4", "--samples", "1500"]),
     ):
         blobs = []
-        for workers in ("1", "4"):
-            out = tmp_path / f"{experiment}_w{workers}"
-            rc = cli_main(["run", experiment, "--kernel", "bm", "--seed",
-                           "42", "--workers", workers, "--out-dir", str(out),
-                           *extra])
-            assert rc == 0
+        for threads in ("1", "2"):
+            out = tmp_path / f"{experiment}_t{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "rough_gauss.cli", "run", experiment,
+                 "--kernel", "bm", "--seed", "42", "--out-dir", str(out), *extra],
+                env={**env, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
             blobs.append(
                 ((out / f"{experiment}_report.json").read_bytes(),
                  (out / f"{experiment}_table.csv").read_bytes()))
         checks.append(blobs[0] == blobs[1])
     with capsys.disabled():
-        _verdict("14 artifacts byte-identical across worker counts",
+        _verdict("14 artifacts byte-identical across OpenBLAS thread counts",
                  all(checks), f"experiments_ok={checks}")

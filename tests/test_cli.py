@@ -2,6 +2,7 @@ import importlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,6 +34,20 @@ LIBRARY = {
 
 def _run(*argv):
     return main(list(argv))
+
+
+def _run_threaded(out: Path, threads: str, experiment: str, *argv) -> list:
+    """Report and table bytes of one run in a fresh interpreter with
+    ``threads`` OpenBLAS threads."""
+    env = {k: v for k, v in os.environ.items() if k != "ROUGH_GAUSS_OUT"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rough_gauss.cli", "run", experiment, *argv,
+         "--out-dir", str(out)],
+        env={**env, "OPENBLAS_NUM_THREADS": threads}, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return [(out / f"{experiment}_{kind}").read_bytes() for kind in ("report.json", "table.csv")]
 
 
 def _read(path):
@@ -216,6 +231,12 @@ class TestRun:
         (("dyadic-convergence", "--set", "p=0.5"), "p must be finite and >= 1"),
         (("young-wiener", "--set", "q=0.5"), "q must be finite and >= 1"),
         (("variation", "--kernel", "ou:theta=nan"), "theta must be finite"),
+        (("level2-variance", "--grid", "40"), "grid_level needs 2^40 grid intervals"),
+        (("young-wiener", "--grid", "40"), "grid_level needs 2^40 grid intervals"),
+        (("chaos-ratio", "--grid", "40"), "grid_level needs 2^40 grid intervals"),
+        (("dyadic-convergence", "--set", "levels=[3,40]"), "levels needs 2^41 grid intervals"),
+        (("level-bounds", "--set", "rho=300"), "rho=300.0 underflows the envelope"),
+        (("level-bounds", "--set", "rho=1e300"), "rho=1e+300 underflows the envelope"),
     ])
     def test_invalid_ladder_exit1(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"
@@ -275,6 +296,16 @@ class TestRun:
         assert rc == 0
         assert (tmp_path / "envout" / "variation_report.json").exists()
 
+    def test_lift_writes_no_negative_zero(self, tmp_path, capsys):
+        # the Hall coordinate [2,[1,2]] of this lift is -0.0 in floats
+        csv_file = tmp_path / "path.csv"
+        csv_file.write_text("t,x1,x2\n0,0,0\n0.5,0,-1\n1,0,-0.5\n", encoding="utf-8")
+        rc = _run("run", "lift", "--path", str(csv_file), "--out-dir", str(tmp_path))
+        assert rc == 0
+        for name in ("lift_report.json", "lift_table.csv"):
+            text = (tmp_path / name).read_text(encoding="utf-8")
+            assert not re.search(r"-0\.0(?![\d.e])", text), name
+
     def test_lift_from_csv(self, tmp_path, capsys):
         t = np.linspace(0, 1, 9)
         path = PiecewisePath(t, np.stack([t, np.sin(t)], axis=-1))
@@ -294,42 +325,26 @@ class TestRun:
 
 
 class TestDeterminism:
-    def test_bytes_stable_across_reruns_and_workers(self, tmp_path, capsys):
-        dirs = [tmp_path / n for n in ("a", "b", "c")]
-        for d, workers in zip(dirs, ("1", "1", "3")):
-            rc = _run("run", "level2-variance", "--kernel", "bm",
-                      "--grid", "5", "--samples", "600", "--seed", "42",
-                      "--workers", workers, "--out-dir", str(d))
-            assert rc == 0
-        blobs = [
-            ((d / "level2-variance_report.json").read_bytes(),
-             (d / "level2-variance_table.csv").read_bytes())
-            for d in dirs
-        ]
+    def test_bytes_stable_across_reruns_and_workers(self, tmp_path):
+        # a rerun at one OpenBLAS thread and a run at two; --workers reaches
+        # no library call, so the thread count is what could vary the bytes
+        blobs = [_run_threaded(tmp_path / name, threads, "level2-variance",
+                               "--kernel", "bm", "--grid", "5", "--samples", "600",
+                               "--seed", "42")
+                 for name, threads in (("a", "1"), ("b", "1"), ("c", "2"))]
         assert blobs[0] == blobs[1] == blobs[2]
 
     def test_bytes_stable_across_blas_threads(self, tmp_path):
         # at these sizes all three reports differed at two OpenBLAS threads
         # before the library pinned its products to one
-        env = {k: v for k, v in os.environ.items() if k != "ROUGH_GAUSS_OUT"}
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
         for experiment, extra in (
             ("young-wiener", ("--grid", "8", "--samples", "1500")),
             ("level2-variance", ("--grid", "8", "--samples", "600")),
             ("weak-limit", ("--grid", "8", "--samples", "600")),
         ):
-            blobs = []
-            for threads in ("1", "2"):
-                out = tmp_path / f"{experiment}_{threads}"
-                proc = subprocess.run(
-                    [sys.executable, "-m", "rough_gauss.cli", "run", experiment,
-                     "--seed", "5", "--out-dir", str(out), *extra],
-                    env={**env, "OPENBLAS_NUM_THREADS": threads},
-                    capture_output=True, text=True)
-                assert proc.returncode == 0, proc.stderr
-                blobs.append([(out / f"{experiment}_{kind}").read_bytes()
-                              for kind in ("report.json", "table.csv")])
+            blobs = [_run_threaded(tmp_path / f"{experiment}_{threads}", threads,
+                                   experiment, "--seed", "5", *extra)
+                     for threads in ("1", "2")]
             assert blobs[0] == blobs[1], experiment
 
 

@@ -3,8 +3,9 @@
 Each config under ``scripts/configs`` runs in a fresh interpreter with the
 arguments and the single-threaded BLAS the benchmark harness used to record
 ``perfbench/reference/<config>/``, and its report and table must match those
-bytes.  A multi-threaded BLAS sums matrix products in another order, which
-moves Monte Carlo reports in the last digits.  dyadic_convergence runs at
+bytes.  The library runs its matrix products on one OpenBLAS thread, so the
+bytes would not move at another thread count either
+(``tests/test_cli.py::TestDeterminism``).  dyadic_convergence runs at
 ``--samples 8``, the size its reference was recorded at.
 """
 

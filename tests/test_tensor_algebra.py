@@ -1,3 +1,7 @@
+import itertools
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -449,12 +453,26 @@ def assert_same_bits(got, want):
     assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
+# unit roundoff of doubles rounded to nearest
+U = Fraction(1, 2**53)
+# half the smallest subnormal: the most a product or quotient can lose to
+# underflow beyond its relative rounding error
+ETA = Fraction(1, 2**1075)
+# 1/3 minus its double, the exponent of the level-3 root in _norm
+THIRD_ERR = float(Fraction(1, 3) - Fraction(1 / 3))
+
+
+def gamma(m):
+    """gamma_m = m u / (1 - m u): the relative error of m roundings."""
+    return m * U / (1 - m * U)
+
+
 def random_levels(rng, d, batch, scalar):
-    """Levels with entries of magnitude 1e-8 to 1e8, random signs and a
-    share of signed zeros."""
+    """Word-first levels with entries of magnitude 1e-8 to 1e8, random signs
+    and a share of signed zeros."""
     out = [np.full(batch, scalar)]
     for k in (1, 2, 3):
-        shape = batch + (d,) * k
+        shape = (d,) * k + batch
         a = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-8, 8, shape)
         zeros = rng.uniform(size=shape) < 0.2
         a[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
@@ -469,50 +487,137 @@ def level_cases(draw):
     return d, batch, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
 
-def word_first(levels):
-    """Batch-first levels moved to the word-first layout of TruncatedTensor."""
-    return tuple(np.moveaxis(a, range(a.ndim - k, a.ndim), range(k)).copy()
-                 for k, a in enumerate(levels))
+def element(levels, idx):
+    """Batch element idx of word-first float levels as an exact word dict;
+    length-1 batch axes broadcast."""
+    idx = tuple(i % n for i, n in zip(idx, np.shape(levels[0])))
+    d = len(levels[1])
+    return {w: Fraction(float(a[w + idx])) for k, a in enumerate(levels)
+            for w in itertools.product(range(d), repeat=k) if a[w + idx] != 0.0}
+
+
+def assert_within(got, idx, want, major, m, atol=Fraction(0)):
+    """Batch element idx of the float levels got lies within gamma_m times
+    the majorant major, plus atol, of the exact word dict want."""
+    d, g = len(got[1]), gamma(m)
+    for k, a in enumerate(got):
+        for w in itertools.product(range(d), repeat=k):
+            err = abs(Fraction(float(a[w + idx])) - want.get(w, 0))
+            assert err <= g * major.get(w, 0) + atol, (idx, w)
+
+
+def level_fro(h, k):
+    """Frobenius norm of level k of the word dict h, in float."""
+    return math.sqrt(float(sum(c * c for w, c in h.items() if len(w) == k)))
+
+
+def norm_error_bound(g, d):
+    """Bound on |_norm(g) - ||g||| for the word dict g of a group element.
+    Each entry of _inverse_tail is within gamma_4 of the majorant of the
+    inverse series; a Frobenius sum of n squares is within gamma_{n+1}
+    relative; the roots round once (one ulp), and the level-3 root raises
+    to the double nearest 1/3, which is off by THIRD_ERR ln(x) relative."""
+    y, major = oracles.winv(g), oracles.wmajorant(
+        {w: c for w, c in g.items() if w}, oracles.INV)
+    out = float(gamma(d + 1)) * level_fro(g, 1)
+    for k in (2, 3):
+        ey = float(gamma(4)) * level_fro(major, k)
+        m = max(level_fro(g, k), level_fro(y, k))
+        err = float(gamma(d**k + 1)) * (m + ey) + ey
+        if m + err == 0.0:
+            continue
+        hi, lo = m + err, m - err
+        # the root moves by at most this over [lo, hi]
+        root = (2 * err) ** (1 / k)
+        if lo > 0.0:
+            root = min(root, 2 * err / (k * lo ** ((k - 1) / k)))
+        expo = THIRD_ERR * (hi ** (1 / 3) * abs(math.log(hi)) + 3 / math.e) if k == 3 else 0.0
+        out = max(out, root + float(2 * U) * hi ** (1 / k) + expo)
+    return out
+
+
+def shuffle_error_bound(g, d):
+    """The exact shuffle residual of the word dict g and a bound on the
+    error of _shuffle_residual.  A level-k defect entry rounds k times
+    along each of its terms (a2, a3 sum their sizes); the Frobenius sums,
+    roots and quotients are bounded as in norm_error_bound."""
+    c = lambda *w: g.get(w, Fraction(0))  # noqa: E731
+    words2, words3 = (list(itertools.product(range(d), repeat=k)) for k in (2, 3))
+    r2 = {w: (c(*w) + c(*w[::-1]) - c(w[0]) * c(w[1])) / 2 for w in words2}
+    a2 = {w: (abs(c(*w)) + abs(c(*w[::-1])) + abs(c(w[0]) * c(w[1]))) / 2 for w in words2}
+    terms3 = {(i, j, k): (c(i) * c(j, k), c(i, j, k), c(j, i, k), c(j, k, i))
+              for i, j, k in words3}
+    r3 = {w: t[0] - t[1] - t[2] - t[3] for w, t in terms3.items()}
+    a3 = {w: sum(map(abs, t)) for w, t in terms3.items()}
+    fro = [level_fro(g, k) for k in (1, 2, 3)]
+    nrm = max(1.0, fro[0], fro[1] ** 0.5, fro[2] ** (1 / 3))
+    # relative error of the float raw norm, and of nrm above
+    nu = float(gamma(d**3 + 2) + 4 * U) + (THIRD_ERR * abs(math.log(fro[2])) if fro[2] else 0.0)
+    want = bound = 0.0
+    for k, r, a in ((2, r2, a2), (3, r3, a3)):
+        rk, ek = level_fro(r, k), float(gamma(k)) * level_fro(a, k)
+        err = ek + float(gamma(d**k + 1)) * (rk + ek)
+        rel = float(1 + 3 * U) / (1 - nu) ** k - 1
+        want += rk / nrm**k
+        bound += (err * (1 + rel) + rk * rel) / nrm**k
+    return want, bound
 
 
 class TestWordFirstKernelsBitExact:
-    """The word-first kernels reproduce the batch-first kernels in
-    tests/oracles.py bit for bit, up to the axis order of their inputs and
-    outputs.  d = 6 has 216 level-3 words, past numpy's 128-term pairwise
-    block, so the recursive split of the Frobenius sum is exercised."""
+    """The raw kernels against the exact word algebra of tests/oracles.py:
+    each float entry lies within the rounding-error bound derived from the
+    same algebra on absolute values (a majorant) and the number of
+    roundings the kernel makes along each product.  The group kernels
+    _gmul and _exp_segment also reproduce the general kernels they stand
+    in for."""
 
     @settings(max_examples=40, deadline=None)
     @given(level_cases(), st.booleans())
     def test_mul(self, case, broadcast):
+        # an entry sums four products: one rounding each, three for the sum
         d, batch, rng = case
         a = random_levels(rng, d, batch, 1.0)
         b = random_levels(rng, d, batch[1:] if broadcast else batch, 1.0)
-        ndim = len(batch)
-        got = ta._mul(ta._pad(word_first(a), ndim), ta._pad(word_first(b), ndim))
-        for g, w in zip(got, word_first(oracles._mul(a, b))):
-            assert_same_bits(g, w)
+        a, b = ta._pad(a, len(batch)), ta._pad(b, len(batch))
+        got = ta._mul(a, b)
+        for idx in np.ndindex(batch):
+            x, y = element(a, idx), element(b, idx)
+            assert_within(got, idx, oracles.wmul(x, y),
+                          oracles.wmul(oracles.wabs(x), oracles.wabs(y)), 4)
 
     @settings(max_examples=40, deadline=None)
     @given(level_cases())
     def test_inverse_exp_log(self, case):
+        # a level-3 entry rounds four times along each product: the product,
+        # the sum of x1 x2 and x2 x1 (or the 1/3, 1/6 scaling of x1^3) and
+        # the two sums that add x3 and x1^3
         d, batch, rng = case
         g = random_levels(rng, d, batch, 1.0)
         x = random_levels(rng, d, batch, 0.0)
-        for kernel, oracle, arg in ((ta._inverse, oracles._inverse, g),
-                                    (ta._exp, oracles._exp, x),
-                                    (ta._log, oracles._log, g)):
-            got = kernel(word_first(arg))
-            for a, w in zip(got, word_first(oracle(arg))):
-                assert_same_bits(a, w)
+        for kernel, oracle, coeffs, arg in ((ta._inverse, oracles.winv, oracles.INV, g),
+                                            (ta._exp, oracles.wexp, oracles.EXP, x),
+                                            (ta._log, oracles.wlog, oracles.LOG, g)):
+            got = kernel(arg)
+            for idx in np.ndindex(batch):
+                e = element(arg, idx)
+                tail = {w: c for w, c in e.items() if w}
+                assert_within(got, idx, oracle(e), oracles.wmajorant(tail, coeffs), 4)
 
     @settings(max_examples=40, deadline=None)
     @given(level_cases())
     def test_norm_and_shuffle_residual(self, case):
         d, batch, rng = case
         g = random_levels(rng, d, batch, 1.0)
-        words = word_first(g)
-        assert_same_bits(ta._norm(words), oracles._norm(g))
-        assert_same_bits(ta._shuffle_residual(words), oracles._shuffle_residual(g))
+        norms, residuals = ta._norm(g), ta._shuffle_residual(g)
+        u = float(U)
+        for idx in np.ndindex(batch):
+            e = element(g, idx)
+            # the float roots and quotients that turn the exact sums into
+            # want are within 3u (norm) and 5u (shuffle residual) of it
+            want = oracles.homogeneous_norm_exact([a[(...,) + idx] for a in g])
+            assert abs(norms[idx] - want) <= norm_error_bound(e, d) + 3 * u * want
+            want, bound = shuffle_error_bound(e, d)
+            assert abs(residuals[idx] - want) <= bound + 5 * u * want
 
     @settings(max_examples=40, deadline=None)
     @given(level_cases(), st.sampled_from(["same", "a", "b", "stream"]),
@@ -520,24 +625,40 @@ class TestWordFirstKernelsBitExact:
     def test_gmul(self, case, shapes, scale):
         # "a"/"b": that operand lacks the first batch axis; "stream": the
         # pair stream's (..., rows, 1) against (..., rows, m).  Tiny scales
-        # make products underflow to signed zeros.
+        # make products underflow to subnormals and signed zeros.
         d, batch, rng = case
         ba, bb = {"same": (batch, batch), "a": (batch[1:], batch),
                   "b": (batch, batch[1:]), "stream": (batch + (1,), batch + (4,))}[shapes]
         a, b = ((lv[0],) + tuple(x * scale for x in lv[1:])
                 for lv in (random_levels(rng, d, s, 1.0) for s in (ba, bb)))
         ndim = max(len(ba), len(bb))
-        got = ta._gmul(ta._pad(word_first(a), ndim), ta._pad(word_first(b), ndim))
-        for g, w in zip(got, word_first(oracles._mul(a, b))):
+        a, b = ta._pad(a, ndim), ta._pad(b, ndim)
+        got = ta._gmul(a, b)
+        for g, w in zip(got, ta._mul(a, b)):
             assert_same_bits(g, w)
+        # entries below 1 in size: each of the two products of an entry may
+        # lose ETA to underflow, which later roundings grow by less than half
+        for idx in np.ndindex(got[0].shape):
+            x, y = element(a, idx), element(b, idx)
+            assert_within(got, idx, oracles.wmul(x, y),
+                          oracles.wmul(oracles.wabs(x), oracles.wabs(y)), 4,
+                          atol=3 * ETA if scale < 1.0 else 0)
 
     @settings(max_examples=40, deadline=None)
     @given(level_cases(), st.sampled_from([1.0, 1e-105, 1e-160]))
     def test_exp_segment(self, case, scale):
         d, batch, rng = case
-        x0, x1, x2, x3 = random_levels(rng, d, batch, 0.0)
+        x0, x1 = random_levels(rng, d, batch, 0.0)[:2]
         x1 = x1 * scale
-        want = oracles._exp((x0, x1, np.zeros_like(x2), np.zeros_like(x3)))
-        got = ta._exp_segment(word_first((x0, x1))[1])
-        for g, w in zip(got, word_first(want)):
-            assert_same_bits(g, w)
+        got = ta._exp_segment(x1)
+        general = ta._exp((x0, x1, np.zeros((d, d) + batch), np.zeros((d, d, d) + batch)))
+        # equal with ==: the general kernel's sums with zero levels may turn
+        # a -0.0 into +0.0
+        for g, w in zip(got, general):
+            assert np.array_equal(g, w)
+        # dx dx, halved, and (dx dx) dx / 6 round at most three times, and
+        # with entries below 1 each step may lose ETA to underflow
+        for idx in np.ndindex(batch):
+            x = element((x0, x1), idx)
+            assert_within(got, idx, oracles.wexp(x), oracles.wmajorant(x, oracles.EXP), 3,
+                          atol=3 * ETA if scale < 1.0 else 0)
