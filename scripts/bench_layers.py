@@ -17,10 +17,12 @@ Brownian motion in d = 2 on a uniform grid over [0, 1], seeded:
                    10 000 paths on 1 025 points
   fernique         fernique_tail, 10 000 paths on 33 points, p 2.5
 
-and the fBM (H = 0.4) covariance on the uniform 17 x 17 grid of [0, 1]^2:
+and the fBM (H = 0.4) covariance on uniform grids of [0, 1]^2:
 
-  exact_variation  exact-mode rho_variation at rho 1.25; 16 intervals is
-                   the exact-mode cap, so this enumerates 2^15 dissections
+  exact_variation  exact-mode rho_variation at rho 1.25 on 17 x 17 points;
+                   16 intervals is the exact-mode cap, so this enumerates
+                   2^15 dissections
+  local_search     local-search rho_variation at rho 1.25 on 257 x 257 points
 
 Each layer runs 5 times after its inputs are built.  For each, the script
 prints the median wall time and the median count of minor page faults
@@ -97,6 +99,8 @@ def main() -> int:
     increments = np.diff(sample(SPEC, _grid(257), 10_000, seed=2).points, axis=-2)
     g = _grid(EXACT_INTERVAL_CAP + 1)
     cov = GridFunction2D(g, g, fbm_cov(0.4).grid_eval(g, g))
+    g = _grid(257)
+    cov_257 = GridFunction2D(g, g, fbm_cov(0.4).grid_eval(g, g))
     layers = {
         "holder_dist": lambda: holder_dist(x, y, 0.4),
         "pvar_norm": lambda: pvar_norm(x, 2.5),
@@ -111,6 +115,7 @@ def main() -> int:
             n=10_000, seed=1, grid_level=10),
         "fernique": lambda: fernique_tail(SPEC, 2.5, n=10_000, seed=0, grid_level=5),
         "exact_variation": lambda: rho_variation(cov, 1.25, mode="exact"),
+        "local_search": lambda: rho_variation(cov_257, 1.25, mode="local-search"),
     }
     out = {}
     for name, fn in layers.items():

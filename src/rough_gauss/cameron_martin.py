@@ -13,14 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import CovarianceKernel, fbm_cov
-from .variation_2d import (
-    EXACT_INTERVAL_CAP,
-    GridFunction2D,
-    _check_exponent,
-    _longest_path,
-    rho_variation,
-)
+from .covariance import CovarianceKernel, fbm_cov, square_variation
+from .variation_2d import EXACT_INTERVAL_CAP, YOUNG_INTERVAL_CAP, _check_exponent, _longest_path
 
 __all__ = [
     "CMElement",
@@ -106,10 +100,7 @@ def _r_variation(kernel: CovarianceKernel, grid_intervals: int, rho: float) -> f
     key = (kernel.key, grid_intervals, rho)
     hit = _RVAR_CACHE.get(key)
     if hit is None:
-        grid = np.linspace(0.0, 1.0, grid_intervals + 1)
-        R = GridFunction2D(grid, grid, kernel.grid_eval(grid, grid))
-        mode = "exact" if grid_intervals <= EXACT_INTERVAL_CAP else "local-search"
-        hit = _RVAR_CACHE[key] = rho_variation(R, rho, mode=mode)
+        hit = _RVAR_CACHE[key] = square_variation(kernel, 0.0, 1.0, grid_intervals, rho)
     return hit
 
 
@@ -127,6 +118,9 @@ def embedding_check(
     the alternating lower bound is used and only consistency is claimed
     (mode "consistent").
     """
+    if not 1 <= grid_intervals <= YOUNG_INTERVAL_CAP:
+        raise ValueError(
+            f"grid_intervals must be in [1, {YOUNG_INTERVAL_CAP}], got {grid_intervals}")
     rho = float(h.kernel.rho if rho is None else rho)
     grid = np.linspace(0.0, 1.0, grid_intervals + 1)
     lhs = float(pvar_1d(cm_eval(h, grid), rho))

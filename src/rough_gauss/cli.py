@@ -60,8 +60,8 @@ from .tensor_algebra import (
     homogeneous_norm,
     shuffle_residual,
 )
-from .variation_2d import (EXACT_INTERVAL_CAP, GridFunction2D, rho_variation,
-                           young_integral_2d)
+from .variation_2d import (EXACT_INTERVAL_CAP, YOUNG_INTERVAL_CAP, GridFunction2D,
+                           rho_variation, young_integral_2d)
 
 OUT_DIR_ENV = "ROUGH_GAUSS_OUT"
 
@@ -118,6 +118,9 @@ class ExperimentConfig:
             raise ValueError(f"grid_level must be >= 0, got {self.grid_level}")
         if self.grid_intervals is not None and self.grid_intervals < 1:
             raise ValueError(f"grid_intervals must be >= 1, got {self.grid_intervals}")
+        if self.grid_intervals is not None and self.grid_intervals > YOUNG_INTERVAL_CAP:
+            raise ValueError(f"grid_intervals must be <= {YOUNG_INTERVAL_CAP}, "
+                             f"got {self.grid_intervals}")
         if self.workers is None or self.workers < 1:
             raise ValueError(f"workers must be an integer >= 1, got {self.workers!r}")
 
@@ -259,7 +262,7 @@ def _run_variation(cfg: ExperimentConfig) -> dict:
         raise ValueError(f"mode must be 'exact' or 'local-search', got {cfg.mode!r}")
     rho = _default(cfg.rho, k.rho)
     grid = np.linspace(0.0, 1.0, intervals + 1)
-    f = GridFunction2D(grid, grid, k.eval(grid[:, None], grid[None, :]))
+    f = GridFunction2D(grid, grid, k.grid_eval(grid, grid))
     search = rho_variation(f, rho, mode="local-search", seed=cfg.seed)
     rows = [{"mode": "local-search", "value": search, "exact": False}]
     checks = []

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .variation_2d import GridFunction2D, rho_variation
+from .variation_2d import EXACT_INTERVAL_CAP, YOUNG_INTERVAL_CAP, GridFunction2D, rho_variation
 
 __all__ = [
     "CovarianceKernel",
@@ -146,11 +146,13 @@ def gram_matrix(k: CovarianceKernel, grid) -> np.ndarray:
 
 def square_variation(k: CovarianceKernel, s: float, t: float, intervals: int,
                      rho: float) -> float:
-    """Exact grid rho-variation of k over the square [s, t]^2, sampled with
-    ``intervals`` uniform intervals per side, at most EXACT_INTERVAL_CAP."""
+    """Grid rho-variation of k over [s, t]^2 on ``intervals`` uniform intervals
+    a side, at most YOUNG_INTERVAL_CAP: exact up to EXACT_INTERVAL_CAP, local search above."""
+    if not 1 <= intervals <= YOUNG_INTERVAL_CAP:
+        raise ValueError(f"intervals must be in [1, {YOUNG_INTERVAL_CAP}], got {intervals}")
     g = np.linspace(s, t, intervals + 1)
-    return rho_variation(GridFunction2D(g, g, k.grid_eval(g, g)), rho,
-                         mode="exact")
+    mode = "exact" if intervals <= EXACT_INTERVAL_CAP else "local-search"
+    return rho_variation(GridFunction2D(g, g, k.grid_eval(g, g)), rho, mode=mode)
 
 
 def coutin_qian_check(k: CovarianceKernel, H: float,

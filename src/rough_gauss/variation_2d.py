@@ -105,10 +105,21 @@ def rect_increment(f: GridFunction2D, s: float, t: float, u: float, v: float) ->
     return float(V[a, c] + V[b, e] - V[a, e] - V[b, c])
 
 
-def _col_pair_weights(R: np.ndarray, rho: float) -> np.ndarray:
-    """B[u, v] = sum_r |R[r, v] - R[r, u]|^rho for all column pairs."""
-    D = np.abs(R[:, None, :] - R[:, :, None]) ** rho
-    return D.sum(axis=0)
+def _pair_weights(D: np.ndarray, rho: float, out: np.ndarray) -> np.ndarray:
+    """out[u, v] = |D[v] - D[u]|^rho, formed in place."""
+    np.abs(np.subtract(D[None, :], D[:, None], out=out), out=out)
+    out **= rho
+    return out
+
+
+def _col_pair_weights(V: np.ndarray, rows, rho: float) -> np.ndarray:
+    """B[u, v] = sum_r |D_r[v] - D_r[u]|^rho, D_r = V[rows[r+1]] - V[rows[r]],
+    added in place one interval of the row dissection ``rows`` at a time."""
+    B = _pair_weights(V[rows[1]] - V[rows[0]], rho, np.empty((V.shape[1],) * 2))
+    W = np.empty_like(B)
+    for a, b in zip(rows[1:-1], rows[2:]):
+        B += _pair_weights(V[b] - V[a], rho, W)
+    return B
 
 
 def _upper_rows(W: np.ndarray):
@@ -138,24 +149,14 @@ def _longest_path(rows) -> np.ndarray:
     return best
 
 
-def _dp_best_columns(B: np.ndarray) -> list:
-    """Indices of a heaviest path from first to last index of B."""
+def _dp_best_columns(B: np.ndarray) -> tuple[list, float]:
+    """A heaviest path from first to last index of B, and its weight."""
     best = _longest_path(_upper_rows(B))
     cols = [B.shape[0] - 1]
     while cols[-1] != 0:
         j = cols[-1]
         cols.append(int(np.argmax(best[:j] + B[:j, j])))
-    return cols[::-1]
-
-
-def _row_diffs(V: np.ndarray, rows) -> np.ndarray:
-    C = V[rows, :]
-    return C[1:, :] - C[:-1, :]
-
-
-def _score_given_rows(V: np.ndarray, rows, rho: float) -> float:
-    W = _col_pair_weights(_row_diffs(V, rows), rho)
-    return float(_longest_path(_upper_rows(W))[-1])
+    return cols[::-1], float(best[-1])
 
 
 def _exact_sum(V: np.ndarray, rho: float) -> float:
@@ -163,7 +164,7 @@ def _exact_sum(V: np.ndarray, rho: float) -> float:
     smaller axis, grouped by interval count and scored in blocks by the
     batched column DP.  A dissection's column weights sum the row-pair
     slices W[p] of its intervals first interval first, the order in which
-    ``_score_given_rows`` sums them for one dissection."""
+    ``_col_pair_weights`` sums them for one dissection."""
     if V.shape[0] > V.shape[1]:
         V = V.T
     m, n = V.shape
@@ -176,9 +177,7 @@ def _exact_sum(V: np.ndarray, rho: float) -> float:
     pair[a, b] = np.arange(a.size)
     W = np.empty((a.size, n, n))
     for p, D in enumerate(V[b] - V[a]):
-        np.subtract(D[None, :], D[:, None], out=W[p])
-        np.abs(W[p], out=W[p])
-        W[p] **= rho
+        _pair_weights(D, rho, W[p])
     block = max(1, _EXACT_BLOCK_BYTES // W[0].nbytes)
     best = 0.0
     for k in range(m - 1):
@@ -206,10 +205,11 @@ def _alternating_sum(V: np.ndarray, rho: float, seed: int):
         starts.append([0] + [i + 1 for i in range(m - 2) if keep[i]] + [m - 1])
     for rows in starts:
         score = -1.0
+        cols = _dp_best_columns(_col_pair_weights(V, rows, rho))[0]
         for _ in range(60):
-            cols = _dp_best_columns(_col_pair_weights(_row_diffs(V, rows), rho))
-            rows = _dp_best_columns(_col_pair_weights(_row_diffs(V.T, cols), rho))
-            new = _score_given_rows(V, rows, rho)
+            rows = _dp_best_columns(_col_pair_weights(V.T, cols, rho))[0]
+            # the column step is also the new row dissection's score
+            cols, new = _dp_best_columns(_col_pair_weights(V, rows, rho))
             if new <= score * (1 + 1e-13):
                 score = max(score, new)
                 break

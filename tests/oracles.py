@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from rough_gauss.variation_2d import _score_given_rows
+from rough_gauss.variation_2d import _col_pair_weights, _dp_best_columns
 
 # ---------------------------------------------------------------------------
 # Word-indexed truncated tensor algebra over Q.
@@ -234,5 +234,5 @@ def exact_sum_by_mask(V, rho):
             if mask >> b & 1:
                 rows.append(b + 1)
         rows.append(m - 1)
-        best = max(best, _score_given_rows(V, rows, rho))
+        best = max(best, _dp_best_columns(_col_pair_weights(V, rows, rho))[1])
     return best

@@ -14,7 +14,7 @@ from rough_gauss.cameron_martin import (
     pvar_1d,
 )
 from rough_gauss.covariance import bm_cov, bridge_cov, fbm_cov, ou_cov
-from rough_gauss.variation_2d import EXACT_INTERVAL_CAP
+from rough_gauss.variation_2d import EXACT_INTERVAL_CAP, YOUNG_INTERVAL_CAP
 
 from oracles import pvar_enumeration
 
@@ -157,6 +157,13 @@ class TestEmbedding:
         res = embedding_check(h, grid_intervals=EXACT_INTERVAL_CAP * 2)
         assert res.ok
         assert res.mode == "consistent"
+
+    @pytest.mark.parametrize("n", [0, YOUNG_INTERVAL_CAP + 1, 10**12])
+    def test_grid_intervals_bounded(self, n):
+        # rejected before the grid is built
+        h = CMElement(bm_cov(), np.array([1.0]), np.array([1.0]))
+        with pytest.raises(ValueError, match="grid_intervals must be in"):
+            embedding_check(h, grid_intervals=n)
 
 
 class TestFbmIncrementResponse:

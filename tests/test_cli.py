@@ -237,6 +237,10 @@ class TestRun:
         (("dyadic-convergence", "--set", "levels=[3,40]"), "levels needs 2^41 grid intervals"),
         (("level-bounds", "--set", "rho=300"), "rho=300.0 underflows the envelope"),
         (("level-bounds", "--set", "rho=1e300"), "rho=1e+300 underflows the envelope"),
+        (("variation", "--set", "grid_intervals=4097"), "grid_intervals must be <= 4096"),
+        (("cm-embedding", "--set", "grid_intervals=4097", "--set", "elements=1"),
+         "grid_intervals must be <= 4096"),
+        (("young2d", "--set", "grid_intervals=4097"), "grid_intervals must be <= 4096"),
     ])
     def test_invalid_ladder_exit1(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"

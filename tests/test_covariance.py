@@ -13,8 +13,11 @@ from rough_gauss.covariance import (
     kernel_from_config,
     kernel_to_config,
     ou_cov,
+    square_variation,
 )
 from rough_gauss.simulate import sample
+from rough_gauss.variation_2d import (EXACT_INTERVAL_CAP, YOUNG_INTERVAL_CAP, GridFunction2D,
+                                      rho_variation)
 
 
 class TestKernelCatalog:
@@ -152,6 +155,22 @@ class TestFbmVariationEnvelope:
     def test_h_out_of_range(self):
         with pytest.raises(ValueError):
             fbm_rhovar_bound_check(0.6)
+
+
+class TestSquareVariation:
+    def test_exact_to_cap_then_local_search(self):
+        k = fbm_cov(0.4)
+        for n, mode in ((EXACT_INTERVAL_CAP, "exact"),
+                        (EXACT_INTERVAL_CAP + 1, "local-search")):
+            g = np.linspace(0.0, 1.0, n + 1)
+            f = GridFunction2D(g, g, k.grid_eval(g, g))
+            assert square_variation(k, 0.0, 1.0, n, 1.25) == rho_variation(f, 1.25, mode=mode)
+
+    @pytest.mark.parametrize("n", [0, YOUNG_INTERVAL_CAP + 1, 10**12])
+    def test_interval_count_bounded(self, n):
+        # rejected before the grid is built
+        with pytest.raises(ValueError, match="intervals must be in"):
+            square_variation(bm_cov(), 0.0, 1.0, n, 1.0)
 
 
 class TestHContinuity:

@@ -79,18 +79,18 @@ class TestLongestPath:
     def test_best_columns_is_heaviest_dissection(self, n):
         rng = np.random.default_rng(n)
         B = np.triu(rng.random((n, n)), k=1)
-        cols = _dp_best_columns(B)
+        cols, weight = _dp_best_columns(B)
         assert cols[0] == 0 and cols[-1] == n - 1
         assert all(a < b for a, b in zip(cols[:-1], cols[1:]))
         total = 0.0
         for a, b in zip(cols[:-1], cols[1:]):
             total += B[a, b]
-        assert total == _longest_path(_upper_rows(B))[-1]
+        assert total == _longest_path(_upper_rows(B))[-1] == weight
         best = 0.0
         for inner in itertools.product([False, True], repeat=n - 2):
             pts = [0] + [i + 1 for i in range(n - 2) if inner[i]] + [n - 1]
             best = max(best, sum(B[a, b] for a, b in zip(pts[:-1], pts[1:])))
-        assert total == pytest.approx(best, rel=1e-12)
+        assert weight == pytest.approx(best, rel=1e-12)
 
     def test_batched_matches_per_element(self):
         rng = np.random.default_rng(3)
@@ -138,6 +138,19 @@ class TestRhoVariation:
             finally:
                 tracemalloc.stop()
             assert peak < limit, V.shape
+
+    def test_local_search_memory_is_step_bounded(self):
+        # two n x n weight matrices per step, never one per interval; the
+        # warm-up call keeps numpy.random's first import out of the peak
+        f = fbm_cov_grid(129, 0.4)
+        rho_variation(min_cov(5), 1.25, mode="local-search")
+        tracemalloc.start()
+        try:
+            rho_variation(f, 1.25, mode="local-search")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * f.values.nbytes
 
     @pytest.mark.parametrize("mode", ["exact", "local-search"])
     @pytest.mark.parametrize("rho", [float("nan"), float("inf")])
