@@ -7,6 +7,8 @@ Brownian motion in d = 2 on a uniform grid over [0, 1], seeded:
 
   holder_dist      two lifted 200-path ensembles on 257 points, alpha 0.4
   pvar_norm        one lifted 200-path ensemble on 257 points, p 2.5
+  pvar_norm_33     one lifted 2 048-path ensemble on 33 points, p 2.5:
+                   one Chen block of fernique_tail's shape
   norm             homogeneous_norm of that ensemble's 51 400 group elements
   grr              grr_holder_check of that ensemble, r 2.6, alpha 0.3
   lift_endpoint    10 000 paths of 256 increments, final Chen product only
@@ -96,6 +98,7 @@ def measure(fn) -> dict:
 def main() -> int:
     x = lift_s3(sample(SPEC, _grid(257), 200, seed=0))
     y = lift_s3(sample(SPEC, _grid(257), 200, seed=1))
+    wide = lift_s3(sample(SPEC, _grid(33), 2_048, seed=4))
     increments = np.diff(sample(SPEC, _grid(257), 10_000, seed=2).points, axis=-2)
     g = _grid(EXACT_INTERVAL_CAP + 1)
     cov = GridFunction2D(g, g, fbm_cov(0.4).grid_eval(g, g))
@@ -104,6 +107,7 @@ def main() -> int:
     layers = {
         "holder_dist": lambda: holder_dist(x, y, 0.4),
         "pvar_norm": lambda: pvar_norm(x, 2.5),
+        "pvar_norm_33": lambda: pvar_norm(wide, 2.5),
         "norm": lambda: homogeneous_norm(x.values),
         "grr": lambda: grr_holder_check(x, r=2.6, alpha=0.3),
         "lift_endpoint": lambda: lift_endpoint(increments),

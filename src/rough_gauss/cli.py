@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, simulate
 from .cameron_martin import CMElement, embedding_check, fbm_increment_response_check
 from .covariance import (
     ProcessSpec,
@@ -603,8 +603,10 @@ def _write_artifacts(out_dir: Path, prefix: str, cfg: ExperimentConfig,
     (out_dir / f"{prefix}report.json").write_text(_dumps(report),
                                                   encoding="utf-8")
     _write_csv(out_dir / f"{prefix}table.csv", columns, rows)
+    # false where numpy links a BLAS whose thread count cannot be pinned to
+    # one, so the bytes of its products may follow OPENBLAS_NUM_THREADS
     meta = {"experiment": cfg.experiment, "wall_clock_s": wall,
-            "workers": cfg.workers,
+            "workers": cfg.workers, "blas_pinned": simulate._OPENBLAS is not None,
             "artifacts": [f"{prefix}report.json", f"{prefix}table.csv"]}
     (out_dir / f"{prefix}run_meta.json").write_text(_dumps(meta),
                                                     encoding="utf-8")

@@ -30,6 +30,7 @@ import numpy as np
 from .tensor_algebra import (
     GroupElement,
     TruncatedTensor,
+    _dist_norm,
     _exp_segment,
     _gmul,
     _inverse,
@@ -263,7 +264,7 @@ def _reduce_blocks(x: GroupPath, y: GroupPath | None, reduce):
 def dist_inf(x: GroupPath, y: GroupPath):
     """sup over grid times of the homogeneous distance d(x_t, y_t)."""
     _require_same_grid(x, y)
-    return _reduce_blocks(x, y, lambda lx, ly: np.max(_norm(_gmul(_inverse(lx), ly)), axis=-1))
+    return _reduce_blocks(x, y, lambda lx, ly: np.max(_dist_norm(_gmul(_inverse(lx), ly)), axis=-1))
 
 
 def _pair_rows(lx, ly=None):
@@ -278,9 +279,10 @@ def _pair_rows(lx, ly=None):
 
     for i in range(n - 1):
         inc = incs(lx, i)
-        if ly is not None:
-            inc = _gmul(_inverse(inc), incs(ly, i))
-        yield _norm(inc)
+        if ly is None:
+            yield _norm(inc)
+        else:
+            yield _dist_norm(_gmul(_inverse(inc), incs(ly, i)))
 
 
 def _check_alpha(alpha: float):

@@ -303,9 +303,17 @@ def _level_fro(t):
     return tuple(_fro(a, k) for k, a in enumerate(t[1:], start=1))
 
 
-def _raw_norm(t):
-    n1, n2, n3 = _level_fro(t)
+def _one_sided(g):
+    n1, n2, n3 = _level_fro(g)
     return np.maximum(n1, np.maximum(n2 ** 0.5, n3 ** (1.0 / 3.0)))
+
+
+def _two_sided(g):
+    # level 1 of g^-1 is -x1; the roots are monotone, so they commute with max
+    n1, n2, n3 = _level_fro(g)
+    y2, y3 = _inverse_tail(*g[1:])
+    return np.maximum(n1, np.maximum(np.maximum(n2, _fro(y2, 2)) ** 0.5,
+                                     np.maximum(n3, _fro(y3, 3)) ** (1.0 / 3.0)))
 
 
 # below this homogeneous norm a level-3 norm, or a product in _inverse, may
@@ -313,23 +321,32 @@ def _raw_norm(t):
 _NORM_TINY = 2.0**-340
 
 
-def _norm(g):
-    # level 1 of g^-1 is -x1; the roots are monotone, so they commute with max
-    n1, n2, n3 = _level_fro(g)
-    y2, y3 = _inverse_tail(*g[1:])
-    out = np.maximum(n1, np.maximum(np.maximum(n2, _fro(y2, 2)) ** 0.5,
-                                    np.maximum(n3, _fro(y3, 3)) ** (1.0 / 3.0)))
+def _rescued(raw, g):
+    """raw(g), taken again where it is below _NORM_TINY: the norm is
+    homogeneous, so take it of the dilation by the power of two 2^e that
+    brings it near 1, which scales every entry exactly, and scale back."""
+    out = raw(g)
     tiny = (out > 0.0) & (out < _NORM_TINY)
     if np.any(tiny):
-        # the norm is homogeneous: take it of the dilation by the power of
-        # two 2^e that brings it near 1, which scales every entry exactly,
-        # and scale back
         out = np.array(out)
         e = -np.frexp(out[tiny])[1]
         lifted = tuple(np.ldexp(a[..., tiny], k * e) for k, a in enumerate(g[1:], start=1))
-        out[tiny] = np.ldexp(_norm((np.ones(e.shape),) + lifted), -e)
+        out[tiny] = np.ldexp(_rescued(raw, (np.ones(e.shape),) + lifted), -e)
         out = out[()]
     return out
+
+
+def _norm(g):
+    """max(|pi1|, |pi2|^(1/2), |pi3|^(1/3)) of g's own levels.  For a
+    group-like g the antipode permutes and negates the entries of each
+    level, so this equals the norm of g^-1."""
+    return _rescued(_one_sided, g)
+
+
+def _dist_norm(g):
+    """The norm symmetrized over g and g^-1, for distances ||g^-1 (x) h||:
+    roundoff leaves a product only nearly group-like."""
+    return _rescued(_two_sided, g)
 
 
 def _shuffle_residual(g):
@@ -344,7 +361,7 @@ def _shuffle_residual(g):
         + np.einsum("jki...->ijk...", x3)
     )
     r3 = _fro(lhs3 - rhs3, 3)
-    nrm = np.maximum(_raw_norm(g), 1.0)
+    nrm = np.maximum(_norm(g), 1.0)
     return r2 / nrm**2 + r3 / nrm**3
 
 
@@ -407,7 +424,9 @@ def dilate(lam, g: GroupElement) -> GroupElement:
 
 def homogeneous_norm(g: GroupElement):
     """max(|pi1|, |pi2|^(1/2), |pi3|^(1/3)) with Frobenius level norms,
-    symmetrized so that ||g|| = ||g^-1|| (take the max of both raw values).
+    one-sided: it reads g's own levels only.  For a group-like g the
+    inverse is the antipode, a signed permutation of each level's entries,
+    so ||g|| = ||g^-1|| holds without taking the inverse.
 
     Homogeneous under dilation and subadditive: ||g (x) h|| <= ||g|| + ||h||.
     Returns an array over the batch shape (a numpy scalar for a single
@@ -422,7 +441,7 @@ def cc_distance(g: GroupElement, h: GroupElement):
     if g.dim != h.dim:
         raise ValueError("dimension mismatch")
     ndim = max(len(g.batch_shape), len(h.batch_shape))
-    return _norm(_gmul(_inverse(_pad(g.tensor.levels(), ndim)), _pad(h.tensor.levels(), ndim)))
+    return _dist_norm(_gmul(_inverse(_pad(g.tensor.levels(), ndim)), _pad(h.tensor.levels(), ndim)))
 
 
 def shuffle_residual(g: GroupElement):
@@ -430,7 +449,7 @@ def shuffle_residual(g: GroupElement):
 
     Checks sym(pi2) = 1/2 pi1 (x) pi1 and, for all i,j,k,
     pi1^i pi2^(j,k) = pi3^(i,j,k) + pi3^(j,i,k) + pi3^(j,k,i).
-    Residuals are scaled by max(1, raw norm)^level so the measure is
+    Residuals are scaled by max(1, ||g||)^level so the measure is
     dilation-insensitive for large elements and absolute for small ones.
     """
     return _shuffle_residual(g.tensor.levels())

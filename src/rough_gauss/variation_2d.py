@@ -11,6 +11,7 @@ axis is fixed), and ``local-search`` alternates exact DP steps per axis.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -333,6 +334,44 @@ def _from_corner(ev: Callable, s0: float, t0: float) -> Callable:
     return inc
 
 
+# Euler-Maclaurin coefficients (2k)!/B_2k of cephes' Hurwitz zeta
+_ZETA_A = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0,
+           -1.8924375803183791606e9, 7.47242496e10, -2.950130727918164224e12,
+           1.1646782814350067249e14, -4.5979787224074726105e15,
+           1.8152105401943546773e17, -7.1661652561756670113e18)
+_MACHEP = 1.11022302462515654042e-16
+
+
+def _zeta(x: float) -> float:
+    """Riemann zeta(x) for x > 1: the cephes Hurwitz zeta at q = 1, which
+    scipy.special.zeta(x, 1) runs, with its operations in the same order,
+    so the bits are scipy's.  It sums n^-x directly up to n = 10 (or until a
+    term no longer moves the sum), then adds the Euler-Maclaurin tail."""
+    s, a, b = 1.0, 1.0, 0.0
+    while a < 10.0:
+        a += 1.0
+        b = math.pow(a, -x)
+        s += b
+        if abs(b / s) < _MACHEP:
+            return s
+    w = a
+    s += b * w / (x - 1.0)
+    s -= 0.5 * b
+    a, k = 1.0, 0.0
+    for c in _ZETA_A:
+        a *= x + k
+        b /= w
+        t = a * b / c
+        s += t
+        if abs(t / s) < _MACHEP:
+            return s
+        k += 1.0
+        a *= x + k
+        b /= w
+        k += 1.0
+    return s
+
+
 def young_constant(p: float, q: float) -> float:
     """Uniform constant used in the Young bound: (1 + zeta(1/p + 1/q))^2."""
     _check_exponent(p, "p")
@@ -340,7 +379,4 @@ def young_constant(p: float, q: float) -> float:
     theta = 1.0 / p + 1.0 / q
     if theta <= 1.0:
         raise ValueError("need 1/p + 1/q > 1")
-    # deferred: importing scipy.special costs ~0.3 s at every process start
-    from scipy.special import zeta
-
-    return float((1.0 + zeta(theta, 1)) ** 2)
+    return (1.0 + _zeta(theta)) ** 2

@@ -136,17 +136,17 @@ def _root(x: Fraction, n: int) -> float:
     return math.ldexp(float(x / Fraction(2) ** (n * e)) ** (1.0 / n), e)
 
 
-def homogeneous_norm_exact(levels) -> float:
+def homogeneous_norm_exact(levels, two_sided: bool = False) -> float:
     """Homogeneous norm of one group element given by float levels (l0, l1,
-    l2, l3): the max over g and g^-1 of |pi_k|^(1/k), with the entries, the
-    inverse (winv) and the sums of squares exact in rationals, and only the
-    roots taken in float."""
+    l2, l3): the max of |pi_k(g)|^(1/k), and with two_sided also over
+    g^-1, with the entries, the inverse (winv) and the sums of squares exact
+    in rationals, and only the roots taken in float."""
     g = {}
     for k, a in enumerate(levels):
         for w in itertools.product(range(len(levels[1])), repeat=k):
             g[w] = Fraction(float(np.asarray(a)[w]))
     out = 0.0
-    for h in (g, winv(g)):
+    for h in (g, winv(g)) if two_sided else (g,):
         for k in (1, 2, 3):
             squares = sum((c * c for w, c in h.items() if len(w) == k), Fraction(0))
             out = max(out, _root(squares, 2 * k))

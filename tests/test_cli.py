@@ -151,7 +151,17 @@ class TestRun:
         assert table.splitlines()[0] == "mode,value,exact"
         meta = _read(tmp_path / "variation_run_meta.json")
         assert meta["wall_clock_s"] > 0
+        assert meta["blas_pinned"] is (simulate._OPENBLAS is not None)
         assert "wall_clock_s" not in json.dumps(report)
+
+    def test_sidecar_records_unpinned_blas(self, tmp_path, monkeypatch, capsys):
+        # where _openblas() finds no thread setters, the thread count is left
+        # alone and the sidecar says so; the report does not change
+        monkeypatch.setattr(simulate, "_OPENBLAS", None)
+        assert _run("run", "variation", "--out-dir", str(tmp_path),
+                    "--set", "grid_intervals=6") == 0
+        assert _read(tmp_path / "variation_run_meta.json")["blas_pinned"] is False
+        assert "blas_pinned" not in (tmp_path / "variation_report.json").read_text()
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -477,15 +487,19 @@ def test_every_export_resolves(module):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy.special costs ~0.3 s per process; only young_constant needs it
-    # the library is single-threaded, so concurrent.futures stays unloaded too
+    # the library runs on numpy alone: scipy.special cost ~0.25 s and 26 MB
+    # per process, and young_constant computes zeta itself; the library is
+    # single-threaded, so concurrent.futures stays unloaded too
     code = ("import sys, rough_gauss.cli\n"
-            "print(sorted(m for m in sys.modules\n"
-            "             if m.split('.')[0] in ('scipy', 'concurrent')))\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules\n"
+            "                  if m.split('.')[0] in ('scipy', 'concurrent'))\n"
+            "print(loaded())\n"
             "from rough_gauss.variation_2d import young_constant\n"
-            "print(repr(young_constant(1.0, 1.0)))\n")
+            "print(repr(young_constant(1.0, 1.0)))\n"
+            "print(loaded())\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "6.9956762179742995"]
+    assert proc.stdout.splitlines() == ["[]", "6.9956762179742995", "[]"]

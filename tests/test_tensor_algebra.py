@@ -511,18 +511,19 @@ def level_fro(h, k):
     return math.sqrt(float(sum(c * c for w, c in h.items() if len(w) == k)))
 
 
-def norm_error_bound(g, d):
-    """Bound on |_norm(g) - ||g||| for the word dict g of a group element.
-    Each entry of _inverse_tail is within gamma_4 of the majorant of the
-    inverse series; a Frobenius sum of n squares is within gamma_{n+1}
-    relative; the roots round once (one ulp), and the level-3 root raises
-    to the double nearest 1/3, which is off by THIRD_ERR ln(x) relative."""
+def norm_error_bound(g, d, two_sided=False):
+    """Bound on |_norm(g) - ||g|||, or with two_sided on |_dist_norm(g) -
+    max(||g||, ||g^-1||)|, for the word dict g of a group element.  Each
+    entry of _inverse_tail is within gamma_4 of the majorant of the inverse
+    series; a Frobenius sum of n squares is within gamma_{n+1} relative;
+    the roots round once (one ulp), and the level-3 root raises to the
+    double nearest 1/3, which is off by THIRD_ERR ln(x) relative."""
     y, major = oracles.winv(g), oracles.wmajorant(
         {w: c for w, c in g.items() if w}, oracles.INV)
     out = float(gamma(d + 1)) * level_fro(g, 1)
     for k in (2, 3):
-        ey = float(gamma(4)) * level_fro(major, k)
-        m = max(level_fro(g, k), level_fro(y, k))
+        ey = float(gamma(4)) * level_fro(major, k) if two_sided else 0.0
+        m = max(level_fro(g, k), level_fro(y, k) if two_sided else 0.0)
         err = float(gamma(d**k + 1)) * (m + ey) + ey
         if m + err == 0.0:
             continue
@@ -608,14 +609,18 @@ class TestWordFirstKernelsBitExact:
     def test_norm_and_shuffle_residual(self, case):
         d, batch, rng = case
         g = random_levels(rng, d, batch, 1.0)
-        norms, residuals = ta._norm(g), ta._shuffle_residual(g)
+        # the levels are not group-like, so the one-sided norm and the
+        # distance form, symmetrized over g and g^-1, differ
+        norms, dists = ta._norm(g), ta._dist_norm(g)
+        residuals = ta._shuffle_residual(g)
         u = float(U)
         for idx in np.ndindex(batch):
             e = element(g, idx)
             # the float roots and quotients that turn the exact sums into
             # want are within 3u (norm) and 5u (shuffle residual) of it
-            want = oracles.homogeneous_norm_exact([a[(...,) + idx] for a in g])
-            assert abs(norms[idx] - want) <= norm_error_bound(e, d) + 3 * u * want
+            for got, two_sided in ((norms, False), (dists, True)):
+                want = oracles.homogeneous_norm_exact([a[(...,) + idx] for a in g], two_sided)
+                assert abs(got[idx] - want) <= norm_error_bound(e, d, two_sided) + 3 * u * want
             want, bound = shuffle_error_bound(e, d)
             assert abs(residuals[idx] - want) <= bound + 5 * u * want
 

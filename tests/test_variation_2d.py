@@ -4,6 +4,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rough_gauss.variation_2d import (
     GridFunction2D,
@@ -11,6 +12,7 @@ from rough_gauss.variation_2d import (
     _exact_sum,
     _longest_path,
     _upper_rows,
+    _zeta,
     bilinear_eval,
     rect_increment,
     rho_variation,
@@ -273,6 +275,30 @@ class TestYoungBound:
             with pytest.raises(ValueError):
                 young_constant(p, q)
         assert young_constant(1.0, 1.0) == pytest.approx((1 + np.pi**2 / 6) ** 2)
+
+
+class TestZeta:
+    """_zeta ports the cephes Hurwitz zeta at q = 1, which scipy runs for
+    zeta(x, 1), so the two agree bit for bit; scipy's zeta(2) is one ulp
+    above the double nearest pi^2/6, so an accurate formula alone would not."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=1.0, max_value=2.0, exclude_min=True))
+    def test_bits_equal_scipy_on_young_exponents(self, x):
+        # 1/p + 1/q lies in (1, 2] for the exponents young_constant accepts
+        special = pytest.importorskip("scipy.special")
+        assert _zeta(x) == float(special.zeta(x, 1))
+
+    @pytest.mark.parametrize("x", [1.0 + 2.0**-52, 1.0 + 1e-9, 1.001, 1.5, 2.0, 2.5, 3.0,
+                                   np.pi, 7.0, 9.75, 12.0, 20.0, 33.3, 53.0, 54.0,
+                                   64.5, 100.0, 257.0, 999.9, 1e3])
+    def test_bits_equal_scipy_at_fixed_values(self, x):
+        # past x ~ 53 the first term below the sum's last bit ends the sum
+        special = pytest.importorskip("scipy.special")
+        assert _zeta(x) == float(special.zeta(x, 1))
+
+    def test_zeta_two(self):
+        assert _zeta(2.0) == 1.6449340668482266
 
 class TestInterpAndIO:
     def test_bilinear_matches_grid_and_midpoints(self):
