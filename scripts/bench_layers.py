@@ -18,6 +18,8 @@ Brownian motion in d = 2 on a uniform grid over [0, 1], seeded:
   young_wiener     young_wiener_check of f(t) = t against scalar BM,
                    10 000 paths on 1 025 points
   fernique         fernique_tail, 10 000 paths on 33 points, p 2.5
+  grr_4096         the grr experiment runner at 4 096 samples on 65 points:
+                   two Chen blocks, each lifted and reduced in turn
 
 and the fBM (H = 0.4) covariance on uniform grids of [0, 1]^2:
 
@@ -48,6 +50,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
+from rough_gauss.cli import EXPERIMENTS, ExperimentConfig  # noqa: E402
 from rough_gauss.covariance import ProcessSpec, bm_cov, fbm_cov  # noqa: E402
 from rough_gauss.path_lift import holder_dist, lift_s3, pvar_norm  # noqa: E402
 from rough_gauss.regularity import grr_holder_check  # noqa: E402
@@ -104,6 +107,7 @@ def main() -> int:
     cov = GridFunction2D(g, g, fbm_cov(0.4).grid_eval(g, g))
     g = _grid(257)
     cov_257 = GridFunction2D(g, g, fbm_cov(0.4).grid_eval(g, g))
+    grr_4096 = ExperimentConfig.from_dict({"experiment": "grr", "samples": 4_096})
     layers = {
         "holder_dist": lambda: holder_dist(x, y, 0.4),
         "pvar_norm": lambda: pvar_norm(x, 2.5),
@@ -118,6 +122,7 @@ def main() -> int:
             lambda t: np.asarray(t, dtype=float), ProcessSpec((bm_cov(),)),
             n=10_000, seed=1, grid_level=10),
         "fernique": lambda: fernique_tail(SPEC, 2.5, n=10_000, seed=0, grid_level=5),
+        "grr_4096": lambda: EXPERIMENTS["grr"](grr_4096),
         "exact_variation": lambda: rho_variation(cov, 1.25, mode="exact"),
         "local_search": lambda: rho_variation(cov_257, 1.25, mode="local-search"),
     }

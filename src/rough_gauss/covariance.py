@@ -178,8 +178,6 @@ def coutin_qian_check(k: CovarianceKernel, H: float,
     worst = None
     for h in (2.0**-3, 2.0**-4, 2.0**-5, 2.0**-6):
         s = grid[grid + h <= 1.0]
-        if s.size < 2:
-            continue
         # E(X_{s,s+h} X_{t,t+h}) as a rectangular increment of R
         cov = (
             k.grid_eval(s + h, s + h)
@@ -189,8 +187,6 @@ def coutin_qian_check(k: CovarianceKernel, H: float,
         )
         gap = np.abs(s[None, :] - s[:, None])
         mask = gap > h + 1e-12
-        if not np.any(mask):
-            continue
         ratio = np.abs(cov[mask]) / (gap[mask] ** (2 * H - 2) * h**2)
         m = float(np.max(ratio))
         if m > c2:

@@ -46,24 +46,37 @@ def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
     return w
 
 
+def _row_blocks(obj):
+    """Yield (times, rows) for each block of paths of obj, where the i-th
+    of rows is the (paths, n-1-i) array of d_{t_i,t_j} over j > i.  A
+    GroupPath block's lift is dropped before the next block is built."""
+    if isinstance(obj, PiecewisePath):
+        x = obj.points.reshape((-1,) + obj.points.shape[-2:])
+        yield obj.times, (np.linalg.norm(x[:, i + 1 :, :] - x[:, i : i + 1, :], axis=-1)
+                          for i in range(obj.n_times - 1))
+        return
+    for gp in (obj,) if isinstance(obj, GroupPath) else obj:
+        if not isinstance(gp, GroupPath):
+            raise TypeError("expected a PiecewisePath, a GroupPath or GroupPath blocks")
+        for block in _blocks(gp):
+            yield gp.times, _pair_rows(*block)
+        del gp, block
+
+
 def _grr_sums(obj, q: float, r: float, alpha: float):
     """(F, H) per path: the trapezoidal Besov sum of (d_{s,t}/|t-s|^{1/r})^q
     and the max of d_{s,t}/|t-s|^alpha over grid pairs s < t, reduced row
     after row as the pair stream forms d_{t_i,t_j} over j > i.  F adds its
-    pairs left to right in row-major order, alone as in a batch."""
-    if isinstance(obj, GroupPath):
-        batch = obj.batch_shape
-        blocks = (_pair_rows(*block) for block in _blocks(obj))
-    elif isinstance(obj, PiecewisePath):
-        batch = obj.points.shape[:-2]
-        x = obj.points.reshape((-1,) + obj.points.shape[-2:])
-        blocks = [(np.linalg.norm(x[:, i + 1 :, :] - x[:, i : i + 1, :], axis=-1)
-                   for i in range(obj.n_times - 1))]
-    else:
-        raise TypeError("expected a PiecewisePath or GroupPath")
-    t, w = obj.times, _trapezoid_weights(obj.times)
+    pairs left to right in row-major order, alone as in a batch.  obj is a
+    PiecewisePath, a GroupPath, or an iterable of GroupPath blocks on one
+    grid whose paths are joined along one batch axis."""
+    t = None
     F, H = [], []
-    for rows in blocks:
+    for times, rows in _row_blocks(obj):
+        if t is None:
+            t, w = times, _trapezoid_weights(times)
+        elif not np.array_equal(times, t):
+            raise ValueError("GroupPath blocks must share one grid")
         f = h = 0.0
         for i, row in enumerate(rows):
             dt = t[i + 1 :] - t[i]
@@ -73,6 +86,10 @@ def _grr_sums(obj, q: float, r: float, alpha: float):
             h = np.maximum(h, np.max(row / dt ** alpha, axis=1))
         F.append(f)
         H.append(h)
+    if isinstance(obj, PiecewisePath):
+        batch = obj.points.shape[:-2]
+    else:
+        batch = obj.batch_shape if isinstance(obj, GroupPath) else (-1,)
     F, H = (np.concatenate(v).reshape(batch)[()] for v in (F, H))
     # the diagonal is excluded: zero contribution by the continuity convention
     return 2.0 * F, H
@@ -80,7 +97,8 @@ def _grr_sums(obj, q: float, r: float, alpha: float):
 
 def besov_functional(obj, q: float, r: float):
     """Trapezoidal [0,1]^2 integral of (d(f_s, f_t)/|t-s|^{1/r})^q over the
-    path's grid; leading dims of a batched path are preserved."""
+    path's grid; leading dims of a batched path are preserved, and the
+    paths of an iterable of GroupPath blocks are joined along one axis."""
     if q < 1.0 or r < 1.0:
         raise ValueError("need q >= 1 and r >= 1")
     return _grr_sums(obj, q, r, 1.0)[0]
@@ -101,8 +119,9 @@ class BesovStats:
 
 def grr_holder_check(obj, r: float, alpha: float, q: float | None = None) -> dict:
     """||f||_{alpha-Hol} <= (64/r) F^{1/q} with F the Besov double integral,
-    for alpha < 1/r and q >= q0(r, alpha).  Batched paths are swept and the
-    report carries the worst case."""
+    for alpha < 1/r and q >= q0(r, alpha).  Batched paths, or an iterable
+    of GroupPath blocks checked one at a time, are swept and the report
+    carries the worst case."""
     _check_alpha(alpha)
     q0 = q0_grr(r, alpha)
     q = q0 if q is None else float(q)

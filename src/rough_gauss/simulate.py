@@ -5,9 +5,10 @@ continuity, Fernique tails with chaos scaling, the Young-Wiener isometry,
 and the fractional-to-Brownian weak limit.
 
 Randomness: normals for sample i, component c come from a Philox stream with
-key = [seed, 0] and counter = [0, stream, i, c].  Samples are produced block
-by block of rows and each Gram factor is applied in products of CHUNK rows,
-so every block holds the bytes of the same rows of the whole ensemble.
+key = [seed, 0] and counter = [0, stream, i, c].  One generator produces
+samples block by block of rows (`sample` joins its blocks) and applies each
+Gram factor in products of CHUNK rows, so every block holds the bytes of the
+same rows of the whole ensemble.
 Every Monte Carlo check reduces each block as soon as it is formed (to an
 integral, a Chen endpoint only as deep as the check reads, or the path
 metrics of its lift, which read pairs of grid times within one path), so
@@ -194,8 +195,8 @@ def _factor(kernel: CovarianceKernel, grid: np.ndarray) -> np.ndarray:
 
 
 def _normals(n: int, m: int, d: int, seed: int, stream: int, rows: int):
-    """Yield the standard normals of samples lo..lo+rows-1, block after
-    block, as one (d, rows, m) array; the last block may be shorter."""
+    """Yield the standard normals of the n samples, `rows` samples at a
+    time, as one (d, rows, m) array; the last block may be shorter."""
     # one generator: a fresh Philox state (empty buffer, no cached uint32)
     # with its counter set to [0, stream, i, c] is the state of
     # Philox(key, counter), so resetting it replaces a construction per row
@@ -210,16 +211,14 @@ def _normals(n: int, m: int, d: int, seed: int, stream: int, rows: int):
                 state["state"]["counter"][:] = (0, stream, i, c)
                 bits.state = state
                 gen.standard_normal(out=Z[c, i - lo])
-        yield lo, Z
+        yield Z
 
 
-def _apply(factors, Z, out=None):
-    """Paths (rows, m, d) of the normals Z (d, rows, m), written into out
-    when given: component c is Z[c] @ factors[c].T, formed in products of
-    CHUNK rows."""
+def _apply(factors, Z):
+    """Paths (rows, m, d) of the normals Z (d, rows, m): component c is
+    Z[c] @ factors[c].T, formed in products of CHUNK rows."""
     d, rows, m = Z.shape
-    if out is None:
-        out = np.empty((rows, m, d))
+    out = np.empty((rows, m, d))
     with _one_blas_thread():
         for lo in range(0, rows, CHUNK):
             for c, F in enumerate(factors):
@@ -227,38 +226,36 @@ def _apply(factors, Z, out=None):
     return out
 
 
-def _prepare(spec: ProcessSpec, grid, n: int):
-    """The checked grid and the Gram factor of each component."""
+def _path_blocks(spec: ProcessSpec, grid, n: int, seed: int, rows: int,
+                 stream: int = 0):
+    """The n independent paths of the d-component process on the grid, as
+    an iterator of (rows, |grid|, d) blocks (rows a multiple of CHUNK; the
+    last block may be shorter), so the ensemble is never held whole.
+
+    Components are independent; component c is the Gram factor applied to
+    that component's substream normals.  Deterministic in (seed, stream):
+    every block holds the bytes of the same rows of the whole ensemble.  n
+    and the grid are checked, and the factors formed, before it returns.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
     grid = np.asarray(grid, dtype=float)
     _check_times(grid)
-    return grid, tuple(_factor(k, grid) for k in spec.kernels)
+    factors = tuple(_factor(k, grid) for k in spec.kernels)
+    return (_apply(factors, Z) for Z in _normals(n, grid.size, spec.dim, seed, stream, rows))
 
 
 def sample(spec: ProcessSpec, grid, n: int, seed: int,
            stream: int = 0) -> PiecewisePath:
     """n independent paths of the d-component process on the grid, as one
-    path with points of shape (n, |grid|, d).
-
-    Components are independent; component c is the Gram factor applied to
-    that component's substream normals.  Deterministic in (seed, stream).
-    """
-    grid, factors = _prepare(spec, grid, n)
+    path with points of shape (n, |grid|, d): the blocks of
+    _path_blocks(spec, grid, n, seed, CHUNK, stream) joined."""
+    grid = np.asarray(grid, dtype=float)
+    blocks = _path_blocks(spec, grid, n, seed, CHUNK, stream)
     out = np.empty((n, grid.size, spec.dim))
-    for lo, Z in _normals(n, grid.size, spec.dim, seed, stream, CHUNK):
-        _apply(factors, Z, out[lo : lo + Z.shape[1]])
+    for lo, x in zip(range(0, n, CHUNK), blocks):
+        out[lo : lo + len(x)] = x
     return PiecewisePath(grid, out)
-
-
-def _path_blocks(spec: ProcessSpec, grid, n: int, seed: int, rows: int,
-                 stream: int = 0):
-    """Yield sample(spec, grid, n, seed, stream).points block after block of
-    `rows` paths (a multiple of CHUNK), bit for bit, without holding them
-    all."""
-    grid, factors = _prepare(spec, grid, n)
-    for _, Z in _normals(n, grid.size, spec.dim, seed, stream, rows):
-        yield _apply(factors, Z)
 
 
 def _chen_end(increments: np.ndarray, depth: int = 3):
@@ -615,7 +612,7 @@ def weak_limit_fbm(h_ladder=(0.45, 0.48, 0.5), n: int = 10_000, seed: int = 0,
     factors = [(_factor(k, grid),) * 2 for k in kernels]
     areas = np.concatenate([
         [_chen_end(np.diff(_apply(f, Z), axis=-2), depth=2)[2][0, 1] for f in factors]
-        for _, Z in _normals(n, grid.size, 2, seed, 0, CHEN_ROWS)], axis=-1)
+        for Z in _normals(n, grid.size, 2, seed, 0, CHEN_ROWS)], axis=-1)
     stats = []
     gaps = []
     kernel_gaps = []

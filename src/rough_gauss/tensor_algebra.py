@@ -535,38 +535,24 @@ class LieElement:
         )
 
 
-@functools.lru_cache(maxsize=None)
-def _hall_expansion_matrices(d: int):
-    """Dense expansion of the Hall basis into tensor coordinates.
-
-    Returns (E2, E3): E2 maps level-2 hall coords to the d*d tensor, E3 maps
-    level-3 hall coords to the d^3 tensor ([e_i,[e_j,e_k]] written out as
-    ijk - ikj - jki + kji).
-    """
-    pairs = hall_pairs(d)
-    triples = hall_triples(d)
-    E2 = np.zeros((len(pairs), d * d))
-    for r, (i, j) in enumerate(pairs):
-        E2[r, i * d + j] += 1.0
-        E2[r, j * d + i] -= 1.0
-    E3 = np.zeros((len(triples), d**3))
-    for r, (i, j, k) in enumerate(triples):
-        E3[r, (i * d + j) * d + k] += 1.0
-        E3[r, (i * d + k) * d + j] -= 1.0
-        E3[r, (j * d + k) * d + i] -= 1.0
-        E3[r, (k * d + j) * d + i] += 1.0
-    return E2, E3
-
-
 def lie_to_tensor(l: LieElement) -> TruncatedTensor:
+    """The Hall words written out in word-first zero levels:
+    [e_i,e_j] = ij - ji and [e_i,[e_j,e_k]] = ijk - ikj - jki + kji."""
     d = l.dim
     c1, c2, c3 = l.split()
-    E2, E3 = _hall_expansion_matrices(d)
     batch = l.batch_shape
-    # the coordinates are batch-first; move the word axes to the front
-    levels = (c1, (c2 @ E2).reshape(batch + (d, d)), (c3 @ E3).reshape(batch + (d, d, d)))
-    return TruncatedTensor(d, np.zeros(batch), *(np.moveaxis(a, range(-k, 0), range(k))
-                                                 for k, a in enumerate(levels, start=1)))
+    t2 = np.zeros((d, d) + batch)
+    for r, (i, j) in enumerate(hall_pairs(d)):
+        t2[i, j] += c2[..., r]
+        t2[j, i] -= c2[..., r]
+    t3 = np.zeros((d, d, d) + batch)
+    for r, (i, j, k) in enumerate(hall_triples(d)):
+        c = c3[..., r]
+        t3[i, j, k] += c
+        t3[i, k, j] -= c
+        t3[j, k, i] -= c
+        t3[k, j, i] += c
+    return TruncatedTensor(d, np.zeros(batch), np.moveaxis(c1, -1, 0), t2, t3)
 
 
 def _hall_reduce_level3(alpha: np.ndarray, d: int) -> np.ndarray:

@@ -132,6 +132,14 @@ class TestFunctional:
         with pytest.raises(TypeError):
             besov_functional(np.zeros((4, 2)), 2.0, 1.0)
 
+    def test_blocks_need_paths_on_one_grid(self):
+        with pytest.raises(ValueError):
+            besov_functional(iter(()), 2.0, 1.0)
+        ens = sample(_bm_spec(), np.linspace(0, 1, 9), 4, seed=1)
+        blocks = [lift_s3(ens), lift_s3(restrict_to(ens, np.linspace(0, 1, 5)))]
+        with pytest.raises(ValueError, match="share one grid"):
+            besov_functional(blocks, 2.0, 1.0)
+
 
 class TestGrrHolder:
     def test_constant_path(self):

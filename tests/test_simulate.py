@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rough_gauss import simulate
+from rough_gauss import cli, simulate
 from rough_gauss.covariance import CovarianceKernel, ProcessSpec, bm_cov, fbm_cov
 from rough_gauss.path_lift import (
     PiecewisePath,
@@ -18,6 +18,7 @@ from rough_gauss.path_lift import (
     refine_path,
     restrict_to,
 )
+from rough_gauss.regularity import grr_holder_check
 from rough_gauss.simulate import (
     CHEN_ROWS,
     CHUNK,
@@ -489,6 +490,13 @@ class TestStreaming:
         end = GroupElement(_take(lifted.values.tensor, -1))
         assert rep["chaos"] == _chaos_ratios(end, 11)
 
+    def test_grr_equals_whole_batch(self):
+        ens = sample(BM2, grid(3), N_CUT, seed=7)
+        whole = grr_holder_check(lift_s3(ens), r=2.6, alpha=0.3)
+        blocks = (lift_s3(PiecewisePath(grid(3), x))
+                  for x in np.split(ens.points, [CHEN_ROWS]))
+        assert grr_holder_check(blocks, r=2.6, alpha=0.3) == whole
+
     @pytest.mark.parametrize("check", [
         lambda n: young_wiener_check(np.sin, ProcessSpec((bm_cov(),)), n=n,
                                      seed=1, grid_level=8),
@@ -496,13 +504,17 @@ class TestStreaming:
         lambda n: fernique_tail(BM2, p=2.5, n=n, seed=1, grid_level=4),
         lambda n: dyadic_convergence(BM2, p=2.5, levels=(1, 2), n=n, seed=1),
         lambda n: perturbation_continuity(BM2, p=2.5, n=n, seed=1, grid_level=3),
+        lambda n: cli.EXPERIMENTS["grr"](
+            cli.ExperimentConfig.from_dict({"experiment": "grr", "samples": n})),
     ], ids=["young_wiener", "weak_limit", "fernique", "dyadic_convergence",
-            "perturbation"])
+            "perturbation", "grr"])
     def test_memory_does_not_grow_with_samples(self, check):
-        # 6 144 more paths of 257 points are 12 MiB per component; the
-        # per-sample statistics the checks keep are under 1 MiB (fernique's
-        # endpoint levels, 120 B a path, are the largest), inside the slack.  The first call also pays one-off import and cache
-        # allocations, so it is left out.
+        # 6 144 more paths of 257 points are 12 MiB per component, and their
+        # step-3 lifts on grr's 65 points are 46 MiB; the per-sample
+        # statistics the checks keep are under 1 MiB (fernique's endpoint
+        # levels, 120 B a path, are the largest), inside the slack.  The
+        # first call also pays one-off import and cache allocations, so it
+        # is left out.
         check(2_048)
         small = traced_peak(lambda: check(2_048))
         large = traced_peak(lambda: check(8_192))
