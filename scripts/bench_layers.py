@@ -28,6 +28,11 @@ and the fBM (H = 0.4) covariance on uniform grids of [0, 1]^2:
                    2^15 dissections
   local_search     local-search rho_variation at rho 1.25 on 257 x 257 points
 
+and the Brownian covariance against itself:
+
+  young_2d         young_integral_2d on 65 points a side and 4 refinements,
+                   1 025 x 1 025 points at the finest: young2d's shape
+
 Each layer runs 5 times after its inputs are built.  For each, the script
 prints the median wall time and the median count of minor page faults
 (``ru_minflt`` of this process) per run, and the tracemalloc peak of one
@@ -66,6 +71,7 @@ from rough_gauss.variation_2d import (  # noqa: E402
     EXACT_INTERVAL_CAP,
     GridFunction2D,
     rho_variation,
+    young_integral_2d,
 )
 
 RUNS = 5
@@ -107,6 +113,7 @@ def main() -> int:
     cov = GridFunction2D(g, g, fbm_cov(0.4).grid_eval(g, g))
     g = _grid(257)
     cov_257 = GridFunction2D(g, g, fbm_cov(0.4).grid_eval(g, g))
+    bm = bm_cov().grid_eval
     grr_4096 = ExperimentConfig.from_dict({"experiment": "grr", "samples": 4_096})
     layers = {
         "holder_dist": lambda: holder_dist(x, y, 0.4),
@@ -125,6 +132,7 @@ def main() -> int:
         "grr_4096": lambda: EXPERIMENTS["grr"](grr_4096),
         "exact_variation": lambda: rho_variation(cov, 1.25, mode="exact"),
         "local_search": lambda: rho_variation(cov_257, 1.25, mode="local-search"),
+        "young_2d": lambda: young_integral_2d(bm, bm, _grid(65), _grid(65), levels=4),
     }
     out = {}
     for name, fn in layers.items():

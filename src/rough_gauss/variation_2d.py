@@ -34,6 +34,8 @@ LOCAL_SEARCH_RESTARTS = 4
 YOUNG_INTERVAL_CAP = 1 << 12
 # budget for one block of n x n dissection weight matrices in _exact_sum
 _EXACT_BLOCK_BYTES = 1 << 21
+# budget for one block of grid rows of f and g in young_integral_2d
+_YOUNG_BLOCK_BYTES = 1 << 20
 
 
 def _check_exponent(p: float, name: str):
@@ -265,9 +267,10 @@ class YoungResult:
     converged: bool
 
 
-def _left_point_sum(F: np.ndarray, G: np.ndarray) -> float:
-    rect = np.diff(np.diff(G, axis=0), axis=1)
-    return float(np.sum(F[:-1, :-1] * rect))
+def _left_point_sum(F: np.ndarray, G: np.ndarray, out: np.ndarray) -> None:
+    """Write F[i, j] times G's rectangular increment over cell (i, j) into
+    out[i, j], for every cell of the grid rows that F and G hold."""
+    np.multiply(F[:-1, :-1], np.diff(np.diff(G, axis=0), axis=1), out=out)
 
 
 def young_integral_2d(
@@ -283,8 +286,13 @@ def young_integral_2d(
 
     ``f_eval``/``g_eval`` are vectorized (S, T) -> matrix evaluators, e.g.
     a kernel's ``grid_eval``, or ``partial(bilinear_eval, h)`` for grid
-    data h (exact where h comes from piecewise-linear interpolation).  The
-    finest grid may have at most YOUNG_INTERVAL_CAP intervals per side.
+    data h (exact where h comes from piecewise-linear interpolation).  They
+    must be pointwise: entry [i, j] depends on S[i] and T[j] alone, because
+    each level evaluates them on blocks of about _YOUNG_BLOCK_BYTES of grid
+    rows, each with the next block's first row as its closing row.  A level
+    holds one product array of |s| - 1 by |t| - 1 cells and one block, and
+    sums the products as one array.  The finest grid may have at most
+    YOUNG_INTERVAL_CAP intervals per side.
     ``converged`` means the last refinement moved the sum by less than 1e-6
     relative, or the steps shrink monotonically over at least 3 refinements.
     """
@@ -308,11 +316,16 @@ def young_integral_2d(
         if level:
             s_cur = np.sort(np.concatenate([s_cur, (s_cur[:-1] + s_cur[1:]) / 2]))
             t_cur = np.sort(np.concatenate([t_cur, (t_cur[:-1] + t_cur[1:]) / 2]))
-        F = np.asarray(f_eval(s_cur, t_cur), dtype=float)
-        G = np.asarray(g_eval(s_cur, t_cur), dtype=float)
-        if not (np.all(np.isfinite(F)) and np.all(np.isfinite(G))):
-            raise ValueError(f"non-finite grid values at refinement level {level}")
-        vals.append(_left_point_sum(F, G))
+        P = np.empty((s_cur.size - 1, t_cur.size - 1))
+        step = max(1, _YOUNG_BLOCK_BYTES // (8 * t_cur.size))
+        for lo in range(0, P.shape[0], step):
+            hi = min(lo + step, P.shape[0])
+            F = np.asarray(f_eval(s_cur[lo : hi + 1], t_cur), dtype=float)
+            G = np.asarray(g_eval(s_cur[lo : hi + 1], t_cur), dtype=float)
+            if not (np.all(np.isfinite(F)) and np.all(np.isfinite(G))):
+                raise ValueError(f"non-finite grid values at refinement level {level}")
+            _left_point_sum(F, G, P[lo:hi])
+        vals.append(float(np.sum(P)))
     diffs = [abs(b - a) for a, b in zip(vals[:-1], vals[1:])]
     scale = max(abs(vals[-1]), 1e-12)
     monotone = len(diffs) >= 3 and all(

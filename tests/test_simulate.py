@@ -408,7 +408,8 @@ class TestStreaming:
     def test_blocks_concatenate_to_sample(self):
         spec = ProcessSpec((bm_cov(), fbm_cov(0.3)))
         want = sample(spec, grid(4), N_CUT, seed=13).points
-        for rows in (CHUNK, CHEN_ROWS):
+        # sample joins CHUNK-row blocks, so both cases block differently
+        for rows in (3 * CHUNK, CHEN_ROWS):
             blocks = list(_path_blocks(spec, grid(4), N_CUT, 13, rows))
             assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
             assert np.all(np.concatenate(blocks) == want)

@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rough_gauss import variation_2d
+from rough_gauss.covariance import bm_cov, fbm_cov
 from rough_gauss.variation_2d import (
     GridFunction2D,
     _dp_best_columns,
     _exact_sum,
+    _from_corner,
     _longest_path,
     _upper_rows,
     _zeta,
@@ -207,7 +210,84 @@ class TestRhoVariation:
             rho_variation(f, 1.0, mode="diagonal")
 
 
+def whole_grid_levels(f_eval, g_eval, s, t, levels):
+    """The left-point sum of every refinement level, each from one
+    evaluation of f and g on the whole grid."""
+    vals = []
+    for level in range(levels + 1):
+        if level:
+            s = np.sort(np.concatenate([s, (s[:-1] + s[1:]) / 2]))
+            t = np.sort(np.concatenate([t, (t[:-1] + t[1:]) / 2]))
+        F, G = f_eval(s, t), g_eval(s, t)
+        vals.append(float(np.sum(F[:-1, :-1] * np.diff(np.diff(G, axis=0), axis=1))))
+    return vals
+
+
+# block budgets in bytes: one row per block; odd row counts (13, 7, 3, 1
+# rows at 9, 17, 33, 65 columns, and 11, 5, 3, 1 at 11 to 81); one block
+YOUNG_BLOCKINGS = [1, 1000, 1 << 40]
+
+
 class TestYoungIntegral:
+    @pytest.mark.parametrize("nbytes", YOUNG_BLOCKINGS)
+    def test_blocking_never_moves_bits(self, monkeypatch, nbytes):
+        monkeypatch.setattr(variation_2d, "_YOUNG_BLOCK_BYTES", nbytes)
+        cells = []
+        left_point_sum = variation_2d._left_point_sum
+
+        def counted(F, G, out):
+            # the tracer counts cells from the shape of the first argument
+            cells.append((F.shape[0] - 1) * (F.shape[1] - 1))
+            return left_point_sum(F, G, out)
+
+        monkeypatch.setattr(variation_2d, "_left_point_sum", counted)
+        h = GridFunction2D(np.linspace(0, 1, 5), np.linspace(0, 1, 7),
+                           np.random.default_rng(3).standard_normal((5, 7)))
+        bm, fbm = bm_cov().grid_eval, fbm_cov(0.3).grid_eval
+        square, wide, two = (np.linspace(0, 1, 9), np.linspace(0, 1, 11),
+                             np.linspace(0, 1, 2))
+        cases = [
+            (bm, bm, square, square, 3),
+            (fbm, fbm, square, square, 3),
+            (_from_corner(fbm, 0.25, 0.5), bm, square, square, 3),
+            (partial(bilinear_eval, h), fbm, square, wide, 3),
+            (fbm, partial(bilinear_eval, h), wide, square, 3),
+            (fbm, bm, two, two, 2),
+        ]
+        for f_eval, g_eval, s, t, levels in cases:
+            cells.clear()
+            res = young_integral_2d(f_eval, g_eval, s, t, levels=levels)
+            assert res.level_values == whole_grid_levels(f_eval, g_eval, s, t, levels)
+            assert sum(cells) == sum(((s.size - 1) << k) * ((t.size - 1) << k)
+                                     for k in range(levels + 1))
+
+    @pytest.mark.parametrize("nbytes", YOUNG_BLOCKINGS)
+    def test_nan_in_closing_corner_rejected(self, monkeypatch, nbytes):
+        # F(1, 1) closes the last cell but is never summed
+        monkeypatch.setattr(variation_2d, "_YOUNG_BLOCK_BYTES", nbytes)
+
+        def f_eval(S, T):
+            corner = (S == 1.0)[:, None] & (T == 1.0)[None, :]
+            return np.where(corner, np.nan, np.minimum.outer(S, T))
+
+        g = np.linspace(0, 1, 5)
+        with pytest.raises(ValueError, match="non-finite grid values at refinement level 0"):
+            young_integral_2d(f_eval, bm_cov().grid_eval, g, g, levels=2)
+
+    def test_memory_is_one_product_array(self):
+        # young2d's shape: 1 025^2 points at the finest level, whose
+        # product array is 8 MiB; f and g come one block of rows at a time
+        bm = bm_cov().grid_eval
+        young_integral_2d(bm, bm, np.linspace(0, 1, 3), np.linspace(0, 1, 3), levels=1)
+        tracemalloc.start()
+        try:
+            young_integral_2d(bm, bm, np.linspace(0, 1, 65), np.linspace(0, 1, 65),
+                              levels=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 14 * 2**20
+
     def test_product_measure_of_constant(self):
         g = np.linspace(0, 1, 9)
         st = GridFunction2D(g, g, np.outer(g, g))
