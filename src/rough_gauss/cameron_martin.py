@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import CovarianceKernel, fbm_cov, square_variation
-from .variation_2d import EXACT_INTERVAL_CAP, YOUNG_INTERVAL_CAP, _check_exponent, _longest_path
+from .variation_2d import EXACT_INTERVAL_CAP, _check_exponent, _longest_path, _uniform_grid
 
 __all__ = [
     "CMElement",
@@ -100,7 +100,7 @@ def _r_variation(kernel: CovarianceKernel, grid_intervals: int, rho: float) -> f
     key = (kernel.key, grid_intervals, rho)
     hit = _RVAR_CACHE.get(key)
     if hit is None:
-        hit = _RVAR_CACHE[key] = square_variation(kernel, 0.0, 1.0, grid_intervals, rho)
+        hit = _RVAR_CACHE[key] = square_variation(kernel, 1.0, grid_intervals, rho)
     return hit
 
 
@@ -118,11 +118,8 @@ def embedding_check(
     the alternating lower bound is used and only consistency is claimed
     (mode "consistent").
     """
-    if not 1 <= grid_intervals <= YOUNG_INTERVAL_CAP:
-        raise ValueError(
-            f"grid_intervals must be in [1, {YOUNG_INTERVAL_CAP}], got {grid_intervals}")
+    grid = _uniform_grid(grid_intervals)
     rho = float(h.kernel.rho if rho is None else rho)
-    grid = np.linspace(0.0, 1.0, grid_intervals + 1)
     lhs = float(pvar_1d(cm_eval(h, grid), rho))
     var = _r_variation(h.kernel, grid_intervals, rho)
     rhs = float(np.sqrt(cm_norm_sq(h)) * np.sqrt(var))
@@ -146,7 +143,7 @@ def fbm_increment_response_check(H: float) -> dict:
     if not 0.0 < H <= 0.5:
         raise ValueError("H must be in (0, 1/2]")
     kernel = fbm_cov(H)
-    rho = 1.0 / (2.0 * H)
+    rho = kernel.rho
     grid_intervals = 16
     ratios = {}
     for level in (1, 2, 3):

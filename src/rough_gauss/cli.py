@@ -43,7 +43,6 @@ from .path_lift import PiecewisePath, _take, lift_s3, read_path_csv
 from .regularity import chaos_ratio_check, grr_holder_check
 from .simulate import (
     CHEN_ROWS,
-    _dyadic_grid,
     _path_blocks,
     dyadic_convergence,
     fernique_tail,
@@ -61,8 +60,8 @@ from .tensor_algebra import (
     homogeneous_norm,
     shuffle_residual,
 )
-from .variation_2d import (EXACT_INTERVAL_CAP, YOUNG_INTERVAL_CAP, GridFunction2D,
-                           rho_variation, young_integral_2d)
+from .variation_2d import (EXACT_INTERVAL_CAP, GridFunction2D, _dyadic_grid,
+                           _uniform_grid, rho_variation, young_integral_2d)
 
 OUT_DIR_ENV = "ROUGH_GAUSS_OUT"
 
@@ -115,13 +114,6 @@ class ExperimentConfig:
                 object.__setattr__(self, name, _coerce(name, hint, value))
         if self.seed is None or not 0 <= self.seed < 2 ** 64:
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
-        if self.grid_level is not None and self.grid_level < 0:
-            raise ValueError(f"grid_level must be >= 0, got {self.grid_level}")
-        if self.grid_intervals is not None and self.grid_intervals < 1:
-            raise ValueError(f"grid_intervals must be >= 1, got {self.grid_intervals}")
-        if self.grid_intervals is not None and self.grid_intervals > YOUNG_INTERVAL_CAP:
-            raise ValueError(f"grid_intervals must be <= {YOUNG_INTERVAL_CAP}, "
-                             f"got {self.grid_intervals}")
         if self.workers is None or self.workers < 1:
             raise ValueError(f"workers must be an integer >= 1, got {self.workers!r}")
 
@@ -192,9 +184,18 @@ def _spec(cfg: ExperimentConfig, default_dim: int = 2) -> ProcessSpec:
     return ProcessSpec((k,) * _default(cfg.dim, default_dim))
 
 
-def _default_p(spec: ProcessSpec) -> float:
-    # above 2 for BM, above 1/H for the rougher kernels used here
-    return 2.5 if spec.kernels[0].rho == 1.0 else 2.8
+def _default_p(cfg: ExperimentConfig, spec: ProcessSpec) -> float:
+    """The config's p, else 2.5 for BM and 2.8 for the rougher kernels.  The
+    lift is a p-rough path only for p > 2 rho, so a process too rough for
+    the default is rejected rather than run."""
+    if cfg.p is not None:
+        return cfg.p
+    p = 2.5 if spec.kernels[0].rho == 1.0 else 2.8
+    if p <= 2 * spec.rho:
+        k = max(spec.kernels, key=lambda k: k.rho)
+        about = " ".join([k.name, *(f"{a} = {v}" for a, v in k.params.items())])
+        raise ValueError(f"p = {p} must exceed 2 rho = {2 * spec.rho:g} for {about}; set p")
+    return p
 
 
 def _grid(cfg: ExperimentConfig, grid_level: int) -> np.ndarray:
@@ -258,7 +259,7 @@ def _run_variation(cfg: ExperimentConfig) -> dict:
     if cfg.mode not in (None, "exact", "local-search"):
         raise ValueError(f"mode must be 'exact' or 'local-search', got {cfg.mode!r}")
     rho = _default(cfg.rho, k.rho)
-    grid = np.linspace(0.0, 1.0, intervals + 1)
+    grid = _uniform_grid(intervals)
     f = GridFunction2D(grid, grid, k.grid_eval(grid, grid))
     search = rho_variation(f, rho, mode="local-search", seed=cfg.seed)
     rows = [{"mode": "local-search", "value": search, "exact": False}]
@@ -284,7 +285,7 @@ def _run_young2d(cfg: ExperimentConfig) -> dict:
     levels = _default(cfg.levels, 4)
     if not isinstance(levels, int):
         raise ValueError("young2d expects an integer 'levels'")
-    grid = np.linspace(0.0, 1.0, intervals + 1)
+    grid = _uniform_grid(intervals)
     res = young_integral_2d(k1.grid_eval, k2.grid_eval, grid, grid, levels=levels)
     values = [float(v) for v in res.level_values]
     rows = [{"level": i, "value": v,
@@ -324,7 +325,7 @@ def _run_level_bounds(cfg: ExperimentConfig) -> dict:
 def _run_dyadic(cfg: ExperimentConfig) -> dict:
     spec = _spec(cfg)
     rep = dyadic_convergence(spec, seed=cfg.seed,
-                             **_kwargs(cfg, p=_default_p(spec)))
+                             **_kwargs(cfg, p=_default_p(cfg, spec)))
     return _outcome(
         [_check("negative_log2_slope", rep, "ok", "log2_slope")], rep,
         *_zip({"level": rep["levels"], "l2_mean": rep["l2_means"],
@@ -335,7 +336,7 @@ def _run_dyadic(cfg: ExperimentConfig) -> dict:
 def _run_perturbation(cfg: ExperimentConfig) -> dict:
     spec = _spec(cfg)
     rep = perturbation_continuity(spec, seed=cfg.seed,
-                                  **_kwargs(cfg, p=_default_p(spec)))
+                                  **_kwargs(cfg, p=_default_p(cfg, spec)))
     return _outcome(
         [_check("strictly_decreasing", rep, "strictly_decreasing"),
          {"name": "positive_rate", "ok": bool(rep["theta_hat"] > 0.0),
@@ -349,7 +350,7 @@ def _run_perturbation(cfg: ExperimentConfig) -> dict:
 def _run_fernique(cfg: ExperimentConfig) -> dict:
     spec = _spec(cfg)
     rep = fernique_tail(spec, seed=cfg.seed,
-                        **_kwargs(cfg, p=_default_p(spec)))
+                        **_kwargs(cfg, p=_default_p(cfg, spec)))
     return _outcome(
         [_check("gaussian_tail_slope", rep, "tail_ok", "tail_slope", "eta_hat"),
          _check("chaos_ratios", rep, "chaos_ok")],

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .variation_2d import EXACT_INTERVAL_CAP, YOUNG_INTERVAL_CAP, GridFunction2D, rho_variation
+from .variation_2d import EXACT_INTERVAL_CAP, GridFunction2D, _uniform_grid, rho_variation
 
 __all__ = [
     "CovarianceKernel",
@@ -94,7 +94,7 @@ def fbm_cov(H: float) -> CovarianceKernel:
     return CovarianceKernel("fbm", ev, max(1.0, 1.0 / (2 * H)), {"H": float(H)})
 
 
-def ou_cov(theta: float, sigma: float = 1.0, stationary: bool = True) -> CovarianceKernel:
+def ou_cov(theta: float = 1.0, sigma: float = 1.0, stationary: bool = True) -> CovarianceKernel:
     # chained comparisons with inf are false for nan and inf alike
     if not 0 < theta < np.inf:
         raise ValueError(f"theta must be finite and positive, got {theta}")
@@ -144,13 +144,10 @@ def gram_matrix(k: CovarianceKernel, grid) -> np.ndarray:
     return 0.5 * (R + R.T)
 
 
-def square_variation(k: CovarianceKernel, s: float, t: float, intervals: int,
-                     rho: float) -> float:
-    """Grid rho-variation of k over [s, t]^2 on ``intervals`` uniform intervals
-    a side, at most YOUNG_INTERVAL_CAP: exact up to EXACT_INTERVAL_CAP, local search above."""
-    if not 1 <= intervals <= YOUNG_INTERVAL_CAP:
-        raise ValueError(f"intervals must be in [1, {YOUNG_INTERVAL_CAP}], got {intervals}")
-    g = np.linspace(s, t, intervals + 1)
+def square_variation(k: CovarianceKernel, t: float, intervals: int, rho: float) -> float:
+    """Grid rho-variation of k over [0, t]^2 on ``intervals`` uniform intervals
+    a side, at most 2^12: exact up to EXACT_INTERVAL_CAP, local search above."""
+    g = _uniform_grid(intervals, t)
     mode = "exact" if intervals <= EXACT_INTERVAL_CAP else "local-search"
     return rho_variation(GridFunction2D(g, g, k.grid_eval(g, g)), rho, mode=mode)
 
@@ -166,7 +163,7 @@ def coutin_qian_check(k: CovarianceKernel, H: float,
     Constants are maxima over the scan lattice, i.e. lower bounds for the
     true constants.  ``passes`` compares them to a supplied c_H.
     """
-    grid = np.linspace(0.0, 1.0, 65)
+    grid = _uniform_grid(64)
     R = k.grid_eval(grid, grid)
     diag = np.diag(R)
     # E(X_{s,t}^2) = R(t,t) + R(s,s) - 2 R(s,t)
@@ -214,17 +211,17 @@ def fbm_rhovar_bound_check(H: float) -> dict:
     if not 0.0 < H <= 0.5:
         raise ValueError("H must lie in (0, 1/2]")
     k = fbm_cov(H)
-    rho = 1.0 / (2 * H)
+    rho = k.rho
     sizes = (1.0, 0.5, 0.25)
     values, ratios = [], []
     for w in sizes:
-        val = square_variation(k, 0.0, w, 8, rho)
+        val = square_variation(k, w, 8, rho)
         values.append(val)
         ratios.append(val / w)
     h = 0.05
     # E(B_{0,h} B_{2h,3h}) in closed form
     disjoint = 0.5 * h ** (2 * H) * (3.0 ** (2 * H) + 1.0 - 2.0 ** (1 + 2 * H))
-    g = np.linspace(0.0, 1.0, 9)
+    g = _uniform_grid(8)
     V = k.grid_eval(g, g)
     worst_disjoint = disjoint
     for a in range(8):
@@ -247,13 +244,8 @@ def fbm_rhovar_bound_check(H: float) -> dict:
     }
 
 
-_BUILDERS = {
-    "bm": lambda p: bm_cov(),
-    "fbm": lambda p: fbm_cov(p["H"]),
-    "ou": lambda p: ou_cov(
-        p.get("theta", 1.0), p.get("sigma", 1.0), p.get("stationary", True)
-    ),
-}
+# a kernel's config parameters are its builder's keywords
+_BUILDERS = {"bm": bm_cov, "fbm": fbm_cov, "ou": ou_cov}
 
 
 def kernel_from_config(spec) -> CovarianceKernel:
@@ -282,13 +274,9 @@ def kernel_from_config(spec) -> CovarianceKernel:
     if name not in _BUILDERS:
         raise ValueError(f"unknown kernel {name!r}; know {sorted(_BUILDERS)}")
     try:
-        k = _BUILDERS[name](spec)
-    except KeyError as exc:
-        raise ValueError(f"kernel {name!r} missing parameter {exc}") from None
-    allowed = {"bm": set(), "fbm": {"H"}, "ou": {"theta", "sigma", "stationary"}}[name]
-    extra = set(spec) - allowed
-    if extra:
-        raise ValueError(f"unknown parameters for kernel {name!r}: {sorted(extra)}")
+        k = _BUILDERS[name](**spec)
+    except TypeError as exc:
+        raise ValueError(f"kernel {name!r}: {exc}") from None
     return bridge_cov(k) if bridged else k
 
 

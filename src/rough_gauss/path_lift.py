@@ -111,12 +111,6 @@ class PiecewisePath:
     def n_times(self) -> int:
         return self.times.size
 
-    @property
-    def samples(self) -> np.ndarray:
-        """``points`` under the name perfbench/tracer.py counts the values of
-        ``sample`` by; it goes when the tracer reads ``points``."""
-        return self.points
-
 
 def _index(levels, key):
     """Index the trailing batch axis (the grid axis) of raw level arrays."""

@@ -53,9 +53,9 @@ from .tensor_algebra import (
     hall_log_signature,
 )
 from .variation_2d import (
-    YOUNG_INTERVAL_CAP,
     _check_exponent,
     _check_times,
+    _dyadic_grid,
     _from_corner,
     young_constant,
     young_integral_2d,
@@ -135,16 +135,6 @@ def _check_samples(n: int, what: str):
     # one sample has no spread: its standard error would read 0
     if n < 2:
         raise ValueError(f"{what} needs at least two samples, got {n}")
-
-
-def _dyadic_grid(level: int, name: str = "grid_level") -> np.ndarray:
-    """The 2^level + 1 dyadic points of [0, 1].  More than
-    YOUNG_INTERVAL_CAP intervals are rejected before anything is allocated:
-    that is where a Gram matrix on the grid passes 128 MiB."""
-    if level > YOUNG_INTERVAL_CAP.bit_length() - 1:
-        raise ValueError(f"{name} needs 2^{level} grid intervals, more than "
-                         f"the {YOUNG_INTERVAL_CAP} allowed")
-    return np.linspace(0.0, 1.0, 2 ** level + 1)
 
 
 def mc_mean(values, seed: int) -> MCEstimate:
@@ -346,7 +336,7 @@ def level_bounds_check(spec: ProcessSpec, rho: float | None = None,
     words = [(0,), (0, 1), (0, 0, 1), (0, 1, 2)]
     sizes = [2.0 ** (-lev) for lev in (1, 2, 3, 4)]
     steps = [int(round(t * (grid.size - 1))) for t in sizes]
-    omegas = [square_variation(k0, 0.0, t, 12, rho) ** rho for t in sizes]
+    omegas = [square_variation(k0, t, 12, rho) ** rho for t in sizes]
     if min(omegas) == 0.0:
         raise ValueError(f"rho={rho} underflows the envelope omega = "
                          f"|R|_rho-var^rho to 0 on [0, {sizes[-1]}]^2")
@@ -571,7 +561,7 @@ def young_wiener_check(f_eval, spec: ProcessSpec, q: float = 1.0,
                                     base, base, levels=1)
 
     # certified on a coarse exact grid; grid-restricted variation
-    rvar = square_variation(kernel, 0.0, 1.0, 8, rho)
+    rvar = square_variation(kernel, 1.0, 8, rho)
     fvar = float(pvar_1d(fv, q))
     upper = young_constant(rho, q) * fvar ** 2 * rvar
     return {
@@ -599,6 +589,9 @@ def weak_limit_fbm(h_ladder=(0.45, 0.48, 0.5), n: int = 10_000, seed: int = 0,
         raise ValueError("the H ladder needs at least two rungs to decrease")
     if ladder[-1] > 0.5 or any(b <= a for a, b in zip(ladder[:-1], ladder[1:])):
         raise ValueError("H ladder must increase to at most 1/2")
+    if ladder[0] <= 0.25:
+        raise ValueError(f"H = {ladder[0]} has rho = 1/(2H) >= 2, where the Levy area "
+                         "does not exist: every H rung must exceed 1/4")
     if grid_level < 1:
         raise ValueError(f"grid_level must be >= 1, got {grid_level}: on fewer than two "
                          "intervals every H rung has the same Gram matrix, so the gaps tie")

@@ -57,6 +57,27 @@ def _check_times(times: np.ndarray):
         raise ValueError("grid must start at 0 and end at 1")
 
 
+def _uniform_grid(intervals: int, end: float = 1.0) -> np.ndarray:
+    """The intervals + 1 uniform points of [0, end].  Counts outside
+    [1, YOUNG_INTERVAL_CAP] are rejected before anything is allocated: that
+    is where a Gram matrix on the grid passes 128 MiB."""
+    if intervals < 1:
+        raise ValueError(f"grid_intervals must be >= 1, got {intervals}")
+    if intervals > YOUNG_INTERVAL_CAP:
+        raise ValueError(f"grid_intervals must be <= {YOUNG_INTERVAL_CAP}, got {intervals}")
+    return np.linspace(0.0, end, intervals + 1)
+
+
+def _dyadic_grid(level: int, name: str = "grid_level") -> np.ndarray:
+    """The 2^level + 1 dyadic points of [0, 1], 0 <= level <= 12."""
+    if level < 0:
+        raise ValueError(f"{name} must be >= 0, got {level}")
+    if level > YOUNG_INTERVAL_CAP.bit_length() - 1:
+        raise ValueError(f"{name} needs 2^{level} grid intervals, more than "
+                         f"the {YOUNG_INTERVAL_CAP} allowed")
+    return _uniform_grid(2 ** level)
+
+
 def _positions(grid: np.ndarray, values, what: str):
     """Indices of ``values`` in ``grid``; every value must be a grid point."""
     pos = np.minimum(np.searchsorted(grid, values), grid.size - 1)

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from rough_gauss import cameron_martin, covariance, regularity, simulate
-from rough_gauss.cli import EXPERIMENTS, FIELDS, ExperimentConfig, _kwargs, main
+from rough_gauss.cli import (EXPERIMENTS, FIELDS, ExperimentConfig, _default_p, _kwargs,
+                             _spec, main)
 from rough_gauss.path_lift import PiecewisePath, write_path_csv
 
 CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
@@ -123,6 +124,17 @@ class TestConfig:
         assert _kwargs(cfg) == {"n": 50}
         cfg = ExperimentConfig.from_dict({"experiment": "fernique", "p": 3.1})
         assert _kwargs(cfg, p=2.5) == {"p": 3.1}
+
+    @pytest.mark.parametrize("data, p", [
+        ({"kernel": "bm"}, 2.5),
+        ({"kernel": "fbm:H=0.4"}, 2.8),
+        ({"kernel": "bm", "kernel2": "fbm:H=0.45"}, 2.5),
+        # a set p is the config's own choice
+        ({"kernel": "fbm:H=0.1", "p": 11}, 11.0),
+    ])
+    def test_default_p_kept_where_valid(self, data, p):
+        cfg = ExperimentConfig.from_dict({"experiment": "fernique", **data})
+        assert _default_p(cfg, _spec(cfg)) == p
 
     def test_fields_table_matches_experiments_and_library(self):
         assert set(FIELDS) == set(EXPERIMENTS)
@@ -251,6 +263,15 @@ class TestRun:
         (("cm-embedding", "--set", "grid_intervals=4097", "--set", "elements=1"),
          "grid_intervals must be <= 4096"),
         (("young2d", "--set", "grid_intervals=4097"), "grid_intervals must be <= 4096"),
+        (("weak-limit", "--set", "h_ladder=[0.1,0.2]"), "every H rung must exceed 1/4"),
+        (("dyadic-convergence", "--kernel", "fbm:H=0.1", "--samples", "8"),
+         "p = 2.8 must exceed 2 rho = 10 for fbm H = 0.1; set p"),
+        (("perturbation", "--kernel", "fbm:H=0.1", "--samples", "8"),
+         "p = 2.8 must exceed 2 rho = 10 for fbm H = 0.1; set p"),
+        (("fernique", "--kernel", "fbm:H=0.1", "--samples", "8"),
+         "p = 2.8 must exceed 2 rho = 10 for fbm H = 0.1; set p"),
+        (("fernique", "--kernel", "bm", "--kernel2", "fbm:H=0.2", "--samples", "8"),
+         "p = 2.5 must exceed 2 rho = 5 for fbm H = 0.2; set p"),
     ])
     def test_invalid_ladder_exit1(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"
@@ -339,7 +360,7 @@ class TestRun:
 
 
 class TestDeterminism:
-    def test_bytes_stable_across_reruns_and_workers(self, tmp_path):
+    def test_bytes_stable_across_reruns_and_blas_threads(self, tmp_path):
         # a rerun at one OpenBLAS thread and a run at two; --workers reaches
         # no library call, so the thread count is what could vary the bytes
         blobs = [_run_threaded(tmp_path / name, threads, "level2-variance",

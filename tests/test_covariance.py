@@ -164,13 +164,13 @@ class TestSquareVariation:
                         (EXACT_INTERVAL_CAP + 1, "local-search")):
             g = np.linspace(0.0, 1.0, n + 1)
             f = GridFunction2D(g, g, k.grid_eval(g, g))
-            assert square_variation(k, 0.0, 1.0, n, 1.25) == rho_variation(f, 1.25, mode=mode)
+            assert square_variation(k, 1.0, n, 1.25) == rho_variation(f, 1.25, mode=mode)
 
     @pytest.mark.parametrize("n", [0, YOUNG_INTERVAL_CAP + 1, 10**12])
     def test_interval_count_bounded(self, n):
         # rejected before the grid is built
-        with pytest.raises(ValueError, match="intervals must be in"):
-            square_variation(bm_cov(), 0.0, 1.0, n, 1.0)
+        with pytest.raises(ValueError, match=r"grid_intervals must be (>= 1|<= 4096)"):
+            square_variation(bm_cov(), 1.0, n, 1.0)
 
 
 class TestHContinuity:
@@ -207,6 +207,22 @@ class TestConfig:
             kernel_from_config({"kernel": "bm", "H": 0.3})
         with pytest.raises(ValueError):
             kernel_from_config("fbm:H0.4")
+
+    def test_ou_alone_is_unit_stationary(self):
+        k = kernel_from_config("ou")
+        assert k.params == {"theta": 1.0, "sigma": 1.0, "stationary": True}
+        assert k(0.3, 0.7) == pytest.approx(0.5 * np.exp(-0.4), rel=1e-15)
+
+    @pytest.mark.parametrize("spec, kernel", [
+        ({"kernel": "fbm"}, "'fbm'"),
+        ("fbm:H=0.4,theta=2", "'fbm'"),
+        ({"kernel": "bm", "H": 0.3}, "'bm'"),
+        ("ou:kappa=1", "'ou'"),
+        ("bridge(ou):sigma=1,H=0.2", "'ou'"),
+    ])
+    def test_bad_parameter_names_kernel(self, spec, kernel):
+        with pytest.raises(ValueError, match=f"kernel {kernel}"):
+            kernel_from_config(spec)
 
     def test_roundtrip(self):
         for spec in ({"kernel": "bm"}, {"kernel": "fbm", "H": 0.3},

@@ -395,6 +395,23 @@ class TestWeakLimit:
         with pytest.raises(ValueError, match="at most 1/2"):
             weak_limit_fbm((0.45, 0.7), n=10)
 
+    @pytest.mark.parametrize("ladder", [(0.1, 0.2), (0.25, 0.5), (0.2, 0.45, 0.5)])
+    def test_rung_without_levy_area_rejected(self, ladder):
+        # rho = 1/(2H) >= 2 once H <= 1/4: that rung has no level-2 lift
+        with pytest.raises(ValueError, match="every H rung must exceed 1/4"):
+            weak_limit_fbm(ladder, n=10)
+
+
+class TestGridLevelBounds:
+    # a negative level is rejected by name before 2**level reaches linspace
+    def test_fernique_negative_level(self):
+        with pytest.raises(ValueError, match="grid_level must be >= 0, got -1"):
+            fernique_tail(BM2, p=2.5, n=10, grid_level=-1)
+
+    def test_level2_negative_level(self):
+        with pytest.raises(ValueError, match="grid_level must be >= 0, got -1"):
+            level2_variance_check(BM2, n=10, grid_level=-1)
+
 
 
 # a Chen block and a sampler chunk both end inside the ensemble

@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 from functools import partial
 
@@ -10,10 +11,13 @@ from rough_gauss import variation_2d
 from rough_gauss.covariance import bm_cov, fbm_cov
 from rough_gauss.variation_2d import (
     GridFunction2D,
+    YOUNG_INTERVAL_CAP,
     _dp_best_columns,
+    _dyadic_grid,
     _exact_sum,
     _from_corner,
     _longest_path,
+    _uniform_grid,
     _upper_rows,
     _zeta,
     bilinear_eval,
@@ -44,6 +48,41 @@ def fbm_cov_grid(n, H):
     S, T = np.meshgrid(g, g, indexing="ij")
     V = 0.5 * (S ** (2 * H) + T ** (2 * H) - np.abs(S - T) ** (2 * H))
     return GridFunction2D(g, g, V)
+
+
+class TestGrids:
+    @pytest.mark.parametrize("n, end", [(1, 1.0), (8, 0.25), (64, 1.0),
+                                        (YOUNG_INTERVAL_CAP, 1.0)])
+    def test_uniform_is_linspace(self, n, end):
+        assert np.array_equal(_uniform_grid(n, end), np.linspace(0.0, end, n + 1))
+
+    @pytest.mark.parametrize("n, message", [
+        (0, "grid_intervals must be >= 1, got 0"),
+        (-3, "grid_intervals must be >= 1, got -3"),
+        (YOUNG_INTERVAL_CAP + 1, "grid_intervals must be <= 4096, got 4097"),
+        (10**12, "grid_intervals must be <= 4096"),
+    ])
+    def test_uniform_count_bounded(self, n, message):
+        with pytest.raises(ValueError, match=message):
+            _uniform_grid(n)
+
+    def test_dyadic_levels(self):
+        for level in (0, 5, 12):
+            assert np.array_equal(_dyadic_grid(level),
+                                  np.linspace(0.0, 1.0, 2 ** level + 1))
+
+    @pytest.mark.parametrize("level, message", [
+        (-1, "grid_level must be >= 0, got -1"),
+        (13, "grid_level needs 2^13 grid intervals, more than the 4096 allowed"),
+        (10**6, "grid_level needs 2^1000000 grid intervals"),
+    ])
+    def test_dyadic_level_bounded(self, level, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _dyadic_grid(level)
+
+    def test_dyadic_names_its_field(self):
+        with pytest.raises(ValueError, match="levels must be >= 0"):
+            _dyadic_grid(-2, "levels")
 
 
 class TestRectIncrement:
