@@ -16,7 +16,9 @@ import sys
 import time
 from pathlib import Path
 
-from rough_gauss.cli import main as cli_main
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from rough_gauss.cli import main as cli_main  # noqa: E402
 
 CONFIG_DIR = Path(__file__).resolve().parent / "configs"
 

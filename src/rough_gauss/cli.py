@@ -184,20 +184,6 @@ def _spec(cfg: ExperimentConfig, default_dim: int = 2) -> ProcessSpec:
     return ProcessSpec((k,) * _default(cfg.dim, default_dim))
 
 
-def _default_p(cfg: ExperimentConfig, spec: ProcessSpec) -> float:
-    """The config's p, else 2.5 for BM and 2.8 for the rougher kernels.  The
-    lift is a p-rough path only for p > 2 rho, so a process too rough for
-    the default is rejected rather than run."""
-    if cfg.p is not None:
-        return cfg.p
-    p = 2.5 if spec.kernels[0].rho == 1.0 else 2.8
-    if p <= 2 * spec.rho:
-        k = max(spec.kernels, key=lambda k: k.rho)
-        about = " ".join([k.name, *(f"{a} = {v}" for a, v in k.params.items())])
-        raise ValueError(f"p = {p} must exceed 2 rho = {2 * spec.rho:g} for {about}; set p")
-    return p
-
-
 def _grid(cfg: ExperimentConfig, grid_level: int) -> np.ndarray:
     return _dyadic_grid(_default(cfg.grid_level, grid_level))
 
@@ -285,6 +271,7 @@ def _run_young2d(cfg: ExperimentConfig) -> dict:
     levels = _default(cfg.levels, 4)
     if not isinstance(levels, int):
         raise ValueError("young2d expects an integer 'levels'")
+    simulate._check_area(k1, k2)
     grid = _uniform_grid(intervals)
     res = young_integral_2d(k1.grid_eval, k2.grid_eval, grid, grid, levels=levels)
     values = [float(v) for v in res.level_values]
@@ -323,9 +310,7 @@ def _run_level_bounds(cfg: ExperimentConfig) -> dict:
 
 
 def _run_dyadic(cfg: ExperimentConfig) -> dict:
-    spec = _spec(cfg)
-    rep = dyadic_convergence(spec, seed=cfg.seed,
-                             **_kwargs(cfg, p=_default_p(cfg, spec)))
+    rep = dyadic_convergence(_spec(cfg), seed=cfg.seed, **_kwargs(cfg))
     return _outcome(
         [_check("negative_log2_slope", rep, "ok", "log2_slope")], rep,
         *_zip({"level": rep["levels"], "l2_mean": rep["l2_means"],
@@ -334,9 +319,7 @@ def _run_dyadic(cfg: ExperimentConfig) -> dict:
 
 
 def _run_perturbation(cfg: ExperimentConfig) -> dict:
-    spec = _spec(cfg)
-    rep = perturbation_continuity(spec, seed=cfg.seed,
-                                  **_kwargs(cfg, p=_default_p(cfg, spec)))
+    rep = perturbation_continuity(_spec(cfg), seed=cfg.seed, **_kwargs(cfg))
     return _outcome(
         [_check("strictly_decreasing", rep, "strictly_decreasing"),
          {"name": "positive_rate", "ok": bool(rep["theta_hat"] > 0.0),
@@ -348,9 +331,7 @@ def _run_perturbation(cfg: ExperimentConfig) -> dict:
 
 
 def _run_fernique(cfg: ExperimentConfig) -> dict:
-    spec = _spec(cfg)
-    rep = fernique_tail(spec, seed=cfg.seed,
-                        **_kwargs(cfg, p=_default_p(cfg, spec)))
+    rep = fernique_tail(_spec(cfg), seed=cfg.seed, **_kwargs(cfg))
     return _outcome(
         [_check("gaussian_tail_slope", rep, "tail_ok", "tail_slope", "eta_hat"),
          _check("chaos_ratios", rep, "chaos_ok")],
@@ -434,11 +415,13 @@ def _run_cm_embedding(cfg: ExperimentConfig) -> dict:
 
 
 def _run_grr(cfg: ExperimentConfig) -> dict:
-    grid, n = _grid(cfg, 6), _default(cfg.samples, 200)
+    spec, grid, n = _spec(cfg), _grid(cfg, 6), _default(cfg.samples, 200)
+    kw = _kwargs(cfg, r=2.6, alpha=0.3)
+    simulate._rough_p(spec, kw["r"], "r")  # the Besov exponent 1/r < 1/(2 rho)
     # one Chen block of paths is lifted and reduced at a time
     lifts = (lift_s3(PiecewisePath(grid, x))
-             for x in _path_blocks(_spec(cfg), grid, n, cfg.seed, CHEN_ROWS))
-    rep = grr_holder_check(lifts, **_kwargs(cfg, r=2.6, alpha=0.3))
+             for x in _path_blocks(spec, grid, n, cfg.seed, CHEN_ROWS))
+    rep = grr_holder_check(lifts, **kw)
     row = {"n_checked": rep["n_checked"], "violations": rep["violations"],
            "worst_ratio": rep["worst_ratio"], "min_slack": rep["slack"],
            "ok": rep["ok"]}

@@ -55,8 +55,10 @@ from .tensor_algebra import (
 from .variation_2d import (
     _check_exponent,
     _check_times,
+    _check_young,
     _dyadic_grid,
     _from_corner,
+    _positions,
     young_constant,
     young_integral_2d,
 )
@@ -271,6 +273,31 @@ def sample_endpoint(spec: ProcessSpec, grid, n: int, seed: int) -> GroupElement:
     return GroupElement(TruncatedTensor(spec.dim, *levels))
 
 
+def _about(k: CovarianceKernel) -> str:
+    return " ".join([k.name, *(f"{a} = {v}" for a, v in k.params.items())])
+
+
+def _check_area(k1: CovarianceKernel, k2: CovarianceKernel):
+    """The Levy area of independent components with covariances k1, k2 is the
+    2D Young integral of R_1 against R_2, so it needs 1/rho_1 + 1/rho_2 > 1."""
+    about = " and ".join(dict.fromkeys([_about(k1), _about(k2)]))
+    _check_young(k1.rho, k2.rho, ("rho_1", "rho_2"), f" for {about}")
+
+
+def _rough_p(spec: ProcessSpec, p: float | None, name: str = "p") -> float:
+    """p, else 2.5 where the first kernel has rho = 1 and 2.8 elsewhere: the
+    lift is a geometric p-rough path for p > 2 rho once rho < 2 (0707.0313)."""
+    tail = "" if p is not None else f"; set {name}"
+    p = (2.5 if spec.kernels[0].rho == 1.0 else 2.8) if p is None else p
+    _check_exponent(p, name)
+    k = max(spec.kernels, key=lambda k: k.rho)
+    if p <= 2 * k.rho:
+        raise ValueError(f"{name} = {p} must exceed 2 rho = {2 * k.rho:g} "
+                         f"for {_about(k)}{tail}")
+    _check_area(k, k)
+    return p
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo checks
 
@@ -290,11 +317,11 @@ def level2_variance_check(spec: ProcessSpec, interval=(0.0, 1.0),
     s, t = float(interval[0]), float(interval[1])
     if not 0.0 <= s <= t <= 1.0:
         raise ValueError("interval must satisfy 0 <= s <= t <= 1")
+    _check_samples(n, "the level-2 check")
+    ki, kj = spec.kernels[:2]
+    _check_area(ki, kj)
     grid = _dyadic_grid(grid_level)
-    a = int(round(s * (grid.size - 1)))
-    b = int(round(t * (grid.size - 1)))
-    if grid[a] != s or grid[b] != t:
-        raise ValueError("interval endpoints must be grid points")
+    a, b = _positions(grid, [s, t], "interval endpoints")
     report = {"grid_level": grid_level, "components": [0, 1], "interval": [s, t]}
     if a == b:
         return {**_band_verdict(MCEstimate(0.0, 0.0, n, seed), 0.0, band),
@@ -306,7 +333,6 @@ def level2_variance_check(spec: ProcessSpec, interval=(0.0, 1.0),
     est = mc_mean(areas ** 2, seed)
 
     base = np.linspace(s, t, 2 ** min(grid_level, 6) + 1)
-    ki, kj = spec.kernels[:2]
 
     # integrand is the covariance of increments from s,
     # R_1(u,v) - R_1(s,u) - R_1(s,v) + R_1(s,s); for processes started at
@@ -331,11 +357,13 @@ def level_bounds_check(spec: ProcessSpec, rho: float | None = None,
         raise ValueError("envelope assumes identical components")
     if grid_level < 4:
         raise ValueError(f"interval levels 1..4 must lie in 0..grid_level={grid_level}")
+    _check_samples(n, "the level-bound check")
+    _check_area(k0, k0)
     rho = float(spec.rho if rho is None else rho)
     grid = _dyadic_grid(grid_level)
     words = [(0,), (0, 1), (0, 0, 1), (0, 1, 2)]
     sizes = [2.0 ** (-lev) for lev in (1, 2, 3, 4)]
-    steps = [int(round(t * (grid.size - 1))) for t in sizes]
+    steps = _positions(grid, sizes, "interval ends").tolist()
     omegas = [square_variation(k0, t, 12, rho) ** rho for t in sizes]
     if min(omegas) == 0.0:
         raise ValueError(f"rho={rho} underflows the envelope omega = "
@@ -366,8 +394,8 @@ def level_bounds_check(spec: ProcessSpec, rho: float | None = None,
     return report
 
 
-def dyadic_convergence(spec: ProcessSpec, p: float, levels=(3, 4, 5, 6, 7),
-                       n: int = 200, seed: int = 0) -> dict:
+def dyadic_convergence(spec: ProcessSpec, p: float | None = None,
+                       levels=(3, 4, 5, 6, 7), n: int = 200, seed: int = 0) -> dict:
     """Holder-distance decay of dyadic piecewise-linear lifts to the lift on
     the next-finer reference grid, with common random numbers.
 
@@ -379,7 +407,7 @@ def dyadic_convergence(spec: ProcessSpec, p: float, levels=(3, 4, 5, 6, 7),
     if not (isinstance(levels, (list, tuple))
             and all(isinstance(v, (int, np.integer)) for v in levels)):
         raise ValueError("levels must be a list of integers")
-    _check_exponent(p, "p")
+    p = _rough_p(spec, p)
     levels = sorted(int(v) for v in levels)
     if levels[0] < 0:
         raise ValueError(f"levels must be >= 0, got {levels[0]}")
@@ -413,14 +441,14 @@ def dyadic_convergence(spec: ProcessSpec, p: float, levels=(3, 4, 5, 6, 7),
 
 
 def perturbation_continuity(spec: ProcessSpec, epsilons=(0.2, 0.1, 0.05),
-                            p: float = 2.5, n: int = 400, seed: int = 0,
+                            p: float | None = None, n: int = 400, seed: int = 0,
                             grid_level: int = 6) -> dict:
     """L2 size of d_{p-var}(lift(X), lift(X + eps W)) along an epsilon ladder,
     W an independent copy coupled across the ladder; fits the exponent of the
     mean against |R_{X-Y}|_inf = eps^2 |R_W|_inf."""
     if sum(e > 0.0 for e in epsilons) < 2:
         raise ValueError("the epsilon ladder needs at least two positive rungs")
-    _check_exponent(p, "p")
+    p = _rough_p(spec, p)
     _check_samples(n, "perturbation continuity")
     grid = _dyadic_grid(grid_level)
 
@@ -480,13 +508,13 @@ def _chaos_ratios(end, seed: int) -> list:
     return rows
 
 
-def fernique_tail(spec: ProcessSpec, p: float, n: int = 10_000, seed: int = 0,
+def fernique_tail(spec: ProcessSpec, p: float | None = None, n: int = 10_000, seed: int = 0,
                   grid_level: int = 5) -> dict:
     """Gaussian-type tail of the homogeneous p-variation norm: fits
     log P(||X|| > lambda) against lambda^2 over empirical tail quantiles and
     reports eta_hat = -slope; also the chaos L^q/L^2 scaling of the log
     signature coordinates at the endpoint."""
-    _check_exponent(p, "p")
+    p = _rough_p(spec, p)
     _check_samples(n, "the Fernique tail fit")
     tail_probs = (0.5, 0.25, 0.1, 0.05, 0.02, 0.01)
     grid = _dyadic_grid(grid_level)
@@ -533,13 +561,12 @@ def young_wiener_check(f_eval, spec: ProcessSpec, q: float = 1.0,
     """
     if spec.dim != 1:
         raise ValueError("the isometry check drives a scalar process")
-    _check_exponent(q, "q")
     kernel = spec.kernels[0]
     rho = kernel.rho
-    if 1.0 / q + 1.0 / rho <= 1.0:
-        raise ValueError("need 1/q + 1/rho > 1")
+    _check_young(q, rho, ("q", "rho"), f" for {_about(kernel)}")
     if band < 0.0:
         raise ValueError(f"band must be >= 0, got {band}")
+    _check_samples(n, "the Young-Wiener check")
     grid = _dyadic_grid(grid_level)
     fv = np.asarray(f_eval(grid), dtype=float)
     # each CHUNK of paths is reduced to its Riemann-Stieltjes sums

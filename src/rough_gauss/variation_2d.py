@@ -406,11 +406,16 @@ def _zeta(x: float) -> float:
     return s
 
 
+def _check_young(a: float, b: float, names=("p", "q"), about: str = ""):
+    """Exponents a, b >= 1 with 1/a + 1/b > 1, where a 2D Young integral of
+    an a-variation integrand against a b-variation one exists (Towghi 2002)."""
+    for v, name in zip((a, b), names):
+        _check_exponent(v, name)
+    if 1.0 / a + 1.0 / b <= 1.0:
+        raise ValueError(f"1/{names[0]} + 1/{names[1]} = 1/{a:g} + 1/{b:g} must exceed 1{about}")
+
+
 def young_constant(p: float, q: float) -> float:
     """Uniform constant used in the Young bound: (1 + zeta(1/p + 1/q))^2."""
-    _check_exponent(p, "p")
-    _check_exponent(q, "q")
-    theta = 1.0 / p + 1.0 / q
-    if theta <= 1.0:
-        raise ValueError("need 1/p + 1/q > 1")
-    return (1.0 + _zeta(theta)) ** 2
+    _check_young(p, q)
+    return (1.0 + _zeta(1.0 / p + 1.0 / q)) ** 2

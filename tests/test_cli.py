@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from rough_gauss import cameron_martin, covariance, regularity, simulate
-from rough_gauss.cli import (EXPERIMENTS, FIELDS, ExperimentConfig, _default_p, _kwargs,
-                             _spec, main)
+from rough_gauss.cli import EXPERIMENTS, FIELDS, ExperimentConfig, _kwargs, _spec, main
 from rough_gauss.path_lift import PiecewisePath, write_path_csv
 
 CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
@@ -129,12 +128,10 @@ class TestConfig:
         ({"kernel": "bm"}, 2.5),
         ({"kernel": "fbm:H=0.4"}, 2.8),
         ({"kernel": "bm", "kernel2": "fbm:H=0.45"}, 2.5),
-        # a set p is the config's own choice
-        ({"kernel": "fbm:H=0.1", "p": 11}, 11.0),
     ])
     def test_default_p_kept_where_valid(self, data, p):
         cfg = ExperimentConfig.from_dict({"experiment": "fernique", **data})
-        assert _default_p(cfg, _spec(cfg)) == p
+        assert simulate._rough_p(_spec(cfg), cfg.p) == p
 
     def test_fields_table_matches_experiments_and_library(self):
         assert set(FIELDS) == set(EXPERIMENTS)
@@ -272,6 +269,24 @@ class TestRun:
          "p = 2.8 must exceed 2 rho = 10 for fbm H = 0.1; set p"),
         (("fernique", "--kernel", "bm", "--kernel2", "fbm:H=0.2", "--samples", "8"),
          "p = 2.5 must exceed 2 rho = 5 for fbm H = 0.2; set p"),
+        # a set p above 2 rho: the lift is still not a rough path for rho >= 2
+        (("fernique", "--kernel", "fbm:H=0.1", "--set", "p=11", "--samples", "8"),
+         "1/rho_1 + 1/rho_2 = 1/5 + 1/5 must exceed 1 for fbm H = 0.1"),
+        (("dyadic-convergence", "--kernel", "fbm:H=0.1", "--set", "p=11", "--samples", "8",
+          "--set", "levels=[1,2]"),
+         "1/rho_1 + 1/rho_2 = 1/5 + 1/5 must exceed 1 for fbm H = 0.1"),
+        (("perturbation", "--kernel", "fbm:H=0.2", "--set", "p=4.5", "--samples", "8",
+          "--grid", "3"), "p = 4.5 must exceed 2 rho = 5 for fbm H = 0.2"),
+        (("fernique", "--kernel", "fbm:H=0.2", "--set", "p=5.5", "--samples", "8",
+          "--grid", "3"), "1/rho_1 + 1/rho_2 = 1/2.5 + 1/2.5 must exceed 1 for fbm H = 0.2"),
+        (("level2-variance", "--kernel", "fbm:H=0.1", "--samples", "8", "--grid", "3"),
+         "1/rho_1 + 1/rho_2 = 1/5 + 1/5 must exceed 1 for fbm H = 0.1"),
+        (("level-bounds", "--kernel", "fbm:H=0.1", "--samples", "8", "--grid", "4"),
+         "1/rho_1 + 1/rho_2 = 1/5 + 1/5 must exceed 1 for fbm H = 0.1"),
+        (("young2d", "--kernel", "fbm:H=0.1", "--set", "grid_intervals=4", "--set", "levels=1"),
+         "1/rho_1 + 1/rho_2 = 1/5 + 1/5 must exceed 1 for fbm H = 0.1"),
+        (("grr", "--kernel", "fbm:H=0.1", "--samples", "8", "--grid", "3"),
+         "r = 2.6 must exceed 2 rho = 10 for fbm H = 0.1"),
     ])
     def test_invalid_ladder_exit1(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"
@@ -279,6 +294,17 @@ class TestRun:
         assert rc == 1
         assert not out.exists()
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("chaos-ratio", "--samples", "50", "--grid", "3"),
+        ("variation", "--set", "grid_intervals=4"),
+        ("cm-embedding", "--set", "elements=3", "--set", "grid_intervals=4"),
+        ("coutin-qian",),
+    ])
+    def test_any_rho_experiments_stay_open(self, tmp_path, argv):
+        # their statements hold on a fixed grid whatever rho is: at H = 0.1
+        # (rho = 5) the lift has no Levy area, yet they still run and pass
+        assert _run("run", *argv, "--kernel", "fbm:H=0.1", "--out-dir", str(tmp_path)) == 0
 
     def test_fractional_samples_exit1(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -495,6 +521,18 @@ class TestShippedConfigs:
         shipped = {json.loads(p.read_text(encoding="utf-8"))["experiment"]
                    for p in CONFIGS.glob("*.json")}
         assert set(EXPERIMENTS) <= shipped
+
+    def test_run_all_from_a_bare_checkout(self, tmp_path):
+        # no install and no PYTHONPATH: the script finds src/ next to itself
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("PYTHONPATH", "ROUGH_GAUSS_OUT")}
+        proc = subprocess.run(
+            [sys.executable, str(CONFIGS.parent / "run_all.py"), "--only", "lift",
+             "--out-dir", str(tmp_path)], env=env, cwd=tmp_path, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "1/1 configs passed" in proc.stdout
+        for kind in ("report.json", "table.csv", "run_meta.json"):
+            assert (tmp_path / "lift" / f"lift_{kind}").is_file()
 
 
 @pytest.mark.parametrize("module", ["rough_gauss", *(

@@ -43,6 +43,9 @@ from rough_gauss.tensor_algebra import GroupElement
 import oracles
 
 BM2 = ProcessSpec((bm_cov(), bm_cov()))
+BM3 = ProcessSpec((bm_cov(),) * 3)
+ROUGH = ProcessSpec((fbm_cov(0.1),) * 3)
+NO_AREA = r"1/rho_1 \+ 1/rho_2 = 1/5 \+ 1/5 must exceed 1 for fbm H = 0.1"
 # the zero covariance: a component that stays at 0
 FLAT = CovarianceKernel("flat", lambda s, t: np.zeros(np.broadcast(s, t).shape), 1.0)
 
@@ -160,6 +163,29 @@ class TestSampling:
         monkeypatch.setattr(simulate, "_normals", no_draws)
         with pytest.raises(ValueError, match="p must be finite and >= 1"):
             check(BM2, p=0.5, n=10, seed=0)
+
+    @pytest.mark.parametrize("check, message", [
+        (lambda: level2_variance_check(BM2, n=1), "at least two samples, got 1"),
+        (lambda: level_bounds_check(BM3, n=1), "at least two samples, got 1"),
+        (lambda: young_wiener_check(np.sin, ProcessSpec((bm_cov(),)), n=1),
+         "at least two samples, got 1"),
+        # rho = 5 for H = 0.1: no Levy area, so no rough path at any p
+        (lambda: level2_variance_check(ROUGH, n=10), NO_AREA),
+        (lambda: level_bounds_check(ROUGH, n=10), NO_AREA),
+        (lambda: dyadic_convergence(ROUGH, p=11, levels=(1, 2), n=10), NO_AREA),
+        (lambda: perturbation_continuity(ROUGH, p=11, n=10), NO_AREA),
+        (lambda: fernique_tail(ROUGH, p=11, n=10), NO_AREA),
+        (lambda: fernique_tail(ROUGH, p=10, n=10), r"p = 10 must exceed 2 rho = 10 for fbm"),
+    ], ids=["level2_n", "level_bounds_n", "young_wiener_n", "level2_area",
+            "level_bounds_area", "dyadic_area", "perturbation_area", "fernique_area",
+            "fernique_p"])
+    def test_rejected_before_factoring(self, monkeypatch, check, message):
+        def no_factor(*args):
+            raise AssertionError("formed a Gram factor before checking the input")
+
+        monkeypatch.setattr(simulate, "_factor", no_factor)
+        with pytest.raises(ValueError, match=message):
+            check()
 
 
 class TestRestrictAndGap:
@@ -480,21 +506,21 @@ class TestStreaming:
 
     def test_dyadic_convergence_equals_whole_batch(self):
         spec = ProcessSpec((bm_cov(), fbm_cov(0.4)))
-        rep = dyadic_convergence(spec, p=2.5, levels=(1, 2), n=N_CUT, seed=5)
+        rep = dyadic_convergence(spec, p=2.8, levels=(1, 2), n=N_CUT, seed=5)
         ens = sample(spec, grid(3), N_CUT, seed=5)
         ref = lift_s3(ens)
         dists = [holder_dist(lift_s3(refine_path(restrict_to(ens, grid(lev)), grid(3))),
-                             ref, 0.4) for lev in (1, 2)]
+                             ref, 1.0 / 2.8) for lev in (1, 2)]
         assert (rep["l2_means"], rep["l2_stderrs"]) == l2_rungs(dists, 5)
 
     def test_perturbation_equals_whole_batch(self):
         spec = ProcessSpec((bm_cov(), fbm_cov(0.4)))
-        rep = perturbation_continuity(spec, epsilons=(0.2, 0.1), p=2.5, n=N_CUT,
+        rep = perturbation_continuity(spec, epsilons=(0.2, 0.1), p=2.8, n=N_CUT,
                                       seed=9, grid_level=3)
         x = sample(spec, grid(3), N_CUT, seed=9, stream=0).points
         w = sample(spec, grid(3), N_CUT, seed=9, stream=1).points
         lift_x = lift_s3(PiecewisePath(grid(3), x))
-        dists = [pvar_dist(lift_s3(PiecewisePath(grid(3), x + eps * w)), lift_x, 2.5)
+        dists = [pvar_dist(lift_s3(PiecewisePath(grid(3), x + eps * w)), lift_x, 2.8)
                  for eps in (0.2, 0.1)]
         assert (rep["l2_means"], rep["l2_stderrs"]) == l2_rungs(dists, 9)
 
