@@ -116,6 +116,11 @@ class ExperimentConfig:
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if self.workers is None or self.workers < 1:
             raise ValueError(f"workers must be an integer >= 1, got {self.workers!r}")
+        # the prefix names files inside the out dir, never a path out of it
+        prefix = self.out_prefix
+        if prefix is not None and (not isinstance(prefix, str) or prefix in ("", ".", "..")
+                                   or "/" in prefix or os.sep in prefix):
+            raise ValueError(f"out_prefix must be a file name without '/', got {prefix!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":

@@ -163,6 +163,10 @@ def coutin_qian_check(k: CovarianceKernel, H: float,
     Constants are maxima over the scan lattice, i.e. lower bounds for the
     true constants.  ``passes`` compares them to a supplied c_H.
     """
+    if not 0.0 < H < 1.0:
+        raise ValueError(f"H must lie in (0, 1), got {H}")
+    if c_H is not None and not np.isfinite(c_H):
+        raise ValueError(f"c_H must be finite, got {c_H}")
     grid = _uniform_grid(64)
     R = k.grid_eval(grid, grid)
     diag = np.diag(R)

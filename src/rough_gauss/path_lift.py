@@ -249,10 +249,11 @@ def _blocks(x: GroupPath, y: GroupPath | None = None):
 
 
 def _reduce_blocks(x: GroupPath, y: GroupPath | None, reduce):
-    """reduce(*block) of every block of x (and y), a (rows,) array, joined
-    into an array of x's batch shape."""
-    out = np.concatenate([reduce(*block) for block in _blocks(x, y)])
-    return out.reshape(x.batch_shape)[()]
+    """reduce(*block) of every block of x (and y), an array whose last axis
+    runs over the block's rows, joined along that axis, which then takes
+    x's batch shape; any leading axes are kept."""
+    out = np.concatenate([reduce(*block) for block in _blocks(x, y)], axis=-1)
+    return out.reshape(out.shape[:-1] + x.batch_shape)[()]
 
 
 def dist_inf(x: GroupPath, y: GroupPath):

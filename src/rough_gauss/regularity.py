@@ -15,10 +15,11 @@ import numpy as np
 from .path_lift import (
     GroupPath,
     PiecewisePath,
-    _blocks,
     _check_alpha,
     _pair_rows,
+    _reduce_blocks,
 )
+from .variation_2d import _check_exponent
 
 __all__ = [
     "BesovStats",
@@ -33,8 +34,9 @@ CHAOS_QS = (4, 6, 8)
 
 
 def q0_grr(r: float, alpha: float) -> float:
-    if r < 1.0 or not 0.0 <= alpha < 1.0 / r:
-        raise ValueError("need r >= 1 and 0 <= alpha < 1/r")
+    _check_exponent(r, "r")
+    if not 0.0 <= alpha < 1.0 / r:
+        raise ValueError(f"alpha must lie in [0, 1/r), got {alpha}")
     return max(0.5 / (1.0 / r - alpha), 4.0 * r)
 
 
@@ -46,37 +48,18 @@ def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
     return w
 
 
-def _row_blocks(obj):
-    """Yield (times, rows) for each block of paths of obj, where the i-th
-    of rows is the (paths, n-1-i) array of d_{t_i,t_j} over j > i.  A
-    GroupPath block's lift is dropped before the next block is built."""
-    if isinstance(obj, PiecewisePath):
-        x = obj.points.reshape((-1,) + obj.points.shape[-2:])
-        yield obj.times, (np.linalg.norm(x[:, i + 1 :, :] - x[:, i : i + 1, :], axis=-1)
-                          for i in range(obj.n_times - 1))
-        return
-    for gp in (obj,) if isinstance(obj, GroupPath) else obj:
-        if not isinstance(gp, GroupPath):
-            raise TypeError("expected a PiecewisePath, a GroupPath or GroupPath blocks")
-        for block in _blocks(gp):
-            yield gp.times, _pair_rows(*block)
-        del gp, block
-
-
-def _grr_sums(obj, q: float, r: float, alpha: float):
-    """(F, H) per path: the trapezoidal Besov sum of (d_{s,t}/|t-s|^{1/r})^q
-    and the max of d_{s,t}/|t-s|^alpha over grid pairs s < t, reduced row
-    after row as the pair stream forms d_{t_i,t_j} over j > i.  F adds its
-    pairs left to right in row-major order, alone as in a batch.  obj is a
+def _grr_sums(obj, q: float, r: float, alpha: float) -> np.ndarray:
+    """[2 F, H] over the paths: F is the trapezoidal Besov sum of
+    (d_{s,t}/|t-s|^{1/r})^q over grid pairs s < t, doubled for the pairs
+    t < s, and H the max of d_{s,t}/|t-s|^alpha, both reduced row after row
+    as the pair stream forms d_{t_i,t_j} over j > i.  F adds its pairs left
+    to right in row-major order, alone as in a batch.  obj is a
     PiecewisePath, a GroupPath, or an iterable of GroupPath blocks on one
-    grid whose paths are joined along one batch axis."""
-    t = None
-    F, H = [], []
-    for times, rows in _row_blocks(obj):
-        if t is None:
-            t, w = times, _trapezoid_weights(times)
-        elif not np.array_equal(times, t):
-            raise ValueError("GroupPath blocks must share one grid")
+    grid whose paths are joined along one batch axis; a block's lift is
+    dropped before the next block is built."""
+
+    def sums(t, rows):
+        w = _trapezoid_weights(t)
         f = h = 0.0
         for i, row in enumerate(rows):
             dt = t[i + 1 :] - t[i]
@@ -84,23 +67,35 @@ def _grr_sums(obj, q: float, r: float, alpha: float):
             terms[:, 0] += f
             f = np.add.accumulate(terms, axis=1)[:, -1]
             h = np.maximum(h, np.max(row / dt ** alpha, axis=1))
-        F.append(f)
-        H.append(h)
+        # the diagonal is excluded: zero contribution by the continuity convention
+        return np.stack([2.0 * f, h])
+
     if isinstance(obj, PiecewisePath):
-        batch = obj.points.shape[:-2]
-    else:
-        batch = obj.batch_shape if isinstance(obj, GroupPath) else (-1,)
-    F, H = (np.concatenate(v).reshape(batch)[()] for v in (F, H))
-    # the diagonal is excluded: zero contribution by the continuity convention
-    return 2.0 * F, H
+        x = obj.points.reshape((-1,) + obj.points.shape[-2:])
+        rows = (np.linalg.norm(x[:, i + 1 :, :] - x[:, i : i + 1, :], axis=-1)
+                for i in range(obj.n_times - 1))
+        return sums(obj.times, rows).reshape((2,) + obj.points.shape[:-2])
+    if isinstance(obj, GroupPath):
+        return _reduce_blocks(obj, None, lambda *block: sums(obj.times, _pair_rows(*block)))
+    t, out = None, []
+    for gp in obj:
+        if not isinstance(gp, GroupPath):
+            raise TypeError("expected a PiecewisePath, a GroupPath or GroupPath blocks")
+        if t is None:
+            t = gp.times
+        elif not np.array_equal(gp.times, t):
+            raise ValueError("GroupPath blocks must share one grid")
+        out.append(_grr_sums(gp, q, r, alpha).reshape(2, -1))
+        del gp
+    return np.concatenate(out, axis=-1)
 
 
 def besov_functional(obj, q: float, r: float):
     """Trapezoidal [0,1]^2 integral of (d(f_s, f_t)/|t-s|^{1/r})^q over the
     path's grid; leading dims of a batched path are preserved, and the
     paths of an iterable of GroupPath blocks are joined along one axis."""
-    if q < 1.0 or r < 1.0:
-        raise ValueError("need q >= 1 and r >= 1")
+    _check_exponent(q, "q")
+    _check_exponent(r, "r")
     return _grr_sums(obj, q, r, 1.0)[0]
 
 
@@ -125,6 +120,7 @@ def grr_holder_check(obj, r: float, alpha: float, q: float | None = None) -> dic
     _check_alpha(alpha)
     q0 = q0_grr(r, alpha)
     q = q0 if q is None else float(q)
+    _check_exponent(q, "q")
     if q < q0 * (1.0 - 1e-12):
         raise ValueError(f"need q >= q0 = {q0:.6g}")
     C = 64.0 / r

@@ -139,6 +139,11 @@ def _check_samples(n: int, what: str):
         raise ValueError(f"{what} needs at least two samples, got {n}")
 
 
+def _check_band(band: float):
+    if not 0.0 <= band < np.inf:
+        raise ValueError(f"band must be >= 0 and finite, got {band}")
+
+
 def mc_mean(values, seed: int) -> MCEstimate:
     """Fixed-order compensated mean."""
     v = np.asarray(values, dtype=float).ravel()
@@ -310,8 +315,7 @@ def level2_variance_check(spec: ProcessSpec, interval=(0.0, 1.0),
     points."""
     if spec.dim < 2:
         raise ValueError("the level-2 check needs two components")
-    if band < 0.0:
-        raise ValueError(f"band must be >= 0, got {band}")
+    _check_band(band)
     if len(interval) != 2:
         raise ValueError("interval must be two numbers [s, t]")
     s, t = float(interval[0]), float(interval[1])
@@ -564,8 +568,7 @@ def young_wiener_check(f_eval, spec: ProcessSpec, q: float = 1.0,
     kernel = spec.kernels[0]
     rho = kernel.rho
     _check_young(q, rho, ("q", "rho"), f" for {_about(kernel)}")
-    if band < 0.0:
-        raise ValueError(f"band must be >= 0, got {band}")
+    _check_band(band)
     _check_samples(n, "the Young-Wiener check")
     grid = _dyadic_grid(grid_level)
     fv = np.asarray(f_eval(grid), dtype=float)

@@ -236,16 +236,27 @@ def _inverse(g):
     return (np.ones(np.shape(l0)), -x1) + _inverse_tail(x1, x2, x3)
 
 
-def _exp(x):
+def _series(x, scalar: float, c2: float, d3: float):
+    """Levels of scalar + y + c2 y^2 + y^3 / d3 for the tail y = x1 + x2 + x3
+    of x's levels, whose scalar part only sets the batch shape: exp takes
+    (1, 1/2, 6) and log(1 + y) takes (0, -1/2, 3)."""
     l0, x1, x2, x3 = x
     sq2, sq3, cube3 = _powers(x1, x2)
-    sq2 *= 0.5
+    sq2 *= c2
     sq2 += x2
-    sq3 *= 0.5
+    sq3 *= c2
     sq3 += x3
-    cube3 /= 6.0
+    cube3 /= d3
     sq3 += cube3
-    return np.ones(np.shape(l0)), x1, sq2, sq3
+    return np.full(np.shape(l0), scalar), x1, sq2, sq3
+
+
+def _exp(x):
+    return _series(x, 1.0, 0.5, 6.0)
+
+
+def _log(g):
+    return _series(g, 0.0, -0.5, 3.0)
 
 
 def _exp_segment(dx, depth=3):
@@ -259,18 +270,6 @@ def _exp_segment(dx, depth=3):
         levels += (cube3,)
     sq2 *= 0.5
     return levels
-
-
-def _log(g):
-    l0, x1, x2, x3 = g
-    sq2, sq3, cube3 = _powers(x1, x2)
-    sq2 *= -0.5
-    sq2 += x2
-    sq3 *= -0.5
-    sq3 += x3
-    cube3 /= 3.0
-    sq3 += cube3
-    return np.zeros(np.shape(l0)), x1, sq2, sq3
 
 
 # a sum of squares below this may have lost bits to the subnormal range
@@ -555,6 +554,23 @@ def lie_to_tensor(l: LieElement) -> TruncatedTensor:
     return TruncatedTensor(d, np.zeros(batch), np.moveaxis(c1, -1, 0), t2, t3)
 
 
+def _stack(columns, batch: tuple) -> np.ndarray:
+    """The columns, arrays of the batch shape, as the last axis of one
+    array; no columns give a (*batch, 0) array."""
+    out = np.empty(batch + (len(columns),))
+    for r, c in enumerate(columns):
+        out[..., r] = c
+    return out
+
+
+def _hall_columns(d: int, repeated, generic) -> list:
+    """One coordinate per Hall triple (i, j, k) of hall_triples(d):
+    repeated(i, k) for i = j, -repeated(i, j) for i = k, since
+    [e_k,[e_j,e_k]] = -[e_k,[e_k,e_j]], and generic(i, j, k) otherwise."""
+    return [repeated(i, k) if i == j else -repeated(i, j) if i == k else generic(i, j, k)
+            for i, j, k in hall_triples(d)]
+
+
 def _hall_reduce_level3(alpha: np.ndarray, d: int) -> np.ndarray:
     """Project a level-3 Lie tensor onto Hall coordinates.
 
@@ -564,23 +580,10 @@ def _hall_reduce_level3(alpha: np.ndarray, d: int) -> np.ndarray:
     coefficient is alpha_ijk - alpha_ikj + alpha_jik - alpha_jki, and for
     i != j the [e_i,[e_i,e_j]] coefficient is alpha_iij - alpha_iji.
     """
-    triples = hall_triples(d)
-    out = np.empty(alpha.shape[3:] + (len(triples),))
-    for r, (i, j, k) in enumerate(triples):
-        if i == j:
-            c = alpha[i, i, k] - alpha[i, k, i]
-        elif i == k:
-            # canonical word [e_k,[e_j,e_k]] = -[e_k,[e_k,e_j]]
-            c = -(alpha[i, i, j] - alpha[i, j, i])
-        else:
-            c = (
-                alpha[i, j, k]
-                - alpha[i, k, j]
-                + alpha[j, i, k]
-                - alpha[j, k, i]
-            )
-        out[..., r] = c / 3.0
-    return out
+    return _stack(_hall_columns(
+        d, lambda i, j: (alpha[i, i, j] - alpha[i, j, i]) / 3.0,
+        lambda i, j, k: (alpha[i, j, k] - alpha[i, k, j]
+                         + alpha[j, i, k] - alpha[j, k, i]) / 3.0), alpha.shape[3:])
 
 
 def tensor_to_lie(t: TruncatedTensor) -> LieElement:
@@ -590,9 +593,8 @@ def tensor_to_lie(t: TruncatedTensor) -> LieElement:
     d = t.dim
     if not np.all(t.level0 == 0.0):
         raise ValueError("Lie element must have zero scalar part")
-    pairs = hall_pairs(d)
     c1 = np.moveaxis(t.level1, 0, -1)
-    c2 = np.stack([t.level2[i, j] for i, j in pairs], axis=-1) if pairs else np.zeros(t.batch_shape + (0,))
+    c2 = _stack([t.level2[i, j] for i, j in hall_pairs(d)], t.batch_shape)
     c3 = _hall_reduce_level3(t.level3, d)
     lie = LieElement(d, np.concatenate([c1, c2, c3], axis=-1))
     back = lie_to_tensor(lie)
@@ -626,39 +628,11 @@ def hall_log_signature(sig: GroupElement) -> LieElement:
     d = t.dim
     x1, x2, x3 = t.level1, t.level2, t.level3
     c1 = np.moveaxis(x1, 0, -1)
-    pairs = hall_pairs(d)
-    c2 = (
-        np.stack([0.5 * (x2[i, j] - x2[j, i]) for i, j in pairs], axis=-1)
-        if pairs
-        else np.zeros(t.batch_shape + (0,))
-    )
-
-    def repeated(i, j):
-        return (
-            x3[i, i, j]
-            + x1[i] ** 2 * x1[j] / 12.0
-            - 0.5 * x1[i] * x2[i, j]
-        )
-
-    cols = []
-    for i, j, k in hall_triples(d):
-        if i == j:
-            cols.append(repeated(i, k))
-        elif i == k:
-            cols.append(-repeated(i, j))
-        else:
-            cols.append(
-                (
-                    x3[i, j, k]
-                    + x3[j, i, k]
-                    - 2.0 * x3[i, k, j]
-                    + x3[k, i, j]
-                    - 2.0 * x3[j, k, i]
-                    + x3[k, j, i]
-                )
-                / 6.0
-            )
-    c3 = np.stack(cols, axis=-1) if cols else np.zeros(t.batch_shape + (0,))
+    c2 = _stack([0.5 * (x2[i, j] - x2[j, i]) for i, j in hall_pairs(d)], t.batch_shape)
+    c3 = _stack(_hall_columns(
+        d, lambda i, j: x3[i, i, j] + x1[i] ** 2 * x1[j] / 12.0 - 0.5 * x1[i] * x2[i, j],
+        lambda i, j, k: (x3[i, j, k] + x3[j, i, k] - 2.0 * x3[i, k, j]
+                         + x3[k, i, j] - 2.0 * x3[j, k, i] + x3[k, j, i]) / 6.0), t.batch_shape)
     return LieElement(d, np.concatenate([c1, c2, c3], axis=-1))
 
 

@@ -129,7 +129,7 @@ class TestConfig:
         ({"kernel": "fbm:H=0.4"}, 2.8),
         ({"kernel": "bm", "kernel2": "fbm:H=0.45"}, 2.5),
     ])
-    def test_default_p_kept_where_valid(self, data, p):
+    def test_rough_p_default_kept_where_valid(self, data, p):
         cfg = ExperimentConfig.from_dict({"experiment": "fernique", **data})
         assert simulate._rough_p(_spec(cfg), cfg.p) == p
 
@@ -349,6 +349,29 @@ class TestRun:
         report = _read(tmp_path / "coutin-qian_report.json")
         assert not report["ok"]
         assert (tmp_path / "coutin-qian_table.csv").exists()
+
+    def test_out_prefix_names_every_artifact(self, tmp_path, capsys):
+        assert _run("run", "coutin-qian", "--set", "out_prefix=cq",
+                    "--out-dir", str(tmp_path)) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "cq_report.json", "cq_run_meta.json", "cq_table.csv"]
+
+    @pytest.mark.parametrize("command", ["run", "table"])
+    @pytest.mark.parametrize("prefix", ["", ".", "..", "../escaped", "sub/x", 5])
+    def test_out_prefix_outside_out_dir_exit1(self, tmp_path, capsys, command, prefix):
+        parent = tmp_path / "parent"
+        parent.mkdir()
+        out = parent / "out"
+        if command == "run":
+            argv = ("run", "coutin-qian", "--set", f"out_prefix={prefix}")
+        else:
+            cfg = tmp_path / "sweep.json"
+            cfg.write_text(json.dumps({"experiment": "coutin-qian", "out_prefix": prefix,
+                                       "sweep": {"param": "H", "values": [0.3]}}))
+            argv = ("table", str(cfg))
+        assert _run(*argv, "--out-dir", str(out)) == 1
+        assert list(parent.iterdir()) == []
+        assert "out_prefix must be a file name" in capsys.readouterr().err
 
     def test_env_out_dir(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("ROUGH_GAUSS_OUT", str(tmp_path / "envout"))

@@ -134,6 +134,16 @@ class TestCoutinQian:
                                      c_H=1.1 * matched["c_ass1"])["passes"]
 
 
+    @pytest.mark.parametrize("H", [np.nan, 0.0, 1.0])
+    def test_h_outside_unit_interval_rejected(self, H):
+        with pytest.raises(ValueError, match=r"H must lie in \(0, 1\)"):
+            coutin_qian_check(bm_cov(), H)
+
+    def test_nan_constant_rejected(self):
+        with pytest.raises(ValueError, match="c_H must be finite"):
+            coutin_qian_check(bm_cov(), 0.5, c_H=np.nan)
+
+
 class TestFbmVariationEnvelope:
     def test_h_half_is_exact_length(self):
         rep = fbm_rhovar_bound_check(0.5)

@@ -132,6 +132,21 @@ class TestFunctional:
         with pytest.raises(TypeError):
             besov_functional(np.zeros((4, 2)), 2.0, 1.0)
 
+    @pytest.mark.parametrize("name", ["q", "r"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_exponents_must_be_finite(self, name, value):
+        _, line = _line(8)
+        args = {"q": 2.0, "r": 1.5, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite and >= 1"):
+            besov_functional(line, **args)
+
+    def test_blocks_equal_whole_lift(self):
+        ens = sample(_bm_spec(), np.linspace(0, 1, 17), 6, seed=3)
+        whole = besov_functional(lift_s3(ens), 4.0, 2.5)
+        blocks = (lift_s3(PiecewisePath(ens.times, x)) for x in np.split(ens.points, [2]))
+        got = besov_functional(blocks, 4.0, 2.5)
+        assert got.shape == (6,) and (got == whole).all()
+
     def test_blocks_need_paths_on_one_grid(self):
         with pytest.raises(ValueError):
             besov_functional(iter(()), 2.0, 1.0)
@@ -202,6 +217,13 @@ class TestGrrHolder:
             grr_holder_check(line, r=0.8, alpha=0.1)
         with pytest.raises(ValueError):
             grr_holder_check(line, r=1.0, alpha=0.0)  # Holder needs alpha > 0
+
+    @pytest.mark.parametrize("q", [np.nan, np.inf])
+    def test_q_must_be_finite(self, q):
+        # an infinite q used to pass with a double integral of 0
+        _, line = _line(8)
+        with pytest.raises(ValueError, match="q must be finite and >= 1"):
+            grr_holder_check(line, r=2.0, alpha=0.3, q=q)
 
     @settings(deadline=None, max_examples=40)
     @given(st.data())

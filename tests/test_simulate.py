@@ -188,6 +188,17 @@ class TestSampling:
             check()
 
 
+    @pytest.mark.parametrize("check", [
+        lambda band: level2_variance_check(BM2, n=8, grid_level=3, band=band),
+        lambda band: young_wiener_check(np.sin, ProcessSpec((bm_cov(),)), n=8,
+                                        grid_level=3, band=band),
+    ])
+    @pytest.mark.parametrize("band", [np.nan, np.inf])
+    def test_band_must_be_finite(self, check, band):
+        with pytest.raises(ValueError, match="band must be >= 0 and finite"):
+            check(band)
+
+
 class TestRestrictAndGap:
     def test_full_restriction_is_identity(self):
         ens = sample(BM2, grid(4), 12, seed=1)
