@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import CovarianceKernel, fbm_cov, square_variation
-from .variation_2d import EXACT_INTERVAL_CAP, _check_exponent, _longest_path, _uniform_grid
+from .variation_2d import (EXACT_INTERVAL_CAP, _check_exponent, _check_sum, _longest_path,
+                           _uniform_grid)
 
 __all__ = [
     "CMElement",
@@ -78,8 +79,11 @@ def pvar_1d(values, rho: float):
     n = x.shape[-1]
     if n < 2:
         return np.zeros(x.shape[:-1])[()]
-    rows = (np.abs(x[..., i + 1 :] - x[..., i, None]) ** rho for i in range(n - 1))
-    return _longest_path(rows)[..., -1][()] ** (1.0 / rho)
+    with np.errstate(over="ignore"):
+        rows = (np.abs(x[..., i + 1 :] - x[..., i, None]) ** rho for i in range(n - 1))
+        s = _longest_path(rows)[..., -1][()]
+    _check_sum(s, rho)
+    return s ** (1.0 / rho)
 
 
 @dataclass(frozen=True)

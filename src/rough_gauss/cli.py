@@ -63,22 +63,20 @@ from .tensor_algebra import (
 from .variation_2d import (EXACT_INTERVAL_CAP, GridFunction2D, _dyadic_grid,
                            _uniform_grid, rho_variation, young_integral_2d)
 
-OUT_DIR_ENV = "ROUGH_GAUSS_OUT"
-
 # fields every experiment accepts
 COMMON = ("experiment", "seed", "workers", "out_prefix")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved experiment parameters.  Numbers are coerced to their field's
-    type here and nowhere else; unknown fields, and fields the experiment
-    does not read, are rejected.  The full resolved mapping is echoed into
-    every report."""
+    """Resolved experiment parameters.  Values are checked against, and
+    numbers coerced to, their field's type here and nowhere else; unknown
+    fields, and fields the experiment does not read, are rejected.  The full
+    resolved mapping is echoed into every report."""
 
     experiment: str
-    kernel: str = "bm"
-    kernel2: str | None = None
+    kernel: str | dict = "bm"
+    kernel2: str | dict | None = None
     dim: int | None = None
     grid_level: int | None = None
     samples: int | None = None
@@ -116,10 +114,11 @@ class ExperimentConfig:
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if self.workers is None or self.workers < 1:
             raise ValueError(f"workers must be an integer >= 1, got {self.workers!r}")
+        if self.kernel2 is not None and self.dim not in (None, 2):
+            raise ValueError(f"kernel2 makes two components, so dim must be 2, got dim={self.dim}")
         # the prefix names files inside the out dir, never a path out of it
         prefix = self.out_prefix
-        if prefix is not None and (not isinstance(prefix, str) or prefix in ("", ".", "..")
-                                   or "/" in prefix or os.sep in prefix):
+        if prefix is not None and (prefix in ("", ".", "..") or "/" in prefix or os.sep in prefix):
             raise ValueError(f"out_prefix must be a file name without '/', got {prefix!r}")
 
     @classmethod
@@ -153,13 +152,20 @@ def _number(name: str, kind: type, value):
     return float(value)
 
 
+_TEXT = {str: "string", dict: "mapping"}
+
+
 def _coerce(name: str, hint, value):
-    """``value`` as the number, or tuple of numbers, that the field's
-    annotation ``hint`` declares; strings are checked by their readers."""
+    """``value`` as the string, mapping, number or tuple of numbers that the
+    field's annotation ``hint`` declares."""
     kinds = typing.get_args(hint) or (hint,)
     items = [typing.get_args(k)[0] for k in kinds if typing.get_origin(k) is tuple]
-    if str in kinds:
-        return value
+    text = {kind: word for kind, word in _TEXT.items() if kind in kinds}
+    if text:
+        if isinstance(value, tuple(text)):
+            return value
+        raise ValueError(f"config field {name!r} needs a {' or '.join(text.values())}, "
+                         f"got {value!r}")
     if items and isinstance(value, (list, tuple)):
         if not value:
             raise ValueError(f"config field {name!r} needs at least one value")
@@ -462,9 +468,6 @@ def _run_coutin_qian(cfg: ExperimentConfig) -> dict:
     H = _default(cfg.H, {"fbm": kcfg.get("H"), "bm": 0.5}.get(kcfg["kernel"]))
     if H is None:
         raise ValueError("coutin-qian needs an 'H' for this kernel")
-    if cfg.H is not None and kcfg["kernel"] in ("fbm", "bm"):
-        # an explicit H (e.g. from a sweep) rebuilds the matching kernel
-        k = kernel_from_config("bm" if H == 0.5 else f"fbm:H={H!r}")
     rep = coutin_qian_check(k, H, **_kwargs(cfg))
     finite = bool(np.isfinite(rep["c_ass1"]) and np.isfinite(rep["c_ass2"]))
     ok = bool(rep["passes"]) if "passes" in rep else finite
@@ -570,17 +573,11 @@ def _write_csv(path: Path, columns, rows):
             writer.writerow([_cell(row.get(c)) for c in columns])
 
 
-def _resolve_out_dir(flag_value: str | None) -> Path:
-    if flag_value:
-        return Path(flag_value)
-    env = os.environ.get(OUT_DIR_ENV)
-    return Path(env) if env else Path("out")
-
-
 def _write_artifacts(out_dir: Path, prefix: str, cfg: ExperimentConfig,
-                     body: dict, columns, rows, wall: float) -> None:
+                     body: dict, columns, rows, wall: float) -> int:
     """Write ``<prefix>report.json`` (common header plus ``body``),
-    ``<prefix>table.csv`` and the ``<prefix>run_meta.json`` sidecar."""
+    ``<prefix>table.csv`` and the ``<prefix>run_meta.json`` sidecar; return
+    the exit code, 0 when ``body`` passes and 2 when a check failed."""
     # the library is single-threaded, so the worker count cannot influence
     # results: it lives in the sidecar with the wall clock
     echo = cfg.to_dict()
@@ -599,25 +596,24 @@ def _write_artifacts(out_dir: Path, prefix: str, cfg: ExperimentConfig,
             "artifacts": [f"{prefix}report.json", f"{prefix}table.csv"]}
     (out_dir / f"{prefix}run_meta.json").write_text(_dumps(meta),
                                                     encoding="utf-8")
+    print(f"{'PASS' if body['ok'] else 'FAIL'}: wrote {prefix}report.json, "
+          f"{prefix}table.csv in {out_dir}")
+    return 0 if body["ok"] else 2
 
 
-def _execute(cfg: ExperimentConfig, out_dir: Path) -> int:
+def _execute(data: dict, out_dir: Path) -> int:
+    cfg = ExperimentConfig.from_dict(data)
     t0 = time.monotonic()
     outcome = EXPERIMENTS[cfg.experiment](cfg)
     wall = time.monotonic() - t0
-    ok = _ok(outcome)
-    prefix = _default(cfg.out_prefix, cfg.experiment) + "_"
-    body = {"seed": cfg.seed, "checks": outcome["checks"], "ok": ok,
-            "results": outcome["results"]}
-    _write_artifacts(out_dir, prefix, cfg, body, outcome["columns"],
-                     outcome["rows"], wall)
     for c in outcome["checks"]:
         detail = {k: v for k, v in c.items() if k not in ("name", "ok")}
         tail = f" {detail}" if detail else ""
         print(f"[{'ok' if c['ok'] else 'FAIL'}] {c['name']}{tail}")
-    print(f"{'PASS' if ok else 'FAIL'}: wrote {prefix}report.json, "
-          f"{prefix}table.csv in {out_dir}")
-    return 0 if ok else 2
+    body = {"seed": cfg.seed, "checks": outcome["checks"], "ok": _ok(outcome),
+            "results": outcome["results"]}
+    return _write_artifacts(out_dir, _default(cfg.out_prefix, cfg.experiment) + "_",
+                            cfg, body, outcome["columns"], outcome["rows"], wall)
 
 
 def _parse_set(items) -> dict:
@@ -633,28 +629,21 @@ def _parse_set(items) -> dict:
     return out
 
 
-def _load_json(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("config must be a JSON object")
-    return data
-
-
-def _flags(args) -> dict:
-    # each field flag's argparse dest is the config field it sets
-    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    return {k: v for k, v in vars(args).items() if k in fields and v is not None}
-
-
-def _config_from_args(args) -> ExperimentConfig:
+def _config_data(args) -> dict:
+    """The config mapping of either command: the JSON file or bare
+    experiment name, then ``--set``, then the field flags."""
     target = args.config
     if target.endswith(".json") or os.path.sep in target or os.path.exists(target):
-        data = _load_json(target)
+        with open(target, encoding="utf-8") as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("config must be a JSON object")
     else:
         data = {"experiment": target}
-    data.update({**_parse_set(args.set), **_flags(args)})
-    return ExperimentConfig.from_dict(data)
+    # each field flag's argparse dest is the config field it sets
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    flags = {k: v for k, v in vars(args).items() if k in fields and v is not None}
+    return {**data, **_parse_set(getattr(args, "set", None)), **flags}
 
 
 SWEEP_COLUMNS = ("param", "estimate", "stderr", "band", "ok")
@@ -695,14 +684,12 @@ def _sweep_rows(experiment: str, param: str, values, base: dict) -> list:
     return rows + ([_summary(closing, out)] if closing else [])
 
 
-def _run_table(args) -> int:
-    data = _load_json(args.config)
+def _run_table(data: dict, out_dir: Path) -> int:
     sweep = data.pop("sweep", None)
-    if not isinstance(sweep, dict) or "param" not in sweep or "values" not in sweep:
+    if not (isinstance(sweep, dict) and "param" in sweep
+            and isinstance(sweep.get("values"), list)):
         raise ValueError("sweep config needs {'sweep': {'param':..., 'values': [...]}}")
-    param = sweep["param"]
-    values = list(sweep["values"])
-    data.update(_flags(args))
+    param, values = sweep["param"], sweep["values"]
     base_cfg = ExperimentConfig.from_dict(dict(data))  # validates early
     experiment = base_cfg.experiment
     sweepable = {*FIELDS[experiment], "seed",
@@ -713,16 +700,10 @@ def _run_table(args) -> int:
     t0 = time.monotonic()
     rows = _sweep_rows(experiment, param, values, data)
     wall = time.monotonic() - t0
-    ok = all(r["ok"] for r in rows)
-    out_dir = _resolve_out_dir(args.out_dir)
-    prefix = _default(base_cfg.out_prefix, experiment) + "_sweep_"
     body = {"sweep": {"param": param, "values": values}, "rows": rows,
-            "ok": ok}
-    _write_artifacts(out_dir, prefix, base_cfg, body, SWEEP_COLUMNS, rows,
-                     wall)
-    print(f"{'PASS' if ok else 'FAIL'}: {len(rows)} sweep rows in "
-          f"{out_dir / (prefix + 'table.csv')}")
-    return 0 if ok else 2
+            "ok": all(r["ok"] for r in rows)}
+    prefix = _default(base_cfg.out_prefix, experiment) + "_sweep_"
+    return _write_artifacts(out_dir, prefix, base_cfg, body, SWEEP_COLUMNS, rows, wall)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -730,8 +711,13 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="rough-gauss",
         description="Gaussian rough path experiments from JSON configs.",
     )
+    # the flags both commands take
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int)
+    common.add_argument("--workers", type=int)
+    common.add_argument("--out-dir", default="out")
     sub = parser.add_subparsers(dest="command", required=True)
-    run_p = sub.add_parser("run", help="run one experiment config")
+    run_p = sub.add_parser("run", parents=[common], help="run one experiment config")
     run_p.add_argument("config",
                        help="config JSON path or bare experiment name")
     run_p.add_argument("--kernel")
@@ -739,27 +725,19 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--grid", dest="grid_level", type=int, metavar="LEVEL",
                        help="dyadic grid level")
     run_p.add_argument("--samples", type=int)
-    run_p.add_argument("--seed", type=int)
-    run_p.add_argument("--workers", type=int)
-    run_p.add_argument("--out-dir")
     run_p.add_argument("--path", help="input path CSV (lift)")
     run_p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="set any other config field")
-    table_p = sub.add_parser("table", help="run a one-parameter sweep")
+    table_p = sub.add_parser("table", parents=[common], help="run a one-parameter sweep")
     table_p.add_argument("config", help="sweep config JSON path")
-    table_p.add_argument("--seed", type=int)
-    table_p.add_argument("--workers", type=int)
-    table_p.add_argument("--out-dir")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            cfg = _config_from_args(args)
-            return _execute(cfg, _resolve_out_dir(args.out_dir))
-        return _run_table(args)
+        command = _execute if args.command == "run" else _run_table
+        return command(_config_data(args), Path(args.out_dir))
     except (ValueError, TypeError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -193,16 +193,21 @@ def _factor(kernel: CovarianceKernel, grid: np.ndarray) -> np.ndarray:
 
 def _normals(n: int, m: int, d: int, seed: int, stream: int, rows: int):
     """Yield the standard normals of the n samples, `rows` samples at a
-    time, as one (d, rows, m) array; the last block may be shorter."""
+    time, as one (d, rows, m) array; the last block may be shorter.  Every
+    block is written into one buffer, so a consumer must be done with a
+    block before it asks for the next.  With a fresh array per block, the
+    peak RSS of the shipped level-2 run read 64 or 79 MB depending on the
+    heap layout (glibc moves freed-size blocks off mmap onto the heap)."""
     # one generator: a fresh Philox state (empty buffer, no cached uint32)
     # with its counter set to [0, stream, i, c] is the state of
     # Philox(key, counter), so resetting it replaces a construction per row
     bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     gen = np.random.Generator(bits)
     state = bits.state
+    buf = np.empty((d, min(rows, n), m))
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
-        Z = np.empty((d, hi - lo, m))
+        Z = buf[:, : hi - lo]
         for c in range(d):
             for i in range(lo, hi):
                 state["state"]["counter"][:] = (0, stream, i, c)

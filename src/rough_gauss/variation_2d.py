@@ -43,6 +43,13 @@ def _check_exponent(p: float, name: str):
         raise ValueError(f"{name} must be finite and >= 1")
 
 
+def _check_sum(s, rho: float):
+    """A variation sum must be finite; its powers |increment|^rho overflow
+    for a large rho or large increments."""
+    if not np.all(np.isfinite(s)):
+        raise ValueError(f"the rho = {rho} variation sum is not finite")
+
+
 def _check_grid(g: np.ndarray, name: str):
     if g.ndim != 1 or g.size < 2:
         raise ValueError(f"{name} must be 1-d with at least two points")
@@ -258,12 +265,14 @@ def rho_variation(
       dissection pair and often the optimum.
     """
     _check_exponent(rho, "rho")
-    if mode == "exact":
-        s = _exact_sum(f.values, rho)
-    elif mode == "local-search":
-        s = _alternating_sum(f.values, rho, seed)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    with np.errstate(over="ignore"):
+        if mode == "exact":
+            s = _exact_sum(f.values, rho)
+        elif mode == "local-search":
+            s = _alternating_sum(f.values, rho, seed)
+        else:
+            raise ValueError(f"unknown mode {mode!r}")
+    _check_sum(s, rho)
     return s ** (1.0 / rho)
 
 

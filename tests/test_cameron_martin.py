@@ -118,6 +118,14 @@ class TestPvar1D:
         with pytest.raises(ValueError, match="finite"):
             pvar_1d(np.array([0.0, 1.0, 0.5]), rho)
 
+    def test_overflowing_sum_rejected(self):
+        message = "the rho = 400.0 variation sum is not finite"
+        with pytest.raises(ValueError, match=message):
+            pvar_1d(np.array([0.0, 10.0, 0.0]), 400.0)
+        # one overflowing path of a batch is enough
+        with pytest.raises(ValueError, match=message):
+            pvar_1d(np.array([[0.0, 1.0, 0.0], [0.0, 10.0, 0.0]]), 400.0)
+
 
 class TestEmbedding:
     def test_zero_element_trivially_ok(self):

@@ -39,7 +39,7 @@ def _run(*argv):
 def _run_threaded(out: Path, threads: str, experiment: str, *argv) -> list:
     """Report and table bytes of one run in a fresh interpreter with
     ``threads`` OpenBLAS threads."""
-    env = {k: v for k, v in os.environ.items() if k != "ROUGH_GAUSS_OUT"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -371,14 +371,56 @@ class TestRun:
             argv = ("table", str(cfg))
         assert _run(*argv, "--out-dir", str(out)) == 1
         assert list(parent.iterdir()) == []
-        assert "out_prefix must be a file name" in capsys.readouterr().err
+        message = ("config field 'out_prefix' needs a string" if prefix == 5
+                   else "out_prefix must be a file name")
+        assert message in capsys.readouterr().err
 
-    def test_env_out_dir(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("ROUGH_GAUSS_OUT", str(tmp_path / "envout"))
-        rc = _run("run", "variation", "--kernel", "bm",
-                  "--set", "grid_intervals=4")
-        assert rc == 0
-        assert (tmp_path / "envout" / "variation_report.json").exists()
+    @pytest.mark.parametrize("argv, message", [
+        # an integer path would be opened as a file descriptor: 0 is stdin
+        (("lift", "--set", "path=0"), "config field 'path' needs a string, got 0"),
+        (("lift", "--set", "path=5"), "config field 'path' needs a string, got 5"),
+        (("young-wiener", "--set", "integrand=5"), "config field 'integrand' needs a string"),
+        (("variation", "--set", "mode=5"), "config field 'mode' needs a string"),
+        (("variation", "--set", "kernel=5"), "config field 'kernel' needs a string or mapping"),
+        (("level2-variance", "--set", "kernel2=bm", "--set", "dim=5", "--samples", "20",
+          "--grid", "3"), "kernel2 makes two components, so dim must be 2, got dim=5"),
+        # |increment|^400 overflows at ou sigma = 10: both sums would be inf
+        (("variation", "--kernel", "ou:sigma=10", "--set", "rho=400",
+          "--set", "grid_intervals=4"), "the rho = 400.0 variation sum is not finite"),
+        (("cm-embedding", "--kernel", "ou:sigma=10", "--set", "rho=400",
+          "--set", "elements=2"), "the rho = 400.0 variation sum is not finite"),
+    ])
+    def test_rejected_field_exit1_names_it(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        assert _run("run", *argv, "--out-dir", str(out)) == 1
+        assert not out.exists()
+        assert message in capsys.readouterr().err
+
+    def test_kernel_mapping_accepted(self, tmp_path, capsys):
+        kernel = {"kernel": "fbm", "H": 0.4}
+        assert ExperimentConfig.from_dict({"experiment": "variation", "kernel": kernel}).kernel == kernel
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "variation", "kernel": kernel,
+                                   "grid_intervals": 4}))
+        assert _run("run", str(cfg), "--out-dir", str(tmp_path)) == 0
+        assert _read(tmp_path / "variation_report.json")["config"]["kernel"] == kernel
+
+    def test_default_out_dir(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert _run("run", "coutin-qian") == 0
+        assert (tmp_path / "out" / "coutin-qian_report.json").exists()
+
+    def test_coutin_qian_H_is_only_the_exponent(self, tmp_path, capsys):
+        # H sets the exponent of the increment conditions; the kernel that
+        # runs is the one the report echoes
+        assert _run("run", "coutin-qian", "--kernel", "fbm:H=0.35", "--set", "H=0.3",
+                    "--out-dir", str(tmp_path)) == 0
+        report = _read(tmp_path / "coutin-qian_report.json")
+        want = covariance.coutin_qian_check(covariance.fbm_cov(0.35), 0.3)
+        assert report["config"]["kernel"] == "fbm:H=0.35"
+        assert report["results"]["H"] == 0.3
+        assert report["results"]["c_ass1"] == want["c_ass1"]
+        assert report["results"]["c_ass2"] == want["c_ass2"]
 
     def test_lift_writes_no_negative_zero(self, tmp_path, capsys):
         # the Hall coordinate [2,[1,2]] of this lift is -0.0 in floats
@@ -520,6 +562,46 @@ class TestTable:
         report = _read(tmp_path / "coutin-qian_sweep_report.json")
         assert [r["param"] for r in report["rows"]] == [0.3, 0.4]
 
+    def test_common_flags_and_default_out_dir(self, tmp_path, monkeypatch, capsys):
+        # table takes --seed, --workers and --out-dir as run does
+        cfg = self._sweep(tmp_path, {
+            "experiment": "coutin-qian", "seed": 1,
+            "sweep": {"param": "H", "values": [0.3]},
+        }, "flags")
+        out = tmp_path / "flagged"
+        assert _run("table", str(cfg), "--seed", "7", "--workers", "2",
+                    "--out-dir", str(out)) == 0
+        assert _read(out / "coutin-qian_sweep_report.json")["config"]["seed"] == 7
+        assert _read(out / "coutin-qian_sweep_run_meta.json")["workers"] == 2
+        monkeypatch.chdir(tmp_path)
+        assert _run("table", str(cfg)) == 0
+        assert (tmp_path / "out" / "coutin-qian_sweep_table.csv").exists()
+
+    def test_kernel_sweep_runs_each_kernel_at_its_H(self, tmp_path, capsys):
+        # a ladder of fBM kernels is a sweep over kernel values
+        kernels = ["fbm:H=0.3", "fbm:H=0.4"]
+        cfg = self._sweep(tmp_path, {
+            "experiment": "coutin-qian",
+            "sweep": {"param": "kernel", "values": kernels},
+        }, "cqkernel")
+        assert _run("table", str(cfg), "--out-dir", str(tmp_path)) == 0
+        rows = _read(tmp_path / "coutin-qian_sweep_report.json")["rows"]
+        assert [r["param"] for r in rows] == kernels
+        for row, H in zip(rows, (0.3, 0.4)):
+            want = covariance.coutin_qian_check(covariance.fbm_cov(H), H)
+            assert row["estimate"] == want["c_ass1"]
+
+    @pytest.mark.parametrize("values", ["0.3", {"0.3": 1}, 0.3])
+    def test_sweep_values_must_be_a_list(self, tmp_path, capsys, values):
+        cfg = self._sweep(tmp_path, {
+            "experiment": "coutin-qian",
+            "sweep": {"param": "H", "values": values},
+        }, "notalist")
+        out = tmp_path / "out"
+        assert _run("table", str(cfg), "--out-dir", str(out)) == 1
+        assert not out.exists()
+        assert "sweep config needs" in capsys.readouterr().err
+
     def test_unknown_sweep_param(self, tmp_path, capsys):
         cfg = self._sweep(tmp_path, {
             "experiment": "grr",
@@ -547,8 +629,7 @@ class TestShippedConfigs:
 
     def test_run_all_from_a_bare_checkout(self, tmp_path):
         # no install and no PYTHONPATH: the script finds src/ next to itself
-        env = {k: v for k, v in os.environ.items()
-               if k not in ("PYTHONPATH", "ROUGH_GAUSS_OUT")}
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
         proc = subprocess.run(
             [sys.executable, str(CONFIGS.parent / "run_all.py"), "--only", "lift",
              "--out-dir", str(tmp_path)], env=env, cwd=tmp_path, capture_output=True, text=True)

@@ -202,6 +202,15 @@ class TestRhoVariation:
         with pytest.raises(ValueError, match="finite"):
             rho_variation(min_cov(5), rho, mode=mode)
 
+    @pytest.mark.parametrize("mode", ["exact", "local-search"])
+    def test_overflowing_sum_rejected(self, mode):
+        # cell increments of 25 overflow at the 400th power
+        f = min_cov(5)
+        big = GridFunction2D(f.s_grid, f.t_grid, 100.0 * f.values)
+        with pytest.raises(ValueError, match="the rho = 400.0 variation sum is not finite"):
+            rho_variation(big, 400.0, mode=mode)
+        assert rho_variation(f, 400.0, mode=mode) == pytest.approx(1.0)
+
     def test_min_kernel_rho1_is_one(self):
         for n in (5, 9):
             res = rho_variation(min_cov(n), 1.0, mode="exact")
