@@ -18,6 +18,10 @@ Brownian motion in d = 2 on a uniform grid over [0, 1], seeded:
   young_wiener     young_wiener_check of f(t) = t against scalar BM,
                    10 000 paths on 1 025 points
   fernique         fernique_tail, 10 000 paths on 33 points, p 2.5
+  perturbation     perturbation_continuity, 400 paths on 65 points, p 2.5,
+                   three epsilon rungs on one reference
+  dyadic_8         dyadic_convergence, 8 paths on 257 points, p 2.5, five
+                   dyadic rungs on one reference
   grr_4096         the grr experiment runner at 4 096 samples on 65 points:
                    two Chen blocks, each lifted and reduced in turn
 
@@ -60,8 +64,10 @@ from rough_gauss.covariance import ProcessSpec, bm_cov, fbm_cov  # noqa: E402
 from rough_gauss.path_lift import holder_dist, lift_s3, pvar_norm  # noqa: E402
 from rough_gauss.regularity import grr_holder_check  # noqa: E402
 from rough_gauss.simulate import (  # noqa: E402
+    dyadic_convergence,
     fernique_tail,
     lift_endpoint,
+    perturbation_continuity,
     sample,
     weak_limit_fbm,
     young_wiener_check,
@@ -129,6 +135,9 @@ def main() -> int:
             lambda t: np.asarray(t, dtype=float), ProcessSpec((bm_cov(),)),
             n=10_000, seed=1, grid_level=10),
         "fernique": lambda: fernique_tail(SPEC, 2.5, n=10_000, seed=0, grid_level=5),
+        "perturbation": lambda: perturbation_continuity(SPEC, p=2.5, n=400, seed=0,
+                                                        grid_level=6),
+        "dyadic_8": lambda: dyadic_convergence(SPEC, p=2.5, n=8, seed=0),
         "grr_4096": lambda: EXPERIMENTS["grr"](grr_4096),
         "exact_variation": lambda: rho_variation(cov, 1.25, mode="exact"),
         "local_search": lambda: rho_variation(cov_257, 1.25, mode="local-search"),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import CovarianceKernel, fbm_cov, square_variation
-from .variation_2d import (EXACT_INTERVAL_CAP, _check_exponent, _check_sum, _longest_path,
+from .variation_2d import (EXACT_INTERVAL_CAP, _check_exponent, _longest_path, _scaled_root,
                            _uniform_grid)
 
 __all__ = [
@@ -79,11 +79,13 @@ def pvar_1d(values, rho: float):
     n = x.shape[-1]
     if n < 2:
         return np.zeros(x.shape[:-1])[()]
-    with np.errstate(over="ignore"):
-        rows = (np.abs(x[..., i + 1 :] - x[..., i, None]) ** rho for i in range(n - 1))
-        s = _longest_path(rows)[..., -1][()]
-    _check_sum(s, rho)
-    return s ** (1.0 / rho)
+
+    def total(v):
+        rows = (np.abs(v[..., i + 1 :] - v[..., i, None]) ** rho for i in range(n - 1))
+        # a numpy scalar, not a 0-d array: their powers round differently
+        return _longest_path(rows)[..., -1][()]
+
+    return _scaled_root(total, x, rho, 1)
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,14 @@ Lifted values are stored word-first like every tensor, with the grid as
 the last batch axis (level3[i, j, k, *batch, n]).  The Chen loop and the
 pair-distance stream call the raw kernels of ``tensor_algebra`` on them
 directly: the Chen loop writes each prefix into the grid axis in place,
-and the pair stream copies each block of batch rows (about 1 MiB of
-levels) once and forms the increments of every grid row on views of it.
+and the pair stream fills one block of batch rows (about 1 MiB of levels)
+at a time into a buffer it reuses, and forms the increments of every grid
+row on views of it.  A lifted path's block is copied; a sample path's
+block is lifted there by the Chen loop, with the checks of ``lift_s3``,
+so a Monte Carlo check never holds a whole lift.  A ladder of rung paths
+on one reference path stacks the rungs on a leading batch axis: the
+reference is lifted once per block, and its increments, formed once per
+grid row, broadcast over the rungs.
 Every product there is of two group elements, so both use the group
 multiply ``_gmul``, which gives the bytes of the general product, and a
 Chen step exponentiates its segment with ``_exp_segment``, which forms no
@@ -35,6 +41,7 @@ from .tensor_algebra import (
     _gmul,
     _inverse,
     _norm,
+    _pad,
     _shuffle_residual,
     homogeneous_norm,
 )
@@ -65,9 +72,10 @@ __all__ = [
     "read_path_csv",
 ]
 
-# level bytes of one word-first block of batch rows in the pair stream
-# (8 738 lifted points for d = 2, so 34 rows at 257 points): numpy loops stay
-# long while the temporaries of a grid row stay in a per-core cache.  On a
+# level bytes of one word-first block of batch rows in the pair stream, per
+# path, or for the rungs and reference of a ladder together (8 738 lifted
+# points for d = 2, so 34 rows at 257 points): numpy loops stay long while
+# the temporaries of a grid row stay in a per-core cache.  On a
 # 2-core Xeon (4 MiB L2) holder_dist over 200 x 257 points took 2.5-3.2 s
 # for kernel calls of 4 096 to 16 384 pairs and 3.9-5.1 s for 32 768 or more.
 _BLOCK_BYTES = 1 << 20
@@ -85,8 +93,9 @@ class PiecewisePath:
     points: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        points = np.asarray(self.points, dtype=float)
+        # views: freezing them leaves the caller's arrays writeable
+        times = np.asarray(self.times, dtype=float).view()
+        points = np.asarray(self.points, dtype=float).view()
         _check_times(times)
         if points.ndim < 2 or points.shape[-2] != times.size:
             raise ValueError("points must have shape (..., n_times, d)")
@@ -110,6 +119,10 @@ class PiecewisePath:
     @property
     def n_times(self) -> int:
         return self.times.size
+
+    @property
+    def batch_shape(self) -> tuple:
+        return self.points.shape[:-2]
 
 
 def _index(levels, key):
@@ -135,7 +148,7 @@ class GroupPath:
     values: GroupElement
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
+        times = np.asarray(self.times, dtype=float).view()
         _check_times(times)
         bshape = self.values.batch_shape
         if len(bshape) < 1 or bshape[-1] != times.size:
@@ -198,10 +211,16 @@ def lift_increments(increments: np.ndarray) -> GroupElement:
     """
     *batch, m, d = np.shape(increments)
     out = tuple(np.empty((d,) * k + (*batch, m + 1)) for k in range(4))
+    return GroupElement(TruncatedTensor(d, *_lift_into(increments, out)))
+
+
+def _lift_into(increments: np.ndarray, out):
+    """Write the Chen prefixes of the increments (..., m, d) into the grid
+    axis of the word-first levels ``out`` (..., m+1) and return them."""
     for j, cur in enumerate(_chen_prefixes(increments)):
         for dst, src in zip(_index(out, j), cur):
             dst[...] = src
-    return GroupElement(TruncatedTensor(d, *out))
+    return out
 
 
 def lift_s3(path: PiecewisePath) -> GroupPath:
@@ -220,7 +239,7 @@ def increment(gp: GroupPath, s: float, t: float) -> GroupElement:
     return GroupElement(TruncatedTensor(gp.dim, *inc))
 
 
-def _require_same_grid(x: GroupPath, y: GroupPath):
+def _require_same_grid(x, y):
     if x.times.shape != y.times.shape or np.any(x.times != y.times):
         raise ValueError("paths must share one grid; refine first")
     if x.dim != y.dim:
@@ -229,36 +248,70 @@ def _require_same_grid(x: GroupPath, y: GroupPath):
         raise ValueError("paths must share one batch shape")
 
 
+def _lead(x):
+    """The path that sets the grid and batch of an operand of the pair
+    stream: x itself, or the first rung of a ladder."""
+    return x[0] if isinstance(x, list) else x
+
+
 def _flat(path: GroupPath):
     """Word-first levels of the path with the batch flattened: (..., B, n)."""
     return tuple(a.reshape(a.shape[:k] + (-1, path.n_times))
                  for k, a in enumerate(path.values.tensor.levels()))
 
 
-def _blocks(x: GroupPath, y: GroupPath | None = None):
-    """Yield, block after block of batch rows, a contiguous word-first copy
-    (..., rows, n) of the levels of x, and of y when given.  A block holds
-    about _BLOCK_BYTES of levels per path; the pair stream works on views
-    of it."""
-    d, n = x.dim, x.n_times
-    step = max(1, _BLOCK_BYTES // (8 * (1 + d + d * d + d**3) * n))
-    flats = [_flat(p) for p in (x, y) if p is not None]
-    for lo in range(0, flats[0][0].shape[0], step):
-        yield tuple(tuple(np.ascontiguousarray(a[..., lo : lo + step, :]) for a in f)
-                    for f in flats)
+def _blocks(x, y=None):
+    """Yield, block after block of batch rows, the word-first levels
+    (..., rows, n) of x, and of y when given.  The paths are stacked on a
+    leading batch axis of one buffer, reused from block to block: a
+    consumer is done with a block before it asks for the next, and the
+    pair stream works on views of it.
+
+    x and y are GroupPaths, whose levels are copied, or PiecewisePaths,
+    whose rows are lifted by one Chen loop and checked as lift_s3 checks
+    them; or x is a list of rung PiecewisePaths on the reference path y,
+    and x's block keeps the leading rung axis.  A block holds about
+    _BLOCK_BYTES of levels per path, or for the rungs and the reference
+    together."""
+    rungs = x if isinstance(x, list) else [x]
+    paths = rungs + ([] if y is None else [y])
+    if y is not None:
+        for rung in rungs:
+            _require_same_grid(rung, y)
+    lead = _lead(x)
+    d, n = lead.dim, lead.n_times
+    total = int(np.prod(lead.batch_shape))
+    width = len(paths) if isinstance(x, list) else 1
+    step = min(total, max(1, _BLOCK_BYTES // (8 * (1 + d + d * d + d**3) * n * width)))
+    buf = tuple(np.empty((d,) * k + (len(paths), step, n)) for k in range(4))
+    keys = [slice(0, len(rungs)) if isinstance(x, list) else 0] + ([] if y is None else [-1])
+    lifted = isinstance(lead, GroupPath)
+    rows = [_flat(p) if lifted else p.points.reshape(-1, n, d) for p in paths]
+    for lo in range(0, total, step):
+        block = tuple(a[..., : min(step, total - lo), :] for a in buf)
+        if lifted:
+            for k, levels in enumerate(rows):
+                for dst, src in zip(block, levels):
+                    dst[..., k, :, :] = src[..., lo : lo + step, :]
+        else:
+            points = np.stack([p[lo : lo + step] for p in rows])
+            _lift_into(np.diff(points, axis=-2), block)
+            # lift_s3's checks: finite levels, the identity at t_0 and the
+            # shuffle residual on a subsample
+            GroupPath(lead.times, GroupElement(TruncatedTensor(d, *block)))
+        yield tuple(tuple(a[..., key, :, :] for a in block) for key in keys)
 
 
-def _reduce_blocks(x: GroupPath, y: GroupPath | None, reduce):
+def _reduce_blocks(x, y, reduce):
     """reduce(*block) of every block of x (and y), an array whose last axis
     runs over the block's rows, joined along that axis, which then takes
-    x's batch shape; any leading axes are kept."""
+    x's batch shape; any leading axes, such as a ladder's rungs, are kept."""
     out = np.concatenate([reduce(*block) for block in _blocks(x, y)], axis=-1)
-    return out.reshape(out.shape[:-1] + x.batch_shape)[()]
+    return out.reshape(out.shape[:-1] + _lead(x).batch_shape)[()]
 
 
 def dist_inf(x: GroupPath, y: GroupPath):
     """sup over grid times of the homogeneous distance d(x_t, y_t)."""
-    _require_same_grid(x, y)
     return _reduce_blocks(x, y, lambda lx, ly: np.max(_dist_norm(_gmul(_inverse(lx), ly)), axis=-1))
 
 
@@ -266,7 +319,8 @@ def _pair_rows(lx, ly=None):
     """Yield, for i = 0, ..., n-2, the rows d(x_{t_i,t_j}, y_{t_i,t_j}) over
     j > i of one block from _blocks, or the increment norms ||x_{t_i,t_j}||
     when ly is None.  x_{t_i}^{-1} broadcasts along its row as (..., rows, 1),
-    so the increments are formed on views of the block."""
+    so the increments are formed on views of the block; y's increments
+    broadcast over any leading rung axis of x's."""
     n = lx[0].shape[-1]
 
     def incs(levels, i):
@@ -277,7 +331,7 @@ def _pair_rows(lx, ly=None):
         if ly is None:
             yield _norm(inc)
         else:
-            yield _dist_norm(_gmul(_inverse(inc), incs(ly, i)))
+            yield _dist_norm(_gmul(_inverse(inc), _pad(incs(ly, i), inc[0].ndim)))
 
 
 def _check_alpha(alpha: float):
@@ -295,20 +349,20 @@ def _holder_sup(times: np.ndarray, rows, alpha: float):
     return out
 
 
-def _holder(x: GroupPath, y: GroupPath | None, alpha: float):
-    return _reduce_blocks(x, y, lambda *block: _holder_sup(x.times, _pair_rows(*block), alpha))
+def _holder(x, y, alpha: float):
+    """The Hoelder metric of the pair stream's operands (see _blocks)."""
+    times = _lead(x).times
+    return _reduce_blocks(x, y, lambda *block: _holder_sup(times, _pair_rows(*block), alpha))
 
 
 def dist_0(x: GroupPath, y: GroupPath):
     """max over grid pairs s < t of d(x_{s,t}, y_{s,t})."""
-    _require_same_grid(x, y)
     return _holder(x, y, 0.0)
 
 
 def holder_dist(x: GroupPath, y: GroupPath, alpha: float):
     """sup over grid pairs of d(x_{s,t}, y_{s,t}) / (t-s)^alpha."""
     _check_alpha(alpha)
-    _require_same_grid(x, y)
     return _holder(x, y, alpha)
 
 
@@ -323,16 +377,20 @@ def path_inf_norm(x: GroupPath):
     return np.max(homogeneous_norm(x.values), axis=-1)
 
 
-def _pvar(x: GroupPath, y: GroupPath | None, p: float):
-    """(sup over sub-dissections of the sum of pair values^p)^{1/p}."""
+def _pvar_sup(rows, p: float):
+    """(sup over sub-dissections of the sum of pair values^p)^{1/p}, where
+    the i-th row holds the values over the pairs (t_i, t_j), j > i."""
+    return _longest_path(row ** p for row in rows)[..., -1] ** (1.0 / p)
+
+
+def _pvar(x, y, p: float):
+    """The p-variation metric of the pair stream's operands (see _blocks)."""
     _check_exponent(p, "p")
-    return _reduce_blocks(x, y, lambda *block: _longest_path(
-        row ** p for row in _pair_rows(*block))[..., -1] ** (1.0 / p))
+    return _reduce_blocks(x, y, lambda *block: _pvar_sup(_pair_rows(*block), p))
 
 
 def pvar_dist(x: GroupPath, y: GroupPath, p: float):
     """sup over sub-dissections D of (sum_i d(x_{t_i,t_{i+1}}, y_{t_i,t_{i+1}})^p)^{1/p}."""
-    _require_same_grid(x, y)
     return _pvar(x, y, p)
 
 

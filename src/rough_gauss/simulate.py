@@ -11,8 +11,9 @@ Gram factor in products of CHUNK rows, so every block holds the bytes of the
 same rows of the whole ensemble.
 Every Monte Carlo check reduces each block as soon as it is formed (to an
 integral, a Chen endpoint only as deep as the check reads, or the path
-metrics of its lift, which read pairs of grid times within one path), so
-its memory does not grow with the sample count, and a ladder of kernels
+metrics of its lift, which read pairs of grid times within one path and
+which the pair stream lifts and reduces about 1 MiB of levels at a time),
+so its memory does not grow with the sample count, and a ladder of kernels
 applies each rung's factor to one draw of the normals.  Matrix products run
 on one OpenBLAS thread, so their bytes do not depend on the thread count.
 """
@@ -39,10 +40,11 @@ from .covariance import (
 from .path_lift import (
     PiecewisePath,
     _chen_prefixes,
-    holder_dist,
-    lift_s3,
-    pvar_dist,
-    pvar_norm,
+    _holder,
+    _pair_rows,
+    _pvar,
+    _pvar_sup,
+    _reduce_blocks,
     refine_path,
     restrict_to,
 )
@@ -429,9 +431,8 @@ def dyadic_convergence(spec: ProcessSpec, p: float | None = None,
 
     def dists(x):
         ens = PiecewisePath(grid, x)
-        ref = lift_s3(ens)
-        return [holder_dist(lift_s3(refine_path(restrict_to(ens, D), grid)), ref, 1.0 / p)
-                for D in coarse]
+        rungs = [refine_path(restrict_to(ens, D), grid) for D in coarse]
+        return _holder(rungs, ens, 1.0 / p)
 
     means, errs = _l2_ladder(np.concatenate(
         [dists(x) for x in _path_blocks(spec, grid, n, seed, CHEN_ROWS)], axis=-1), seed)
@@ -462,9 +463,8 @@ def perturbation_continuity(spec: ProcessSpec, epsilons=(0.2, 0.1, 0.05),
     grid = _dyadic_grid(grid_level)
 
     def dists(x, w):
-        lift_x = lift_s3(PiecewisePath(grid, x))
-        return [pvar_dist(lift_s3(PiecewisePath(grid, x + eps * w)), lift_x, p)
-                for eps in epsilons]
+        rungs = [PiecewisePath(grid, x + eps * w) for eps in epsilons]
+        return _pvar(rungs, PiecewisePath(grid, x), p)
 
     # X and W are streams 0 and 1 of one seed, drawn block by block together
     blocks = zip(*(_path_blocks(spec, grid, n, seed, CHEN_ROWS, stream) for stream in (0, 1)))
@@ -528,13 +528,15 @@ def fernique_tail(spec: ProcessSpec, p: float | None = None, n: int = 10_000, se
     tail_probs = (0.5, 0.25, 0.1, 0.05, 0.02, 0.01)
     grid = _dyadic_grid(grid_level)
 
-    def norms_and_ends(x):
-        lifted = lift_s3(PiecewisePath(grid, x))
-        # copies: a view of the endpoints would keep the block's lift alive
-        return pvar_norm(lifted, p), [a[..., -1].copy() for a in lifted.values.tensor.levels()]
+    ends = []
 
-    norms, ends = zip(*map(norms_and_ends, _path_blocks(spec, grid, n, seed, CHEN_ROWS)))
-    norms = np.concatenate(norms)
+    def norms_and_ends(levels):
+        # copies: the pair stream reuses the block's buffer for the next one
+        ends.append([a[..., -1].copy() for a in levels])
+        return _pvar_sup(_pair_rows(levels), p)
+
+    norms = np.concatenate([_reduce_blocks(PiecewisePath(grid, x), None, norms_and_ends)
+                            for x in _path_blocks(spec, grid, n, seed, CHEN_ROWS)])
     end = GroupElement(TruncatedTensor(spec.dim, *(np.concatenate(a, axis=-1)
                                                    for a in zip(*ends))))
     lam = np.quantile(norms, [1.0 - q for q in tail_probs])

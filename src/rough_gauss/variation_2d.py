@@ -43,11 +43,31 @@ def _check_exponent(p: float, name: str):
         raise ValueError(f"{name} must be finite and >= 1")
 
 
-def _check_sum(s, rho: float):
-    """A variation sum must be finite; its powers |increment|^rho overflow
-    for a large rho or large increments."""
+def _scaled_root(total, x: np.ndarray, rho: float, k: int):
+    """total(x) ** (1/rho), where total(x) is the sup over dissections of
+    the sum of |increment|^rho over the last k axes of x, leading axes
+    batch.  Where that sum overflows, or underflows to 0 while the
+    increments do not vanish, it is taken again of x / M, M the power of
+    two just above max |x|, and the root scaled back by M: the variation is
+    homogeneous of degree 1.  Scaling moves the last bits of ordinary sums,
+    so it is only a fallback.  A sum that still overflows raises."""
+    axes = tuple(range(-k, 0))
+    with np.errstate(over="ignore"):
+        s = total(x)
+        redo = ~np.isfinite(s)
+        if np.any(s == 0.0):
+            inc = x
+            for ax in axes:
+                inc = np.diff(inc, axis=ax)
+            redo |= (s == 0.0) & np.any(inc != 0.0, axis=axes)
+        scale = 1.0
+        if np.any(redo):
+            M = 2.0 ** np.frexp(np.max(np.abs(x), axis=axes, keepdims=True))[1]
+            s = np.where(redo, total(x / M), s)
+            scale = np.where(redo, M.reshape(np.shape(s)), 1.0)
     if not np.all(np.isfinite(s)):
         raise ValueError(f"the rho = {rho} variation sum is not finite")
+    return np.asarray(scale * s ** (1.0 / rho))[()]
 
 
 def _check_grid(g: np.ndarray, name: str):
@@ -265,15 +285,11 @@ def rho_variation(
       dissection pair and often the optimum.
     """
     _check_exponent(rho, "rho")
-    with np.errstate(over="ignore"):
-        if mode == "exact":
-            s = _exact_sum(f.values, rho)
-        elif mode == "local-search":
-            s = _alternating_sum(f.values, rho, seed)
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-    _check_sum(s, rho)
-    return s ** (1.0 / rho)
+    sums = {"exact": lambda V: _exact_sum(V, rho),
+            "local-search": lambda V: _alternating_sum(V, rho, seed)}
+    if mode not in sums:
+        raise ValueError(f"unknown mode {mode!r}")
+    return float(_scaled_root(sums[mode], f.values, rho, 2))
 
 
 def bilinear_eval(f: GridFunction2D, S: np.ndarray, T: np.ndarray) -> np.ndarray:

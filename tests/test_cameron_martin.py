@@ -119,12 +119,25 @@ class TestPvar1D:
             pvar_1d(np.array([0.0, 1.0, 0.5]), rho)
 
     def test_overflowing_sum_rejected(self):
-        message = "the rho = 400.0 variation sum is not finite"
+        # 1.5^2000 overflows, and so does the scaled sum: M = 1 is the power
+        # of two above max |x| = 0.75
+        message = "the rho = 2000.0 variation sum is not finite"
         with pytest.raises(ValueError, match=message):
-            pvar_1d(np.array([0.0, 10.0, 0.0]), 400.0)
+            pvar_1d(np.array([0.0, -0.75, 0.75]), 2000.0)
         # one overflowing path of a batch is enough
         with pytest.raises(ValueError, match=message):
-            pvar_1d(np.array([[0.0, 1.0, 0.0], [0.0, 10.0, 0.0]]), 400.0)
+            pvar_1d(np.array([[0.0, 1.0, 0.0], [0.0, -0.75, 0.75]]), 2000.0)
+
+    def test_large_rho_sum_is_scaled(self):
+        # 10^400 overflows and 0.01^400 underflows to 0; the variation is
+        # homogeneous of degree 1, and a path whose plain sum is finite and
+        # non-zero keeps its bits
+        x = np.array([0.0, 1.0, 0.0])
+        base = pvar_1d(x, 400.0)
+        assert base == 2.0 ** (1.0 / 400.0)
+        got = pvar_1d(np.stack([x, 10.0 * x, 0.01 * x, np.full(3, 1e300)]), 400.0)
+        assert got[0] == base and got[3] == 0.0
+        np.testing.assert_allclose(got[1:3], [10.0 * base, 0.01 * base], rtol=1e-12)
 
 
 class TestEmbedding:

@@ -384,17 +384,27 @@ class TestRun:
         (("variation", "--set", "kernel=5"), "config field 'kernel' needs a string or mapping"),
         (("level2-variance", "--set", "kernel2=bm", "--set", "dim=5", "--samples", "20",
           "--grid", "3"), "kernel2 makes two components, so dim must be 2, got dim=5"),
-        # |increment|^400 overflows at ou sigma = 10: both sums would be inf
-        (("variation", "--kernel", "ou:sigma=10", "--set", "rho=400",
-          "--set", "grid_intervals=4"), "the rho = 400.0 variation sum is not finite"),
-        (("cm-embedding", "--kernel", "ou:sigma=10", "--set", "rho=400",
-          "--set", "elements=2"), "the rho = 400.0 variation sum is not finite"),
     ])
     def test_rejected_field_exit1_names_it(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"
         assert _run("run", *argv, "--out-dir", str(out)) == 1
         assert not out.exists()
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sigma, want", [("0.1", 0.006321205588), ("10", 63.21205588)])
+    def test_large_rho_variation_is_scaled(self, tmp_path, sigma, want):
+        # |increment|^400 underflows to 0 at ou sigma = 0.1 and overflows at
+        # 10; both sums are taken again of the scaled covariance
+        out = tmp_path / "out"
+        assert _run("run", "variation", "--kernel", f"ou:sigma={sigma}", "--set", "rho=400",
+                    "--set", "grid_intervals=4", "--out-dir", str(out)) == 0
+        check, = _read(out / "variation_report.json")["checks"]
+        assert check["exact"] == check["local_search"] == pytest.approx(want, rel=1e-9)
+
+    def test_large_rho_embedding_is_scaled(self, tmp_path):
+        out = tmp_path / "out"
+        assert _run("run", "cm-embedding", "--kernel", "ou:sigma=10", "--set", "rho=400",
+                    "--set", "elements=2", "--out-dir", str(out)) == 0
 
     def test_kernel_mapping_accepted(self, tmp_path, capsys):
         kernel = {"kernel": "fbm", "H": 0.4}

@@ -9,7 +9,9 @@ from rough_gauss.path_lift import (
     GroupPath,
     PiecewisePath,
     _blocks,
+    _holder,
     _pair_rows,
+    _pvar,
     dist_0,
     dist_inf,
     holder_dist,
@@ -504,6 +506,102 @@ class TestPairStream:
         finally:
             tracemalloc.stop()
         assert peak < level_bytes
+
+
+class TestStreamedLift:
+    """The pair stream lifts sample paths one block at a time, and a ladder
+    of rungs shares each block's reference; every metric must give the bits
+    of lifting the whole batch first and measuring it."""
+
+    @staticmethod
+    def _three_blocks(monkeypatch, d, n, width):
+        # blocks of 3, 3 and 1 rows: the last block holds one row
+        monkeypatch.setattr(path_lift, "_BLOCK_BYTES", 3 * 8 * (1 + d + d * d + d**3) * n * width)
+        return 7
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_pair_equals_lift_then_measure(self, monkeypatch, d):
+        n = 9
+        b = self._three_blocks(monkeypatch, d, n, 1)
+        rng = np.random.default_rng(41)
+        x = random_path(rng, n, d, (b,))
+        y = PiecewisePath(x.times, x.points + 0.3 * rng.standard_normal(x.points.shape))
+        X, Y = lift_s3(x), lift_s3(y)
+        assert [lx[0].shape[-2] for lx, _ in _blocks(x, y)] == [3, 3, 1]
+        pairs = [(_holder(x, y, 0.0), dist_0(X, Y)),
+                 (_holder(x, y, 0.45), holder_dist(X, Y, 0.45)),
+                 (_holder(x, None, 0.45), holder_norm(X, 0.45)),
+                 (_pvar(x, y, 2.3), pvar_dist(X, Y, 2.3)),
+                 (_pvar(x, None, 2.3), pvar_norm(X, 2.3))]
+        for got, want in pairs:
+            assert got.shape == (b,)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_ladder_equals_lift_then_measure(self, monkeypatch, d):
+        n, eps = 9, (0.5, 0.2, 0.1)
+        b = self._three_blocks(monkeypatch, d, n, len(eps) + 1)
+        rng = np.random.default_rng(42)
+        ref = random_path(rng, n, d, (b,))
+        w = rng.standard_normal(ref.points.shape)
+        rungs = [PiecewisePath(ref.times, ref.points + e * w) for e in eps]
+        assert [lx[0].shape[-3:-1] for lx, _ in _blocks(rungs, ref)] == [(3, 3), (3, 3), (3, 1)]
+        R = lift_s3(ref)
+        lifts = [lift_s3(r) for r in rungs]
+        for got, metric in ((_holder(rungs, ref, 0.0), dist_0),
+                            (_holder(rungs, ref, 0.45), lambda x, y: holder_dist(x, y, 0.45)),
+                            (_pvar(rungs, ref, 2.3), lambda x, y: pvar_dist(x, y, 2.3))):
+            assert got.shape == (len(eps), b)
+            assert np.array_equal(got, [metric(x, R) for x in lifts])
+
+    def test_batch_shape_is_kept(self):
+        rng = np.random.default_rng(43)
+        x = random_path(rng, 6, 2, (2, 3))
+        rungs = [PiecewisePath(x.times, 2.0 * x.points)]
+        assert _pvar(x, None, 2.3).shape == (2, 3)
+        want = holder_dist(lift_s3(rungs[0]), lift_s3(x), 0.3)
+        assert np.array_equal(_holder(rungs, x, 0.3)[0], want)
+
+    def test_rungs_need_the_reference_grid(self):
+        rng = np.random.default_rng(44)
+        x = random_path(rng, 6, 2, (2,))
+        other = restrict_to(x, x.times[::5])
+        with pytest.raises(ValueError, match="one grid"):
+            _pvar([x, other], x, 2.3)
+        with pytest.raises(ValueError, match="batch shape"):
+            _pvar([PiecewisePath(x.times, x.points[:1])], x, 2.3)
+
+    def test_overflowing_block_rejected(self):
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+        big = np.array([[0.0, 0.0], [1e110, 0.0], [1e110, 1e110]])
+        t = np.array([0.0, 0.5, 1.0])
+        with pytest.raises(ValueError), np.errstate(over="ignore", invalid="ignore"):
+            _pvar(PiecewisePath(t, np.stack([pts, big])), None, 2.5)
+        with pytest.raises(ValueError), np.errstate(over="ignore", invalid="ignore"):
+            _holder([PiecewisePath(t, big)], PiecewisePath(t, pts), 0.3)
+
+    def test_streamed_pvar_memory_is_below_half_the_lift(self):
+        # 4 000 x 33 points in d = 2 lift to 15.8 MB of levels; the stream
+        # holds one block of them at a time
+        rng = np.random.default_rng(6)
+        path = random_path(rng, 33, 2, (4000,))
+        level_bytes = 4000 * 33 * (1 + 2 + 4 + 8) * 8
+        tracemalloc.start()
+        try:
+            got = _pvar(path, None, 2.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < level_bytes / 2
+        assert np.array_equal(got, pvar_norm(lift_s3(path), 2.5))
+
+    def test_caller_arrays_stay_writeable(self):
+        t, x = np.array([0.0, 0.5, 1.0]), np.zeros((3, 2))
+        path = PiecewisePath(t, x)
+        gp = GroupPath(t, lift_s3(path).values)
+        assert x.flags.writeable and t.flags.writeable
+        for frozen in (path.points, path.times, gp.times):
+            assert not frozen.flags.writeable
 
 
 class TestOneImplementation:

@@ -204,12 +204,23 @@ class TestRhoVariation:
 
     @pytest.mark.parametrize("mode", ["exact", "local-search"])
     def test_overflowing_sum_rejected(self, mode):
-        # cell increments of 25 overflow at the 400th power
+        # cell increments of 3 overflow at the 700th power, and so do those
+        # of the scaled sum: M = 1 is the power of two above max |f| = 0.75
+        g = np.linspace(0.0, 1.0, 5)
+        sign = (-1.0) ** np.add.outer(np.arange(5), np.arange(5))
+        with pytest.raises(ValueError, match="the rho = 700.0 variation sum is not finite"):
+            rho_variation(GridFunction2D(g, g, 0.75 * sign), 700.0, mode=mode)
+        assert rho_variation(min_cov(5), 400.0, mode=mode) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("mode", ["exact", "local-search"])
+    @pytest.mark.parametrize("scale", [2.0**-600, 100.0, 2.0**600])
+    def test_large_rho_sum_is_scaled(self, mode, scale):
+        # |increment|^400 underflows to 0 at the first scale and overflows
+        # at the others; the variation is homogeneous of degree 1
         f = min_cov(5)
-        big = GridFunction2D(f.s_grid, f.t_grid, 100.0 * f.values)
-        with pytest.raises(ValueError, match="the rho = 400.0 variation sum is not finite"):
-            rho_variation(big, 400.0, mode=mode)
-        assert rho_variation(f, 400.0, mode=mode) == pytest.approx(1.0)
+        big = GridFunction2D(f.s_grid, f.t_grid, scale * f.values)
+        want = scale * rho_variation(f, 400.0, mode=mode)
+        assert rho_variation(big, 400.0, mode=mode) == pytest.approx(want, rel=1e-12)
 
     def test_min_kernel_rho1_is_one(self):
         for n in (5, 9):
