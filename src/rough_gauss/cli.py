@@ -60,7 +60,7 @@ from .tensor_algebra import (
     homogeneous_norm,
     shuffle_residual,
 )
-from .variation_2d import (EXACT_INTERVAL_CAP, GridFunction2D, _dyadic_grid,
+from .variation_2d import (EXACT_INTERVAL_CAP, YOUNG_INTERVAL_CAP, GridFunction2D, _dyadic_grid,
                            _uniform_grid, rho_variation, young_integral_2d)
 
 # fields every experiment accepts
@@ -397,6 +397,9 @@ def _run_cm_embedding(cfg: ExperimentConfig) -> dict:
     intervals = _default(cfg.grid_intervals, 16)
     if n_elements < 1 or n_nodes < 1:
         raise ValueError("cm-embedding needs elements >= 1 and nodes >= 1")
+    # cm_inner forms a nodes x nodes matrix, held to _uniform_grid's 128 MiB
+    if n_nodes > YOUNG_INTERVAL_CAP:
+        raise ValueError(f"cm-embedding needs nodes <= {YOUNG_INTERVAL_CAP}, got {n_nodes}")
     rng = np.random.default_rng(cfg.seed)
     rows = []
     for i in range(n_elements):

@@ -2,12 +2,14 @@
 
 Each kernel carries its declared rho (the variation exponent of the
 covariance as a bivariate function), plus the structural checkers used
-downstream: increment-decorrelation scans and the linear-envelope check
-for fractional Brownian variation.
+downstream: the grid rho-variation of a square and the
+increment-decorrelation scan.
 """
 
 from __future__ import annotations
 
+import inspect
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -25,7 +27,6 @@ __all__ = [
     "gram_matrix",
     "square_variation",
     "coutin_qian_check",
-    "fbm_rhovar_bound_check",
     "kernel_from_config",
     "kernel_to_config",
 ]
@@ -206,48 +207,6 @@ def coutin_qian_check(k: CovarianceKernel, H: float,
     return out
 
 
-def fbm_rhovar_bound_check(H: float) -> dict:
-    """Linear-envelope check for the 1/(2H)-variation of the fractional
-    covariance: exact grid variation over the nested squares [0, w]^2,
-    w = 1, 1/2, 1/4 (each sampled with 8 uniform intervals), value/w ratios,
-    and the sign of disjoint-increment covariances (nonpositive for
-    H < 1/2)."""
-    if not 0.0 < H <= 0.5:
-        raise ValueError("H must lie in (0, 1/2]")
-    k = fbm_cov(H)
-    rho = k.rho
-    sizes = (1.0, 0.5, 0.25)
-    values, ratios = [], []
-    for w in sizes:
-        val = square_variation(k, w, 8, rho)
-        values.append(val)
-        ratios.append(val / w)
-    h = 0.05
-    # E(B_{0,h} B_{2h,3h}) in closed form
-    disjoint = 0.5 * h ** (2 * H) * (3.0 ** (2 * H) + 1.0 - 2.0 ** (1 + 2 * H))
-    g = _uniform_grid(8)
-    V = k.grid_eval(g, g)
-    worst_disjoint = disjoint
-    for a in range(8):
-        for b in range(a + 1, 9):
-            for c in range(b, 8):  # disjoint (possibly adjacent) intervals
-                for e in range(c + 1, 9):
-                    r = V[b, e] - V[b, c] - V[a, e] + V[a, c]
-                    worst_disjoint = max(worst_disjoint, r)
-    return {
-        "H": float(H),
-        "rho": rho,
-        "sizes": list(sizes),
-        "values": values,
-        "ratios": ratios,
-        "ratio_spread": float(max(ratios) / min(ratios)),
-        "empirical_C": float(max(ratios)),
-        "disjoint_increment_cov": float(disjoint),
-        "max_disjoint_rect": float(worst_disjoint),
-        "disjoint_nonpositive": bool(worst_disjoint <= 1e-12),
-    }
-
-
 # a kernel's config parameters are its builder's keywords
 _BUILDERS = {"bm": bm_cov, "fbm": fbm_cov, "ou": ou_cov}
 
@@ -277,6 +236,14 @@ def kernel_from_config(spec) -> CovarianceKernel:
         name = name[len("bridge(") : -1]
     if name not in _BUILDERS:
         raise ValueError(f"unknown kernel {name!r}; know {sorted(_BUILDERS)}")
+    # bool subclasses int; a keyword the builder lacks is left to its TypeError
+    for key, par in inspect.signature(_BUILDERS[name], eval_str=True).parameters.items():
+        if key not in spec:
+            continue
+        flag, val = par.annotation is bool, spec[key]
+        if isinstance(val, bool) != flag or not isinstance(val, numbers.Real):
+            want = "true or false" if flag else "a real number"
+            raise ValueError(f"kernel {name!r}: parameter {key!r} needs {want}, got {val!r}")
     try:
         k = _BUILDERS[name](**spec)
     except TypeError as exc:

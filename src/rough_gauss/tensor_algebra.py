@@ -39,10 +39,7 @@ __all__ = [
     "lie_dim",
     "hall_basis_labels",
     "lie_to_tensor",
-    "tensor_to_lie",
     "hall_log_signature",
-    "lie_level_norms",
-    "bch_bound_check",
 ]
 
 
@@ -571,42 +568,6 @@ def _hall_columns(d: int, repeated, generic) -> list:
             for i, j, k in hall_triples(d)]
 
 
-def _hall_reduce_level3(alpha: np.ndarray, d: int) -> np.ndarray:
-    """Project a level-3 Lie tensor onto Hall coordinates.
-
-    Dynkin's bracketing map (w Lie of degree 3 implies
-    w = 1/3 sum alpha_ijk [e_i,[e_j,e_k]]) followed by the reduction of
-    arbitrary triple brackets onto the Hall set: for j<i<k or j<k<i the
-    coefficient is alpha_ijk - alpha_ikj + alpha_jik - alpha_jki, and for
-    i != j the [e_i,[e_i,e_j]] coefficient is alpha_iij - alpha_iji.
-    """
-    return _stack(_hall_columns(
-        d, lambda i, j: (alpha[i, i, j] - alpha[i, j, i]) / 3.0,
-        lambda i, j, k: (alpha[i, j, k] - alpha[i, k, j]
-                         + alpha[j, i, k] - alpha[j, k, i]) / 3.0), alpha.shape[3:])
-
-
-def tensor_to_lie(t: TruncatedTensor) -> LieElement:
-    """Hall coordinates of a Lie tensor (zero scalar, levels in the free Lie
-    algebra).  Raises if the reconstruction residual exceeds 1e-9 relative
-    to the level scale, i.e. if the input is not actually Lie."""
-    d = t.dim
-    if not np.all(t.level0 == 0.0):
-        raise ValueError("Lie element must have zero scalar part")
-    c1 = np.moveaxis(t.level1, 0, -1)
-    c2 = _stack([t.level2[i, j] for i, j in hall_pairs(d)], t.batch_shape)
-    c3 = _hall_reduce_level3(t.level3, d)
-    lie = LieElement(d, np.concatenate([c1, c2, c3], axis=-1))
-    back = lie_to_tensor(lie)
-    for lvl, (got, want) in enumerate(
-        [(back.level2, t.level2), (back.level3, t.level3)], start=2
-    ):
-        scale = np.maximum(np.max(np.abs(want)), 1.0)
-        if np.max(np.abs(got - want)) > 1e-9 * scale:
-            raise ValueError(f"level-{lvl} part is not a Lie element")
-    return lie
-
-
 def hall_log_signature(sig: GroupElement) -> LieElement:
     """Closed-form Hall coordinates of log(sig) straight from signature
     entries (no power series):
@@ -634,53 +595,3 @@ def hall_log_signature(sig: GroupElement) -> LieElement:
         lambda i, j, k: (x3[i, j, k] + x3[j, i, k] - 2.0 * x3[i, k, j]
                          + x3[k, i, j] - 2.0 * x3[j, k, i] + x3[k, j, i]) / 6.0), t.batch_shape)
     return LieElement(d, np.concatenate([c1, c2, c3], axis=-1))
-
-
-# ---------------------------------------------------------------------------
-# Lie level norms and the step-3 commutator bound
-
-
-def lie_level_norms(t: TruncatedTensor):
-    """Per-level norms of a Lie tensor, scaled so that the commutator
-    estimates |[u,v]| <= |u| |v| (level 1 x 1 -> 2 and 1 x 2 -> 3) and
-    |[u,[u,v]]| <= |u|^2 |v| hold with constant one:
-
-      level 1: Euclidean;  level 2: Frobenius/sqrt(2) (wedge coordinates);
-      level 3: Frobenius/sqrt(6).
-
-    Raw Frobenius norms satisfy the same estimates only up to sqrt(2) resp.
-    sqrt(6), which is why this scaling is the natural one for step-3 bounds.
-    """
-    n1, n2, n3 = _level_fro(t.levels())
-    return n1, n2 / np.sqrt(2.0), n3 / np.sqrt(6.0)
-
-
-def bch_bound_check(a: LieElement, b: LieElement):
-    """Level-2/3 norm bounds for m = log(exp(-a) (x) exp(b)).
-
-    Asserts, in the scaled Lie level norms of :func:`lie_level_norms`,
-
-      |pi2(m)| <= |b2 - a2| + 1/2 |b1 - a1| |b1|
-      |pi3(m)| <= |b3 - a3| + 1/2 |b2 - a2| |b1|
-                  + |b1 - a1| (1/2 |b2| + 1/12 |a1|^2 + 1/12 |b1|^2)
-
-    Returns a boolean array over the (broadcast) batch: True where both
-    inequalities hold.  A relative slack of 1e-12 absorbs float error in the
-    equality cases (e.g. a = b).
-    """
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
-    ta, tb = lie_to_tensor(a), lie_to_tensor(b)
-    m = log_trunc(tensor_mul(exp_trunc(tensor_scale(-1.0, ta)), exp_trunc(tb)))
-    _, m2, m3 = lie_level_norms(m)
-    a1, a2, a3 = lie_level_norms(ta)
-    b1, b2, b3 = lie_level_norms(tb)
-    ndim = max(len(ta.batch_shape), len(tb.batch_shape))
-    pa, pb = _pad(ta.levels(), ndim), _pad(tb.levels(), ndim)
-    diff = TruncatedTensor(ta.dim, *(y - x for x, y in zip(pa, pb)))
-    d1, d2, d3 = lie_level_norms(diff)
-    rhs2 = d2 + 0.5 * d1 * b1
-    rhs3 = d3 + 0.5 * d2 * b1 + d1 * (0.5 * b2 + (a1**2 + b1**2) / 12.0)
-    ok2 = m2 <= rhs2 + 1e-12 * (1.0 + rhs2)
-    ok3 = m3 <= rhs3 + 1e-12 * (1.0 + rhs3)
-    return np.logical_and(ok2, ok3)

