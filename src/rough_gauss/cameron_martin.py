@@ -9,13 +9,14 @@ rho-variation over [0,1]^2, both evaluated on a shared grid.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .covariance import CovarianceKernel, fbm_cov, square_variation
-from .variation_2d import (EXACT_INTERVAL_CAP, _check_exponent, _longest_path, _scaled_root,
-                           _uniform_grid)
+from .variation_2d import (_YOUNG_BLOCK_BYTES, EXACT_INTERVAL_CAP, _check_exponent, _longest_path,
+                           _scaled_root, _uniform_grid)
 
 __all__ = [
     "CMElement",
@@ -58,11 +59,17 @@ def cm_eval(h: CMElement, t) -> np.ndarray:
 
 
 def cm_inner(h: CMElement, g: CMElement) -> float:
-    """<h, g> = E(Z_h Z_g) through the Gram matrix of the joined nodes."""
+    """<h, g> = E(Z_h Z_g) through the Gram matrix of the joined nodes,
+    formed a block of about _YOUNG_BLOCK_BYTES of rows at a time: the
+    weighted rows are summed block after block, then paired with g's
+    weights."""
     if h.kernel.key != g.kernel.key:
         raise ValueError("inner product needs a common kernel")
-    cross = h.kernel.eval(h.nodes[:, None], g.nodes[None, :])
-    return float(h.weights @ cross @ g.weights)
+    step = max(1, _YOUNG_BLOCK_BYTES // (8 * max(1, g.nodes.size)))
+    rows = (h.weights[lo : lo + step]
+            @ h.kernel.eval(h.nodes[lo : lo + step, None], g.nodes[None, :])
+            for lo in range(0, max(1, h.nodes.size), step))
+    return float(functools.reduce(np.add, rows) @ g.weights)
 
 
 def cm_norm_sq(h: CMElement) -> float:

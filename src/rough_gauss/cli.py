@@ -39,13 +39,12 @@ from .covariance import (
     kernel_from_config,
     kernel_to_config,
 )
-from .path_lift import PiecewisePath, _take, lift_s3, read_path_csv
-from .regularity import chaos_ratio_check, grr_holder_check
+from .path_lift import _take, lift_s3, read_path_csv
+from .regularity import chaos_ratio_check
 from .simulate import (
-    CHEN_ROWS,
-    _path_blocks,
     dyadic_convergence,
     fernique_tail,
+    grr_check,
     level2_variance_check,
     level_bounds_check,
     perturbation_continuity,
@@ -175,17 +174,16 @@ def _coerce(name: str, hint, value):
     return _number(name, int if int in kinds else float, value)
 
 
-def _default(value, fallback):
-    return fallback if value is None else value
+def _default(value, default):
+    return default if value is None else value
 
 
-def _kwargs(cfg: ExperimentConfig, **fallback) -> dict:
-    """The library keywords of the set fields ``cfg``'s experiment forwards,
-    over ``fallback``; unset fields keep the library defaults."""
-    given = {kw: getattr(cfg, name)
-             for name, kw in FIELDS[cfg.experiment].items()
-             if kw is not None and getattr(cfg, name) is not None}
-    return {**fallback, **given}
+def _kwargs(cfg: ExperimentConfig) -> dict:
+    """The library keywords of the set fields ``cfg``'s experiment forwards;
+    unset fields keep the library defaults."""
+    return {kw: getattr(cfg, name)
+            for name, kw in FIELDS[cfg.experiment].items()
+            if kw is not None and getattr(cfg, name) is not None}
 
 
 def _spec(cfg: ExperimentConfig, default_dim: int = 2) -> ProcessSpec:
@@ -193,10 +191,6 @@ def _spec(cfg: ExperimentConfig, default_dim: int = 2) -> ProcessSpec:
     if cfg.kernel2 is not None:
         return ProcessSpec((k, kernel_from_config(cfg.kernel2)))
     return ProcessSpec((k,) * _default(cfg.dim, default_dim))
-
-
-def _grid(cfg: ExperimentConfig, grid_level: int) -> np.ndarray:
-    return _dyadic_grid(_default(cfg.grid_level, grid_level))
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +391,7 @@ def _run_cm_embedding(cfg: ExperimentConfig) -> dict:
     intervals = _default(cfg.grid_intervals, 16)
     if n_elements < 1 or n_nodes < 1:
         raise ValueError("cm-embedding needs elements >= 1 and nodes >= 1")
-    # cm_inner forms a nodes x nodes matrix, held to _uniform_grid's 128 MiB
+    # cm_inner evaluates nodes x nodes kernel values; nodes share _uniform_grid's cap
     if n_nodes > YOUNG_INTERVAL_CAP:
         raise ValueError(f"cm-embedding needs nodes <= {YOUNG_INTERVAL_CAP}, got {n_nodes}")
     rng = np.random.default_rng(cfg.seed)
@@ -429,13 +423,7 @@ def _run_cm_embedding(cfg: ExperimentConfig) -> dict:
 
 
 def _run_grr(cfg: ExperimentConfig) -> dict:
-    spec, grid, n = _spec(cfg), _grid(cfg, 6), _default(cfg.samples, 200)
-    kw = _kwargs(cfg, r=2.6, alpha=0.3)
-    simulate._rough_p(spec, kw["r"], "r")  # the Besov exponent 1/r < 1/(2 rho)
-    # one Chen block of paths is lifted and reduced at a time
-    lifts = (lift_s3(PiecewisePath(grid, x))
-             for x in _path_blocks(spec, grid, n, cfg.seed, CHEN_ROWS))
-    rep = grr_holder_check(lifts, **kw)
+    rep = grr_check(_spec(cfg), seed=cfg.seed, **_kwargs(cfg))
     row = {"n_checked": rep["n_checked"], "violations": rep["violations"],
            "worst_ratio": rep["worst_ratio"], "min_slack": rep["slack"],
            "ok": rep["ok"]}
@@ -445,7 +433,7 @@ def _run_grr(cfg: ExperimentConfig) -> dict:
 
 
 def _run_chaos_ratio(cfg: ExperimentConfig) -> dict:
-    grid, n = _grid(cfg, 5), _default(cfg.samples, 10_000)
+    grid, n = _dyadic_grid(_default(cfg.grid_level, 5)), _default(cfg.samples, 10_000)
     lie = hall_log_signature(sample_endpoint(_spec(cfg), grid, n, cfg.seed))
     labels = iter(hall_basis_labels(lie.dim))
     rows = []
@@ -522,8 +510,7 @@ FIELDS = {
     "weak-limit": {**_MC, "h_ladder": "h_ladder"},
     "cm-embedding": {"kernel": None, "elements": None, "nodes": None,
                      "grid_intervals": None, "rho": "rho"},
-    "grr": {**_PROCESS, "samples": None, "grid_level": None, "r": "r",
-            "alpha": "alpha", "q": "q"},
+    "grr": {**_PROCESS, **_MC, "r": "r", "alpha": "alpha", "q": "q"},
     "chaos-ratio": {**_PROCESS, "samples": None, "grid_level": None},
     "coutin-qian": {"kernel": None, "H": None, "c_H": "c_H"},
 }

@@ -272,9 +272,13 @@ def _blocks(x, y=None):
     them; or x is a list of rung PiecewisePaths on the reference path y,
     and x's block keeps the leading rung axis.  A block holds about
     _BLOCK_BYTES of levels per path, or for the rungs and the reference
-    together."""
+    together.  Operands of mixed kinds, or of neither, raise a TypeError."""
     rungs = x if isinstance(x, list) else [x]
     paths = rungs + ([] if y is None else [y])
+    kinds = {type(p) for p in paths}
+    if len(kinds) > 1 or not kinds <= {GroupPath, PiecewisePath}:
+        raise TypeError("the pair stream reads GroupPaths or PiecewisePaths, all of one kind; "
+                        "got " + " and ".join(sorted(k.__name__ for k in kinds)))
     if y is not None:
         for rung in rungs:
             _require_same_grid(rung, y)

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .path_lift import (
-    GroupPath,
-    PiecewisePath,
     _check_alpha,
     _pair_rows,
     _reduce_blocks,
@@ -48,52 +46,36 @@ def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
     return w
 
 
-def _grr_sums(obj, q: float, r: float, alpha: float) -> np.ndarray:
-    """[2 F, H] over the paths: F is the trapezoidal Besov sum of
+def _grr_sums(x, q: float, r: float, alpha: float) -> np.ndarray:
+    """[2 F, H] over the paths of x: F is the trapezoidal Besov sum of
     (d_{s,t}/|t-s|^{1/r})^q over grid pairs s < t, doubled for the pairs
     t < s, and H the max of d_{s,t}/|t-s|^alpha, both reduced row after row
     as the pair stream forms d_{t_i,t_j} over j > i.  F adds its pairs left
-    to right in row-major order, alone as in a batch.  obj is a
-    PiecewisePath, a GroupPath, or an iterable of GroupPath blocks on one
-    grid whose paths are joined along one batch axis; a block's lift is
-    dropped before the next block is built."""
+    to right in row-major order, alone as in a batch.  x is a GroupPath, or
+    a PiecewisePath that the pair stream lifts block by block; a power that
+    leaves the double range gives inf or 0 and is left to the report."""
 
-    def sums(t, rows):
+    def sums(*block):
+        t = x.times
         w = _trapezoid_weights(t)
         f = h = 0.0
-        for i, row in enumerate(rows):
-            dt = t[i + 1 :] - t[i]
-            terms = (row / dt ** (1.0 / r)) ** q * (w[i] * w[i + 1 :])
-            terms[:, 0] += f
-            f = np.add.accumulate(terms, axis=1)[:, -1]
-            h = np.maximum(h, np.max(row / dt ** alpha, axis=1))
+        with np.errstate(over="ignore"):
+            for i, row in enumerate(_pair_rows(*block)):
+                dt = t[i + 1 :] - t[i]
+                terms = (row / dt ** (1.0 / r)) ** q * (w[i] * w[i + 1 :])
+                terms[:, 0] += f
+                f = np.add.accumulate(terms, axis=1)[:, -1]
+                h = np.maximum(h, np.max(row / dt ** alpha, axis=1))
         # the diagonal is excluded: zero contribution by the continuity convention
         return np.stack([2.0 * f, h])
 
-    if isinstance(obj, PiecewisePath):
-        x = obj.points.reshape((-1,) + obj.points.shape[-2:])
-        rows = (np.linalg.norm(x[:, i + 1 :, :] - x[:, i : i + 1, :], axis=-1)
-                for i in range(obj.n_times - 1))
-        return sums(obj.times, rows).reshape((2,) + obj.points.shape[:-2])
-    if isinstance(obj, GroupPath):
-        return _reduce_blocks(obj, None, lambda *block: sums(obj.times, _pair_rows(*block)))
-    t, out = None, []
-    for gp in obj:
-        if not isinstance(gp, GroupPath):
-            raise TypeError("expected a PiecewisePath, a GroupPath or GroupPath blocks")
-        if t is None:
-            t = gp.times
-        elif not np.array_equal(gp.times, t):
-            raise ValueError("GroupPath blocks must share one grid")
-        out.append(_grr_sums(gp, q, r, alpha).reshape(2, -1))
-        del gp
-    return np.concatenate(out, axis=-1)
+    return _reduce_blocks(x, None, sums)
 
 
 def besov_functional(obj, q: float, r: float):
     """Trapezoidal [0,1]^2 integral of (d(f_s, f_t)/|t-s|^{1/r})^q over the
-    path's grid; leading dims of a batched path are preserved, and the
-    paths of an iterable of GroupPath blocks are joined along one axis."""
+    path's grid, for a GroupPath or the lift of a PiecewisePath; leading
+    dims of a batched path are preserved."""
     _check_exponent(q, "q")
     _check_exponent(r, "r")
     return _grr_sums(obj, q, r, 1.0)[0]
@@ -112,19 +94,26 @@ class BesovStats:
         object.__setattr__(self, "constants", tuple(self.constants))
 
 
-def grr_holder_check(obj, r: float, alpha: float, q: float | None = None) -> dict:
-    """||f||_{alpha-Hol} <= (64/r) F^{1/q} with F the Besov double integral,
-    for alpha < 1/r and q >= q0(r, alpha).  Batched paths, or an iterable
-    of GroupPath blocks checked one at a time, are swept and the report
-    carries the worst case."""
+def _grr_q(r: float, alpha: float, q: float | None) -> tuple:
+    """(q0, q) of the Holder corollary: q defaults to q0(r, alpha) and may
+    not lie below it."""
     _check_alpha(alpha)
     q0 = q0_grr(r, alpha)
     q = q0 if q is None else float(q)
     _check_exponent(q, "q")
     if q < q0 * (1.0 - 1e-12):
         raise ValueError(f"need q >= q0 = {q0:.6g}")
+    return q0, q
+
+
+def _grr_report(sums: np.ndarray, q0: float, q: float, r: float, alpha: float) -> dict:
+    """The Holder corollary's verdict on the [2 F, H] sums of _grr_sums,
+    swept over the paths; the report carries the worst case."""
     C = 64.0 / r
-    F, H = (np.asarray(v, dtype=float) for v in _grr_sums(obj, q, r, alpha))
+    F, H = (np.asarray(v, dtype=float) for v in sums)
+    if not (np.all(np.isfinite(F)) and np.all((F > 0.0) | (H == 0.0))):
+        raise ValueError(f"the Besov sum at q = {q:.6g} left the double range: "
+                         "its q-th powers overflow or underflow")
     M = F ** (1.0 / q)
     bound = C * M
     slack = bound - H
@@ -142,6 +131,15 @@ def grr_holder_check(obj, r: float, alpha: float, q: float | None = None) -> dic
         "alpha": alpha,
         "stats": stats,
     }
+
+
+def grr_holder_check(obj, r: float, alpha: float, q: float | None = None) -> dict:
+    """||f||_{alpha-Hol} <= (64/r) F^{1/q} with F the Besov double integral,
+    for alpha < 1/r and q >= q0(r, alpha), on a GroupPath or the lift of a
+    PiecewisePath.  Batched paths are swept and the report carries the
+    worst case."""
+    q0, q = _grr_q(r, alpha, q)
+    return _grr_report(_grr_sums(obj, q, r, alpha), q0, q, r, alpha)
 
 
 def chaos_ratio_check(samples, level: int) -> dict:

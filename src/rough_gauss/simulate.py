@@ -1,8 +1,9 @@
 """Seeded simulation of d-dimensional Gaussian processes on grids, lifted to
 the step-3 group, with the Monte Carlo verification battery: level-2
 L2 identity, moment envelopes, dyadic convergence rates, perturbation
-continuity, Fernique tails with chaos scaling, the Young-Wiener isometry,
-and the fractional-to-Brownian weak limit.
+continuity, Fernique tails with chaos scaling, the quantitative Holder
+corollary, the Young-Wiener isometry, and the fractional-to-Brownian weak
+limit.
 
 Randomness: normals for sample i, component c come from a Philox stream with
 key = [seed, 0] and counter = [0, stream, i, c].  One generator produces
@@ -48,7 +49,7 @@ from .path_lift import (
     refine_path,
     restrict_to,
 )
-from .regularity import CHAOS_QS
+from .regularity import CHAOS_QS, _grr_q, _grr_report, _grr_sums
 from .tensor_algebra import (
     GroupElement,
     TruncatedTensor,
@@ -75,6 +76,7 @@ __all__ = [
     "dyadic_convergence",
     "perturbation_continuity",
     "fernique_tail",
+    "grr_check",
     "young_wiener_check",
     "weak_limit_fbm",
 ]
@@ -559,6 +561,19 @@ def fernique_tail(spec: ProcessSpec, p: float | None = None, n: int = 10_000, se
         "seed": seed,
         "grid_level": grid_level,
     }
+
+
+def grr_check(spec: ProcessSpec, r: float = 2.6, alpha: float = 0.3, q: float | None = None,
+              n: int = 200, seed: int = 0, grid_level: int = 6) -> dict:
+    """The report of grr_holder_check on the lifts of n sampled paths: their
+    alpha-Holder norms against (64/r) F^{1/q}, F the Besov double integral.
+    Each block of paths goes to the pair stream, which lifts it."""
+    r = _rough_p(spec, r, "r")  # the Besov exponent 1/r < 1/(2 rho)
+    q0, q = _grr_q(r, alpha, q)
+    grid = _dyadic_grid(grid_level)
+    sums = np.concatenate([_grr_sums(PiecewisePath(grid, x), q, r, alpha)
+                           for x in _path_blocks(spec, grid, n, seed, CHEN_ROWS)], axis=-1)
+    return _grr_report(sums, q0, q, r, alpha)
 
 
 def young_wiener_check(f_eval, spec: ProcessSpec, q: float = 1.0,

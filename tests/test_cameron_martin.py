@@ -1,6 +1,8 @@
 """Finite-rank Cameron-Martin elements, inner products, and the variation
 embedding against the covariance's 2D variation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,24 @@ class TestElements:
             h = CMElement(fbm_cov(0.35), np.sort(rng.uniform(0, 1, 4)),
                           rng.normal(size=4) * 3)
             assert cm_norm_sq(h) >= 0.0
+
+    def test_inner_holds_one_row_block(self):
+        # the 2 048-node Gram form alone is 32 MiB, and fBM's kernel forms
+        # more arrays of its size; a block of its rows is about 1 MiB.  A
+        # form of one block keeps the bytes of the whole matrix product.
+        rng = np.random.default_rng(12)
+        h = CMElement(fbm_cov(0.4), np.sort(rng.uniform(0, 1, 2048)), rng.normal(size=2048))
+        tracemalloc.start()
+        try:
+            got = cm_norm_sq(h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        gram = h.kernel.eval(h.nodes[:, None], h.nodes[None, :])
+        assert got == pytest.approx(h.weights @ gram @ h.weights, rel=1e-12)
+        small = CMElement(h.kernel, h.nodes[:4], h.weights[:4])
+        assert cm_inner(small, h) == float(small.weights @ gram[:4] @ h.weights)
 
     def test_kernel_mismatch_rejected(self):
         a = CMElement(bm_cov(), np.array([0.5]), np.array([1.0]))

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rough_gauss import cameron_martin, covariance, regularity, simulate
+from rough_gauss import cameron_martin, covariance, simulate
 from rough_gauss.cli import EXPERIMENTS, FIELDS, ExperimentConfig, _kwargs, _spec, main
 from rough_gauss.path_lift import PiecewisePath, write_path_csv
 
@@ -27,7 +27,7 @@ LIBRARY = {
     "young-wiener": simulate.young_wiener_check,
     "weak-limit": simulate.weak_limit_fbm,
     "cm-embedding": cameron_martin.embedding_check,
-    "grr": regularity.grr_holder_check,
+    "grr": simulate.grr_check,
     "coutin-qian": covariance.coutin_qian_check,
 }
 
@@ -122,7 +122,7 @@ class TestConfig:
             {"experiment": "level2-variance", "samples": 50, "dim": 3})
         assert _kwargs(cfg) == {"n": 50}
         cfg = ExperimentConfig.from_dict({"experiment": "fernique", "p": 3.1})
-        assert _kwargs(cfg, p=2.5) == {"p": 3.1}
+        assert _kwargs(cfg) == {"p": 3.1}
 
     @pytest.mark.parametrize("data, p", [
         ({"kernel": "bm"}, 2.5),
@@ -386,6 +386,11 @@ class TestRun:
           "--grid", "3"), "kernel2 makes two components, so dim must be 2, got dim=5"),
         (("cm-embedding", "--set", "nodes=1000000000000", "--set", "elements=1"),
          "cm-embedding needs nodes <= 4096, got 1000000000000"),
+        # the Besov sum's q-th powers underflow to 0, or overflow: no verdict
+        (("grr", "--kernel", "ou:sigma=0.001", "--set", "q=200", "--samples", "50"),
+         "the Besov sum at q = 200 left the double range"),
+        (("grr", "--kernel", "ou:sigma=1000", "--set", "q=100", "--samples", "50"),
+         "the Besov sum at q = 100 left the double range"),
     ])
     def test_rejected_field_exit1_names_it(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"

@@ -571,6 +571,19 @@ class TestStreamedLift:
         with pytest.raises(ValueError, match="batch shape"):
             _pvar([PiecewisePath(x.times, x.points[:1])], x, 2.3)
 
+    @pytest.mark.parametrize("metric", [
+        lambda x, y: holder_dist(x, y, 0.4), lambda x, y: pvar_dist(x, y, 2.5), dist_inf,
+        lambda x, y: _pvar([x], y, 2.5)],
+        ids=["holder_dist", "pvar_dist", "dist_inf", "ladder"])
+    @pytest.mark.parametrize("lifted_first", [True, False])
+    def test_mixed_operands_rejected(self, metric, lifted_first):
+        # whether a block is copied or lifted is one choice for all operands,
+        # the rungs and the reference of a ladder included
+        x = random_path(np.random.default_rng(45), 6, 2, (2,))
+        pair = (lift_s3(x), x) if lifted_first else (x, lift_s3(x))
+        with pytest.raises(TypeError, match="one kind; got GroupPath and PiecewisePath"):
+            metric(*pair)
+
     def test_overflowing_block_rejected(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
         big = np.array([[0.0, 0.0], [1e110, 0.0], [1e110, 1e110]])

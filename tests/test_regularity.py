@@ -140,20 +140,15 @@ class TestFunctional:
         with pytest.raises(ValueError, match=f"{name} must be finite and >= 1"):
             besov_functional(line, **args)
 
-    def test_blocks_equal_whole_lift(self):
+    def test_sample_path_means_its_lift(self):
+        # the pair stream lifts a PiecewisePath, so its Besov sum, Holder
+        # norm and verdict are those of its lift_s3, as for holder_norm
         ens = sample(_bm_spec(), np.linspace(0, 1, 17), 6, seed=3)
-        whole = besov_functional(lift_s3(ens), 4.0, 2.5)
-        blocks = (lift_s3(PiecewisePath(ens.times, x)) for x in np.split(ens.points, [2]))
-        got = besov_functional(blocks, 4.0, 2.5)
-        assert got.shape == (6,) and (got == whole).all()
-
-    def test_blocks_need_paths_on_one_grid(self):
-        with pytest.raises(ValueError):
-            besov_functional(iter(()), 2.0, 1.0)
-        ens = sample(_bm_spec(), np.linspace(0, 1, 9), 4, seed=1)
-        blocks = [lift_s3(ens), lift_s3(restrict_to(ens, np.linspace(0, 1, 5)))]
-        with pytest.raises(ValueError, match="share one grid"):
-            besov_functional(blocks, 2.0, 1.0)
+        lifted = lift_s3(ens)
+        assert np.array_equal(besov_functional(ens, 4.0, 2.5), besov_functional(lifted, 4.0, 2.5))
+        rep = grr_holder_check(ens, r=2.6, alpha=0.3)
+        assert rep == grr_holder_check(lifted, r=2.6, alpha=0.3)
+        assert rep["stats"].holder_norm == np.max(holder_norm(ens, 0.3))
 
 
 class TestGrrHolder:
@@ -217,6 +212,15 @@ class TestGrrHolder:
             grr_holder_check(line, r=0.8, alpha=0.1)
         with pytest.raises(ValueError):
             grr_holder_check(line, r=1.0, alpha=0.0)  # Holder needs alpha > 0
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e3])
+    def test_sum_outside_double_range_rejected(self, scale):
+        # (scale |t-s| / |t-s|)^200 underflows to 0 at scale 1e-3, where the
+        # bound 0 would fail every path, and overflows at 1e3
+        t = np.linspace(0.0, 1.0, 17)
+        line = PiecewisePath(t, scale * t[:, None])
+        with pytest.raises(ValueError, match="q = 200 left the double range"):
+            grr_holder_check(line, r=1.0, alpha=0.5, q=200)
 
     @pytest.mark.parametrize("q", [np.nan, np.inf])
     def test_q_must_be_finite(self, q):

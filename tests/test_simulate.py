@@ -28,6 +28,7 @@ from rough_gauss.simulate import (
     _path_blocks,
     dyadic_convergence,
     fernique_tail,
+    grr_check,
     level2_variance_check,
     level_bounds_check,
     lift_endpoint,
@@ -546,11 +547,17 @@ class TestStreaming:
         assert rep["chaos"] == _chaos_ratios(end, 11)
 
     def test_grr_equals_whole_batch(self):
-        ens = sample(BM2, grid(3), N_CUT, seed=7)
-        whole = grr_holder_check(lift_s3(ens), r=2.6, alpha=0.3)
-        blocks = (lift_s3(PiecewisePath(grid(3), x))
-                  for x in np.split(ens.points, [CHEN_ROWS]))
-        assert grr_holder_check(blocks, r=2.6, alpha=0.3) == whole
+        rep = grr_check(BM2, n=N_CUT, seed=7, grid_level=3)
+        lifted = lift_s3(sample(BM2, grid(3), N_CUT, seed=7))
+        assert rep == grr_holder_check(lifted, r=2.6, alpha=0.3)
+
+    def test_grr_memory_is_below_one_block_lift(self):
+        # a block of 2 048 paths on grr's 65 points lifts to 15 MiB of
+        # levels, and lifting each block whole peaked at 23 MiB; the pair
+        # stream lifts about 1 MiB of them at a time
+        cfg = cli.ExperimentConfig.from_dict({"experiment": "grr", "samples": 4_096})
+        cli.EXPERIMENTS["grr"](cfg)
+        assert traced_peak(lambda: cli.EXPERIMENTS["grr"](cfg)) < 12 * 2**20
 
     @pytest.mark.parametrize("check", [
         lambda n: young_wiener_check(np.sin, ProcessSpec((bm_cov(),)), n=n,
@@ -564,8 +571,9 @@ class TestStreaming:
     ], ids=["young_wiener", "weak_limit", "fernique", "dyadic_convergence",
             "perturbation", "grr"])
     def test_memory_does_not_grow_with_samples(self, check):
-        # 6 144 more paths of 257 points are 12 MiB per component, and their
-        # step-3 lifts on grr's 65 points are 46 MiB; the per-sample
+        # 6 144 more paths of 257 points are 12 MiB per component, and the
+        # step-3 lifts of 6 144 more 65-point grr paths would be 46 MiB, of
+        # which the pair stream holds about 1 MiB at a time; the per-sample
         # statistics the checks keep are under 1 MiB (fernique's endpoint
         # levels, 120 B a path, are the largest), inside the slack.  The
         # first call also pays one-off import and cache allocations, so it
