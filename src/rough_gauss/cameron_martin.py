@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import CovarianceKernel, fbm_cov, square_variation
-from .variation_2d import (_YOUNG_BLOCK_BYTES, EXACT_INTERVAL_CAP, _check_exponent, _longest_path,
-                           _scaled_root, _uniform_grid)
+from .variation_2d import (_YOUNG_BLOCK_BYTES, EXACT_INTERVAL_CAP, _check_exponent, _pvar_root,
+                           _uniform_grid)
 
 __all__ = [
     "CMElement",
@@ -86,13 +86,7 @@ def pvar_1d(values, rho: float):
     n = x.shape[-1]
     if n < 2:
         return np.zeros(x.shape[:-1])[()]
-
-    def total(v):
-        rows = (np.abs(v[..., i + 1 :] - v[..., i, None]) ** rho for i in range(n - 1))
-        # a numpy scalar, not a 0-d array: their powers round differently
-        return _longest_path(rows)[..., -1][()]
-
-    return _scaled_root(total, x, rho, 1)
+    return _pvar_root(lambda: (abs(x[..., i + 1 :] - x[..., i, None]) for i in range(n - 1)), rho)
 
 
 @dataclass(frozen=True)

@@ -434,6 +434,7 @@ def _run_grr(cfg: ExperimentConfig) -> dict:
 
 def _run_chaos_ratio(cfg: ExperimentConfig) -> dict:
     grid, n = _dyadic_grid(_default(cfg.grid_level, 5)), _default(cfg.samples, 10_000)
+    simulate._check_samples(n, "the chaos-ratio check")
     lie = hall_log_signature(sample_endpoint(_spec(cfg), grid, n, cfg.seed))
     labels = iter(hall_basis_labels(lie.dim))
     rows = []

@@ -49,8 +49,8 @@ from .variation_2d import (
     _cell,
     _check_exponent,
     _check_times,
-    _longest_path,
     _positions,
+    _pvar_root,
 )
 
 __all__ = [
@@ -381,16 +381,10 @@ def path_inf_norm(x: GroupPath):
     return np.max(homogeneous_norm(x.values), axis=-1)
 
 
-def _pvar_sup(rows, p: float):
-    """(sup over sub-dissections of the sum of pair values^p)^{1/p}, where
-    the i-th row holds the values over the pairs (t_i, t_j), j > i."""
-    return _longest_path(row ** p for row in rows)[..., -1] ** (1.0 / p)
-
-
 def _pvar(x, y, p: float):
     """The p-variation metric of the pair stream's operands (see _blocks)."""
     _check_exponent(p, "p")
-    return _reduce_blocks(x, y, lambda *block: _pvar_sup(_pair_rows(*block), p))
+    return _reduce_blocks(x, y, lambda *block: _pvar_root(lambda: _pair_rows(*block), p))
 
 
 def pvar_dist(x: GroupPath, y: GroupPath, p: float):

@@ -53,7 +53,7 @@ def _grr_sums(x, q: float, r: float, alpha: float) -> np.ndarray:
     as the pair stream forms d_{t_i,t_j} over j > i.  F adds its pairs left
     to right in row-major order, alone as in a batch.  x is a GroupPath, or
     a PiecewisePath that the pair stream lifts block by block; a power that
-    leaves the double range gives inf or 0 and is left to the report."""
+    leaves the double range gives inf or 0 and is left to _check_range."""
 
     def sums(*block):
         t = x.times
@@ -72,13 +72,24 @@ def _grr_sums(x, q: float, r: float, alpha: float) -> np.ndarray:
     return _reduce_blocks(x, None, sums)
 
 
+def _check_range(sums: np.ndarray, q: float) -> np.ndarray:
+    """The [2 F, H] sums of _grr_sums, or a ValueError where F overflowed,
+    or underflowed to 0 on a path that is not constant (H > 0)."""
+    F, H = sums
+    if not (np.all(np.isfinite(F)) and np.all((F > 0.0) | (H == 0.0))):
+        raise ValueError(f"the Besov sum at q = {q:.6g} left the double range: "
+                         "its q-th powers overflow or underflow")
+    return sums
+
+
 def besov_functional(obj, q: float, r: float):
     """Trapezoidal [0,1]^2 integral of (d(f_s, f_t)/|t-s|^{1/r})^q over the
     path's grid, for a GroupPath or the lift of a PiecewisePath; leading
-    dims of a batched path are preserved."""
+    dims of a batched path are preserved.  F is the value returned, so a sum
+    that leaves the double range cannot be rescaled: it raises ValueError."""
     _check_exponent(q, "q")
     _check_exponent(r, "r")
-    return _grr_sums(obj, q, r, 1.0)[0]
+    return _check_range(_grr_sums(obj, q, r, 1.0), q)[0]
 
 
 @dataclass(frozen=True)
@@ -110,10 +121,7 @@ def _grr_report(sums: np.ndarray, q0: float, q: float, r: float, alpha: float) -
     """The Holder corollary's verdict on the [2 F, H] sums of _grr_sums,
     swept over the paths; the report carries the worst case."""
     C = 64.0 / r
-    F, H = (np.asarray(v, dtype=float) for v in sums)
-    if not (np.all(np.isfinite(F)) and np.all((F > 0.0) | (H == 0.0))):
-        raise ValueError(f"the Besov sum at q = {q:.6g} left the double range: "
-                         "its q-th powers overflow or underflow")
+    F, H = (np.asarray(v, dtype=float) for v in _check_range(sums, q))
     M = F ** (1.0 / q)
     bound = C * M
     slack = bound - H

@@ -44,7 +44,6 @@ from .path_lift import (
     _holder,
     _pair_rows,
     _pvar,
-    _pvar_sup,
     _reduce_blocks,
     refine_path,
     restrict_to,
@@ -62,6 +61,7 @@ from .variation_2d import (
     _dyadic_grid,
     _from_corner,
     _positions,
+    _pvar_root,
     young_constant,
     young_integral_2d,
 )
@@ -378,9 +378,9 @@ def level_bounds_check(spec: ProcessSpec, rho: float | None = None,
     sizes = [2.0 ** (-lev) for lev in (1, 2, 3, 4)]
     steps = _positions(grid, sizes, "interval ends").tolist()
     omegas = [square_variation(k0, t, 12, rho) ** rho for t in sizes]
-    if min(omegas) == 0.0:
-        raise ValueError(f"rho={rho} underflows the envelope omega = "
-                         f"|R|_rho-var^rho to 0 on [0, {sizes[-1]}]^2")
+    if min(om ** (lvl / rho) for om in omegas for lvl in (1, 2, 3)) == 0.0:
+        raise ValueError(f"rho={rho} underflows the envelope omega^(level/rho), omega = "
+                         f"|R|_rho-var^rho, to 0 on [0, {sizes[-1]}]^2")
     # one Chen pass per block over the increments of [0, 1/2]: its prefix
     # after steps[i] increments is the lift over [0, sizes[i]]
     z = {w: [[] for _ in steps] for w in words}
@@ -460,6 +460,10 @@ def perturbation_continuity(spec: ProcessSpec, epsilons=(0.2, 0.1, 0.05),
     mean against |R_{X-Y}|_inf = eps^2 |R_W|_inf."""
     if sum(e > 0.0 for e in epsilons) < 2:
         raise ValueError("the epsilon ladder needs at least two positive rungs")
+    if not (all(e >= 0.0 for e in epsilons)
+            and all(a > b for a, b in zip(epsilons[:-1], epsilons[1:]))):
+        raise ValueError(f"the epsilon ladder must be strictly decreasing and >= 0, "
+                         f"got {list(epsilons)}")
     p = _rough_p(spec, p)
     _check_samples(n, "perturbation continuity")
     grid = _dyadic_grid(grid_level)
@@ -535,13 +539,18 @@ def fernique_tail(spec: ProcessSpec, p: float | None = None, n: int = 10_000, se
     def norms_and_ends(levels):
         # copies: the pair stream reuses the block's buffer for the next one
         ends.append([a[..., -1].copy() for a in levels])
-        return _pvar_sup(_pair_rows(levels), p)
+        return _pvar_root(lambda: _pair_rows(levels), p)
 
     norms = np.concatenate([_reduce_blocks(PiecewisePath(grid, x), None, norms_and_ends)
                             for x in _path_blocks(spec, grid, n, seed, CHEN_ROWS)])
     end = GroupElement(TruncatedTensor(spec.dim, *(np.concatenate(a, axis=-1)
                                                    for a in zip(*ends))))
     lam = np.quantile(norms, [1.0 - q for q in tail_probs])
+    # the quantiles increase with the level, so equal ends mean all are equal
+    if lam[0] == lam[-1]:
+        about = " and ".join(dict.fromkeys(_about(k) for k in spec.kernels))
+        raise ValueError(f"the p-variation norms of {about} have no tail spread: "
+                         f"their tail quantiles all equal {lam[0]:g}")
     logp = np.log(np.asarray(tail_probs, dtype=float))
     slope, intercept = np.polyfit(lam ** 2, logp, 1)
     chaos = _chaos_ratios(end, seed)

@@ -10,6 +10,7 @@ axis is fixed), and ``local-search`` alternates exact DP steps per axis.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -43,31 +44,24 @@ def _check_exponent(p: float, name: str):
         raise ValueError(f"{name} must be finite and >= 1")
 
 
-def _scaled_root(total, x: np.ndarray, rho: float, k: int):
-    """total(x) ** (1/rho), where total(x) is the sup over dissections of
-    the sum of |increment|^rho over the last k axes of x, leading axes
-    batch.  Where that sum overflows, or underflows to 0 while the
-    increments do not vanish, it is taken again of x / M, M the power of
-    two just above max |x|, and the root scaled back by M: the variation is
-    homogeneous of degree 1.  Scaling moves the last bits of ordinary sums,
-    so it is only a fallback.  A sum that still overflows raises."""
-    axes = tuple(range(-k, 0))
-    with np.errstate(over="ignore"):
-        s = total(x)
-        redo = ~np.isfinite(s)
-        if np.any(s == 0.0):
-            inc = x
-            for ax in axes:
-                inc = np.diff(inc, axis=ax)
-            redo |= (s == 0.0) & np.any(inc != 0.0, axis=axes)
-        scale = 1.0
+def _scaled_root(total, peak, rho: float):
+    """total(None) ** (1/rho), total(M) being the sup over dissections of
+    the sum of (|increment| / M)^rho, leading axes batch.  Where the plain
+    sum overflows, or is 0 while peak() > 0, it is taken again with
+    M = peak() and the root scaled back by M: the variation is homogeneous
+    of degree 1.  Scaling moves the last bits, so it is only a fallback.  A
+    sum that is still not finite, or still 0, raises."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = total(None)
+        redo = ~np.isfinite(s) | (s == 0.0)
+        M = peak() if np.any(redo) else 1.0
+        redo &= M > 0.0
+        M = np.where(redo, M, 1.0)
         if np.any(redo):
-            M = 2.0 ** np.frexp(np.max(np.abs(x), axis=axes, keepdims=True))[1]
-            s = np.where(redo, total(x / M), s)
-            scale = np.where(redo, M.reshape(np.shape(s)), 1.0)
-    if not np.all(np.isfinite(s)):
-        raise ValueError(f"the rho = {rho} variation sum is not finite")
-    return np.asarray(scale * s ** (1.0 / rho))[()]
+            s = np.where(redo, total(M), s)
+    if not np.all(np.isfinite(s)) or np.any(redo & (s == 0.0)):
+        raise ValueError(f"the rho = {rho} variation sum is not finite, or underflows to 0")
+    return np.asarray(M * s ** (1.0 / rho))[()]
 
 
 def _check_grid(g: np.ndarray, name: str):
@@ -200,6 +194,21 @@ def _longest_path(rows) -> np.ndarray:
     return best
 
 
+def _pvar_root(rows, p: float):
+    """(sup over sub-dissections of the sum of pair values^p)^{1/p} through
+    _scaled_root, where rows() yields, for i = 0, ..., n-2, the values over
+    the pairs (t_i, t_j), j > i, batch axes first; peak() is the largest
+    pair value, so the largest scaled term is exactly 1."""
+
+    def total(M):
+        # a numpy scalar, not a 0-d array: their powers round differently
+        return _longest_path(row ** p if M is None else (row / M[..., None]) ** p
+                             for row in rows())[..., -1][()]
+
+    return _scaled_root(total, lambda: functools.reduce(
+        np.maximum, (row.max(axis=-1) for row in rows())), p)
+
+
 def _dp_best_columns(B: np.ndarray) -> tuple[list, float]:
     """A heaviest path from first to last index of B, and its weight."""
     best = _longest_path(_upper_rows(B))
@@ -289,7 +298,10 @@ def rho_variation(
             "local-search": lambda V: _alternating_sum(V, rho, seed)}
     if mode not in sums:
         raise ValueError(f"unknown mode {mode!r}")
-    return float(_scaled_root(sums[mode], f.values, rho, 2))
+    V = f.values
+    # max |f|, or 0 where every cell increment, and so the variation, is 0
+    peak = lambda: np.max(np.abs(V)) * np.any(np.diff(np.diff(V, axis=0), axis=1))
+    return float(_scaled_root(lambda M: sums[mode](V if M is None else V / M), peak, rho))
 
 
 def bilinear_eval(f: GridFunction2D, S: np.ndarray, T: np.ndarray) -> np.ndarray:

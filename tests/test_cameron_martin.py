@@ -139,14 +139,15 @@ class TestPvar1D:
             pvar_1d(np.array([0.0, 1.0, 0.5]), rho)
 
     def test_overflowing_sum_rejected(self):
-        # 1.5^2000 overflows, and so does the scaled sum: M = 1 is the power
-        # of two above max |x| = 0.75
+        # 0.5^2000 underflows and 1.5^2000 overflows; both sums are taken
+        # again over M = the largest pair value, whose term is exactly 1
+        assert pvar_1d(np.array([0.0, 0.5]), 2000.0) == 0.5
+        assert pvar_1d(np.array([0.0, -0.75, 0.75]), 2000.0) == 1.5
+        # a pair value that itself overflows has no scale to take it again
+        # over; one such path of a batch is enough
         message = "the rho = 2000.0 variation sum is not finite"
         with pytest.raises(ValueError, match=message):
-            pvar_1d(np.array([0.0, -0.75, 0.75]), 2000.0)
-        # one overflowing path of a batch is enough
-        with pytest.raises(ValueError, match=message):
-            pvar_1d(np.array([[0.0, 1.0, 0.0], [0.0, -0.75, 0.75]]), 2000.0)
+            pvar_1d(np.array([[0.0, 1.0, 0.0], [0.0, -1e308, 1e308]]), 2000.0)
 
     def test_large_rho_sum_is_scaled(self):
         # 10^400 overflows and 0.01^400 underflows to 0; the variation is

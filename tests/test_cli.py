@@ -287,6 +287,11 @@ class TestRun:
          "1/rho_1 + 1/rho_2 = 1/5 + 1/5 must exceed 1 for fbm H = 0.1"),
         (("grr", "--kernel", "fbm:H=0.1", "--samples", "8", "--grid", "3"),
          "r = 2.6 must exceed 2 rho = 10 for fbm H = 0.1"),
+        # strictly_decreasing compares the means in ladder order
+        (("perturbation", "--set", "epsilons=[0.1,0.1]", "--samples", "10", "--grid", "3"),
+         "the epsilon ladder must be strictly decreasing and >= 0, got [0.1, 0.1]"),
+        (("perturbation", "--set", "epsilons=[0.05,0.1,0.2]", "--samples", "10", "--grid", "3"),
+         "the epsilon ladder must be strictly decreasing and >= 0, got [0.05, 0.1, 0.2]"),
     ])
     def test_invalid_ladder_exit1(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"
@@ -391,6 +396,9 @@ class TestRun:
          "the Besov sum at q = 200 left the double range"),
         (("grr", "--kernel", "ou:sigma=1000", "--set", "q=100", "--samples", "50"),
          "the Besov sum at q = 100 left the double range"),
+        # omega^(3/rho) underflows to 0 while omega does not
+        (("level-bounds", "--kernel", "ou:theta=1e300", "--samples", "50"),
+         "rho=1.0 underflows the envelope omega^(level/rho)"),
     ])
     def test_rejected_field_exit1_names_it(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"
@@ -407,6 +415,37 @@ class TestRun:
                     "--set", "grid_intervals=4", "--out-dir", str(out)) == 0
         check, = _read(out / "variation_report.json")["checks"]
         assert check["exact"] == check["local_search"] == pytest.approx(want, rel=1e-9)
+
+    def test_large_p_fernique_is_scaled(self, tmp_path, capfd):
+        # norm values^1000 overflow; the pair stream takes each such sum
+        # again over the path's largest pair value, so no norm is inf and
+        # the tail fit gets finite quantiles
+        assert _run("run", "fernique", "--set", "p=1000", "--samples", "50",
+                    "--out-dir", str(tmp_path)) == 0
+        out, err = capfd.readouterr()
+        assert "DLASCL" not in out + err
+        assert np.all(np.isfinite(_read(tmp_path / "fernique_report.json")["results"]["tail_lambdas"]))
+
+    def test_fernique_without_spread_exit1(self, tmp_path, capfd):
+        # sigma^2 / (2 theta) underflows, so every path is 0 and the six
+        # tail quantiles are equal; LAPACK writes from C, hence capfd
+        out = tmp_path / "out"
+        assert _run("run", "fernique", "--kernel", "ou:sigma=1e-200", "--samples", "50",
+                    "--out-dir", str(out)) == 1
+        assert not out.exists()
+        assert capfd.readouterr().err.splitlines() == [
+            "error: the p-variation norms of ou theta = 1.0 sigma = 1e-200 stationary = True "
+            "have no tail spread: their tail quantiles all equal 0"]
+
+    def test_chaos_ratio_samples_checked_before_factoring(self, tmp_path, capsys, monkeypatch):
+        def no_factor(*args):
+            raise AssertionError("formed a Gram factor before checking the sample count")
+
+        monkeypatch.setattr(simulate, "_factor", no_factor)
+        out = tmp_path / "out"
+        assert _run("run", "chaos-ratio", "--samples", "1", "--out-dir", str(out)) == 1
+        assert not out.exists()
+        assert "the chaos-ratio check needs at least two samples, got 1" in capsys.readouterr().err
 
     def test_large_rho_embedding_is_scaled(self, tmp_path):
         out = tmp_path / "out"

@@ -280,6 +280,29 @@ class TestPVariation:
                     got = float(pvar_dist(x, y, p))
                     assert got == pytest.approx(ref, rel=1e-10)
 
+    @pytest.mark.parametrize("metric", [
+        lambda ref, rungs, p: pvar_norm(lift_s3(rungs[0]), p),
+        lambda ref, rungs, p: pvar_dist(lift_s3(rungs[0]), lift_s3(ref), p),
+        lambda ref, rungs, p: _pvar(rungs, ref, p)],
+        ids=["pvar_norm", "pvar_dist", "ladder"])
+    def test_large_p_is_scaled(self, metric):
+        # pair values^400 underflow to 0 at scale 1e-3 and overflow at 1e3,
+        # and values^1000 overflow at scale 1; each such sum is taken again
+        # over the largest pair value, since the p-variation is homogeneous
+        rng = np.random.default_rng(0)
+        ref = random_path(rng, 33, 2, (50,))
+        w = rng.standard_normal(ref.points.shape)
+        rungs = [PiecewisePath(ref.times, ref.points + e * w) for e in (0.5, 0.2)]
+
+        def scaled(c):
+            return PiecewisePath(ref.times, c * ref.points), [
+                PiecewisePath(ref.times, c * r.points) for r in rungs]
+
+        base = metric(ref, rungs, 400.0)
+        for c in (1e-3, 1e3):
+            np.testing.assert_allclose(metric(*scaled(c), 400.0), c * base, rtol=1e-12)
+        assert np.all(np.isfinite(metric(ref, rungs, 1000.0)))
+
     def test_pvar_monotone_in_p(self):
         rng = np.random.default_rng(12)
         x = lift_s3(random_path(rng, 10, 3))

@@ -140,6 +140,15 @@ class TestFunctional:
         with pytest.raises(ValueError, match=f"{name} must be finite and >= 1"):
             besov_functional(line, **args)
 
+    @pytest.mark.parametrize("scale", [1e-3, 1e3])
+    def test_functional_outside_double_range_rejected(self, scale):
+        # F is the value returned, so it cannot be rescaled: at q = 200 its
+        # powers underflow to 0 at scale 1e-3 and overflow at 1e3
+        t = np.linspace(0.0, 1.0, 17)
+        path = PiecewisePath(t, scale * np.stack([t, t ** 2], axis=-1))
+        with pytest.raises(ValueError, match="the Besov sum at q = 200 left the double range"):
+            besov_functional(path, 200.0, 1.0)
+
     def test_sample_path_means_its_lift(self):
         # the pair stream lifts a PiecewisePath, so its Besov sum, Holder
         # norm and verdict are those of its lift_s3, as for holder_norm

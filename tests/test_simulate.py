@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rough_gauss import cli, simulate
-from rough_gauss.covariance import CovarianceKernel, ProcessSpec, bm_cov, fbm_cov
+from rough_gauss.covariance import CovarianceKernel, ProcessSpec, bm_cov, fbm_cov, ou_cov
 from rough_gauss.path_lift import (
     PiecewisePath,
     _chen_prefixes,
@@ -177,9 +177,14 @@ class TestSampling:
         (lambda: perturbation_continuity(ROUGH, p=11, n=10), NO_AREA),
         (lambda: fernique_tail(ROUGH, p=11, n=10), NO_AREA),
         (lambda: fernique_tail(ROUGH, p=10, n=10), r"p = 10 must exceed 2 rho = 10 for fbm"),
+        (lambda: perturbation_continuity(BM2, epsilons=(0.05, 0.1, 0.2), n=10),
+         r"epsilon ladder must be strictly decreasing and >= 0, got \[0.05, 0.1, 0.2\]"),
+        # omega^(3/rho) underflows to 0 on [0, 1/16]^2 while omega does not
+        (lambda: level_bounds_check(ProcessSpec((ou_cov(theta=1e300),) * 3), n=10),
+         r"rho=1.0 underflows the envelope omega\^\(level/rho\)"),
     ], ids=["level2_n", "level_bounds_n", "young_wiener_n", "level2_area",
             "level_bounds_area", "dyadic_area", "perturbation_area", "fernique_area",
-            "fernique_p"])
+            "fernique_p", "perturbation_ladder", "level_bounds_envelope"])
     def test_rejected_before_factoring(self, monkeypatch, check, message):
         def no_factor(*args):
             raise AssertionError("formed a Gram factor before checking the input")
@@ -378,6 +383,12 @@ class TestFernique:
             assert row["ratio"] <= row["bound"]
         lams = rep["tail_lambdas"]
         assert all(a < b for a, b in zip(lams[:-1], lams[1:]))
+
+    def test_tail_without_spread_rejected(self):
+        # every path of the zero kernel is 0, and so is every tail quantile
+        # of its norms: no slope can be fitted
+        with pytest.raises(ValueError, match="the p-variation norms of flat have no tail spread"):
+            fernique_tail(ProcessSpec((FLAT, FLAT)), n=10, grid_level=3)
 
 
 class TestYoungWiener:

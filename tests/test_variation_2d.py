@@ -213,6 +213,20 @@ class TestRhoVariation:
         assert rho_variation(min_cov(5), 400.0, mode=mode) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("mode", ["exact", "local-search"])
+    def test_vanishing_increments_are_not_rescaled(self, mode):
+        # every rectangular increment of a constant is 0, so its variation
+        # is 0 whatever max |f| is; a zero sum is taken again, and raises if
+        # it stays 0, only where some cell increment is not 0
+        g = np.linspace(0.0, 1.0, 5)
+        assert rho_variation(GridFunction2D(g, g, np.full((5, 5), 3.0)), 400.0, mode=mode) == 0.0
+        # increments of at most 2.5e-171 under max |f| = 1: their squares
+        # underflow to 0 with or without the scale
+        V = np.ones((5, 5))
+        V[:2] = 1e-170 * min_cov(5).values[:2]
+        with pytest.raises(ValueError, match="variation sum is not finite, or underflows to 0"):
+            rho_variation(GridFunction2D(g, g, V), 2.0, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["exact", "local-search"])
     @pytest.mark.parametrize("scale", [2.0**-600, 100.0, 2.0**600])
     def test_large_rho_sum_is_scaled(self, mode, scale):
         # |increment|^400 underflows to 0 at the first scale and overflows
